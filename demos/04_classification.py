@@ -20,7 +20,7 @@ c4 = make_group("C4")
 out = classify(c4, sphere(), max_size=4)
 print(f"C4 over the sphere: {out.verdict.value}")
 for comp in out.groupoid.components:
-    print(f"  {comp.label:<16} aut order {comp.aut.order}")
+    print(f"  {comp.label:<16} aut order {comp.aut_order}")
 
 # C6 fails at the bottom stage: the Weyl group there is all of C6, whose
 # order has two prime factors.  The classifier answers with an explicit

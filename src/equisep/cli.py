@@ -147,11 +147,13 @@ def _cmd_conditions(args):
 
 
 def _groupoid_text(gpd: FiniteGroupoid) -> str:
-    rows = [[c.label, c.aut.order] for c in gpd.components]
+    rows = [[c.label, c.aut_order] for c in gpd.components]
     return _table(rows, ["component", "aut_order"])
 
 
 def _cmd_classify(args):
+    if args.max_size < 0:
+        raise GroupSpecError(f"--max-size must be >= 0, got {args.max_size}")
     g = make_group(args.group)
     ring = _parse_coeff(args.coeff)
     out = classify(g, ring, args.max_size)

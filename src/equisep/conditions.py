@@ -74,8 +74,43 @@ def integers() -> RingDescriptor:
     )
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2015).  The
+# first 12 bases are not enough: 318665857834031151167461 passes them all.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n < _MR_EXACT_BELOW."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_field(p: int) -> RingDescriptor:
-    if p < 2 or any(p % q == 0 for q in range(2, p)):
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"{p} is too large: primality is only decided below {_MR_EXACT_BELOW}"
+        )
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return RingDescriptor(
         name=f"F{p}",

@@ -26,7 +26,7 @@ from .group_core import (
     subgroup_conjugacy_classes,
     symmetric_group,
 )
-from .gset import GSetType, aut_group, coset_gset, disjoint_union, empty_gset
+from .gset import GSetType, aut_group, realize_type
 
 
 class GroupHom:
@@ -117,22 +117,48 @@ def all_homomorphisms(src: Group, dst: Group):
 
 
 class GroupoidComponent:
-    """One component of a skeletal groupoid: a label and its automorphisms."""
+    """One component of a skeletal groupoid: a label and its automorphisms.
 
-    __slots__ = ("label", "aut", "gset_type")
+    A census component carries its G-set type instead of a built group: its
+    aut_order comes from the wreath-product formula, and aut realizes the
+    type and builds the group only on first access.
+    """
 
-    def __init__(self, label: str, aut: Group, gset_type: GSetType | None = None):
+    __slots__ = ("label", "gset_type", "_aut")
+
+    def __init__(self, label: str, aut: Group | None = None,
+                 gset_type: GSetType | None = None):
+        if aut is None and gset_type is None:
+            raise ValueError("a component needs an automorphism group or a type")
         self.label = label
-        self.aut = aut
         self.gset_type = gset_type
+        self._aut = aut
+
+    @property
+    def aut(self) -> Group:
+        if self._aut is None:
+            self._aut = aut_group(realize_type(self.gset_type))
+        return self._aut
+
+    @property
+    def aut_order(self) -> int:
+        if self._aut is None:
+            return self.gset_type.aut_order
+        return self._aut.order
 
     def __eq__(self, other):
         if not isinstance(other, GroupoidComponent):
             return NotImplemented
-        return self.label == other.label and self.aut == other.aut
+        if (self.label, self.gset_type, self.aut_order) != (
+            other.label, other.gset_type, other.aut_order
+        ):
+            return False
+        # a type fixes the group it realizes; components without one
+        # compare their groups
+        return self.gset_type is not None or self.aut == other.aut
 
     def __repr__(self):
-        return f"GroupoidComponent({self.label!r}, aut_order={self.aut.order})"
+        return f"GroupoidComponent({self.label!r}, aut_order={self.aut_order})"
 
 
 class FiniteGroupoid:
@@ -161,7 +187,7 @@ class FiniteGroupoid:
 
     def to_json(self):
         return [
-            {"label": c.label, "aut_order": c.aut.order}
+            {"label": c.label, "aut_order": c.aut_order}
             for c in self.components
         ]
 
@@ -243,8 +269,8 @@ def pullback_pi0(f: GroupoidFunctor, g: GroupoidFunctor):
         v = f.aut_maps[b].image_group()
         dec = double_cosets(aut_d, u, v)
         fiber = len(dec.representatives)
-        aut_b = f.source.component(b).aut
-        aut_c = g.source.component(c).aut
+        order_b = f.source.component(b).aut_order
+        order_c = g.source.component(c).aut_order
         for idx, (rep, size) in enumerate(zip(dec.representatives, dec.sizes)):
             out.append(
                 PullbackComponent(
@@ -253,13 +279,16 @@ def pullback_pi0(f: GroupoidFunctor, g: GroupoidFunctor):
                     fiber_size=fiber,
                     fiber_index=idx,
                     coset_size=size,
-                    aut_order=aut_b.order * aut_c.order // size,
+                    aut_order=order_b * order_c // size,
                 )
             )
     return out
 
 
 BRUTE_FORCE_AUT_BOUND = 64
+# Largest G-set census truncated_gset_groupoid enumerates; the cost of a
+# census grows with its number of components.
+CENSUS_COMPONENT_BOUND = 200_000
 
 
 def brute_force_pullback(f: GroupoidFunctor, g: GroupoidFunctor) -> FiniteGroupoid:
@@ -270,12 +299,9 @@ def brute_force_pullback(f: GroupoidFunctor, g: GroupoidFunctor) -> FiniteGroupo
     Component automorphism groups are realized as permutation pairs acting
     on the disjoint union of the two underlying point sets.
     """
-    for src in (f, g):
-        for comp in src.source.components:
-            if comp.aut.order > BRUTE_FORCE_AUT_BOUND:
-                raise ResourceLimitError("automorphism group too large to materialize")
-    for comp in f.target.components:
-        if comp.aut.order > BRUTE_FORCE_AUT_BOUND:
+    for comp in (*f.source.components, *g.source.components,
+                 *f.target.components):
+        if comp.aut_order > BRUTE_FORCE_AUT_BOUND:
             raise ResourceLimitError("automorphism group too large to materialize")
     components = []
     for b, c, d in _matching_pairs(f, g):
@@ -353,11 +379,36 @@ def _count_vectors(sizes, bound):
             n += 1
 
 
+def census_size(sizes, bound: int, limit: int) -> int:
+    """How many multiplicity vectors _count_vectors(sizes, bound) yields.
+
+    A coin-change count in O(len(sizes) * bound) steps.  It stops once the
+    count passes limit and then returns a lower bound that is above limit.
+    Copies of the smallest orbit alone give bound // min(sizes) + 1 vectors,
+    which also caps the table length below limit * min(sizes).
+    """
+    if not sizes:
+        return 1
+    if bound // min(sizes) >= limit:
+        return bound // min(sizes) + 1
+    ways = [1] + [0] * bound
+    for s in sorted(sizes):
+        for t in range(s, bound + 1):
+            ways[t] += ways[t - s]
+        total = sum(ways)
+        if total > limit:
+            break
+    return total
+
+
 def truncated_gset_groupoid(g: Group, family, max_size: int) -> FiniteGroupoid:
     """The groupoid of G-sets with isotropy outside the family, up to size N.
 
-    One component per isomorphism class, including the empty G-set, each
-    with its concrete automorphism group.
+    One component per isomorphism class, including the empty G-set.  Each
+    component carries its orbit type; automorphism orders come from the
+    wreath-product formula and groups are built only when asked for.
+    Refuses, before enumerating, a census of more than CENSUS_COMPONENT_BOUND
+    components.
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
@@ -365,15 +416,16 @@ def truncated_gset_groupoid(g: Group, family, max_size: int) -> FiniteGroupoid:
         c for c in subgroup_conjugacy_classes(g) if c not in family.classes
     ]
     sizes = [g.order // c.order for c in outside]
+    estimate = census_size(sizes, max_size, CENSUS_COMPONENT_BOUND)
+    if estimate > CENSUS_COMPONENT_BOUND:
+        raise ResourceLimitError(
+            f"G-set census up to size {max_size} has at least {estimate} "
+            f"components, over the bound {CENSUS_COMPONENT_BOUND} "
+            "(layer groupoid_calc.truncated_gset_groupoid)"
+        )
     comps = []
     for vector in _count_vectors(sizes, max_size):
         t = GSetType.from_counts(g, dict(zip(outside, vector)))
-        parts = [empty_gset(g)]
-        for cls, n in t.entries:
-            parts.extend([coset_gset(g, cls.representative)] * n)
-        x = disjoint_union(*parts)
-        comps.append(
-            GroupoidComponent(label=t.label(), aut=aut_group(x), gset_type=t)
-        )
+        comps.append(GroupoidComponent(t.label(), gset_type=t))
     comps.sort(key=lambda c: (c.gset_type.size, c.label))
     return FiniteGroupoid(comps)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 
 from .group_core import (
     Group,
@@ -21,6 +22,7 @@ from .group_core import (
     pmul,
     reduce_generators,
     subgroup_conjugacy_classes,
+    weyl_group,
     weyl_group_with_section,
     is_subconjugate,
     normalizer,
@@ -160,6 +162,18 @@ class GSetType:
     def size(self) -> int:
         g = self.group.order
         return sum(n * (g // c.order) for c, n in self.entries)
+
+    @property
+    def aut_order(self) -> int:
+        """Order of the automorphism group, the product of W(H) wreath S_n.
+
+        That is the product over classes of |W(H)|^n * n! for n orbits of
+        class H, read off the cached Weyl groups; no automorphism is built.
+        """
+        out = 1
+        for c, n in self.entries:
+            out *= weyl_group(self.group, c).order ** n * factorial(n)
+        return out
 
     def multiplicity(self, cls: SubgroupClass) -> int:
         for c, n in self.entries:

@@ -105,6 +105,22 @@ class TestClassify:
         assert len(out.groupoid) == count_orbit_multisets(sizes, 4)
         assert all(rep.passed for rep in out.stage_reports)
 
+    def test_census_never_builds_aut_groups(self, monkeypatch):
+        import equisep.groupoid_calc as gc
+
+        def refuse(x):
+            raise AssertionError("aut_group called by the census")
+
+        monkeypatch.setattr(gc, "aut_group", refuse)
+        g = cyclic_group(4)
+        out = classify(g, sphere(), 12)
+        sizes = [g.order // c.order for c in subgroup_conjugacy_classes(g)]
+        assert len(out.groupoid) == count_orbit_multisets(sizes, 12) == 84
+        payload = out.to_json()["groupoid"]
+        assert payload[-1]["aut_order"] == out.groupoid.components[-1].aut_order
+        with pytest.raises(AssertionError, match="aut_group"):
+            out.groupoid.components[-1].aut
+
     def test_c6_sphere_is_witnessed(self):
         out = classify(cyclic_group(6), sphere(), 6)
         assert out.verdict is Verdict.NON_STANDARD_WITNESS

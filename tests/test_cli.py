@@ -139,6 +139,26 @@ class TestExitCodes:
 
     def test_resource_bound_exit_three(self):
         assert run_cli("subgroups", "--group", "S9").returncode == 3
+        census = run_cli("classify", "--group", "C2xC2xC2xC2",
+                         "--max-size", "32")
+        assert census.returncode == 3
+        assert "bound 200000" in census.stderr
+
+    @pytest.mark.parametrize("group", ["C4", "C6"])
+    def test_negative_max_size_exit_two(self, group):
+        proc = run_cli("classify", "--group", group, "--max-size", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_large_prime_coefficient(self):
+        ok = run_cli("conditions", "--group", "C2", "--coeff", "Fp:1000000007")
+        assert ok.returncode == 0
+        too_large = run_cli("conditions", "--group", "C2",
+                            "--coeff", "Fp:3317044064679887385961981")
+        assert too_large.returncode == 2
+        assert too_large.stderr.startswith("error: ")
 
     def test_env_override_tightens_bound(self):
         ok = run_cli("subgroups", "--group", "C12")

@@ -35,6 +35,17 @@ class TestDescriptors:
             prime_field(1)
         assert prime_field(2).char == 2
 
+    def test_prime_field_large_inputs(self):
+        assert prime_field(1000000007).char == 1000000007
+        assert prime_field(2**61 - 1).char == 2**61 - 1
+        # strong pseudoprimes to every prime base up to 31, and up to 37
+        for composite in (3825123056546413051, 318665857834031151167461,
+                          1000000007 * 998244353):
+            with pytest.raises(ValueError, match="not prime"):
+                prime_field(composite)
+        with pytest.raises(ValueError, match="too large"):
+            prime_field(3317044064679887385961981)
+
     def test_names_and_flags(self):
         s = sphere()
         z = integers()

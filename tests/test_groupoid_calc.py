@@ -9,21 +9,25 @@ from equisep.group_core import (
     make_group,
     pinv,
     pmul,
+    ResourceLimitError,
     symmetric_group,
     trivial_group,
 )
 from equisep.families import all_family, closure_family, empty_family
 from equisep.groupoid_calc import (
+    CENSUS_COMPONENT_BOUND,
     FiniteGroupoid,
     GroupHom,
     GroupoidComponent,
     GroupoidFunctor,
     all_homomorphisms,
     brute_force_pullback,
+    census_size,
     pullback_pi0,
     truncated_gset_groupoid,
     unit_power_component,
 )
+from equisep.gset import aut_group, realize_type
 
 from .oracles import count_orbit_multisets
 
@@ -315,12 +319,15 @@ class TestTruncatedGroupoid:
 
             sizes = [g.order // c.order for c in subgroup_conjugacy_classes(g)]
             assert len(gpd) == count_orbit_multisets(sizes, bound)
+            assert census_size(sizes, bound, 10**9) == len(gpd)
 
     def test_all_family_leaves_only_empty(self):
         g = cyclic_group(4)
         gpd = truncated_gset_groupoid(g, all_family(g), 5)
         assert gpd.labels() == ("empty",)
         assert gpd.components[0].aut.order == 1
+        huge = truncated_gset_groupoid(g, all_family(g), 10**12)
+        assert huge.labels() == ("empty",)
 
     def test_aut_orders_follow_wreath_formula(self):
         from equisep.group_core import weyl_group
@@ -335,6 +342,33 @@ class TestTruncatedGroupoid:
                 w = weyl_group(g, cls).order
                 expected *= w**n * factorial(n)
             assert comp.aut.order == expected
+            assert comp.aut_order == expected
+
+    def test_aut_order_formula_matches_closure(self):
+        rng = random.Random(11)
+        for spec in ("C4", "S3", "C2xC2", "D4"):
+            g = make_group(spec)
+            census = truncated_gset_groupoid(g, empty_family(g), 8)
+            for comp in rng.sample(census.components, 6):
+                built = aut_group(realize_type(comp.gset_type)).order
+                assert comp.aut_order == comp.aut.order == built
+
+    def test_census_refused_before_enumerating(self, monkeypatch):
+        import equisep.groupoid_calc as gc
+
+        def no_enumeration(*args):
+            raise AssertionError("census enumerated")
+
+        monkeypatch.setattr(gc, "_count_vectors", no_enumeration)
+        g = make_group("C2xC2xC2xC2")
+        with pytest.raises(ResourceLimitError) as info:
+            truncated_gset_groupoid(g, empty_family(g), 32)
+        message = str(info.value)
+        assert str(CENSUS_COMPONENT_BOUND) in message
+        assert "truncated_gset_groupoid" in message
+        assert "at least" in message
+        with pytest.raises(ResourceLimitError, match="at least 1000000000001"):
+            truncated_gset_groupoid(g, empty_family(g), 10**12)
 
     def test_sorted_by_size_then_label(self):
         g = cyclic_group(4)

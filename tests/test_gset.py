@@ -222,6 +222,7 @@ def test_aut_group_order_formula():
             fact *= i
         expected *= w**n * fact
     assert aut_group(x).order == expected
+    assert t.aut_order == expected
 
 
 def test_empty_gset_is_first_class():
