@@ -7,8 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .group_core import (
     Group,
     SubgroupClass,
@@ -16,7 +14,6 @@ from .group_core import (
     perfect_subgroup_classes,
     prime_factors,
     subgroup_conjugacy_classes,
-    weyl_group,
 )
 from .gset import coset_gset, fixed_points
 
@@ -31,7 +28,7 @@ class TableOfMarks:
 
     group: Group
     classes: tuple
-    marks: "np.ndarray"
+    marks: tuple  # one tuple of ints per row
 
     def index(self, cls: SubgroupClass) -> int:
         return self.classes.index(cls)
@@ -42,34 +39,32 @@ class TableOfMarks:
     def to_text(self) -> str:
         names = [c.name for c in self.classes]
         width = max(len(n) for n in names)
-        cell = max(width, max(len(str(int(v))) for v in self.marks.flat))
+        cell = max(width, max(len(str(v)) for row in self.marks for v in row))
         head = " " * (width + 1) + " ".join(n.rjust(cell) for n in names)
         lines = [head]
         for name, row in zip(names, self.marks):
             lines.append(
                 name.rjust(width)
                 + " "
-                + " ".join(str(int(v)).rjust(cell) for v in row)
+                + " ".join(str(v).rjust(cell) for v in row)
             )
         return "\n".join(lines)
 
     def to_json(self):
         return {
             "classes": [c.name for c in self.classes],
-            "marks": self.marks.tolist(),
+            "marks": [list(row) for row in self.marks],
         }
 
 
 @lru_cache(maxsize=None)
 def table_of_marks(g: Group) -> TableOfMarks:
     classes = subgroup_conjugacy_classes(g)
-    n = len(classes)
-    marks = np.zeros((n, n), dtype=np.int64)
-    for i, h in enumerate(classes):
+    marks = []
+    for h in classes:
         x = coset_gset(g, h.representative)
-        for j, k in enumerate(classes):
-            marks[i, j] = fixed_points(x, k).size
-    return TableOfMarks(g, classes, marks)
+        marks.append(tuple(fixed_points(x, k).size for k in classes))
+    return TableOfMarks(g, classes, tuple(marks))
 
 
 @dataclass(frozen=True)
@@ -82,10 +77,12 @@ class BurnsideElement:
     def __post_init__(self):
         assert len(self.coefficients) == len(self.table.classes)
 
-    def marks_vector(self):
+    def marks_vector(self) -> tuple:
         """Ghost coordinates: the fixed-point count at every class."""
-        c = np.array(self.coefficients, dtype=np.int64)
-        return self.table.marks.T @ c
+        return tuple(
+            sum(c * m for c, m in zip(self.coefficients, column))
+            for column in zip(*self.table.marks)
+        )
 
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
         assert self.table is other.table
@@ -131,5 +128,4 @@ def degree_is_constant(g: Group, h: SubgroupClass) -> bool:
     trivial class and mark zero at the full class.
     """
     row = table_of_marks(g).row(h)
-    first = int(row[0])
-    return first != 0 and all(int(v) == first for v in row)
+    return row[0] != 0 and all(v == row[0] for v in row)

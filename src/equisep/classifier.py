@@ -17,7 +17,6 @@ from enum import Enum
 from .burnside import idempotent_block_count
 from .conditions import (
     RingDescriptor,
-    StageReport,
     geometric_fixed_points,
     stage_report,
 )

@@ -2,18 +2,22 @@
 
 Verbs map one-to-one onto library entry points; everything prints either
 an aligned text block or JSON.  Exit codes: 0 success, 1 unsupported
-coefficient descriptor, 2 parse error, 3 resource bound exceeded.
+coefficient descriptor, 2 parse error, 3 resource bound exceeded, and 141
+(128 + SIGPIPE, as a shell reports a process killed by SIGPIPE) when
+stdout is closed before the output is written, e.g. by `| head -1`; that
+exit prints nothing to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
 from .burnside import idempotent_block_count, table_of_marks
-from .classifier import Verdict, classify, witness_nonstandard
+from .classifier import classify, witness_nonstandard
 from .conditions import (
     RingDescriptor,
     UnsupportedDescriptorError,
@@ -308,8 +312,15 @@ def main(argv=None) -> int:
     except UnsupportedDescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; send what is left, and the flush at exit,
+        # to devnull so no second error is raised.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0

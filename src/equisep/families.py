@@ -104,18 +104,18 @@ class Filtration:
 def exhaustive_filtration(g: Group, start: Family | None = None) -> Filtration:
     """Grow a family one class at a time until every class is present.
 
-    At each step the eligible class with the smallest (order, canonical
-    key) is added, so the filtration is deterministic.
+    The classes outside the start are added in (order, canonical key)
+    order.  Every proper subconjugate of a class has a smaller order, so
+    each added class is the least one `minimal_additions` offers at its
+    step, and the filtration is deterministic.
     """
     fam = start if start is not None else empty_family(g)
     assert fam.group == g
     stages = [fam]
-    added = []
-    while not fam.is_all():
-        options = minimal_additions(g, fam)
-        assert options, "no admissible next class; family was not closed"
-        nxt = options[0]
-        fam = fam.with_class(nxt)
+    added = tuple(
+        c for c in subgroup_conjugacy_classes(g) if c not in fam.classes
+    )
+    for cls in added:
+        fam = fam.with_class(cls)
         stages.append(fam)
-        added.append(nxt)
-    return Filtration(tuple(stages), tuple(added))
+    return Filtration(tuple(stages), added)

@@ -228,38 +228,34 @@ def direct_product(a: Group, b: Group) -> Group:
 
 
 _ATOM_RE = re.compile(r"^([CDSA])([0-9]+)$")
+_MAX_FACTORIAL_DEGREE = 1000
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def _named_atom(token: str):
-    """Parse one named-family token into (group, order)."""
+    """Parse one named-family token into (order, builder), building nothing."""
     if token == "Q8":
-        return quaternion_group(), 8
+        return 8, quaternion_group
     m = _ATOM_RE.match(token)
     if not m:
         raise GroupSpecError(f"unrecognized group token {token!r}")
     kind, n = m.group(1), int(m.group(2))
+    if n < 1:
+        raise GroupSpecError(f"{kind}<n> needs n >= 1")
     if kind == "C":
-        if n < 1:
-            raise GroupSpecError("C<n> needs n >= 1")
-        return cyclic_group(n), n
+        return n, lambda: cyclic_group(n)
     if kind == "D":
-        if n < 1:
-            raise GroupSpecError("D<n> needs n >= 1")
         if n == 1:
-            return cyclic_group(2), 2
+            return 2, lambda: cyclic_group(2)
         if n == 2:
-            return direct_product(cyclic_group(2), cyclic_group(2)), 4
-        return dihedral_group(n), 2 * n
+            return 4, lambda: direct_product(cyclic_group(2), cyclic_group(2))
+        return 2 * n, lambda: dihedral_group(n)
+    if n > _MAX_FACTORIAL_DEGREE:
+        # n! is too long to compute or print and beyond any buildable order.
+        raise ResourceLimitError(f"group {token} exceeds every order bound")
     if kind == "S":
-        if n < 1:
-            raise GroupSpecError("S<n> needs n >= 1")
-        return symmetric_group(n), factorial(n)
-    if kind == "A":
-        if n < 1:
-            raise GroupSpecError("A<n> needs n >= 1")
-        return alternating_group(n), max(1, factorial(n) // 2)
-    raise GroupSpecError(f"unrecognized group token {token!r}")
+        return factorial(n), lambda: symmetric_group(n)
+    return max(1, factorial(n) // 2), lambda: alternating_group(n)
 
 
 def _parse_cycles(text: str, degree: int) -> Perm:
@@ -328,18 +324,20 @@ def make_group(spec: str, max_order: int | None = None) -> Group:
         ]
         els = closure(gens, degree, max_size=bound)
         return Group(degree, gens, els)
-    group = None
+    builders = []
     expected = 1
     for token in spec.split("x"):
-        token = token.strip()
-        atom, order = _named_atom(token)
+        order, build = _named_atom(token.strip())
         expected *= order
         if expected > bound:
             raise ResourceLimitError(
                 f"group of order {expected} exceeds the bound {bound}"
             )
-        group = atom if group is None else direct_product(group, atom)
-    assert group is not None and group.order == expected
+        builders.append(build)
+    group = builders[0]()
+    for build in builders[1:]:
+        group = direct_product(group, build())
+    assert group.order == expected
     return group
 
 
@@ -363,6 +361,11 @@ class SubgroupClass:
     @property
     def order(self) -> int:
         return self.representative.order
+
+    def __hash__(self):
+        # Equal classes share their key, so this agrees with __eq__ and
+        # avoids rehashing the parent group and representative.
+        return hash(self.canonical_key)
 
     def __repr__(self):
         return f"SubgroupClass({self.name}, size={self.class_size})"
@@ -420,15 +423,18 @@ def _all_subgroups(g: Group):
 
 
 @lru_cache(maxsize=None)
-def subgroup_conjugacy_classes(g: Group) -> tuple:
-    """Conjugacy classes of subgroups, sorted by (order, canonical key).
+def _subgroup_classes(g: Group):
+    """The conjugacy classes of subgroups and a subgroup -> class index.
 
-    Names follow the order-plus-letter convention: 1a, 2a, 2b, ...
+    Walks the conjugation orbit of every subgroup once; each subgroup's
+    element set maps to its class.
     """
     all_subs = set(_all_subgroups(g))
     classed: set[frozenset] = set()
     raw = []
-    for sub in sorted(all_subs, key=encode_subgroup):
+    # Subgroups come in canonical-key order, so the first one met in each
+    # orbit is that orbit's canonical representative.
+    for sub in _all_subgroups(g):
         if sub in classed:
             continue
         orbit = {sub}
@@ -442,44 +448,41 @@ def subgroup_conjugacy_classes(g: Group) -> tuple:
                     orbit.add(img)
                     frontier.append(img)
         classed |= orbit
-        rep = min(orbit, key=encode_subgroup)
-        raw.append((rep, len(orbit)))
+        raw.append((sub, orbit))
     raw.sort(key=lambda item: (len(item[0]), encode_subgroup(item[0])))
     classes = []
+    index: dict[frozenset, SubgroupClass] = {}
     per_order: dict[int, int] = {}
-    for rep, size in raw:
+    for rep, orbit in raw:
         idx = per_order.get(len(rep), 0)
         per_order[len(rep)] = idx + 1
         suffix = string.ascii_lowercase[idx] if idx < 26 else f"_{idx}"
-        classes.append(
-            SubgroupClass(
-                parent=g,
-                representative=g.subgroup(rep),
-                class_size=size,
-                canonical_key=encode_subgroup(rep),
-                name=f"{len(rep)}{suffix}",
-            )
+        cls = SubgroupClass(
+            parent=g,
+            representative=g.subgroup(rep),
+            class_size=len(orbit),
+            canonical_key=encode_subgroup(rep),
+            name=f"{len(rep)}{suffix}",
         )
-    return tuple(classes)
+        classes.append(cls)
+        index.update(dict.fromkeys(orbit, cls))
+    return tuple(classes), index
 
 
-@lru_cache(maxsize=None)
+def subgroup_conjugacy_classes(g: Group) -> tuple:
+    """Conjugacy classes of subgroups, sorted by (order, canonical key).
+
+    Names follow the order-plus-letter convention: 1a, 2a, 2b, ...
+    """
+    return _subgroup_classes(g)[0]
+
+
 def class_of_subgroup(g: Group, elements: frozenset) -> SubgroupClass:
     """The conjugacy class containing the given subgroup of g."""
-    orbit = {elements}
-    frontier = [elements]
-    while frontier:
-        cur = frontier.pop()
-        for t in g.generators:
-            img = frozenset(pconj(t, h) for h in cur)
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    key = encode_subgroup(min(orbit, key=encode_subgroup))
-    for cls in subgroup_conjugacy_classes(g):
-        if cls.canonical_key == key:
-            return cls
-    raise ValueError("not a subgroup of g")
+    cls = _subgroup_classes(g)[1].get(frozenset(elements))
+    if cls is None:
+        raise ValueError("not a subgroup of g")
+    return cls
 
 
 @lru_cache(maxsize=None)
@@ -507,6 +510,24 @@ def normalizer(g: Group, sub: Group) -> Group:
     return g.subgroup(els)
 
 
+def left_cosets(g: Group, h: Group):
+    """The left cosets xH of a subgroup h of g.
+
+    Returns (reps, coset_of): reps lists the least element of each coset,
+    in increasing order, and coset_of maps every element of g to the index
+    of its coset in reps.
+    """
+    reps = []
+    coset_of: dict[Perm, int] = {}
+    for x in g.sorted_elements():
+        if x not in coset_of:
+            for k in h.elements:
+                coset_of[pmul(x, k)] = len(reps)
+            reps.append(x)
+    assert len(reps) * h.order == g.order
+    return tuple(reps), coset_of
+
+
 @lru_cache(maxsize=None)
 def weyl_group_with_section(g: Group, cls: SubgroupClass):
     """The Weyl group N_g(H)/H acting on cosets, with a coset-rep section.
@@ -517,27 +538,14 @@ def weyl_group_with_section(g: Group, cls: SubgroupClass):
     """
     h = cls.representative
     n = normalizer(g, h)
-    reps = []
-    coset_of: dict[Perm, int] = {}
-    for x in n.sorted_elements():
-        if x in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for k in h.elements:
-            coset_of[pmul(x, k)] = idx
+    reps, coset_of = left_cosets(n, h)
     m = len(reps)
-    assert m * h.order == n.order
     section: dict[Perm, Perm] = {}
-    perms = set()
     for x in n.sorted_elements():
-        w = tuple(coset_of[pmul(x, reps[i])] for i in range(m))
-        if w not in section:
-            section[w] = x
-            perms.add(w)
-    assert len(perms) == m
-    w_group = Group(m, reduce_generators(perms, m), frozenset(perms))
-    return w_group, section
+        section.setdefault(tuple(coset_of[pmul(x, r)] for r in reps), x)
+    assert len(section) == m
+    perms = frozenset(section)
+    return Group(m, reduce_generators(perms, m), perms), section
 
 
 def weyl_group(g: Group, cls: SubgroupClass) -> Group:

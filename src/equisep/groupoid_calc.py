@@ -11,14 +11,11 @@ brute_force_pullback does, as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial
 
 from .group_core import (
     Group,
     ResourceLimitError,
     double_cosets,
-    identity_perm,
     perm_order,
     pinv,
     pmul,

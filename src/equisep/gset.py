@@ -18,6 +18,7 @@ from .group_core import (
     SubgroupClass,
     class_of_subgroup,
     identity_perm,
+    left_cosets,
     pinv,
     pmul,
     reduce_generators,
@@ -82,11 +83,17 @@ class GSet:
             out.append(tuple(sorted(orbit)))
         return out
 
+    def orbit_stabilizers(self):
+        """Each orbit, as in `orbits`, with the elements fixing its least point."""
+        return [(orbit, self._fixing(orbit[0])) for orbit in self.orbits()]
+
     def stabilizer(self, point: int) -> Group:
-        els = frozenset(
+        return self.group.subgroup(self._fixing(point))
+
+    def _fixing(self, point: int) -> frozenset:
+        return frozenset(
             g for g in self.group.elements if self._maps[g][point] == point
         )
-        return self.group.subgroup(els)
 
     def __repr__(self):
         return f"GSet(group_order={self.group.order}, size={self.size})"
@@ -110,20 +117,9 @@ def coset_gset(g: Group, h: Group) -> GSet:
     """The left coset action of g on g/h."""
     if not h.is_subgroup_of(g):
         raise ValueError("coset_gset needs a subgroup of g")
-    reps = []
-    coset_of: dict = {}
-    for x in g.sorted_elements():
-        if x in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for k in h.elements:
-            coset_of[pmul(x, k)] = idx
-    size = len(reps)
-    maps = {}
-    for u in g.elements:
-        maps[u] = tuple(coset_of[pmul(u, reps[i])] for i in range(size))
-    return GSet(g, size, maps)
+    reps, coset_of = left_cosets(g, h)
+    maps = {u: tuple(coset_of[pmul(u, r)] for r in reps) for u in g.elements}
+    return GSet(g, len(reps), maps)
 
 
 def disjoint_union(*parts: GSet) -> GSet:
@@ -212,10 +208,7 @@ class GSetType:
 def orbit_type(x: GSet) -> GSetType:
     """The complete isomorphism invariant of a G-set."""
     counts: Counter = Counter()
-    for orbit in x.orbits():
-        stab = frozenset(
-            g for g in x.group.elements if x.perm(g)[orbit[0]] == orbit[0]
-        )
+    for orbit, stab in x.orbit_stabilizers():
         cls = class_of_subgroup(x.group, stab)
         assert len(orbit) * cls.order == x.group.order
         counts[cls] += 1
@@ -235,14 +228,12 @@ def realize_type(t: GSetType) -> GSet:
 
 def delete_orbits(x: GSet, cls: SubgroupClass) -> GSet:
     """x with every orbit of isotropy class cls removed, points renumbered."""
-    keep = []
-    for orbit in x.orbits():
-        stab = frozenset(
-            g for g in x.group.elements if x.perm(g)[orbit[0]] == orbit[0]
-        )
-        if class_of_subgroup(x.group, stab) != cls:
-            keep.extend(orbit)
-    keep.sort()
+    keep = sorted(
+        p
+        for orbit, stab in x.orbit_stabilizers()
+        if class_of_subgroup(x.group, stab) != cls
+        for p in orbit
+    )
     index = {p: i for i, p in enumerate(keep)}
     maps = {
         g: tuple(index[x.perm(g)[p]] for p in keep) for g in x.group.elements
@@ -277,9 +268,7 @@ def fixed_points(x: GSet, k: SubgroupClass) -> GSet:
         c == k or not is_subconjugate(g, k, c) for c, _ in t.entries
     )
     if only_k_or_incomparable:
-        free = all(
-            out.stabilizer(p).order == 1 for p in range(out.size)
-        )
+        free = all(len(orbit) == w.order for orbit in out.orbits())
         assert free, "fixed points failed to be a free Weyl set"
     return out
 
@@ -297,31 +286,17 @@ def induce(g: Group, k: Group, y: GSet) -> GSet:
         raise ValueError("induce needs a subgroup of g")
     if y.group != k:
         raise ValueError("induce needs a K-set over the same subgroup")
-    reps = []
-    coset_of: dict = {}
-    for x in g.sorted_elements():
-        if x in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for t in k.elements:
-            coset_of[pmul(x, t)] = idx
-    m = len(reps)
-    size = m * y.size
+    reps, coset_of = left_cosets(g, k)
+    n = y.size
     maps = {}
     for u in g.elements:
-        img = [0] * size
-        for i in range(m):
-            moved = pmul(u, reps[i])
+        img = []
+        for r in reps:
+            moved = pmul(u, r)
             j = coset_of[moved]
-            t = pmul(pinv(reps[j]), moved)
-            yp = y.perm(t)
-            base = i * y.size
-            jbase = j * y.size
-            for q in range(y.size):
-                img[base + q] = jbase + yp[q]
+            img.extend(j * n + q for q in y.perm(pmul(pinv(reps[j]), moved)))
         maps[u] = tuple(img)
-    return GSet(g, size, maps)
+    return GSet(g, len(reps) * n, maps)
 
 
 def mackey_decompose(g: Group, h: Group, k: Group, y: GSet) -> GSet:
@@ -360,27 +335,27 @@ def aut_group(x: GSet) -> Group:
     if x.size == 0:
         return Group(0, ())
     by_class: dict = {}
-    for orbit in x.orbits():
-        stab = frozenset(t for t in g.elements if x.perm(t)[orbit[0]] == orbit[0])
+    for orbit, stab in x.orbit_stabilizers():
         cls = class_of_subgroup(g, stab)
-        by_class.setdefault(cls, []).append(orbit)
+        by_class.setdefault(cls, []).append((orbit, stab))
     gens = []
     for cls, orbits in sorted(
         by_class.items(), key=lambda kv: (kv[0].order, kv[0].canonical_key)
     ):
-        base0 = orbits[0][0]
-        s0 = frozenset(t for t in g.elements if x.perm(t)[base0] == base0)
-        # One base point per orbit, all with the same literal stabilizer.
-        bases = [base0]
-        for orbit in orbits[1:]:
-            aligned = next(
+        s0 = g.subgroup(orbits[0][1])
+        # One base point per orbit, all with the literal stabilizer s0: the
+        # stabilizer of a point fixed by s0 is a conjugate containing s0, so
+        # equals it.  The first orbit's base is its least point.
+        bases = [
+            next(
                 p
                 for p in orbit
-                if frozenset(t for t in g.elements if x.perm(t)[p] == p) == s0
+                if all(x.perm(t)[p] == p for t in s0.generators)
             )
-            bases.append(aligned)
+            for orbit, _ in orbits
+        ]
         words = {}
-        for orbit, base in zip(orbits, bases):
+        for base in bases:
             w = {base: g.identity}
             frontier = [base]
             while frontier:
@@ -391,7 +366,7 @@ def aut_group(x: GSet) -> Group:
                         w[q] = pmul(t, w[p])
                         frontier.append(q)
             words[base] = w
-        n_group = normalizer(g, g.subgroup(s0))
+        n_group = normalizer(g, s0)
         for t in n_group.generators:
             perm = list(range(x.size))
             for p, word in words[bases[0]].items():

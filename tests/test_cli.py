@@ -108,6 +108,14 @@ class TestTextJsonAgreement:
         ]
 
 
+def test_cli_import_loads_no_numpy():
+    probe = "import sys, equisep.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestDeterminismAndSeeds:
     def test_pullback_demo_deterministic(self):
         a = run_cli("pullback-demo", "--seed", "5")
@@ -159,6 +167,20 @@ class TestExitCodes:
                             "--coeff", "Fp:3317044064679887385961981")
         assert too_large.returncode == 2
         assert too_large.stderr.startswith("error: ")
+
+    def test_closed_stdout_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "equisep", "conditions",
+                 "--group", "C30", "--coeff", "Fp:1000000007"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
     def test_env_override_tightens_bound(self):
         ok = run_cli("subgroups", "--group", "C12")

@@ -76,6 +76,18 @@ def test_exhaustive_filtration_deterministic():
     assert orders == sorted(orders)
 
 
+@pytest.mark.parametrize("spec", ["C6", "S3", "D4", "Q8", "A4", "S4", "C2xC2xC2"])
+def test_filtration_adds_the_least_minimal_addition(spec):
+    g = make_group(spec)
+    starts = [empty_family(g)]
+    starts += [closure_family(g, [c]) for c in subgroup_conjugacy_classes(g)]
+    for start in starts:
+        filt = exhaustive_filtration(g, start)
+        assert filt.stages[0] == start and filt.stages[-1].is_all()
+        for prev, cls in zip(filt.stages, filt.added):
+            assert cls == minimal_additions(g, prev)[0]
+
+
 def test_filtration_from_partial_family():
     g = make_group("C6")
     classes = by_order(g)

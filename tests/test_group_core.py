@@ -2,6 +2,7 @@
 
 import pytest
 
+from equisep import group_core
 from equisep.group_core import (
     GroupSpecError,
     ResourceLimitError,
@@ -10,6 +11,7 @@ from equisep.group_core import (
     encode_subgroup,
     group_flags,
     is_subconjugate,
+    left_cosets,
     make_group,
     normalizer,
     perfect_subgroup_classes,
@@ -57,6 +59,17 @@ def test_make_group_order_bound():
         make_group("S8")
     with pytest.raises(ResourceLimitError):
         make_group("perm:8:(1 2);(1 2 3 4 5 6 7 8)", max_order=100)
+
+
+@pytest.mark.parametrize("spec", ["S9", "S12", "C2000xC2", "A12xC2", "S100000"])
+def test_make_group_refuses_before_building(monkeypatch, spec):
+    def refuse(*args):
+        raise AssertionError("built a group that the order bound refuses")
+
+    for name in ("cyclic_group", "symmetric_group", "alternating_group"):
+        monkeypatch.setattr(group_core, name, refuse)
+    with pytest.raises(ResourceLimitError):
+        make_group(spec)
 
 
 def test_make_group_env_override(monkeypatch):
@@ -243,6 +256,37 @@ def test_class_of_subgroup_lookup():
     found = {class_of_subgroup(g, frozenset([g.identity, f])) for f in flips}
     assert len(found) == 1
     assert next(iter(found)).order == 2
+
+
+@pytest.mark.parametrize("spec", ["A4", "D6"])
+def test_class_of_subgroup_indexes_every_subgroup(spec):
+    g = make_group(spec)
+    members = {}
+    for sub in oracles.brute_force_subgroups(g):
+        cls = class_of_subgroup(g, sub)
+        rep = cls.representative.elements
+        assert any(frozenset(pconj(x, h) for h in rep) == sub for x in g)
+        members[cls] = members.get(cls, 0) + 1
+    assert members == {c: c.class_size for c in subgroup_conjugacy_classes(g)}
+    with pytest.raises(ValueError):
+        class_of_subgroup(g, frozenset([g.identity, g.generators[0]]))
+
+
+def test_subgroup_class_hash_follows_key():
+    classes = subgroup_conjugacy_classes(make_group("D4"))
+    again = subgroup_conjugacy_classes(make_group("D4"))
+    for c, d in zip(classes, again):
+        assert c == d and hash(c) == hash(d) == hash(c.canonical_key)
+
+
+def test_left_cosets_partition():
+    g = make_group("S4")
+    for cls in subgroup_conjugacy_classes(g):
+        h = cls.representative
+        reps, coset_of = left_cosets(g, h)
+        assert list(reps) == sorted(reps) and len(reps) * h.order == g.order
+        for x in g:
+            assert reps[coset_of[x]] == min(pmul(x, k) for k in h.elements)
 
 
 def test_subconjugacy_relation():

@@ -6,6 +6,7 @@ import pytest
 
 from equisep.group_core import (
     make_group,
+    pconj,
     subgroup_conjugacy_classes,
     weyl_group,
 )
@@ -203,6 +204,34 @@ def test_aut_group_matches_brute_force():
         a = aut_group(x)
         assert a.order == len(bijections)
         assert a.elements == frozenset(bijections)
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "A4"])
+def test_aut_group_with_conjugate_stabilizers(spec):
+    """Orbits of one class whose least points have different stabilizers."""
+    g = make_group(spec)
+    for cls in subgroup_conjugacy_classes(g):
+        if cls.class_size == 1:
+            continue
+        h = cls.representative
+        conjugates = (frozenset(pconj(t, k) for k in h.elements) for t in g)
+        other = g.subgroup(next(c for c in conjugates if c != h.elements))
+        x = disjoint_union(coset_gset(g, other), coset_gset(g, h))
+        assert x.orbit_stabilizers()[0][1] == other.elements
+        a = aut_group(x)
+        assert a.elements == frozenset(oracles.all_equivariant_bijections(x))
+        assert a.order == orbit_type(x).aut_order
+
+
+def test_orbit_stabilizers_match_stabilizer():
+    g = make_group("S4")
+    classes = subgroup_conjugacy_classes(g)
+    x = disjoint_union(*(coset_gset(g, c.representative) for c in classes[1:4]))
+    pairs = x.orbit_stabilizers()
+    assert [orbit for orbit, _ in pairs] == x.orbits()
+    for orbit, stab in pairs:
+        assert stab == x.stabilizer(orbit[0]).elements
+        assert stab == oracles.stabilizer_elements(x, orbit[0])
 
 
 def test_aut_group_order_formula():
