@@ -9,7 +9,6 @@ from equisep import (
     make_group,
     subgroup_conjugacy_classes,
     table_of_marks,
-    weyl_group,
 )
 
 # Groups are built from a tiny spec language.  Named families cover the
@@ -22,10 +21,9 @@ print(f"S4 has order {s4.order}; the custom group has order {custom.order}")
 # conjugacy classes of elements: 1a, 2a, 2b, ...
 print("\nsubgroup classes of S4:")
 for cls in subgroup_conjugacy_classes(s4):
-    w = weyl_group(s4, cls)
     print(
         f"  {cls.name:>3}  order {cls.order:>2}  "
-        f"{cls.class_size} conjugate(s)  Weyl order {w.order}"
+        f"{cls.class_size} conjugate(s)  Weyl order {cls.weyl_order}"
     )
 
 # The table of marks records fixed-point counts of coset actions.  Its

@@ -60,6 +60,7 @@ from .group_core import (
     SubgroupClass,
     alternating_group,
     class_of_subgroup,
+    containment_counts,
     cyclic_group,
     dihedral_group,
     direct_product,

@@ -1,6 +1,12 @@
 """The Burnside ring through its table of marks: fixed-point counts of
 coset spaces, idempotent block counts, and the decomposability predicates
-used by the stage checks."""
+used by the stage checks.
+
+Marks are counted, not read off G-sets (Pfeiffer, Experiment. Math. 6,
+1997): a coset gH is fixed by K exactly when K lies in the conjugate
+gHg^-1, and each conjugate of H arises from |N(H)| elements g, so
+m(H, K) = |(G/H)^K| = |W(H)| * c[H][K], with c[H][K] the number of
+conjugates of H that contain K (`containment_counts`)."""
 
 from __future__ import annotations
 
@@ -10,20 +16,22 @@ from functools import lru_cache
 from .group_core import (
     Group,
     SubgroupClass,
+    containment_counts,
     group_flags,
     perfect_subgroup_classes,
     prime_factors,
     subgroup_conjugacy_classes,
 )
-from .gset import coset_gset, fixed_points
 
 
 @dataclass(frozen=True)
 class TableOfMarks:
     """Fixed-point counts m[H][K] = |(G/H)^K| over ordered classes.
 
-    Classes are sorted ascending by (order, canonical key), which makes the
-    matrix lower triangular with Weyl group orders on the diagonal.
+    Each mark is counted as |W(H)| * c[H][K], where c[H][K] is the number
+    of conjugates of H containing K.  Classes are sorted ascending by
+    (order, canonical key), which makes the matrix lower triangular with
+    Weyl group orders on the diagonal (only H itself contains H).
     """
 
     group: Group
@@ -60,11 +68,11 @@ class TableOfMarks:
 @lru_cache(maxsize=None)
 def table_of_marks(g: Group) -> TableOfMarks:
     classes = subgroup_conjugacy_classes(g)
-    marks = []
-    for h in classes:
-        x = coset_gset(g, h.representative)
-        marks.append(tuple(fixed_points(x, k).size for k in classes))
-    return TableOfMarks(g, classes, tuple(marks))
+    marks = tuple(
+        tuple(h.weyl_order * c for c in row)
+        for h, row in zip(classes, containment_counts(g))
+    )
+    return TableOfMarks(g, classes, marks)
 
 
 @dataclass(frozen=True)

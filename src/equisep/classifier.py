@@ -36,7 +36,6 @@ from .groupoid_calc import (
     GroupHom,
     GroupoidComponent,
     GroupoidFunctor,
-    brute_force_pullback,
     pullback_pi0,
     truncated_gset_groupoid,
     unit_power_component,
@@ -115,16 +114,13 @@ def _render_blocks(eta, r: int) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-def _build_witness(g: Group, ring: RingDescriptor, primes) -> WitnessRecord:
-    r = len(primes)
-    top = [c for c in subgroup_conjugacy_classes(g) if c.order == g.order]
-    x1 = GSetType.from_counts(g, {top[0]: 2})
-
+def _witness_leg(r: int):
+    """The comparison leg for r primes, with its diagonal S_2 -> (S_2)^r."""
     s2 = symmetric_group(2)
     # the per-prime indecomposability precondition was checked by the
     # caller, so each local corner is a genuine two-fold unit power
     per_prime = [
-        unit_power_component(2, unit_indecomposable=True) for _ in primes
+        unit_power_component(2, unit_indecomposable=True) for _ in range(r)
     ]
     power = per_prime[0].aut
     for comp in per_prime[1:]:
@@ -137,12 +133,17 @@ def _build_witness(g: Group, ring: RingDescriptor, primes) -> WitnessRecord:
     corner = FiniteGroupoid([GroupoidComponent("unit-power", power)])
     leg = GroupoidFunctor(source, corner, {"2*[G/G]": "unit-power"},
                           {"2*[G/G]": diag})
+    return leg, diag
 
+
+def _build_witness(g: Group, ring: RingDescriptor, primes) -> WitnessRecord:
+    r = len(primes)
+    top = [c for c in subgroup_conjugacy_classes(g) if c.order == g.order]
+    x1 = GSetType.from_counts(g, {top[0]: 2})
+    leg, diag = _witness_leg(r)
     comps = pullback_pi0(leg, leg)
     fiber = len(comps)
     assert all(p.fiber_size == fiber for p in comps)
-    bf = brute_force_pullback(leg, leg)
-    assert len(bf) == fiber, "brute-force double-coset count disagrees"
 
     diag_els = sorted(diag.image_group().elements)
     orbits = []

@@ -36,7 +36,6 @@ from .group_core import (
     subgroup_conjugacy_classes,
     symmetric_group,
     trivial_group,
-    weyl_group,
 )
 from .groupoid_calc import (
     FiniteGroupoid,
@@ -95,20 +94,17 @@ def _stage_rows(reports):
 def _cmd_subgroups(args):
     g = make_group(args.group)
     classes = subgroup_conjugacy_classes(g)
-    rows = [
-        [c.name, c.order, c.class_size, weyl_group(g, c).order] for c in classes
-    ]
-    text = _table(rows, ["subgroup", "order", "class_size", "weyl"])
     payload = [
         {
             "subgroup": c.name,
             "order": c.order,
             "class_size": c.class_size,
-            "weyl_order": weyl_group(g, c).order,
+            "weyl_order": c.weyl_order,
         }
         for c in classes
     ]
-    return payload, text
+    rows = [list(row.values()) for row in payload]
+    return payload, _table(rows, ["subgroup", "order", "class_size", "weyl"])
 
 
 def _cmd_marks(args):

@@ -24,12 +24,13 @@ class Family:
         for cls in self.classes:
             assert cls.parent == self.group
             for other in subgroup_conjugacy_classes(self.group):
-                if is_subconjugate(self.group, other, cls):
-                    if other not in self.classes:
-                        raise ValueError(
-                            f"family not closed under subconjugation: "
-                            f"{other.name} below {cls.name} is missing"
-                        )
+                if other not in self.classes and is_subconjugate(
+                    self.group, other, cls
+                ):
+                    raise ValueError(
+                        f"family not closed under subconjugation: "
+                        f"{other.name} below {cls.name} is missing"
+                    )
 
     def __contains__(self, cls: SubgroupClass) -> bool:
         return cls in self.classes
@@ -76,18 +77,16 @@ def minimal_additions(g: Group, family: Family):
     These are exactly the classes that can extend the family by a single
     conjugacy class, sorted by (order, canonical key).
     """
-    out = []
-    for cls in subgroup_conjugacy_classes(g):
-        if cls in family.classes:
-            continue
-        below = [
-            c
-            for c in subgroup_conjugacy_classes(g)
-            if c != cls and is_subconjugate(g, c, cls)
-        ]
-        if all(c in family.classes for c in below):
-            out.append(cls)
-    return out
+    classes = subgroup_conjugacy_classes(g)
+    return [
+        cls
+        for cls in classes
+        if cls not in family.classes
+        and all(
+            c in family.classes or c == cls or not is_subconjugate(g, c, cls)
+            for c in classes
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import os
 import re
 import string
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 Perm = tuple
@@ -81,6 +81,20 @@ def closure(generators, degree: int, max_size: int | None = None) -> frozenset:
                         )
         frontier = new
     return frozenset(els)
+
+
+def orbit_of(seed, maps) -> set:
+    """Everything reachable from seed by applying the maps repeatedly."""
+    out = {seed}
+    frontier = [seed]
+    while frontier:
+        x = frontier.pop()
+        for f in maps:
+            y = f(x)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return out
 
 
 def reduce_generators(elements, degree: int):
@@ -232,6 +246,17 @@ _MAX_FACTORIAL_DEGREE = 1000
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _spec_int(digits: str, what: str) -> int:
+    """A decimal spec field; a GroupSpecError when int() cannot read it
+    (non-ASCII digits, or more digits than the interpreter converts)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise GroupSpecError(
+            f"cannot read {what} {digits[:20]!r} of length {len(digits)}"
+        ) from None
+
+
 def _named_atom(token: str):
     """Parse one named-family token into (order, builder), building nothing."""
     if token == "Q8":
@@ -239,7 +264,7 @@ def _named_atom(token: str):
     m = _ATOM_RE.match(token)
     if not m:
         raise GroupSpecError(f"unrecognized group token {token!r}")
-    kind, n = m.group(1), int(m.group(2))
+    kind, n = m.group(1), _spec_int(m.group(2), "group size")
     if n < 1:
         raise GroupSpecError(f"{kind}<n> needs n >= 1")
     if kind == "C":
@@ -273,7 +298,7 @@ def _parse_cycles(text: str, degree: int) -> Perm:
         for p in pts:
             if not p.isdigit():
                 raise GroupSpecError(f"bad point {p!r} in cycle")
-            k = int(p)
+            k = _spec_int(p, "point")
             if not 1 <= k <= degree:
                 raise GroupSpecError(f"point {k} outside 1..{degree}")
             if k - 1 in seen:
@@ -314,9 +339,12 @@ def make_group(spec: str, max_order: int | None = None) -> Group:
             raise GroupSpecError("perm spec needs the form perm:<degree>:<gens>")
         if not parts[1].isdigit():
             raise GroupSpecError(f"bad degree {parts[1]!r}")
-        degree = int(parts[1])
+        degree = _spec_int(parts[1], "degree")
         if degree < 1:
             raise GroupSpecError("perm spec needs degree >= 1")
+        if degree > bound:
+            # checked before any degree-length permutation is allocated
+            raise ResourceLimitError(f"perm degree {degree} exceeds the bound {bound}")
         gens = [
             _parse_cycles(chunk, degree)
             for chunk in parts[2].split(";")
@@ -362,6 +390,11 @@ class SubgroupClass:
     def order(self) -> int:
         return self.representative.order
 
+    @property
+    def weyl_order(self) -> int:
+        """|W(H)| = |N(H)/H|, where the class size is the index |G : N(H)|."""
+        return self.parent.order // (self.order * self.class_size)
+
     def __hash__(self):
         # Equal classes share their key, so this agrees with __eq__ and
         # avoids rehashing the parent group and representative.
@@ -375,14 +408,7 @@ def _cyclic_subgroups(g: Group):
     """All cyclic subgroups, as a dict element-set -> one generator."""
     out: dict[frozenset, Perm] = {frozenset({g.identity}): g.identity}
     for x in g.sorted_elements():
-        if x == g.identity:
-            continue
-        els = [x]
-        y = pmul(x, x)
-        while y != x:
-            els.append(y)
-            y = pmul(x, y)
-        key = frozenset(els)
+        key = frozenset(orbit_of(x, [partial(pmul, x)]))
         if key not in out:
             out[key] = x
     return out
@@ -424,36 +450,31 @@ def _all_subgroups(g: Group):
 
 @lru_cache(maxsize=None)
 def _subgroup_classes(g: Group):
-    """The conjugacy classes of subgroups and a subgroup -> class index.
+    """The conjugacy classes of subgroups, a subgroup -> class position
+    index, and the containment counts c[H][K] (see containment_counts).
 
-    Walks the conjugation orbit of every subgroup once; each subgroup's
-    element set maps to its class.
+    Walks the conjugation orbit of every subgroup once; the members of a
+    class are its orbit, which is all that counting containment needs.
     """
     all_subs = set(_all_subgroups(g))
+    conjugators = [
+        lambda sub, t=t: frozenset(pconj(t, h) for h in sub) for t in g.generators
+    ]
     classed: set[frozenset] = set()
     raw = []
     # Subgroups come in canonical-key order, so the first one met in each
     # orbit is that orbit's canonical representative.
     for sub in _all_subgroups(g):
-        if sub in classed:
-            continue
-        orbit = {sub}
-        frontier = [sub]
-        while frontier:
-            cur = frontier.pop()
-            for t in g.generators:
-                img = frozenset(pconj(t, h) for h in cur)
-                if img not in orbit:
-                    assert img in all_subs
-                    orbit.add(img)
-                    frontier.append(img)
-        classed |= orbit
-        raw.append((sub, orbit))
+        if sub not in classed:
+            orbit = orbit_of(sub, conjugators)
+            assert orbit <= all_subs
+            classed |= orbit
+            raw.append((sub, orbit))
     raw.sort(key=lambda item: (len(item[0]), encode_subgroup(item[0])))
     classes = []
-    index: dict[frozenset, SubgroupClass] = {}
+    index: dict[frozenset, int] = {}
     per_order: dict[int, int] = {}
-    for rep, orbit in raw:
+    for pos, (rep, orbit) in enumerate(raw):
         idx = per_order.get(len(rep), 0)
         per_order[len(rep)] = idx + 1
         suffix = string.ascii_lowercase[idx] if idx < 26 else f"_{idx}"
@@ -465,8 +486,11 @@ def _subgroup_classes(g: Group):
             name=f"{len(rep)}{suffix}",
         )
         classes.append(cls)
-        index.update(dict.fromkeys(orbit, cls))
-    return tuple(classes), index
+        index.update(dict.fromkeys(orbit, pos))
+    contains = tuple(
+        tuple(sum(k <= h for h in orbit) for k, _ in raw) for _, orbit in raw
+    )
+    return tuple(classes), index, contains
 
 
 def subgroup_conjugacy_classes(g: Group) -> tuple:
@@ -479,23 +503,28 @@ def subgroup_conjugacy_classes(g: Group) -> tuple:
 
 def class_of_subgroup(g: Group, elements: frozenset) -> SubgroupClass:
     """The conjugacy class containing the given subgroup of g."""
-    cls = _subgroup_classes(g)[1].get(frozenset(elements))
-    if cls is None:
+    classes, index, _ = _subgroup_classes(g)
+    pos = index.get(frozenset(elements))
+    if pos is None:
         raise ValueError("not a subgroup of g")
-    return cls
+    return classes[pos]
 
 
-@lru_cache(maxsize=None)
+def containment_counts(g: Group) -> tuple:
+    """c[H][K], the number of conjugates of H that contain the
+    representative of K, over the classes in subgroup_conjugacy_classes
+    order.  Marks are m(H, K) = |W(H)| * c[H][K]; K is subconjugate to H
+    exactly when c[H][K] > 0."""
+    return _subgroup_classes(g)[2]
+
+
 def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> bool:
-    """True when some conjugate of `below` sits inside `above`."""
-    assert below.parent == g and above.parent == g
-    if below.order > above.order:
-        return False
-    target = above.representative.elements
-    gens = below.representative.generators
-    return any(
-        all(pconj(x, h) in target for h in gens) for x in g.sorted_elements()
-    )
+    """True when some conjugate of `below` sits inside `above`, that is,
+    when c[above][below], the number of conjugates of `above` containing
+    `below`'s representative, is positive; the mark is |W(above)| times it."""
+    _, index, contains = _subgroup_classes(g)
+    row = index[above.representative.elements]
+    return contains[row][index[below.representative.elements]] > 0
 
 
 @lru_cache(maxsize=None)
@@ -571,28 +600,16 @@ def double_cosets(g: Group, h: Group, k: Group) -> DoubleCosetDecomposition:
     """Decompose g into double cosets HxK, sorted by minimal representative."""
     if not (h.is_subgroup_of(g) and k.is_subgroup_of(g)):
         raise ValueError("double_cosets needs subgroups of g")
+    moves = [lambda y, a=a: pmul(a, y) for a in h.generators]
+    moves += [lambda y, b=b: pmul(y, b) for b in k.generators]
     seen: set[Perm] = set()
     reps, sizes = [], []
     for x in g.sorted_elements():
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for a in h.generators:
-                z = pmul(a, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-            for b in k.generators:
-                z = pmul(y, b)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        seen |= orbit
-        reps.append(x)
-        sizes.append(len(orbit))
+        if x not in seen:
+            orbit = orbit_of(x, moves)
+            seen |= orbit
+            reps.append(x)
+            sizes.append(len(orbit))
     assert sum(sizes) == g.order
     return DoubleCosetDecomposition(g, h, k, tuple(reps), tuple(sizes))
 

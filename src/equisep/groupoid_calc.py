@@ -11,6 +11,7 @@ brute_force_pullback does, as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .group_core import (
     Group,
@@ -85,7 +86,7 @@ class GroupHom:
 
 
 def all_homomorphisms(src: Group, dst: Group):
-    """Every homomorphism src -> dst, by backtracking on generator images."""
+    """Every homomorphism src -> dst, over all tuples of generator images."""
     gens = src.generators
     if not gens:
         return [GroupHom.trivial(src, dst)]
@@ -96,20 +97,13 @@ def all_homomorphisms(src: Group, dst: Group):
     ]
     out = []
     seen = set()
-
-    def recurse(idx, images):
-        if idx == len(gens):
-            hom = GroupHom.from_generator_images(src, dst, dict(zip(gens, images)))
-            if hom is not None:
-                key = tuple(sorted(hom.mapping.items()))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(hom)
-            return
-        for y in candidates[idx]:
-            recurse(idx + 1, images + (y,))
-
-    recurse(0, ())
+    for images in product(*candidates):
+        hom = GroupHom.from_generator_images(src, dst, dict(zip(gens, images)))
+        if hom is not None:
+            key = tuple(sorted(hom.mapping.items()))
+            if key not in seen:
+                seen.add(key)
+                out.append(hom)
     return out
 
 

@@ -23,11 +23,11 @@ from .group_core import (
     pmul,
     reduce_generators,
     subgroup_conjugacy_classes,
-    weyl_group,
     weyl_group_with_section,
     is_subconjugate,
     normalizer,
     closure,
+    orbit_of,
 )
 
 
@@ -65,22 +65,14 @@ class GSet:
 
     def orbits(self):
         """Orbits as sorted point tuples, ordered by minimal point."""
+        moves = [self._maps[g].__getitem__ for g in self.group.generators]
         seen = set()
         out = []
         for p in range(self.size):
-            if p in seen:
-                continue
-            orbit = {p}
-            frontier = [p]
-            while frontier:
-                q = frontier.pop()
-                for g in self.group.generators:
-                    r = self._maps[g][q]
-                    if r not in orbit:
-                        orbit.add(r)
-                        frontier.append(r)
-            seen |= orbit
-            out.append(tuple(sorted(orbit)))
+            if p not in seen:
+                orbit = orbit_of(p, moves)
+                seen |= orbit
+                out.append(tuple(sorted(orbit)))
         return out
 
     def orbit_stabilizers(self):
@@ -164,18 +156,16 @@ class GSetType:
         """Order of the automorphism group, the product of W(H) wreath S_n.
 
         That is the product over classes of |W(H)|^n * n! for n orbits of
-        class H, read off the cached Weyl groups; no automorphism is built.
+        class H, read off the class sizes; no Weyl group or automorphism is
+        built.
         """
         out = 1
         for c, n in self.entries:
-            out *= weyl_group(self.group, c).order ** n * factorial(n)
+            out *= c.weyl_order ** n * factorial(n)
         return out
 
     def multiplicity(self, cls: SubgroupClass) -> int:
-        for c, n in self.entries:
-            if c == cls:
-                return n
-        return 0
+        return dict(self.entries).get(cls, 0)
 
     def label(self) -> str:
         if not self.entries:
@@ -263,11 +253,8 @@ def fixed_points(x: GSet, k: SubgroupClass) -> GSet:
     for wp, rep in section.items():
         maps[wp] = tuple(index[x.perm(rep)[p]] for p in fixed)
     out = GSet(w, len(fixed), maps)
-    t = orbit_type(x)
-    only_k_or_incomparable = all(
-        c == k or not is_subconjugate(g, k, c) for c, _ in t.entries
-    )
-    if only_k_or_incomparable:
+    entries = orbit_type(x).entries
+    if all(c == k or not is_subconjugate(g, k, c) for c, _ in entries):
         free = all(len(orbit) == w.order for orbit in out.orbits())
         assert free, "fixed points failed to be a free Weyl set"
     return out
@@ -392,10 +379,7 @@ class FSplitting:
     ranks: tuple  # ((SubgroupClass, int), ...) over all classes outside F
 
     def rank(self, cls: SubgroupClass) -> int:
-        for c, n in self.ranks:
-            if c == cls:
-                return n
-        raise KeyError(cls)
+        return dict(self.ranks)[cls]
 
 
 def f_split(x: GSet, family) -> FSplitting:

@@ -34,6 +34,41 @@ def brute_force_subgroups(g: Group):
     return out
 
 
+def brute_force_subconjugate(g: Group, below, above) -> bool:
+    """Whether some conjugate of below's representative lies in above's,
+    by conjugating below's generators with every element of g."""
+    target = above.representative.elements
+    gens = below.representative.generators
+    return any(
+        all(pconj(x, h) in target for h in gens) for x in g.sorted_elements()
+    )
+
+
+def random_perm_specs(rng, count: int, max_degree: int = 6):
+    """Random `perm:` specs on 3..max_degree points with one to three
+    generators, in 1-based cycle notation."""
+    specs = []
+    for _ in range(count):
+        degree = rng.randint(3, max_degree)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(degree))
+            rng.shuffle(images)
+            seen, cycles = set(), []
+            for start in range(degree):
+                if start in seen:
+                    continue
+                cycle = [start]
+                while images[cycle[-1]] != start:
+                    cycle.append(images[cycle[-1]])
+                seen.update(cycle)
+                if len(cycle) > 1:
+                    cycles.append("(" + " ".join(str(p + 1) for p in cycle) + ")")
+            gens.append("".join(cycles) or "(1)")
+        specs.append(f"perm:{degree}:" + ";".join(gens))
+    return specs
+
+
 def conjugacy_class_count(g: Group, subgroups) -> int:
     """Count conjugacy classes among the given subgroup element sets."""
     left = set(subgroups)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from equisep import classifier, groupoid_calc
 from equisep.classifier import (
     ClassificationOutcome,
     Verdict,
@@ -21,6 +22,27 @@ from equisep.group_core import (
 from equisep.gset import GSetType, delete_orbits, orbit_type, realize_type
 
 from .oracles import count_orbit_multisets
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_witness_leg_pullback_matches_brute_force(r):
+    """The double-coset count of the witness leg against itself agrees
+    with the materialized pullback, for two and three primes."""
+    leg, _ = classifier._witness_leg(r)
+    comps = groupoid_calc.pullback_pi0(leg, leg)
+    assert len(comps) == 2 ** (r - 1)
+    assert len(groupoid_calc.brute_force_pullback(leg, leg)) == len(comps)
+
+
+def test_witness_runs_without_brute_force(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("brute_force_pullback on the witness path")
+
+    monkeypatch.setattr(groupoid_calc, "brute_force_pullback", boom)
+    monkeypatch.setattr(classifier, "brute_force_pullback", boom, raising=False)
+    probe = witness_nonstandard(make_group("C10"), integers())
+    assert probe.found
+    assert probe.record.fiber_size == 2
 
 
 def class_of_order(g, order):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from equisep import cli
+from equisep import cli, group_core
 from equisep.conditions import custom
 
 
@@ -181,6 +181,36 @@ class TestExitCodes:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["C" + "9" * 5000, "perm:" + "9" * 5000 + ":(1 2)",
+         "perm:3:(1 " + "9" * 5000 + ")"],
+        ids=["named-size", "perm-degree", "cycle-point"],
+    )
+    def test_huge_digit_strings_exit_two(self, spec):
+        proc = run_cli("subgroups", "--group", spec)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot read ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_perm_degree_over_bound_refused_before_building(
+        self, monkeypatch, capsys
+    ):
+        def boom(*args, **kwargs):
+            raise AssertionError("built before the bound check")
+
+        for name in ("closure", "identity_perm", "_parse_cycles"):
+            monkeypatch.setattr(group_core, name, boom)
+        monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
+        with pytest.raises(group_core.ResourceLimitError, match="bound 50"):
+            group_core.make_group("perm:51:(1 2)", max_order=50)
+        code = cli.main(["subgroups", "--group", "perm:300000000:(1 2)"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: perm degree 300000000 exceeds the bound 2000\n"
+        )
 
     def test_env_override_tightens_bound(self):
         ok = run_cli("subgroups", "--group", "C12")

@@ -1,0 +1,123 @@
+"""The containment counts behind marks, subconjugacy and Weyl orders,
+checked against routes that do not read them: a scan over the group,
+fixed points of coset G-sets, and built Weyl groups."""
+
+import random
+
+import pytest
+
+from equisep import cli, group_core, gset
+from equisep.burnside import table_of_marks
+from equisep.group_core import (
+    ResourceLimitError,
+    containment_counts,
+    is_subconjugate,
+    make_group,
+    normalizer,
+    subgroup_conjugacy_classes,
+    weyl_group,
+)
+from equisep.gset import GSetType, coset_gset, fixed_points
+
+from . import oracles
+from .test_acceptance import CORPUS
+
+
+def oracle_groups():
+    """The acceptance corpus, three larger groups, and random `perm:`
+    specs of order at most 48."""
+    groups = [make_group(s) for s in CORPUS + ["C30", "A5", "C2xC2xC2xC2"]]
+    for spec in oracles.random_perm_specs(random.Random(2024), 40):
+        try:
+            groups.append(make_group(spec, max_order=48))
+        except ResourceLimitError:
+            continue
+    return groups
+
+
+def test_is_subconjugate_matches_scan_over_group():
+    for g in oracle_groups():
+        classes = subgroup_conjugacy_classes(g)
+        for below in classes:
+            for above in classes:
+                assert is_subconjugate(g, below, above) == (
+                    oracles.brute_force_subconjugate(g, below, above)
+                ), (g, below.name, above.name)
+
+
+def test_marks_match_fixed_points_of_coset_gsets():
+    for g in oracle_groups():
+        tom = table_of_marks(g)
+        for i, h in enumerate(tom.classes):
+            x = coset_gset(g, h.representative)
+            for j, k in enumerate(tom.classes):
+                assert tom.marks[i][j] == fixed_points(x, k).size, (
+                    g, h.name, k.name
+                )
+
+
+def test_weyl_order_matches_built_weyl_group():
+    for g in oracle_groups():
+        for cls in subgroup_conjugacy_classes(g):
+            n = normalizer(g, cls.representative)
+            assert cls.weyl_order == weyl_group(g, cls).order
+            assert cls.weyl_order * cls.order == n.order
+
+
+def test_containment_counts_count_conjugates():
+    g = make_group("S4")
+    classes = subgroup_conjugacy_classes(g)
+    counts = containment_counts(g)
+    for i, h in enumerate(classes):
+        conjugates = {
+            frozenset(group_core.pconj(x, t) for t in h.representative.elements)
+            for x in g.elements
+        }
+        assert len(conjugates) == h.class_size
+        for j, k in enumerate(classes):
+            want = sum(k.representative.elements <= c for c in conjugates)
+            assert counts[i][j] == want
+
+
+def test_lattice_readers_build_no_gset_or_weyl_group(monkeypatch, capsys):
+    """Marks, Weyl orders, census automorphism orders and the subgroups
+    verb count; none of them builds a G-set or a Weyl group."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("built a G-set or a Weyl group")
+
+    monkeypatch.setattr(gset, "coset_gset", boom)
+    monkeypatch.setattr(gset, "fixed_points", boom)
+    monkeypatch.setattr(gset, "weyl_group_with_section", boom)
+    monkeypatch.setattr(group_core, "weyl_group_with_section", boom)
+    monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
+    g = make_group("D4xS3")
+    classes = subgroup_conjugacy_classes(g)
+    tom = table_of_marks.__wrapped__(g)
+    assert [tom.marks[i][i] for i in range(len(classes))] == [
+        c.weyl_order for c in classes
+    ]
+    t = GSetType.from_counts(g, {classes[0]: 1, classes[-1]: 2})
+    assert t.aut_order == classes[0].weyl_order * 2
+    assert cli.main(["subgroups", "--group", "A4xC3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == [
+        "subgroup", "order", "class_size", "weyl"
+    ]
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "A4"])
+def test_subconjugacy_is_read_without_a_scan(monkeypatch, spec):
+    """is_subconjugate reads the counts: with conjugation disabled after
+    the classes exist, it still answers."""
+    g = make_group(spec)
+    classes = subgroup_conjugacy_classes(g)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("scanned the group")
+
+    monkeypatch.setattr(group_core, "pconj", boom)
+    top = classes[-1]
+    assert all(is_subconjugate(g, c, top) for c in classes)
+    assert [is_subconjugate(g, top, c) for c in classes] == [
+        c is top for c in classes
+    ]
