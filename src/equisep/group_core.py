@@ -6,6 +6,24 @@ A permutation on points 0..degree-1 is a tuple of images; composition
 applies the right factor first, so (a*b)(x) = a[b[x]].  Groups are
 immutable and compare by their element sets, which lets subgroups of a
 common parent be used as dictionary keys.
+
+Inside this module a group's elements are also numbered 0..n-1 in
+`sorted_elements()` order (`_Table`), so the identity is 0 and index order
+is the order everything here sorts by.  The table holds the perm -> index
+map, inverses, and left-multiplication rows row(a)[x] = index(a*x), each
+built on first use.  A subgroup is then a Python int bitmask over the
+numbering: K <= H is `k & h == k`, a union is `|`, and closure walks the
+generators' rows one left coset at a time (`_Table.join`).
+
+The lattice (`_all_subgroups`) is found by extending one subgroup per
+conjugacy class.  If M is a maximal subgroup of K, then K = <M, c> for
+any c in K outside M, and c can be taken of prime-power order, because K
+is generated by its prime-power elements.  When M = xHx^-1 for the class
+representative H, x^-1 K x = <H, x^-1 c x>.  So extending each
+representative by every cyclic subgroup of prime-power order that it does
+not contain, and adding the whole conjugation orbit of each new subgroup,
+reaches every subgroup, by induction on the order.  The public API keeps
+perm tuples and frozensets.
 """
 
 from __future__ import annotations
@@ -13,9 +31,11 @@ from __future__ import annotations
 import os
 import re
 import string
+import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from math import factorial
+from functools import lru_cache
+from itertools import combinations
+from math import factorial, gcd
 
 Perm = tuple
 
@@ -115,7 +135,8 @@ def reduce_generators(elements, degree: int):
 class Group:
     """An immutable permutation group on points 0..degree-1."""
 
-    __slots__ = ("degree", "generators", "elements", "order", "_hash", "_sorted")
+    __slots__ = ("degree", "generators", "elements", "order", "_hash", "_sorted",
+                 "_table")
 
     def __init__(self, degree, generators, elements=None, max_order=None):
         generators = tuple(dict.fromkeys(tuple(g) for g in generators))
@@ -132,6 +153,7 @@ class Group:
         assert ident in self.elements
         self._hash = hash((degree, self.elements))
         self._sorted = None
+        self._table = None
 
     @property
     def identity(self) -> Perm:
@@ -166,10 +188,120 @@ class Group:
         """The subgroup with the given elements, sharing this degree."""
         els = frozenset(elements)
         assert els <= self.elements
-        return Group(self.degree, reduce_generators(els, self.degree), els)
+        t = _table(self)
+        gens = t.generators_of(t.indices(els))
+        return Group(self.degree, [t.perms[x] for x in gens], els)
 
     def is_subgroup_of(self, other: "Group") -> bool:
         return self.degree == other.degree and self.elements <= other.elements
+
+
+class _Table:
+    """One group's elements numbered 0..n-1 in sorted order, so the
+    identity is 0, with the perm -> index map, inverses and the
+    left-multiplication rows row(a)[x] = index(a*x)."""
+
+    __slots__ = ("perms", "index", "inverse", "gens", "_rows", "_words")
+
+    def __init__(self, g: Group):
+        self.perms = g.sorted_elements()
+        self.index = {p: i for i, p in enumerate(self.perms)}
+        self.inverse = [self.index[pinv(p)] for p in self.perms]
+        self.gens = tuple(self.index[s] for s in g.generators)
+        self._rows = [None] * len(self.perms)
+        self._words = None
+
+    def indices(self, perms) -> list:
+        return [self.index[p] for p in perms]
+
+    def row(self, a: int) -> list:
+        """row(a)[x] = index(a*x), built on first use.  The generators'
+        rows are computed from the perms; any other row composes a
+        generator's row with the row of a shorter word."""
+        rows = self._rows
+        if rows[a] is None:
+            if self._words is None:
+                self._words = self._spanning_words()
+            chain = []
+            while rows[a] is None:
+                chain.append(a)
+                a = self._words[a][1]
+            for a in reversed(chain):
+                s, b = self._words[a]
+                rows[a] = list(map(rows[s].__getitem__, rows[b]))
+        return rows[a]
+
+    def _spanning_words(self) -> list:
+        """words[y] = (s, x) with y = s*x for a generator s, over a
+        breadth-first tree from the identity; fills the generators' rows."""
+        perms, index, rows = self.perms, self.index, self._rows
+        rows[0] = list(range(len(perms)))
+        for s in self.gens:
+            p = perms[s]
+            rows[s] = [index[pmul(p, x)] for x in perms]
+        words = [None] * len(perms)
+        words[0] = (0, 0)
+        frontier = [0]
+        for x in frontier:
+            for s in self.gens:
+                y = rows[s][x]
+                if words[y] is None:
+                    words[y] = (s, x)
+                    frontier.append(y)
+        return words
+
+    def conj(self, t: int, y: int) -> int:
+        """index(t y t^-1), read off row(t) alone."""
+        r, inv = self.row(t), self.inverse
+        return r[inv[r[inv[y]]]]
+
+    def join(self, elems: list, gens, c: int) -> list:
+        """The elements of <H, c>, where elems lists H = <gens> with the
+        identity first: left cosets of H are added while a generator
+        moves a coset representative outside what is known."""
+        out = list(elems)
+        seen = set(out)
+        rows = [self.row(s) for s in gens] + [self.row(c)]
+        cosets = [elems]
+        for coset in cosets:
+            for row in rows:
+                if row[coset[0]] not in seen:
+                    new = [row[z] for z in coset]
+                    seen.update(new)
+                    out += new
+                    cosets.append(new)
+        return out
+
+    def generators_of(self, elems) -> list:
+        """Generators of the subgroup with these indices, picked greedily
+        in index order (the choice reduce_generators makes)."""
+        target = sorted(elems)
+        gens, have = [], [0]
+        seen = {0}
+        for x in target:
+            if len(have) == len(target):
+                break
+            if x not in seen:
+                have = self.join(have, gens, x)
+                gens.append(x)
+                seen = set(have)
+        assert seen == set(target)
+        return gens
+
+
+def _table(g: Group) -> _Table:
+    if g._table is None:
+        g._table = _Table(g)
+    return g._table
+
+
+def _mask(indices) -> int:
+    return sum(map((1).__lshift__, indices))
+
+
+def _members(mask: int) -> list:
+    """The set bits of a mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def trivial_group(degree: int = 1) -> Group:
@@ -322,6 +454,15 @@ def resolve_max_order(max_order: int | None = None) -> int:
     return DEFAULT_MAX_ORDER
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or a lower bound on it when it has more digits than
+    the interpreter converts to a string."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n >= 10**limit:
+        return f"at least 10^{limit}"
+    return str(n)
+
+
 def make_group(spec: str, max_order: int | None = None) -> Group:
     """Build a group from a spec string.
 
@@ -359,7 +500,7 @@ def make_group(spec: str, max_order: int | None = None) -> Group:
         expected *= order
         if expected > bound:
             raise ResourceLimitError(
-                f"group of order {expected} exceeds the bound {bound}"
+                f"group of order {_decimal(expected)} exceeds the bound {bound}"
             )
         builders.append(build)
     group = builders[0]()
@@ -404,93 +545,109 @@ class SubgroupClass:
         return f"SubgroupClass({self.name}, size={self.class_size})"
 
 
-def _cyclic_subgroups(g: Group):
-    """All cyclic subgroups, as a dict element-set -> one generator."""
-    out: dict[frozenset, Perm] = {frozenset({g.identity}): g.identity}
-    for x in g.sorted_elements():
-        key = frozenset(orbit_of(x, [partial(pmul, x)]))
-        if key not in out:
-            out[key] = x
+def _prime_power_cyclics(t: _Table) -> list:
+    """(mask, generator) for every cyclic subgroup of prime-power order
+    > 1; the generator is the least index that generates it."""
+    n = len(t.perms)
+    ident, done, out = t.perms[0], bytearray(n), []
+    for x in range(1, n):
+        if done[x]:
+            continue
+        p = t.perms[x]
+        powers, y = [0], p
+        while y != ident:
+            powers.append(t.index[y])
+            y = pmul(p, y)
+        m = len(powers)
+        for k in range(1, m):
+            if gcd(k, m) == 1:
+                done[powers[k]] = 1
+        if len(prime_factors(m)) == 1:
+            out.append((_mask(powers), x))
     return out
 
 
 @lru_cache(maxsize=None)
-def _all_subgroups(g: Group):
-    """Every subgroup of g as a frozenset of elements.
+def _all_subgroups(g: Group) -> tuple:
+    """Every subgroup of g, as (bitmask over the element numbering,
+    number of its conjugation orbit) pairs.
 
-    Layered generator extension: close each known subgroup against each
-    cyclic subgroup until nothing new appears.  Every subgroup is generated
-    by cyclic ones, so this is exhaustive.
+    One subgroup per orbit is extended by every prime-power cyclic
+    subgroup it does not contain; each new subgroup brings its whole
+    orbit.  The module docstring gives the argument that this is
+    exhaustive.  The search keys subgroups by frozensets of indices,
+    which hash faster than building a mask per join.
     """
-    cyc = _cyclic_subgroups(g)
-    subs: dict[frozenset, tuple] = {frozenset({g.identity}): ()}
-    for key, gen in cyc.items():
-        if key not in subs:
-            subs[key] = (gen,)
-    union_cache: dict[frozenset, frozenset] = {}
-    frontier = list(subs)
-    while frontier:
-        fresh = []
-        for skey in frontier:
-            sgens = subs[skey]
-            for ckey, cgen in cyc.items():
-                if ckey <= skey:
-                    continue
-                ukey = skey | ckey
-                tkey = union_cache.get(ukey)
-                if tkey is None:
-                    tkey = closure(sgens + (cgen,), g.degree)
-                    union_cache[ukey] = tkey
-                if tkey not in subs:
-                    subs[tkey] = sgens + (cgen,)
-                    fresh.append(tkey)
-        frontier = fresh
-    return tuple(sorted(subs, key=encode_subgroup))
+    t = _table(g)
+    cyclics = _prime_power_cyclics(t)
+    conjugations = [[t.conj(s, x) for x in range(len(t.perms))] for s in t.gens]
+    conjugators = [
+        lambda sub, m=m: frozenset(map(m.__getitem__, sub)) for m in conjugations
+    ]
+    found = {frozenset([0]): 0}
+    todo = [((), [0])]
+    for gens, elems in todo:
+        have = _mask(elems)
+        for cyc, c in cyclics:
+            if cyc & have != cyc:
+                k = t.join(elems, gens, c)
+                key = frozenset(k)
+                if key not in found:
+                    for member in orbit_of(key, conjugators):
+                        found[member] = len(todo)
+                    todo.append((gens + (c,), k))
+    return tuple((_mask(sub), orbit) for sub, orbit in found.items())
 
 
 @lru_cache(maxsize=None)
 def _subgroup_classes(g: Group):
-    """The conjugacy classes of subgroups, a subgroup -> class position
-    index, and the containment counts c[H][K] (see containment_counts).
+    """The conjugacy classes of subgroups, a subgroup mask -> class
+    position index, the containment counts c[H][K] (see
+    containment_counts), and a class -> position map.
 
-    Walks the conjugation orbit of every subgroup once; the members of a
-    class are its orbit, which is all that counting containment needs.
+    Each class is one orbit of _all_subgroups; its representative is the
+    member with the least encode_subgroup, compared as tuples of the
+    elements' ranks in encoding order.
     """
-    all_subs = set(_all_subgroups(g))
-    conjugators = [
-        lambda sub, t=t: frozenset(pconj(t, h) for h in sub) for t in g.generators
-    ]
-    classed: set[frozenset] = set()
+    t = _table(g)
+    orbits: dict[int, list] = {}
+    for sub, orbit in _all_subgroups(g):
+        orbits.setdefault(orbit, []).append(sub)
+    rank = [0] * len(t.perms)
+    encoded = sorted(range(len(t.perms)), key=lambda x: encode_subgroup([t.perms[x]]))
+    for r, x in enumerate(encoded):
+        rank[x] = r
+
+    def key(sub):
+        return tuple(map(rank.__getitem__, _members(sub)))
+
     raw = []
-    # Subgroups come in canonical-key order, so the first one met in each
-    # orbit is that orbit's canonical representative.
-    for sub in _all_subgroups(g):
-        if sub not in classed:
-            orbit = orbit_of(sub, conjugators)
-            assert orbit <= all_subs
-            classed |= orbit
-            raw.append((sub, orbit))
-    raw.sort(key=lambda item: (len(item[0]), encode_subgroup(item[0])))
+    for orbit in orbits.values():
+        rep = min(orbit, key=key)
+        raw.append((rep.bit_count(), key(rep), rep, orbit))
+    raw.sort(key=lambda item: item[:2])
     classes = []
-    index: dict[frozenset, int] = {}
+    index: dict[int, int] = {}
     per_order: dict[int, int] = {}
-    for pos, (rep, orbit) in enumerate(raw):
-        idx = per_order.get(len(rep), 0)
-        per_order[len(rep)] = idx + 1
+    for pos, (order, _, rep, orbit) in enumerate(raw):
+        idx = per_order.get(order, 0)
+        per_order[order] = idx + 1
         suffix = string.ascii_lowercase[idx] if idx < 26 else f"_{idx}"
+        elements = [t.perms[x] for x in _members(rep)]
         cls = SubgroupClass(
             parent=g,
-            representative=g.subgroup(rep),
+            representative=g.subgroup(elements),
             class_size=len(orbit),
-            canonical_key=encode_subgroup(rep),
-            name=f"{len(rep)}{suffix}",
+            canonical_key=encode_subgroup(elements),
+            name=f"{order}{suffix}",
         )
         classes.append(cls)
         index.update(dict.fromkeys(orbit, pos))
     contains = tuple(
-        tuple(sum(k <= h for h in orbit) for k, _ in raw) for _, orbit in raw
+        tuple(sum(k & h == k for h in orbit) for _, _, k, _ in raw)
+        for _, _, _, orbit in raw
     )
-    return tuple(classes), index, contains
+    return tuple(classes), index, contains, {c: i for i, c in enumerate(classes)}
 
 
 def subgroup_conjugacy_classes(g: Group) -> tuple:
@@ -503,8 +660,11 @@ def subgroup_conjugacy_classes(g: Group) -> tuple:
 
 def class_of_subgroup(g: Group, elements: frozenset) -> SubgroupClass:
     """The conjugacy class containing the given subgroup of g."""
-    classes, index, _ = _subgroup_classes(g)
-    pos = index.get(frozenset(elements))
+    classes, index, _, _ = _subgroup_classes(g)
+    try:
+        pos = index.get(_mask(_table(g).indices(frozenset(elements))))
+    except KeyError:
+        pos = None
     if pos is None:
         raise ValueError("not a subgroup of g")
     return classes[pos]
@@ -522,21 +682,35 @@ def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> boo
     """True when some conjugate of `below` sits inside `above`, that is,
     when c[above][below], the number of conjugates of `above` containing
     `below`'s representative, is positive; the mark is |W(above)| times it."""
-    _, index, contains = _subgroup_classes(g)
-    row = index[above.representative.elements]
-    return contains[row][index[below.representative.elements]] > 0
+    _, _, contains, position = _subgroup_classes(g)
+    return contains[position[above]][position[below]] > 0
 
 
 @lru_cache(maxsize=None)
 def normalizer(g: Group, sub: Group) -> Group:
     """N_g(sub) as a subgroup of g."""
-    gens = sub.generators
-    els = frozenset(
-        x
-        for x in g.elements
-        if all(pconj(x, h) in sub.elements for h in gens)
+    t = _table(g)
+    inside = set(t.indices(sub.elements))
+    gens = t.indices(sub.generators)
+    return g.subgroup(
+        p
+        for x, p in enumerate(t.perms)
+        if all(t.conj(x, h) in inside for h in gens)
     )
-    return g.subgroup(els)
+
+
+def _cosets(t: _Table, members, h: list):
+    """The left cosets xH, over t's numbering, of the subgroup with index
+    list h among the ascending indices members: (reps, coset_of), reps
+    the least index of each coset and coset_of index -> coset number."""
+    reps, coset_of = [], {}
+    for x in members:
+        if x not in coset_of:
+            row = t.row(x)
+            for k in h:
+                coset_of[row[k]] = len(reps)
+            reps.append(x)
+    return reps, coset_of
 
 
 def left_cosets(g: Group, h: Group):
@@ -546,15 +720,12 @@ def left_cosets(g: Group, h: Group):
     in increasing order, and coset_of maps every element of g to the index
     of its coset in reps.
     """
-    reps = []
-    coset_of: dict[Perm, int] = {}
-    for x in g.sorted_elements():
-        if x not in coset_of:
-            for k in h.elements:
-                coset_of[pmul(x, k)] = len(reps)
-            reps.append(x)
+    t = _table(g)
+    reps, coset_of = _cosets(t, range(g.order), t.indices(h.elements))
     assert len(reps) * h.order == g.order
-    return tuple(reps), coset_of
+    return tuple(t.perms[x] for x in reps), {
+        t.perms[x]: c for x, c in coset_of.items()
+    }
 
 
 @lru_cache(maxsize=None)
@@ -565,13 +736,15 @@ def weyl_group_with_section(g: Group, cls: SubgroupClass):
     normalizer and section maps each element of W to one representative in
     the normalizer inducing it.
     """
+    t = _table(g)
     h = cls.representative
-    n = normalizer(g, h)
-    reps, coset_of = left_cosets(n, h)
+    members = sorted(t.indices(normalizer(g, h).elements))
+    reps, coset_of = _cosets(t, members, t.indices(h.elements))
     m = len(reps)
     section: dict[Perm, Perm] = {}
-    for x in n.sorted_elements():
-        section.setdefault(tuple(coset_of[pmul(x, r)] for r in reps), x)
+    for x in members:
+        row = t.row(x)
+        section.setdefault(tuple(coset_of[row[r]] for r in reps), t.perms[x])
     assert len(section) == m
     perms = frozenset(section)
     return Group(m, reduce_generators(perms, m), perms), section
@@ -630,16 +803,20 @@ def prime_factors(n: int) -> tuple:
     return tuple(out)
 
 
-def commutator_closure(elements, degree: int) -> frozenset:
-    """The subgroup generated by all commutators of the given elements."""
-    els = tuple(elements)
-    gens = set()
-    for a in els:
-        ia = pinv(a)
-        for b in els:
-            c = pmul(pmul(a, b), pmul(ia, pinv(b)))
-            gens.add(c)
-    return closure(gens, degree)
+def _derived_subgroup(t: _Table, gens):
+    """Generators and elements of H' for H = <gens>: the normal closure,
+    in H, of the commutators of H's generators."""
+    row, inv = t.row, t.inverse
+    pending = [row(a)[row(b)[row(inv[a])[inv[b]]]] for a, b in combinations(gens, 2)]
+    dgens, elems, seen = [], [0], {0}
+    while pending:
+        y = pending.pop()
+        if y not in seen:
+            elems = t.join(elems, dgens, y)
+            dgens.append(y)
+            seen = set(elems)
+            pending += [t.conj(h, y) for h in gens]
+    return dgens, elems
 
 
 @dataclass(frozen=True)
@@ -656,13 +833,14 @@ def group_flags(g: Group) -> GroupFlags:
     """Structural flags: triviality, p-group, solvability, prime divisors."""
     primes = prime_factors(g.order)
     is_p = len(primes) == 1
-    cur = g.elements
+    t = _table(g)
+    gens, size = t.gens, g.order
     while True:
-        nxt = commutator_closure(cur, g.degree)
-        if nxt == cur:
+        dgens, elems = _derived_subgroup(t, gens)
+        if len(elems) == size:
             break
-        cur = nxt
-    solvable = len(cur) == 1
+        gens, size = dgens, len(elems)
+    solvable = size == 1
     return GroupFlags(
         is_trivial=g.order == 1,
         is_p_group=is_p,
@@ -674,9 +852,10 @@ def group_flags(g: Group) -> GroupFlags:
 
 def perfect_subgroup_classes(g: Group) -> tuple:
     """Classes whose representative equals its own commutator subgroup."""
-    out = []
-    for cls in subgroup_conjugacy_classes(g):
-        rep = cls.representative
-        if commutator_closure(rep.elements, g.degree) == rep.elements:
-            out.append(cls)
-    return tuple(out)
+    t = _table(g)
+    return tuple(
+        cls
+        for cls in subgroup_conjugacy_classes(g)
+        if len(_derived_subgroup(t, t.indices(cls.representative.generators))[1])
+        == cls.order
+    )

@@ -1,17 +1,21 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Everything here recomputes results by a different route than the library:
-power-set scans, exhaustive map enumeration, union-find on materialized
+power-set scans, the layered subgroup search and conjugation scans on
+tuple permutations, exhaustive map enumeration, union-find on materialized
 objects, and exact rational linear algebra.
 """
 
 from __future__ import annotations
 
 import itertools
+import string
 from fractions import Fraction
 
 from equisep.group_core import (
     Group,
+    closure,
+    encode_subgroup,
     identity_perm,
     pconj,
     pinv,
@@ -32,6 +36,112 @@ def brute_force_subgroups(g: Group):
             if all(pmul(a, b) in s for a in s for b in s):
                 out.append(s)
     return out
+
+
+def layered_subgroups(g: Group):
+    """All subgroups as frozensets of perms, by layered generator
+    extension on tuple permutations: close each known subgroup against
+    each cyclic subgroup until nothing new appears.  Every subgroup is
+    generated by cyclic ones, so this is exhaustive.  Sorted by
+    encode_subgroup."""
+    cyclic = {}
+    for x in g.sorted_elements():
+        powers, y = {g.identity}, x
+        while y != g.identity:
+            powers.add(y)
+            y = pmul(x, y)
+        cyclic.setdefault(frozenset(powers), x)
+    subs = {frozenset({g.identity}): ()}
+    for key, gen in cyclic.items():
+        subs.setdefault(key, (gen,))
+    joins = {}  # union of element sets -> the subgroup it generates
+    frontier = list(subs)
+    while frontier:
+        fresh = []
+        for skey in frontier:
+            sgens = subs[skey]
+            for ckey, cgen in cyclic.items():
+                if ckey <= skey:
+                    continue
+                ukey = skey | ckey
+                if ukey not in joins:
+                    joins[ukey] = closure(sgens + (cgen,), g.degree)
+                tkey = joins[ukey]
+                if tkey not in subs:
+                    subs[tkey] = sgens + (cgen,)
+                    fresh.append(tkey)
+        frontier = fresh
+    return sorted(subs, key=encode_subgroup)
+
+
+def conjugacy_classes_by_scan(g: Group, subgroups):
+    """The classes among the given subgroups (frozensets of perms), found
+    by conjugating with every element of g, sorted by (order, key).
+
+    Returns (classes, counts): classes lists (representative, class size,
+    canonical key, name), the representative being the member with the
+    least encode_subgroup and the name its order plus a letter; counts[i][j]
+    is the number of conjugates of class i's representative that contain
+    class j's representative."""
+    seen, orbits = set(), []
+    for sub in sorted(subgroups, key=encode_subgroup):
+        if sub not in seen:
+            orbit = {frozenset(pconj(x, h) for h in sub) for x in g.elements}
+            seen |= orbit
+            orbits.append((sub, orbit))
+    orbits.sort(key=lambda item: (len(item[0]), encode_subgroup(item[0])))
+    classes, per_order = [], {}
+    for rep, orbit in orbits:
+        idx = per_order.get(len(rep), 0)
+        per_order[len(rep)] = idx + 1
+        suffix = string.ascii_lowercase[idx] if idx < 26 else f"_{idx}"
+        classes.append((rep, len(orbit), encode_subgroup(rep), f"{len(rep)}{suffix}"))
+    counts = [[sum(k <= h for h in orbit) for k, _ in orbits] for _, orbit in orbits]
+    return classes, counts
+
+
+def brute_force_normalizer(g: Group, h) -> frozenset:
+    """The elements of g that conjugate the element set h onto itself."""
+    h = frozenset(h)
+    return frozenset(
+        x for x in g.elements if frozenset(pconj(x, y) for y in h) == h
+    )
+
+
+def brute_force_weyl_section(h, n) -> dict:
+    """The action of the elements of n on the left cosets of h inside n, as
+    a dict from coset permutation to the least element inducing it; the
+    cosets are numbered by their least elements in increasing order."""
+    reps, coset_of = [], {}
+    for x in sorted(n):
+        if x not in coset_of:
+            for k in h:
+                coset_of[pmul(x, k)] = len(reps)
+            reps.append(x)
+    section = {}
+    for x in sorted(n):
+        section.setdefault(tuple(coset_of[pmul(x, r)] for r in reps), x)
+    return section
+
+
+def brute_force_derived_series(g: Group) -> list:
+    """The orders of g, g', g'', ... down to the first term that repeats."""
+    cur, orders = g.elements, [g.order]
+    while True:
+        nxt = brute_force_commutator_subgroup(cur, g.degree)
+        if nxt == cur:
+            return orders
+        cur = nxt
+        orders.append(len(cur))
+
+
+def brute_force_commutator_subgroup(elements, degree: int) -> frozenset:
+    """The subgroup generated by all commutators of the given elements."""
+    els = tuple(elements)
+    gens = {
+        pmul(pmul(a, b), pmul(pinv(a), pinv(b))) for a in els for b in els
+    }
+    return closure(gens, degree)
 
 
 def brute_force_subconjugate(g: Group, below, above) -> bool:

@@ -9,7 +9,6 @@ from equisep.burnside import (
     table_of_marks,
 )
 from equisep.group_core import (
-    commutator_closure,
     encode_subgroup,
     is_subconjugate,
     make_group,
@@ -89,7 +88,7 @@ def test_idempotent_blocks_against_rational_idempotent_oracle():
         for cls in classes:
             cur = cls.representative.elements
             while True:
-                nxt = commutator_closure(cur, g.degree)
+                nxt = oracles.brute_force_commutator_subgroup(cur, g.degree)
                 if nxt == cur:
                     break
                 cur = nxt

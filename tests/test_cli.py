@@ -195,6 +195,26 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: cannot read ")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["C2000xC" + "9" * 4299, "C" + "9" * 4299 + "xC" + "9" * 4299],
+        ids=["past-digit-limit", "within-digit-limit"],
+    )
+    def test_huge_product_order_exit_three(self, spec):
+        proc = run_cli("subgroups", "--group", spec)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: group of order ")
+        assert proc.stderr.endswith(" exceeds the bound 2000\n")
+        assert proc.stderr.count("\n") == 1
+
+    def test_order_past_digit_limit_is_not_printed(self):
+        proc = run_cli("subgroups", "--group", "C2000xC" + "9" * 4299,
+                       env_extra={"PYTHONINTMAXSTRDIGITS": "4300"})
+        assert proc.stderr == (
+            "error: group of order at least 10^4300 exceeds the bound 2000\n"
+        )
+
     def test_perm_degree_over_bound_refused_before_building(
         self, monkeypatch, capsys
     ):

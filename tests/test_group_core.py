@@ -318,3 +318,15 @@ def test_inverse_and_conjugation_helpers():
         assert pmul(x, pinv(x)) == g.identity
     a, b = g.generators[0], g.generators[1]
     assert pconj(a, b) == pmul(pmul(a, b), pinv(a))
+
+
+@pytest.mark.parametrize(
+    "spec,classes,subgroups",
+    [("S4", 11, 30), ("S5", 19, 156), ("A6", 22, 501)],
+)
+def test_lattice_sizes_match_known_counts(spec, classes, subgroups):
+    """Conjugacy classes of subgroups (OEIS A000638) and subgroups
+    (OEIS A005432) of S4 and S5; A6 has 22 classes and 501 subgroups."""
+    found = subgroup_conjugacy_classes(make_group(spec))
+    assert len(found) == classes
+    assert sum(c.class_size for c in found) == subgroups
