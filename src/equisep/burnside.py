@@ -10,9 +10,9 @@ conjugates of H that contain K (`containment_counts`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import _Record, _set, _set_key
 from .group_core import (
     Group,
     SubgroupClass,
@@ -24,8 +24,7 @@ from .group_core import (
 )
 
 
-@dataclass(frozen=True)
-class TableOfMarks:
+class TableOfMarks(_Record):
     """Fixed-point counts m[H][K] = |(G/H)^K| over ordered classes.
 
     Each mark is counted as |W(H)| * c[H][K], where c[H][K] is the number
@@ -34,9 +33,13 @@ class TableOfMarks:
     Weyl group orders on the diagonal (only H itself contains H).
     """
 
-    group: Group
-    classes: tuple
-    marks: tuple  # one tuple of ints per row
+    __slots__ = ("group", "classes", "marks")
+
+    def __init__(self, group: Group, classes: tuple, marks: tuple):
+        _set(self, "group", group)
+        _set(self, "classes", classes)
+        _set(self, "marks", marks)  # one tuple of ints per row
+        _set_key(self, (group, classes, marks))
 
     def index(self, cls: SubgroupClass) -> int:
         return self.classes.index(cls)
@@ -75,15 +78,16 @@ def table_of_marks(g: Group) -> TableOfMarks:
     return TableOfMarks(g, classes, marks)
 
 
-@dataclass(frozen=True)
-class BurnsideElement:
+class BurnsideElement(_Record):
     """An integer combination of coset classes [G/H] in the class basis."""
 
-    table: TableOfMarks
-    coefficients: tuple
+    __slots__ = ("table", "coefficients")
 
-    def __post_init__(self):
-        assert len(self.coefficients) == len(self.table.classes)
+    def __init__(self, table: TableOfMarks, coefficients: tuple):
+        _set(self, "table", table)
+        _set(self, "coefficients", coefficients)
+        _set_key(self, (table, coefficients))
+        assert len(coefficients) == len(table.classes)
 
     def marks_vector(self) -> tuple:
         """Ghost coordinates: the fixed-point count at every class."""

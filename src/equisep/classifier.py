@@ -11,9 +11,9 @@ the comparison fiber has 2^(r-1) elements instead of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import _Record, _set, _set_key
 from .burnside import idempotent_block_count
 from .conditions import (
     RingDescriptor,
@@ -57,8 +57,7 @@ MODELING_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(_Record):
     """An explicit two-object comparison square whose fiber is too big.
 
     eta records one automorphism tuple per prime divisor; the certificate
@@ -66,13 +65,22 @@ class WitnessRecord:
     identity's.
     """
 
-    x1: GSetType
-    x2: GSetType
-    primes: tuple
-    eta: tuple  # one of "id" / "swap" per prime
-    fiber_size: int
-    double_coset_certificate: tuple  # orbits, each a tuple of rendered tuples
-    note: str = MODELING_NOTE
+    __slots__ = ("x1", "x2", "primes", "eta", "fiber_size",
+                 "double_coset_certificate", "note")
+
+    def __init__(self, x1: GSetType, x2: GSetType, primes: tuple, eta: tuple,
+                 fiber_size: int, double_coset_certificate: tuple,
+                 note: str = MODELING_NOTE):
+        _set(self, "x1", x1)
+        _set(self, "x2", x2)
+        _set(self, "primes", primes)
+        _set(self, "eta", eta)  # one of "id" / "swap" per prime
+        _set(self, "fiber_size", fiber_size)
+        # orbits, each a tuple of rendered tuples
+        _set(self, "double_coset_certificate", double_coset_certificate)
+        _set(self, "note", note)
+        _set_key(self, (x1, x2, primes, eta, fiber_size,
+                            double_coset_certificate, note))
 
     @property
     def eta_text(self) -> str:
@@ -90,13 +98,17 @@ class WitnessRecord:
         }
 
 
-@dataclass(frozen=True)
-class WitnessProbe:
+class WitnessProbe(_Record):
     """Outcome of the witness search: a record, or the reasons there is none."""
 
-    record: WitnessRecord | None
-    failures: tuple
-    stage_reports: tuple
+    __slots__ = ("record", "failures", "stage_reports")
+
+    def __init__(self, record: WitnessRecord | None, failures: tuple,
+                 stage_reports: tuple):
+        _set(self, "record", record)
+        _set(self, "failures", failures)
+        _set(self, "stage_reports", stage_reports)
+        _set_key(self, (record, failures, stage_reports))
 
     @property
     def found(self) -> bool:
@@ -219,16 +231,19 @@ def witness_nonstandard(g: Group, ring: RingDescriptor) -> WitnessProbe:
     return WitnessProbe(_build_witness(g, ring, primes), (), tuple(reports))
 
 
-@dataclass(frozen=True)
-class ClassificationOutcome:
-    verdict: Verdict
-    stage_reports: tuple
-    groupoid: FiniteGroupoid | None = None
-    witness: WitnessRecord | None = None
-    notes: tuple = ()
+class ClassificationOutcome(_Record):
+    __slots__ = ("verdict", "stage_reports", "groupoid", "witness", "notes")
 
-    def __post_init__(self):
-        assert (self.groupoid is not None) == (self.verdict is Verdict.ALL_STANDARD)
+    def __init__(self, verdict: Verdict, stage_reports: tuple,
+                 groupoid: FiniteGroupoid | None = None,
+                 witness: WitnessRecord | None = None, notes: tuple = ()):
+        _set(self, "verdict", verdict)
+        _set(self, "stage_reports", stage_reports)
+        _set(self, "groupoid", groupoid)
+        _set(self, "witness", witness)
+        _set(self, "notes", notes)
+        _set_key(self, (verdict, stage_reports, groupoid, witness, notes))
+        assert (groupoid is not None) == (verdict is Verdict.ALL_STANDARD)
 
     def to_json(self):
         out = {

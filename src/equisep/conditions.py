@@ -9,9 +9,9 @@ nontrivial action are declared but rejected by every check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ._record import _Record, _set, _set_key
 from .burnside import is_indecomposable_mod, sphere_ic
 from .group_core import Group, SubgroupClass, prime_factors, weyl_group
 
@@ -20,27 +20,40 @@ class UnsupportedDescriptorError(ValueError):
     """Raised when a ring descriptor is outside the implemented fragment."""
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(_Record):
     """What the checks need to know about a coefficient ring.
 
     The callables take integers: indecomposable_mod(n) asks whether the
     mod-n reduction stays indecomposable, torsion_free(n) whether there is
     no n-torsion, prime_invertible(q) whether the prime q is a unit.
+    The callables take no part in == and hash.
     """
 
-    name: str
-    kind: str  # sphere | integers | prime_field | custom
-    char: int
-    indecomposable: bool
-    indecomposable_mod: Callable[[int], bool] = field(compare=False)
-    torsion_free: Callable[[int], bool] = field(compare=False)
-    prime_invertible: Callable[[int], bool] = field(compare=False)
-    separably_closed: bool
-    burnside_unit: bool
-    rc_witness_map_to: Optional["RingDescriptor"] = None
-    inflated: bool = True
-    action: str = "trivial"
+    __slots__ = ("name", "kind", "char", "indecomposable", "indecomposable_mod",
+                 "torsion_free", "prime_invertible", "separably_closed",
+                 "burnside_unit", "rc_witness_map_to", "inflated", "action")
+
+    def __init__(self, name: str, kind: str, char: int, indecomposable: bool,
+                 indecomposable_mod: Callable[[int], bool],
+                 torsion_free: Callable[[int], bool],
+                 prime_invertible: Callable[[int], bool],
+                 separably_closed: bool, burnside_unit: bool,
+                 rc_witness_map_to: Optional[RingDescriptor] = None,
+                 inflated: bool = True, action: str = "trivial"):
+        _set(self, "name", name)
+        _set(self, "kind", kind)  # sphere | integers | prime_field | custom
+        _set(self, "char", char)
+        _set(self, "indecomposable", indecomposable)
+        _set(self, "indecomposable_mod", indecomposable_mod)
+        _set(self, "torsion_free", torsion_free)
+        _set(self, "prime_invertible", prime_invertible)
+        _set(self, "separably_closed", separably_closed)
+        _set(self, "burnside_unit", burnside_unit)
+        _set(self, "rc_witness_map_to", rc_witness_map_to)
+        _set(self, "inflated", inflated)
+        _set(self, "action", action)
+        _set_key(self, (name, kind, char, indecomposable, separably_closed,
+                            burnside_unit, rc_witness_map_to, inflated, action))
 
 
 def sphere() -> RingDescriptor:
@@ -174,11 +187,14 @@ def geometric_fixed_points(ring: RingDescriptor, cls: SubgroupClass) -> RingDesc
     return ring
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    rule: str
-    convention: bool = False
+class CheckResult(_Record):
+    __slots__ = ("ok", "rule", "convention")
+
+    def __init__(self, ok: bool, rule: str, convention: bool = False):
+        _set(self, "ok", ok)
+        _set(self, "rule", rule)
+        _set(self, "convention", convention)
+        _set_key(self, (ok, rule, convention))
 
 
 def check_ic(ring: RingDescriptor, w: Group) -> CheckResult:
@@ -224,15 +240,19 @@ def check_rc(ring: RingDescriptor, w: Group) -> CheckResult:
                              f"{w.order} is invertible in {ring.name}")
 
 
-@dataclass(frozen=True)
-class StageReport:
+class StageReport(_Record):
     """The verdict for one subgroup stage of the induction."""
 
-    subgroup: SubgroupClass
-    weyl: Group
-    ic: CheckResult
-    rc: CheckResult
-    sep_closed: bool
+    __slots__ = ("subgroup", "weyl", "ic", "rc", "sep_closed")
+
+    def __init__(self, subgroup: SubgroupClass, weyl: Group, ic: CheckResult,
+                 rc: CheckResult, sep_closed: bool):
+        _set(self, "subgroup", subgroup)
+        _set(self, "weyl", weyl)
+        _set(self, "ic", ic)
+        _set(self, "rc", rc)
+        _set(self, "sep_closed", sep_closed)
+        _set_key(self, (subgroup, weyl, ic, rc, sep_closed))
 
     @property
     def passed(self) -> bool:

@@ -3,8 +3,7 @@ subconjugation) and exhaustive filtrations that grow one class at a time."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import _Record, _set, _set_key
 from .group_core import (
     Group,
     SubgroupClass,
@@ -13,20 +12,19 @@ from .group_core import (
 )
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Record):
     """A subconjugation-closed set of subgroup conjugacy classes."""
 
-    group: Group
-    classes: frozenset
+    __slots__ = ("group", "classes")
 
-    def __post_init__(self):
-        for cls in self.classes:
-            assert cls.parent == self.group
-            for other in subgroup_conjugacy_classes(self.group):
-                if other not in self.classes and is_subconjugate(
-                    self.group, other, cls
-                ):
+    def __init__(self, group: Group, classes: frozenset):
+        _set(self, "group", group)
+        _set(self, "classes", classes)
+        _set_key(self, (group, classes))
+        for cls in classes:
+            assert cls.parent == group
+            for other in subgroup_conjugacy_classes(group):
+                if other not in classes and is_subconjugate(group, other, cls):
                     raise ValueError(
                         f"family not closed under subconjugation: "
                         f"{other.name} below {cls.name} is missing"
@@ -89,12 +87,15 @@ def minimal_additions(g: Group, family: Family):
     ]
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(_Record):
     """A chain of families each adding one conjugacy class, ending at all."""
 
-    stages: tuple  # Family, one more class each step
-    added: tuple  # SubgroupClass added at each step
+    __slots__ = ("stages", "added")
+
+    def __init__(self, stages: tuple, added: tuple):
+        _set(self, "stages", stages)  # Family, one more class each step
+        _set(self, "added", added)  # SubgroupClass added at each step
+        _set_key(self, (stages, added))
 
     def __len__(self):
         return len(self.added)

@@ -30,17 +30,20 @@ from __future__ import annotations
 
 import os
 import re
-import string
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd
+
+from ._record import _Record, _set, _set_key
 
 Perm = tuple
 
 DEFAULT_MAX_ORDER = 2000
 MAX_ORDER_ENV = "EQUISEP_MAX_ORDER"
+# Most subgroups _all_subgroups finds before refusing the lattice: groups
+# within the order bound can have hundreds of millions (C2 to the 10th).
+SUBGROUP_BOUND = 10_000
 
 
 class GroupSpecError(ValueError):
@@ -517,15 +520,19 @@ def encode_subgroup(elements) -> bytes:
     )
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(_Record):
     """A conjugacy class of subgroups, with its canonical representative."""
 
-    parent: Group
-    representative: Group
-    class_size: int
-    canonical_key: bytes
-    name: str
+    __slots__ = ("parent", "representative", "class_size", "canonical_key", "name")
+
+    def __init__(self, parent: Group, representative: Group, class_size: int,
+                 canonical_key: bytes, name: str):
+        _set(self, "parent", parent)
+        _set(self, "representative", representative)
+        _set(self, "class_size", class_size)
+        _set(self, "canonical_key", canonical_key)
+        _set(self, "name", name)
+        _set_key(self, (parent, representative, class_size, canonical_key, name))
 
     @property
     def order(self) -> int:
@@ -576,7 +583,8 @@ def _all_subgroups(g: Group) -> tuple:
     subgroup it does not contain; each new subgroup brings its whole
     orbit.  The module docstring gives the argument that this is
     exhaustive.  The search keys subgroups by frozensets of indices,
-    which hash faster than building a mask per join.
+    which hash faster than building a mask per join.  It stops with a
+    ResourceLimitError once more than SUBGROUP_BOUND subgroups are found.
     """
     t = _table(g)
     cyclics = _prime_power_cyclics(t)
@@ -595,6 +603,12 @@ def _all_subgroups(g: Group) -> tuple:
                 if key not in found:
                     for member in orbit_of(key, conjugators):
                         found[member] = len(todo)
+                    if len(found) > SUBGROUP_BOUND:
+                        raise ResourceLimitError(
+                            f"subgroup lattice has at least {len(found)} "
+                            f"subgroups, over the bound {SUBGROUP_BOUND} "
+                            "(layer group_core._all_subgroups)"
+                        )
                     todo.append((gens + (c,), k))
     return tuple((_mask(sub), orbit) for sub, orbit in found.items())
 
@@ -632,7 +646,7 @@ def _subgroup_classes(g: Group):
     for pos, (order, _, rep, orbit) in enumerate(raw):
         idx = per_order.get(order, 0)
         per_order[order] = idx + 1
-        suffix = string.ascii_lowercase[idx] if idx < 26 else f"_{idx}"
+        suffix = chr(ord("a") + idx) if idx < 26 else f"_{idx}"
         elements = [t.perms[x] for x in _members(rep)]
         cls = SubgroupClass(
             parent=g,
@@ -755,15 +769,19 @@ def weyl_group(g: Group, cls: SubgroupClass) -> Group:
     return weyl_group_with_section(g, cls)[0]
 
 
-@dataclass(frozen=True)
-class DoubleCosetDecomposition:
+class DoubleCosetDecomposition(_Record):
     """The partition of a group into H-g-K double cosets."""
 
-    group: Group
-    left: Group
-    right: Group
-    representatives: tuple
-    sizes: tuple
+    __slots__ = ("group", "left", "right", "representatives", "sizes")
+
+    def __init__(self, group: Group, left: Group, right: Group,
+                 representatives: tuple, sizes: tuple):
+        _set(self, "group", group)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "representatives", representatives)
+        _set(self, "sizes", sizes)
+        _set_key(self, (group, left, right, representatives, sizes))
 
     def __len__(self):
         return len(self.representatives)
@@ -819,13 +837,19 @@ def _derived_subgroup(t: _Table, gens):
     return dgens, elems
 
 
-@dataclass(frozen=True)
-class GroupFlags:
-    is_trivial: bool
-    is_p_group: bool
-    p_prime: int | None
-    is_solvable: bool
-    prime_divisors: frozenset
+class GroupFlags(_Record):
+    __slots__ = ("is_trivial", "is_p_group", "p_prime", "is_solvable",
+                 "prime_divisors")
+
+    def __init__(self, is_trivial: bool, is_p_group: bool, p_prime: int | None,
+                 is_solvable: bool, prime_divisors: frozenset):
+        _set(self, "is_trivial", is_trivial)
+        _set(self, "is_p_group", is_p_group)
+        _set(self, "p_prime", p_prime)
+        _set(self, "is_solvable", is_solvable)
+        _set(self, "prime_divisors", prime_divisors)
+        _set_key(self, (is_trivial, is_p_group, p_prime, is_solvable,
+                            prime_divisors))
 
 
 @lru_cache(maxsize=None)

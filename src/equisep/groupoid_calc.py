@@ -10,9 +10,9 @@ brute_force_pullback does, as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import _Record, _set, _set_key
 from .group_core import (
     Group,
     ResourceLimitError,
@@ -212,8 +212,7 @@ class GroupoidFunctor:
         return f"GroupoidFunctor({len(self.source)} -> {len(self.target)})"
 
 
-@dataclass(frozen=True)
-class PullbackComponent:
+class PullbackComponent(_Record):
     """One component of a pullback groupoid over a fixed base pair.
 
     fiber_size counts the components over the same base pair, i.e. the
@@ -221,12 +220,19 @@ class PullbackComponent:
     aut_order the order of its automorphism group (the orbit stabilizer).
     """
 
-    base: tuple  # (source label in B, source label in C)
-    eta_class: tuple  # minimal double-coset representative in Aut_D
-    fiber_size: int
-    fiber_index: int
-    coset_size: int
-    aut_order: int
+    __slots__ = ("base", "eta_class", "fiber_size", "fiber_index", "coset_size",
+                 "aut_order")
+
+    def __init__(self, base: tuple, eta_class: tuple, fiber_size: int,
+                 fiber_index: int, coset_size: int, aut_order: int):
+        _set(self, "base", base)  # (source label in B, source label in C)
+        _set(self, "eta_class", eta_class)  # minimal double-coset rep in Aut_D
+        _set(self, "fiber_size", fiber_size)
+        _set(self, "fiber_index", fiber_index)
+        _set(self, "coset_size", coset_size)
+        _set(self, "aut_order", aut_order)
+        _set_key(self, (base, eta_class, fiber_size, fiber_index, coset_size,
+                            aut_order))
 
     def to_json(self):
         return {
@@ -357,17 +363,25 @@ def unit_power_component(n: int, *, unit_indecomposable: bool = False) -> Groupo
 
 
 def _count_vectors(sizes, bound):
-    """All multiplicity vectors with total weighted size <= bound."""
-    if not sizes:
-        yield ()
-        return
-    head = sizes[0]
-    for rest in _count_vectors(sizes[1:], bound):
-        used = sum(m * s for m, s in zip(rest, sizes[1:]))
-        n = 0
-        while used + n * head <= bound:
-            yield (n,) + rest
-            n += 1
+    """All multiplicity vectors with total weighted size <= bound >= 0.
+
+    They come in odometer order, the first entry turning fastest: each
+    step adds one orbit at the first position that still fits in the
+    room left, emptying the positions before it.
+    """
+    vector = [0] * len(sizes)
+    room = bound
+    while True:
+        yield tuple(vector)
+        for i, s in enumerate(sizes):
+            if s <= room:
+                vector[i] += 1
+                room -= s
+                break
+            room += vector[i] * s
+            vector[i] = 0
+        else:
+            return
 
 
 def census_size(sizes, bound: int, limit: int) -> int:

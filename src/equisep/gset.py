@@ -10,9 +10,9 @@ complete isomorphism invariant, so G-sets are compared through it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
 
+from ._record import _Record, _set, _set_key
 from .group_core import (
     Group,
     SubgroupClass,
@@ -130,12 +130,16 @@ def disjoint_union(*parts: GSet) -> GSet:
     return GSet(g, size, maps)
 
 
-@dataclass(frozen=True)
-class GSetType:
+class GSetType(_Record):
     """Multiset of (stabilizer class, multiplicity): the isomorphism type."""
 
-    group: Group
-    entries: tuple  # ((SubgroupClass, int), ...) sorted by (order, key)
+    __slots__ = ("group", "entries")
+
+    def __init__(self, group: Group, entries: tuple):
+        _set(self, "group", group)
+        # ((SubgroupClass, int), ...) sorted by (order, key)
+        _set(self, "entries", entries)
+        _set_key(self, (group, entries))
 
     @classmethod
     def from_counts(cls, group: Group, counts: dict) -> "GSetType":
@@ -370,13 +374,17 @@ def aut_group(x: GSet) -> Group:
     return Group(x.size, reduce_generators(els, x.size), els)
 
 
-@dataclass(frozen=True)
-class FSplitting:
+class FSplitting(_Record):
     """Free Weyl-set ranks of a G-set over the classes outside a family."""
 
-    group: Group
-    family: "object"
-    ranks: tuple  # ((SubgroupClass, int), ...) over all classes outside F
+    __slots__ = ("group", "family", "ranks")
+
+    def __init__(self, group: Group, family, ranks: tuple):
+        _set(self, "group", group)
+        _set(self, "family", family)
+        # ((SubgroupClass, int), ...) over all classes outside F
+        _set(self, "ranks", ranks)
+        _set_key(self, (group, family, ranks))
 
     def rank(self, cls: SubgroupClass) -> int:
         return dict(self.ranks)[cls]

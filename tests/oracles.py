@@ -265,6 +265,21 @@ def count_orbit_multisets(sizes, bound: int) -> int:
     return sum(counts)
 
 
+def resummed_count_vectors(sizes, bound):
+    """All multiplicity vectors with total weighted size <= bound, first
+    entry fastest, recomputing each partial vector's weighted size."""
+    if not sizes:
+        yield ()
+        return
+    head = sizes[0]
+    for rest in resummed_count_vectors(sizes[1:], bound):
+        used = sum(m * s for m, s in zip(rest, sizes[1:]))
+        n = 0
+        while used + n * head <= bound:
+            yield (n,) + rest
+            n += 1
+
+
 def stabilizer_elements(x, point):
     """Elements of the acting group fixing one point of a GSet."""
     return frozenset(g for g in x.group.elements if x.act(g, point) == point)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -108,12 +109,26 @@ class TestTextJsonAgreement:
         ]
 
 
-def test_cli_import_loads_no_numpy():
-    probe = "import sys, equisep.cli; print('numpy' in sys.modules)"
+# numpy is not a dependency; dataclasses brings inspect, ast, dis and
+# tokenize with it, and string is not needed: each would add to the start-up
+# cost of every command-line call.
+HEAVY_MODULES = ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize",
+                 "string")
+
+
+@pytest.mark.parametrize(
+    "run",
+    ["import equisep.cli",
+     "from equisep.cli import main; main(['subgroups', '--group', 'S3'])"],
+    ids=["import", "subgroups-S3"],
+)
+def test_cli_child_loads_no_heavy_modules(run):
+    probe = (f"import sys; {run}; "
+             f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestDeterminismAndSeeds:
@@ -151,6 +166,20 @@ class TestExitCodes:
                          "--max-size", "32")
         assert census.returncode == 3
         assert "bound 200000" in census.stderr
+
+    def test_oversized_lattice_refused_inside_search(self):
+        # C2 to the 7th has 29,212 subgroups; the search stops past 10,000
+        proc = run_cli("subgroups", "--group", "C2xC2xC2xC2xC2xC2xC2")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        found = re.fullmatch(
+            r"error: subgroup lattice has at least (\d+) subgroups, over the "
+            r"bound 10000 \(layer group_core\._all_subgroups\)\n",
+            proc.stderr,
+        )
+        assert found is not None, proc.stderr
+        # every conjugation orbit of an abelian group is a single subgroup
+        assert int(found.group(1)) == group_core.SUBGROUP_BOUND + 1
 
     @pytest.mark.parametrize("group", ["C4", "C6"])
     def test_negative_max_size_exit_two(self, group):

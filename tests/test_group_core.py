@@ -322,11 +322,28 @@ def test_inverse_and_conjugation_helpers():
 
 @pytest.mark.parametrize(
     "spec,classes,subgroups",
-    [("S4", 11, 30), ("S5", 19, 156), ("A6", 22, 501)],
+    [("S4", 11, 30), ("S5", 19, 156), ("A6", 22, 501), ("S4xS4", 274, 2976)],
 )
 def test_lattice_sizes_match_known_counts(spec, classes, subgroups):
     """Conjugacy classes of subgroups (OEIS A000638) and subgroups
-    (OEIS A005432) of S4 and S5; A6 has 22 classes and 501 subgroups."""
+    (OEIS A005432) of S4 and S5; A6 has 22 classes and 501 subgroups.
+    S4xS4, with 2,976 subgroups in 274 classes, stays under SUBGROUP_BOUND."""
     found = subgroup_conjugacy_classes(make_group(spec))
     assert len(found) == classes
     assert sum(c.class_size for c in found) == subgroups
+
+
+def test_lattice_bound_counts_subgroups_found(monkeypatch):
+    """The search refuses once the subgroups found pass SUBGROUP_BOUND,
+    and answers a lattice of exactly that many."""
+    g = make_group("S4")
+    search = group_core._all_subgroups.__wrapped__  # bypass the cache
+    monkeypatch.setattr(group_core, "SUBGROUP_BOUND", 30)
+    assert len(search(g)) == 30
+    monkeypatch.setattr(group_core, "SUBGROUP_BOUND", 29)
+    with pytest.raises(ResourceLimitError) as info:
+        search(g)
+    assert str(info.value) == (
+        "subgroup lattice has at least 30 subgroups, over the bound 29 "
+        "(layer group_core._all_subgroups)"
+    )

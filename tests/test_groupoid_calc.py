@@ -29,7 +29,7 @@ from equisep.groupoid_calc import (
 )
 from equisep.gset import aut_group, realize_type
 
-from .oracles import count_orbit_multisets
+from .oracles import count_orbit_multisets, resummed_count_vectors
 
 
 def component(label, aut):
@@ -320,6 +320,18 @@ class TestTruncatedGroupoid:
             sizes = [g.order // c.order for c in subgroup_conjugacy_classes(g)]
             assert len(gpd) == count_orbit_multisets(sizes, bound)
             assert census_size(sizes, bound, 10**9) == len(gpd)
+
+    def test_count_vectors_match_resumming_oracle(self):
+        import equisep.groupoid_calc as gc
+
+        rng = random.Random(2024)
+        for _ in range(200):
+            sizes = [rng.choice((1, 2, 3, 4, 6, 8, 12))
+                     for _ in range(rng.randrange(6))]
+            bound = rng.randrange(13)
+            got = list(gc._count_vectors(sizes, bound))
+            assert got == list(resummed_count_vectors(sizes, bound))
+            assert len(got) == census_size(sizes, bound, 10**9)
 
     def test_all_family_leaves_only_empty(self):
         g = cyclic_group(4)
