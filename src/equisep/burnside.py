@@ -17,7 +17,6 @@ from .group_core import (
     Group,
     SubgroupClass,
     containment_counts,
-    group_flags,
     perfect_subgroup_classes,
     prime_factors,
     subgroup_conjugacy_classes,
@@ -122,15 +121,15 @@ def is_indecomposable_mod(n: int) -> bool:
     return len(prime_factors(n)) == 1
 
 
-def sphere_ic(w: Group) -> bool:
-    """The sphere-coefficient indecomposability criterion for a Weyl group.
+def sphere_ic(weyl_order: int) -> bool:
+    """The sphere-coefficient indecomposability criterion for a Weyl group
+    of this order.
 
     Holds exactly when the group is a nontrivial p-group: both following
     quotients of the Burnside ring, the integers and Z/|W|, must be
     indecomposable, which pins |W| to a prime power > 1.
     """
-    flags = group_flags(w)
-    return flags.is_p_group and not flags.is_trivial
+    return is_indecomposable_mod(weyl_order)
 
 
 def degree_is_constant(g: Group, h: SubgroupClass) -> bool:

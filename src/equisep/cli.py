@@ -5,7 +5,8 @@ an aligned text block or JSON.  Exit codes: 0 success, 1 unsupported
 coefficient descriptor, 2 parse error, 3 resource bound exceeded, and 141
 (128 + SIGPIPE, as a shell reports a process killed by SIGPIPE) when
 stdout is closed before the output is written, e.g. by `| head -1`; that
-exit prints nothing to stderr.
+exit prints nothing to stderr.  `run`, the console entry point, exits
+without tearing the interpreter down; `main` returns the code instead.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import random
 import sys
 
-from .burnside import idempotent_block_count, table_of_marks
+from .burnside import table_of_marks
 from .classifier import classify, witness_nonstandard
 from .conditions import (
     RingDescriptor,
@@ -81,7 +82,7 @@ def _stage_rows(reports):
     rows = [
         [
             rep.subgroup.name,
-            rep.weyl.order,
+            rep.weyl_order,
             _bool(rep.ic.ok),
             _bool(rep.rc.ok),
             _bool(rep.sep_closed),
@@ -115,9 +116,9 @@ def _cmd_marks(args):
 
 def _cmd_burnside(args):
     g = make_group(args.group)
-    blocks = idempotent_block_count(g)
-    solvable = group_flags(g).is_solvable
     perfect = [c.name for c in perfect_subgroup_classes(g)]
+    blocks = len(perfect)
+    solvable = group_flags(g).is_solvable
     text = "\n".join(
         [
             f"group: {args.group}",
@@ -320,3 +321,15 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     return 0
+
+
+def run():
+    """The console entry: main(), then flush stdout and stderr and end the
+    process at once with os._exit.  A query keeps no open files, children
+    or atexit work, so the interpreter's teardown, which frees every
+    object one by one, only costs time.  An exception, SystemExit from
+    argparse included, leaves the normal way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

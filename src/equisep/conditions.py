@@ -197,62 +197,72 @@ class CheckResult(_Record):
         _set_key(self, (ok, rule, convention))
 
 
-def check_ic(ring: RingDescriptor, w: Group) -> CheckResult:
-    """Indecomposability at a stage with Weyl group w."""
+def check_ic(ring: RingDescriptor, weyl_order: int) -> CheckResult:
+    """Indecomposability at a stage whose Weyl group has this order."""
     _require_supported(ring)
-    if w.order == 1:
+    if weyl_order == 1:
         return CheckResult(True, "trivial Weyl group, holds by convention",
                            convention=True)
     if ring.kind == "sphere":
-        ok = sphere_ic(w)
-        if ok:
-            return CheckResult(True, f"Weyl group of order {w.order} is a "
+        if sphere_ic(weyl_order):
+            return CheckResult(True, f"Weyl group of order {weyl_order} is a "
                                      "nontrivial p-group")
-        return CheckResult(False, f"Weyl group of order {w.order} is not a "
+        return CheckResult(False, f"Weyl group of order {weyl_order} is not a "
                                   "nontrivial p-group")
     if not ring.indecomposable:
         return CheckResult(False, f"{ring.name} is decomposable")
-    if ring.indecomposable_mod(w.order):
+    if ring.indecomposable_mod(weyl_order):
         return CheckResult(True, f"{ring.name} stays indecomposable "
-                                 f"mod {w.order}")
-    return CheckResult(False, f"{ring.name} decomposes mod {w.order}")
+                                 f"mod {weyl_order}")
+    return CheckResult(False, f"{ring.name} decomposes mod {weyl_order}")
 
 
-def check_rc(ring: RingDescriptor, w: Group) -> CheckResult:
-    """Retraction obstruction at a stage with Weyl group w."""
+def check_rc(ring: RingDescriptor, weyl_order: int) -> CheckResult:
+    """Retraction obstruction at a stage whose Weyl group has this order."""
     _require_supported(ring)
-    if w.order == 1:
+    if weyl_order == 1:
         return CheckResult(True, "trivial Weyl group, holds by convention",
                            convention=True)
     if ring.rc_witness_map_to is not None:
         target = ring.rc_witness_map_to
-        inner = check_rc(target, w)
+        inner = check_rc(target, weyl_order)
         return CheckResult(inner.ok,
                            f"delegated to {target.name}: {inner.rule}",
                            convention=inner.convention)
-    if not ring.torsion_free(w.order):
-        return CheckResult(False, f"{ring.name} has {w.order}-torsion")
-    bad = [q for q in prime_factors(w.order) if ring.prime_invertible(q)]
+    if not ring.torsion_free(weyl_order):
+        return CheckResult(False, f"{ring.name} has {weyl_order}-torsion")
+    bad = [q for q in prime_factors(weyl_order) if ring.prime_invertible(q)]
     if bad:
-        return CheckResult(False, f"prime {bad[0]} divides {w.order} and is "
+        return CheckResult(False, f"prime {bad[0]} divides {weyl_order} and is "
                                   f"invertible in {ring.name}")
-    return CheckResult(True, f"no {w.order}-torsion and no prime divisor of "
-                             f"{w.order} is invertible in {ring.name}")
+    return CheckResult(True, f"no {weyl_order}-torsion and no prime divisor of "
+                             f"{weyl_order} is invertible in {ring.name}")
 
 
 class StageReport(_Record):
-    """The verdict for one subgroup stage of the induction."""
+    """The verdict for one subgroup stage of the induction.
 
-    __slots__ = ("subgroup", "weyl", "ic", "rc", "sep_closed")
+    The checks read only the Weyl order |W(H)|; the Weyl group itself is
+    built when `weyl` is first read.
+    """
 
-    def __init__(self, subgroup: SubgroupClass, weyl: Group, ic: CheckResult,
+    __slots__ = ("subgroup", "ic", "rc", "sep_closed")
+
+    def __init__(self, subgroup: SubgroupClass, ic: CheckResult,
                  rc: CheckResult, sep_closed: bool):
         _set(self, "subgroup", subgroup)
-        _set(self, "weyl", weyl)
         _set(self, "ic", ic)
         _set(self, "rc", rc)
         _set(self, "sep_closed", sep_closed)
-        _set_key(self, (subgroup, weyl, ic, rc, sep_closed))
+        _set_key(self, (subgroup, ic, rc, sep_closed))
+
+    @property
+    def weyl_order(self) -> int:
+        return self.subgroup.weyl_order
+
+    @property
+    def weyl(self) -> Group:
+        return weyl_group(self.subgroup.parent, self.subgroup)
 
     @property
     def passed(self) -> bool:
@@ -266,7 +276,7 @@ class StageReport(_Record):
             flags.append("rc-convention")
         return {
             "subgroup": self.subgroup.name,
-            "weyl_order": self.weyl.order,
+            "weyl_order": self.weyl_order,
             "ic": self.ic.ok,
             "rc": self.rc.ok,
             "sep_closed": self.sep_closed,
@@ -278,11 +288,9 @@ class StageReport(_Record):
 def stage_report(g: Group, cls: SubgroupClass, ring: RingDescriptor) -> StageReport:
     """Run both checks at one subgroup stage."""
     fixed = geometric_fixed_points(ring, cls)
-    w = weyl_group(g, cls)
     return StageReport(
         subgroup=cls,
-        weyl=w,
-        ic=check_ic(fixed, w),
-        rc=check_rc(fixed, w),
+        ic=check_ic(fixed, cls.weyl_order),
+        rc=check_rc(fixed, cls.weyl_order),
         sep_closed=fixed.separably_closed,
     )

@@ -15,15 +15,17 @@ built on first use.  A subgroup is then a Python int bitmask over the
 numbering: K <= H is `k & h == k`, a union is `|`, and closure walks the
 generators' rows one left coset at a time (`_Table.join`).
 
-The lattice (`_all_subgroups`) is found by extending one subgroup per
-conjugacy class.  If M is a maximal subgroup of K, then K = <M, c> for
-any c in K outside M, and c can be taken of prime-power order, because K
-is generated by its prime-power elements.  When M = xHx^-1 for the class
-representative H, x^-1 K x = <H, x^-1 c x>.  So extending each
-representative by every cyclic subgroup of prime-power order that it does
-not contain, and adding the whole conjugation orbit of each new subgroup,
-reaches every subgroup, by induction on the order.  The public API keeps
-perm tuples and frozensets.
+The lattice (`_all_subgroups`) is found by Neubueser's cyclic extension,
+one subgroup per conjugacy class.  If M is a maximal subgroup of K, then
+K = <M, c> for any c in K outside M, and c can be taken of prime-power
+order, because K is generated by its prime-power elements.  When
+M = xHx^-1 for the class representative H, x^-1 K x = <H, x^-1 c x>.
+And for n in N(H), <H, ncn^-1> = n<H, c>n^-1 lies in the class of
+<H, c>.  So extending each representative by one prime-power cyclic
+subgroup per N(H)-conjugation orbit of those it does not contain, and
+adding the whole conjugation orbit of each new subgroup, reaches every
+subgroup, by induction on the order.  The public API keeps perm tuples
+and frozensets.
 """
 
 from __future__ import annotations
@@ -552,11 +554,13 @@ class SubgroupClass(_Record):
         return f"SubgroupClass({self.name}, size={self.class_size})"
 
 
-def _prime_power_cyclics(t: _Table) -> list:
-    """(mask, generator) for every cyclic subgroup of prime-power order
-    > 1; the generator is the least index that generates it."""
+def _prime_power_cyclics(t: _Table):
+    """The cyclic subgroups of prime-power order > 1, as a list of their
+    least generating indices, and cyclic_of, which maps every index that
+    generates one of them to its position in that list (-1 elsewhere)."""
     n = len(t.perms)
-    ident, done, out = t.perms[0], bytearray(n), []
+    ident, cyclic_of, out = t.perms[0], [-1] * n, []
+    done = bytearray(n)
     for x in range(1, n):
         if done[x]:
             continue
@@ -566,12 +570,25 @@ def _prime_power_cyclics(t: _Table) -> list:
             powers.append(t.index[y])
             y = pmul(p, y)
         m = len(powers)
+        prime_power = len(prime_factors(m)) == 1
         for k in range(1, m):
             if gcd(k, m) == 1:
                 done[powers[k]] = 1
-        if len(prime_factors(m)) == 1:
-            out.append((_mask(powers), x))
-    return out
+                if prime_power:
+                    cyclic_of[powers[k]] = len(out)
+        if prime_power:
+            out.append(x)
+    return out, cyclic_of
+
+
+def _normalizing_cosets(t: _Table, elems: list, gens) -> list:
+    """The least index of every left coset xH that normalizes H, where
+    elems lists H = <gens>; N(H) is the union of these cosets.  Each coset
+    is tested once, through its least index: if x normalizes H, so does
+    all of xH."""
+    inside = set(elems)
+    reps, _ = _cosets(t, range(len(t.perms)), elems)
+    return [x for x in reps if all(t.conj(x, y) in inside for y in gens)]
 
 
 @lru_cache(maxsize=None)
@@ -579,45 +596,92 @@ def _all_subgroups(g: Group) -> tuple:
     """Every subgroup of g, as (bitmask over the element numbering,
     number of its conjugation orbit) pairs.
 
-    One subgroup per orbit is extended by every prime-power cyclic
-    subgroup it does not contain; each new subgroup brings its whole
-    orbit.  The module docstring gives the argument that this is
-    exhaustive.  The search keys subgroups by frozensets of indices,
-    which hash faster than building a mask per join.  It stops with a
+    One subgroup H per orbit is extended by one prime-power cyclic
+    subgroup from each N(H)-conjugation orbit of those it does not
+    contain; each new subgroup brings its whole orbit.  The module
+    docstring gives the argument that this is exhaustive.  The orbits of
+    the cyclics are walked with H's generators and the representatives of
+    the other cosets in N(H), or with g's generators, fewer, when H is
+    normal.  The search keys subgroups by frozensets of indices, which
+    hash faster than building a mask per join.  It stops with a
     ResourceLimitError once more than SUBGROUP_BOUND subgroups are found.
     """
     t = _table(g)
-    cyclics = _prime_power_cyclics(t)
-    conjugations = [[t.conj(s, x) for x in range(len(t.perms))] for s in t.gens]
+    n, inv = len(t.perms), t.inverse
+    cyclics, cyclic_of = _prime_power_cyclics(t)
+    conjugations = [[t.conj(s, x) for x in range(n)] for s in t.gens]
     conjugators = [
         lambda sub, m=m: frozenset(map(m.__getitem__, sub)) for m in conjugations
     ]
     found = {frozenset([0]): 0}
     todo = [((), [0])]
     for gens, elems in todo:
-        have = _mask(elems)
-        for cyc, c in cyclics:
-            if cyc & have != cyc:
-                k = t.join(elems, gens, c)
-                key = frozenset(k)
-                if key not in found:
-                    for member in orbit_of(key, conjugators):
-                        found[member] = len(todo)
-                    if len(found) > SUBGROUP_BOUND:
-                        raise ResourceLimitError(
-                            f"subgroup lattice has at least {len(found)} "
-                            f"subgroups, over the bound {SUBGROUP_BOUND} "
-                            "(layer group_core._all_subgroups)"
-                        )
-                    todo.append((gens + (c,), k))
+        reps = _normalizing_cosets(t, elems, gens)
+        # reps[0] is the identity, H's own coset
+        movers = t.gens if len(reps) * len(elems) == n else gens + tuple(reps[1:])
+        rows = list(map(t.row, movers))
+        inside = set(elems)
+        seen = bytearray(len(cyclics))
+        for i, c in enumerate(cyclics):
+            if seen[i] or c in inside:
+                continue
+            seen[i] = 1
+            stack = [c]
+            while stack:
+                y = stack.pop()
+                for r in rows:
+                    j = cyclic_of[r[inv[r[inv[y]]]]]
+                    if not seen[j]:
+                        seen[j] = 1
+                        stack.append(cyclics[j])
+            k = t.join(elems, gens, c)
+            key = frozenset(k)
+            if key not in found:
+                for member in orbit_of(key, conjugators):
+                    found[member] = len(todo)
+                if len(found) > SUBGROUP_BOUND:
+                    raise ResourceLimitError(
+                        f"subgroup lattice has at least {len(found)} "
+                        f"subgroups, over the bound {SUBGROUP_BOUND} "
+                        "(layer group_core._all_subgroups)"
+                    )
+                todo.append((gens + (c,), k))
     return tuple((_mask(sub), orbit) for sub, orbit in found.items())
 
 
+class _Lattice:
+    """A group's subgroup classes, in subgroup_conjugacy_classes order,
+    with a subgroup mask -> class position index, a class -> position
+    map, and per class its representative's mask and the masks of its
+    orbit.  The containment counts are computed on first read."""
+
+    __slots__ = ("classes", "index", "position", "orbits", "_counts")
+
+    def __init__(self, classes, index, orbits):
+        self.classes = classes
+        self.index = index
+        self.position = {c: i for i, c in enumerate(classes)}
+        self.orbits = orbits
+        self._counts = None
+
+    def counts(self) -> tuple:
+        """c[H][K] (see containment_counts).  A conjugate of H can only
+        contain K when |K| divides |H|, so only those pairs are tested."""
+        if self._counts is None:
+            orders = [c.order for c in self.classes]
+            self._counts = tuple(
+                tuple(
+                    sum(k & h == k for h in orbit) if order % k_order == 0 else 0
+                    for (k, _), k_order in zip(self.orbits, orders)
+                )
+                for (_, orbit), order in zip(self.orbits, orders)
+            )
+        return self._counts
+
+
 @lru_cache(maxsize=None)
-def _subgroup_classes(g: Group):
-    """The conjugacy classes of subgroups, a subgroup mask -> class
-    position index, the containment counts c[H][K] (see
-    containment_counts), and a class -> position map.
+def _subgroup_classes(g: Group) -> _Lattice:
+    """The conjugacy classes of subgroups, as a _Lattice.
 
     Each class is one orbit of _all_subgroups; its representative is the
     member with the least encode_subgroup, compared as tuples of the
@@ -657,11 +721,7 @@ def _subgroup_classes(g: Group):
         )
         classes.append(cls)
         index.update(dict.fromkeys(orbit, pos))
-    contains = tuple(
-        tuple(sum(k & h == k for h in orbit) for _, _, k, _ in raw)
-        for _, _, _, orbit in raw
-    )
-    return tuple(classes), index, contains, {c: i for i, c in enumerate(classes)}
+    return _Lattice(tuple(classes), index, [(rep, orbit) for _, _, rep, orbit in raw])
 
 
 def subgroup_conjugacy_classes(g: Group) -> tuple:
@@ -669,48 +729,45 @@ def subgroup_conjugacy_classes(g: Group) -> tuple:
 
     Names follow the order-plus-letter convention: 1a, 2a, 2b, ...
     """
-    return _subgroup_classes(g)[0]
+    return _subgroup_classes(g).classes
 
 
 def class_of_subgroup(g: Group, elements: frozenset) -> SubgroupClass:
     """The conjugacy class containing the given subgroup of g."""
-    classes, index, _, _ = _subgroup_classes(g)
+    lattice = _subgroup_classes(g)
     try:
-        pos = index.get(_mask(_table(g).indices(frozenset(elements))))
+        pos = lattice.index.get(_mask(_table(g).indices(frozenset(elements))))
     except KeyError:
         pos = None
     if pos is None:
         raise ValueError("not a subgroup of g")
-    return classes[pos]
+    return lattice.classes[pos]
 
 
 def containment_counts(g: Group) -> tuple:
     """c[H][K], the number of conjugates of H that contain the
     representative of K, over the classes in subgroup_conjugacy_classes
     order.  Marks are m(H, K) = |W(H)| * c[H][K]; K is subconjugate to H
-    exactly when c[H][K] > 0."""
-    return _subgroup_classes(g)[2]
+    exactly when c[H][K] > 0.  Counted on first call for g."""
+    return _subgroup_classes(g).counts()
 
 
 def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> bool:
     """True when some conjugate of `below` sits inside `above`, that is,
     when c[above][below], the number of conjugates of `above` containing
     `below`'s representative, is positive; the mark is |W(above)| times it."""
-    _, _, contains, position = _subgroup_classes(g)
-    return contains[position[above]][position[below]] > 0
+    lattice = _subgroup_classes(g)
+    position = lattice.position
+    return lattice.counts()[position[above]][position[below]] > 0
 
 
 @lru_cache(maxsize=None)
 def normalizer(g: Group, sub: Group) -> Group:
     """N_g(sub) as a subgroup of g."""
     t = _table(g)
-    inside = set(t.indices(sub.elements))
-    gens = t.indices(sub.generators)
-    return g.subgroup(
-        p
-        for x, p in enumerate(t.perms)
-        if all(t.conj(x, h) in inside for h in gens)
-    )
+    elems = t.indices(sub.elements)
+    reps = _normalizing_cosets(t, elems, t.indices(sub.generators))
+    return g.subgroup(t.perms[t.row(x)[k]] for x in reps for k in elems)
 
 
 def _cosets(t: _Table, members, h: list):
@@ -752,16 +809,24 @@ def weyl_group_with_section(g: Group, cls: SubgroupClass):
     """
     t = _table(g)
     h = cls.representative
-    members = sorted(t.indices(normalizer(g, h).elements))
+    n = normalizer(g, h)
+    members = sorted(t.indices(n.elements))
     reps, coset_of = _cosets(t, members, t.indices(h.elements))
     m = len(reps)
+
+    def image(x):
+        row = t.row(x)
+        return tuple(coset_of[row[r]] for r in reps)
+
     section: dict[Perm, Perm] = {}
     for x in members:
-        row = t.row(x)
-        section.setdefault(tuple(coset_of[row[r]] for r in reps), t.perms[x])
+        section.setdefault(image(x), t.perms[x])
     assert len(section) == m
-    perms = frozenset(section)
-    return Group(m, reduce_generators(perms, m), perms), section
+    # W is generated by the images of N's generators; those in H act
+    # trivially and are left out
+    ident = identity_perm(m)
+    gens = [w for w in map(image, t.indices(n.generators)) if w != ident]
+    return Group(m, gens, frozenset(section)), section
 
 
 def weyl_group(g: Group, cls: SubgroupClass) -> Group:
@@ -875,11 +940,24 @@ def group_flags(g: Group) -> GroupFlags:
 
 
 def perfect_subgroup_classes(g: Group) -> tuple:
-    """Classes whose representative equals its own commutator subgroup."""
+    """Classes whose representative equals its own commutator subgroup.
+
+    Only the trivial subgroup of a solvable group is perfect.  By
+    Burnside's p^a q^b theorem a group whose order has at most two prime
+    divisors is solvable, so only classes of order 1 or with at least
+    three prime divisors need a derived subgroup.
+    """
+    classes = subgroup_conjugacy_classes(g)
+    if group_flags(g).is_solvable:
+        return classes[:1]
     t = _table(g)
     return tuple(
         cls
-        for cls in subgroup_conjugacy_classes(g)
-        if len(_derived_subgroup(t, t.indices(cls.representative.generators))[1])
-        == cls.order
+        for cls in classes
+        if cls.order == 1
+        or (
+            len(prime_factors(cls.order)) > 2
+            and len(_derived_subgroup(t, t.indices(cls.representative.generators))[1])
+            == cls.order
+        )
     )

@@ -109,7 +109,7 @@ def test_criterion_03_sphere_ic_characterization():
         g = make_group(spec)
         flags = group_flags(g)
         expected = flags.is_p_group and not flags.is_trivial
-        assert sphere_ic(g) == expected, spec
+        assert sphere_ic(g.order) == expected, spec
     _passed(3, "sphere indecomposability = nontrivial p-group across all "
                "15 corpus groups")
 

@@ -122,11 +122,11 @@ def test_is_indecomposable_mod():
 
 
 def test_sphere_ic_is_nontrivial_p_group():
-    assert sphere_ic(make_group("C4"))
-    assert sphere_ic(make_group("Q8"))
-    assert not sphere_ic(make_group("C1"))
-    assert not sphere_ic(make_group("C6"))
-    assert not sphere_ic(make_group("S3"))
+    assert sphere_ic(make_group("C4").order)
+    assert sphere_ic(make_group("Q8").order)
+    assert not sphere_ic(make_group("C1").order)
+    assert not sphere_ic(make_group("C6").order)
+    assert not sphere_ic(make_group("S3").order)
 
 
 def test_sphere_ic_quotient_characterization():
@@ -135,7 +135,7 @@ def test_sphere_ic_quotient_characterization():
 
     for spec in ["C1", "C2", "C4", "C6", "S3", "D4", "Q8", "A4", "C12"]:
         w = make_group(spec)
-        direct = sphere_ic(w)
+        direct = sphere_ic(w.order)
         via_quotients = (
             w.order > 1
             and is_indecomposable_mod(0)

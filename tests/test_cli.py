@@ -131,6 +131,21 @@ def test_cli_child_loads_no_heavy_modules(run):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_child_stdout_matches_in_process_main(capsys):
+    """`python -m equisep` ends with os._exit; the flush before it must
+    hand over the whole of a large output (about 1 MB here)."""
+    argv = ["marks", "--group", "S4xS4", "--format", "json"]
+    env = os.environ.copy()
+    env.pop("EQUISEP_MAX_ORDER", None)
+    env.pop("PYTHONUNBUFFERED", None)  # the child's stdout must buffer
+    proc = subprocess.run([sys.executable, "-m", "equisep", *argv],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
 class TestDeterminismAndSeeds:
     def test_pullback_demo_deterministic(self):
         a = run_cli("pullback-demo", "--seed", "5")

@@ -322,15 +322,34 @@ def test_inverse_and_conjugation_helpers():
 
 @pytest.mark.parametrize(
     "spec,classes,subgroups",
-    [("S4", 11, 30), ("S5", 19, 156), ("A6", 22, 501), ("S4xS4", 274, 2976)],
+    [("S4", 11, 30), ("S5", 19, 156), ("S6", 56, 1455), ("A6", 22, 501),
+     ("S4xS4", 274, 2976)],
 )
 def test_lattice_sizes_match_known_counts(spec, classes, subgroups):
     """Conjugacy classes of subgroups (OEIS A000638) and subgroups
-    (OEIS A005432) of S4 and S5; A6 has 22 classes and 501 subgroups.
+    (OEIS A005432) of S4, S5 and S6; A6 has 22 classes and 501 subgroups.
     S4xS4, with 2,976 subgroups in 274 classes, stays under SUBGROUP_BOUND."""
     found = subgroup_conjugacy_classes(make_group(spec))
     assert len(found) == classes
     assert sum(c.class_size for c in found) == subgroups
+
+
+@pytest.mark.parametrize("spec,most", [("S5", 200), ("S6", 1500)])
+def test_lattice_search_joins_once_per_normalizer_orbit(monkeypatch, spec, most):
+    """Each class representative H is joined with one cyclic per
+    N(H)-orbit: 166 joins on S5 and 1,411 on S6, where one join per
+    cyclic took 901 and 12,498."""
+    calls = []
+    join = group_core._Table.join
+
+    def counting(self, *args):
+        calls.append(1)
+        return join(self, *args)
+
+    monkeypatch.setattr(group_core._Table, "join", counting)
+    found = group_core._all_subgroups.__wrapped__(make_group(spec))  # uncached
+    assert len(found) == {"S5": 156, "S6": 1455}[spec]
+    assert len(calls) <= most
 
 
 def test_lattice_bound_counts_subgroups_found(monkeypatch):

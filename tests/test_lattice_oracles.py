@@ -80,8 +80,9 @@ def test_containment_counts_count_conjugates():
 
 
 def test_lattice_readers_build_no_gset_or_weyl_group(monkeypatch, capsys):
-    """Marks, Weyl orders, census automorphism orders and the subgroups
-    verb count; none of them builds a G-set or a Weyl group."""
+    """Marks, Weyl orders, census automorphism orders, the subgroups verb
+    and the stage checks of conditions and classify count; none of them
+    builds a G-set or a Weyl group."""
 
     def boom(*args, **kwargs):
         raise AssertionError("built a G-set or a Weyl group")
@@ -103,6 +104,14 @@ def test_lattice_readers_build_no_gset_or_weyl_group(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[0].split() == [
         "subgroup", "order", "class_size", "weyl"
     ]
+    assert cli.main(["conditions", "--group", "D4xS3", "--coeff", "Z"]) == 0
+    assert cli.main(["conditions", "--group", "A4xC3", "--coeff", "sphere",
+                     "--format", "json"]) == 0
+    assert cli.main(["classify", "--group", "C2xD4", "--coeff", "Z",
+                     "--max-size", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: AllStandard" in out
+    assert '"weyl_order": 9' in out
 
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "A4"])

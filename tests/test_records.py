@@ -49,7 +49,7 @@ FIELDS = {
                      "separably_closed", "burnside_unit", "rc_witness_map_to",
                      "inflated", "action"),
     CheckResult: ("ok", "rule", "convention"),
-    StageReport: ("subgroup", "weyl", "ic", "rc", "sep_closed"),
+    StageReport: ("subgroup", "ic", "rc", "sep_closed"),
     Filtration: ("stages", "added"),
     SubgroupClass: ("parent", "representative", "class_size", "canonical_key",
                     "name"),
