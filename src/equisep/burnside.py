@@ -10,8 +10,6 @@ conjugates of H that contain K (`containment_counts`)."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ._record import _Record, _set, _set_key
 from .group_core import (
     Group,
@@ -67,7 +65,6 @@ class TableOfMarks(_Record):
         }
 
 
-@lru_cache(maxsize=None)
 def table_of_marks(g: Group) -> TableOfMarks:
     classes = subgroup_conjugacy_classes(g)
     marks = tuple(
@@ -136,7 +133,8 @@ def degree_is_constant(g: Group, h: SubgroupClass) -> bool:
     """Whether the mark vector of G/H is a nonzero constant.
 
     True only for H = G: a proper subgroup has a positive mark at the
-    trivial class and mark zero at the full class.
+    trivial class and mark zero at the full class.  The marks are |W(H)|
+    times the containment counts, so the counts are read instead.
     """
-    row = table_of_marks(g).row(h)
+    row = containment_counts(g)[subgroup_conjugacy_classes(g).index(h)]
     return row[0] != 0 and all(v == row[0] for v in row)

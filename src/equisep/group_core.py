@@ -13,7 +13,10 @@ is the order everything here sorts by.  The table holds the perm -> index
 map, inverses, and left-multiplication rows row(a)[x] = index(a*x), each
 built on first use.  A subgroup is then a Python int bitmask over the
 numbering: K <= H is `k & h == k`, a union is `|`, and closure walks the
-generators' rows one left coset at a time (`_Table.join`).
+generators' rows one left coset at a time (`_Table.join`).  The table is
+also the one home of what is derived from the group: its lattice (with
+the Weyl groups built so far) and its flags are fields of the table, so
+they are computed once per group and freed with it.
 
 The lattice (`_all_subgroups`) is found by Neubueser's cyclic extension,
 one subgroup per conjugacy class.  If M is a maximal subgroup of K, then
@@ -33,7 +36,6 @@ from __future__ import annotations
 import os
 import re
 import sys
-from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd
 
@@ -141,7 +143,7 @@ class Group:
     """An immutable permutation group on points 0..degree-1."""
 
     __slots__ = ("degree", "generators", "elements", "order", "_hash", "_sorted",
-                 "_table")
+                 "_table", "__weakref__")
 
     def __init__(self, degree, generators, elements=None, max_order=None):
         generators = tuple(dict.fromkeys(tuple(g) for g in generators))
@@ -204,9 +206,11 @@ class Group:
 class _Table:
     """One group's elements numbered 0..n-1 in sorted order, so the
     identity is 0, with the perm -> index map, inverses and the
-    left-multiplication rows row(a)[x] = index(a*x)."""
+    left-multiplication rows row(a)[x] = index(a*x).  The group's _Lattice
+    and GroupFlags are stored here on first use (None until then)."""
 
-    __slots__ = ("perms", "index", "inverse", "gens", "_rows", "_words")
+    __slots__ = ("perms", "index", "inverse", "gens", "_rows", "_words",
+                 "lattice", "flags")
 
     def __init__(self, g: Group):
         self.perms = g.sorted_elements()
@@ -215,6 +219,8 @@ class _Table:
         self.gens = tuple(self.index[s] for s in g.generators)
         self._rows = [None] * len(self.perms)
         self._words = None
+        self.lattice = None
+        self.flags = None
 
     def indices(self, perms) -> list:
         return [self.index[p] for p in perms]
@@ -302,11 +308,6 @@ def _table(g: Group) -> _Table:
 
 def _mask(indices) -> int:
     return sum(map((1).__lshift__, indices))
-
-
-def _members(mask: int) -> list:
-    """The set bits of a mask, ascending."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def trivial_group(degree: int = 1) -> Group:
@@ -591,10 +592,9 @@ def _normalizing_cosets(t: _Table, elems: list, gens) -> list:
     return [x for x in reps if all(t.conj(x, y) in inside for y in gens)]
 
 
-@lru_cache(maxsize=None)
-def _all_subgroups(g: Group) -> tuple:
-    """Every subgroup of g, as (bitmask over the element numbering,
-    number of its conjugation orbit) pairs.
+def _all_subgroups(g: Group) -> list:
+    """Every subgroup of g, as (frozenset of its element indices, number
+    of its conjugation orbit) pairs.
 
     One subgroup H per orbit is extended by one prime-power cyclic
     subgroup from each N(H)-conjugation orbit of those it does not
@@ -603,8 +603,9 @@ def _all_subgroups(g: Group) -> tuple:
     the cyclics are walked with H's generators and the representatives of
     the other cosets in N(H), or with g's generators, fewer, when H is
     normal.  The search keys subgroups by frozensets of indices, which
-    hash faster than building a mask per join.  It stops with a
-    ResourceLimitError once more than SUBGROUP_BOUND subgroups are found.
+    hash faster than building a mask per join, and returns them as they
+    are.  It stops with a ResourceLimitError once more than SUBGROUP_BOUND
+    subgroups are found.
     """
     t = _table(g)
     n, inv = len(t.perms), t.inverse
@@ -646,22 +647,25 @@ def _all_subgroups(g: Group) -> tuple:
                         "(layer group_core._all_subgroups)"
                     )
                 todo.append((gens + (c,), k))
-    return tuple((_mask(sub), orbit) for sub, orbit in found.items())
+    return list(found.items())
 
 
 class _Lattice:
     """A group's subgroup classes, in subgroup_conjugacy_classes order,
     with a subgroup mask -> class position index, a class -> position
     map, and per class its representative's mask and the masks of its
-    orbit.  The containment counts are computed on first read."""
+    orbit.  The containment counts are computed on first read, and each
+    class's (Weyl group, section) pair on first request (weyl, by class
+    position)."""
 
-    __slots__ = ("classes", "index", "position", "orbits", "_counts")
+    __slots__ = ("classes", "index", "position", "orbits", "weyl", "_counts")
 
     def __init__(self, classes, index, orbits):
         self.classes = classes
         self.index = index
         self.position = {c: i for i, c in enumerate(classes)}
         self.orbits = orbits
+        self.weyl = [None] * len(classes)
         self._counts = None
 
     def counts(self) -> tuple:
@@ -679,15 +683,17 @@ class _Lattice:
         return self._counts
 
 
-@lru_cache(maxsize=None)
 def _subgroup_classes(g: Group) -> _Lattice:
-    """The conjugacy classes of subgroups, as a _Lattice.
+    """The conjugacy classes of subgroups, as a _Lattice, built on the
+    first call and kept on g's table.
 
     Each class is one orbit of _all_subgroups; its representative is the
     member with the least encode_subgroup, compared as tuples of the
     elements' ranks in encoding order.
     """
     t = _table(g)
+    if t.lattice is not None:
+        return t.lattice
     orbits: dict[int, list] = {}
     for sub, orbit in _all_subgroups(g):
         orbits.setdefault(orbit, []).append(sub)
@@ -697,21 +703,21 @@ def _subgroup_classes(g: Group) -> _Lattice:
         rank[x] = r
 
     def key(sub):
-        return tuple(map(rank.__getitem__, _members(sub)))
+        return tuple(map(rank.__getitem__, sorted(sub)))
 
     raw = []
     for orbit in orbits.values():
         rep = min(orbit, key=key)
-        raw.append((rep.bit_count(), key(rep), rep, orbit))
+        raw.append((len(rep), key(rep), rep, orbit))
     raw.sort(key=lambda item: item[:2])
-    classes = []
+    classes, masks = [], []
     index: dict[int, int] = {}
     per_order: dict[int, int] = {}
     for pos, (order, _, rep, orbit) in enumerate(raw):
         idx = per_order.get(order, 0)
         per_order[order] = idx + 1
         suffix = chr(ord("a") + idx) if idx < 26 else f"_{idx}"
-        elements = [t.perms[x] for x in _members(rep)]
+        elements = [t.perms[x] for x in sorted(rep)]
         cls = SubgroupClass(
             parent=g,
             representative=g.subgroup(elements),
@@ -720,8 +726,11 @@ def _subgroup_classes(g: Group) -> _Lattice:
             name=f"{order}{suffix}",
         )
         classes.append(cls)
-        index.update(dict.fromkeys(orbit, pos))
-    return _Lattice(tuple(classes), index, [(rep, orbit) for _, _, rep, orbit in raw])
+        orbit_masks = list(map(_mask, orbit))
+        masks.append((_mask(rep), orbit_masks))
+        index.update(dict.fromkeys(orbit_masks, pos))
+    t.lattice = _Lattice(tuple(classes), index, masks)
+    return t.lattice
 
 
 def subgroup_conjugacy_classes(g: Group) -> tuple:
@@ -734,9 +743,10 @@ def subgroup_conjugacy_classes(g: Group) -> tuple:
 
 def class_of_subgroup(g: Group, elements: frozenset) -> SubgroupClass:
     """The conjugacy class containing the given subgroup of g."""
-    lattice = _subgroup_classes(g)
+    t = g._table or _table(g)
+    lattice = t.lattice or _subgroup_classes(g)
     try:
-        pos = lattice.index.get(_mask(_table(g).indices(frozenset(elements))))
+        pos = lattice.index.get(_mask(t.indices(frozenset(elements))))
     except KeyError:
         pos = None
     if pos is None:
@@ -756,12 +766,11 @@ def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> boo
     """True when some conjugate of `below` sits inside `above`, that is,
     when c[above][below], the number of conjugates of `above` containing
     `below`'s representative, is positive; the mark is |W(above)| times it."""
-    lattice = _subgroup_classes(g)
+    lattice = (g._table or _table(g)).lattice or _subgroup_classes(g)
     position = lattice.position
     return lattice.counts()[position[above]][position[below]] > 0
 
 
-@lru_cache(maxsize=None)
 def normalizer(g: Group, sub: Group) -> Group:
     """N_g(sub) as a subgroup of g."""
     t = _table(g)
@@ -799,14 +808,18 @@ def left_cosets(g: Group, h: Group):
     }
 
 
-@lru_cache(maxsize=None)
 def weyl_group_with_section(g: Group, cls: SubgroupClass):
     """The Weyl group N_g(H)/H acting on cosets, with a coset-rep section.
 
     Returns (W, section) where W permutes the left cosets of H inside its
     normalizer and section maps each element of W to one representative in
-    the normalizer inducing it.
+    the normalizer inducing it.  Built once per class and kept on g's
+    lattice.
     """
+    lattice = _subgroup_classes(g)
+    pos = lattice.position[cls]
+    if lattice.weyl[pos] is not None:
+        return lattice.weyl[pos]
     t = _table(g)
     h = cls.representative
     n = normalizer(g, h)
@@ -826,7 +839,8 @@ def weyl_group_with_section(g: Group, cls: SubgroupClass):
     # trivially and are left out
     ident = identity_perm(m)
     gens = [w for w in map(image, t.indices(n.generators)) if w != ident]
-    return Group(m, gens, frozenset(section)), section
+    lattice.weyl[pos] = Group(m, gens, frozenset(section)), section
+    return lattice.weyl[pos]
 
 
 def weyl_group(g: Group, cls: SubgroupClass) -> Group:
@@ -917,12 +931,14 @@ class GroupFlags(_Record):
                             prime_divisors))
 
 
-@lru_cache(maxsize=None)
 def group_flags(g: Group) -> GroupFlags:
-    """Structural flags: triviality, p-group, solvability, prime divisors."""
+    """Structural flags: triviality, p-group, solvability, prime divisors;
+    computed on the first call and kept on g's table."""
+    t = _table(g)
+    if t.flags is not None:
+        return t.flags
     primes = prime_factors(g.order)
     is_p = len(primes) == 1
-    t = _table(g)
     gens, size = t.gens, g.order
     while True:
         dgens, elems = _derived_subgroup(t, gens)
@@ -930,13 +946,14 @@ def group_flags(g: Group) -> GroupFlags:
             break
         gens, size = dgens, len(elems)
     solvable = size == 1
-    return GroupFlags(
+    t.flags = GroupFlags(
         is_trivial=g.order == 1,
         is_p_group=is_p,
         p_prime=primes[0] if is_p else None,
         is_solvable=solvable,
         prime_divisors=frozenset(primes),
     )
+    return t.flags
 
 
 def perfect_subgroup_classes(g: Group) -> tuple:

@@ -430,7 +430,8 @@ def truncated_gset_groupoid(g: Group, family, max_size: int) -> FiniteGroupoid:
         )
     comps = []
     for vector in _count_vectors(sizes, max_size):
-        t = GSetType.from_counts(g, dict(zip(outside, vector)))
+        # outside is in (order, canonical key) order, as GSetType entries are
+        t = GSetType(g, tuple((c, n) for c, n in zip(outside, vector) if n))
         comps.append(GroupoidComponent(t.label(), gset_type=t))
     comps.sort(key=lambda c: (c.gset_type.size, c.label))
     return FiniteGroupoid(comps)

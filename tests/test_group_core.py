@@ -1,8 +1,16 @@
 """Group construction, subgroup classification, Weyl groups, double cosets."""
 
+import gc
+import importlib
+import pkgutil
+import weakref
+
 import pytest
 
+import equisep
 from equisep import group_core
+from equisep.burnside import table_of_marks
+from equisep.gset import GSetType, aut_group, realize_type
 from equisep.group_core import (
     GroupSpecError,
     ResourceLimitError,
@@ -347,7 +355,7 @@ def test_lattice_search_joins_once_per_normalizer_orbit(monkeypatch, spec, most)
         return join(self, *args)
 
     monkeypatch.setattr(group_core._Table, "join", counting)
-    found = group_core._all_subgroups.__wrapped__(make_group(spec))  # uncached
+    found = group_core._all_subgroups(make_group(spec))
     assert len(found) == {"S5": 156, "S6": 1455}[spec]
     assert len(calls) <= most
 
@@ -356,7 +364,7 @@ def test_lattice_bound_counts_subgroups_found(monkeypatch):
     """The search refuses once the subgroups found pass SUBGROUP_BOUND,
     and answers a lattice of exactly that many."""
     g = make_group("S4")
-    search = group_core._all_subgroups.__wrapped__  # bypass the cache
+    search = group_core._all_subgroups
     monkeypatch.setattr(group_core, "SUBGROUP_BOUND", 30)
     assert len(search(g)) == 30
     monkeypatch.setattr(group_core, "SUBGROUP_BOUND", 29)
@@ -366,3 +374,42 @@ def test_lattice_bound_counts_subgroups_found(monkeypatch):
         "subgroup lattice has at least 30 subgroups, over the bound 29 "
         "(layer group_core._all_subgroups)"
     )
+
+
+def test_derived_data_dies_with_its_group():
+    """Lattice, marks, flags, Weyl groups, normalizers and automorphism
+    groups are kept on the group or recomputed, never in a module-level
+    memo, so a group nothing refers to is freed."""
+    g = make_group("S4")
+    ref = weakref.ref(g)
+    classes = subgroup_conjugacy_classes(g)
+    assert table_of_marks(g).marks[0][0] == g.order
+    assert group_flags(g).is_solvable
+    assert weyl_group(g, classes[1]).order == classes[1].weyl_order
+    n = normalizer(g, classes[1].representative)
+    assert n.order == g.order // classes[1].class_size
+    x = realize_type(GSetType.from_counts(g, {classes[-1]: 2}))
+    assert aut_group(x).order == 2
+    del g, classes, n, x
+    gc.collect()
+    assert ref() is None
+
+
+def test_no_module_level_memo_tables():
+    """No function of the library is wrapped in a memo (cache_info) or
+    any other decorator (__wrapped__)."""
+    names = [m.name for m in pkgutil.iter_modules(equisep.__path__)
+             if m.name != "__main__"]
+    assert "group_core" in names
+    wrapped = []
+    for name in names:
+        module = importlib.import_module(f"equisep.{name}")
+        for attr, obj in vars(module).items():
+            members = [(attr, obj)]
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                members += [(f"{attr}.{k}", getattr(obj, k)) for k in vars(obj)]
+            wrapped += [
+                f"{name}.{label}" for label, fn in members
+                if hasattr(fn, "cache_info") or hasattr(fn, "__wrapped__")
+            ]
+    assert wrapped == []

@@ -94,7 +94,7 @@ def test_lattice_readers_build_no_gset_or_weyl_group(monkeypatch, capsys):
     monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
     g = make_group("D4xS3")
     classes = subgroup_conjugacy_classes(g)
-    tom = table_of_marks.__wrapped__(g)
+    tom = table_of_marks(g)
     assert [tom.marks[i][i] for i in range(len(classes))] == [
         c.weyl_order for c in classes
     ]
