@@ -7,29 +7,20 @@ coefficient descriptor, 2 parse error, 3 resource bound exceeded, and 141
 stdout is closed before the output is written, e.g. by `| head -1`; that
 exit prints nothing to stderr.  `run`, the console entry point, exits
 without tearing the interpreter down; `main` returns the code instead.
+Each verb imports the library modules it runs inside its own function,
+after its input is parsed, so a call loads only what its verb needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
 
-from .burnside import table_of_marks
-from .classifier import classify, witness_nonstandard
-from .conditions import (
-    RingDescriptor,
-    UnsupportedDescriptorError,
-    integers,
-    prime_field,
-    sphere,
-    stage_report,
-)
 from .group_core import (
     GroupSpecError,
     ResourceLimitError,
+    UnsupportedDescriptorError,
     cyclic_group,
     group_flags,
     make_group,
@@ -38,17 +29,11 @@ from .group_core import (
     symmetric_group,
     trivial_group,
 )
-from .groupoid_calc import (
-    FiniteGroupoid,
-    GroupoidComponent,
-    GroupoidFunctor,
-    all_homomorphisms,
-    brute_force_pullback,
-    pullback_pi0,
-)
 
 
-def _parse_coeff(text: str) -> RingDescriptor:
+def _parse_coeff(text: str):
+    from .conditions import integers, prime_field, sphere
+
     if text == "sphere":
         return sphere()
     if text == "Z":
@@ -110,6 +95,8 @@ def _cmd_subgroups(args):
 
 def _cmd_marks(args):
     g = make_group(args.group)
+    from .burnside import table_of_marks
+
     tom = table_of_marks(g)
     return tom.to_json(), tom.to_text()
 
@@ -139,6 +126,8 @@ def _cmd_burnside(args):
 def _cmd_conditions(args):
     g = make_group(args.group)
     ring = _parse_coeff(args.coeff)
+    from .conditions import stage_report
+
     reports = [stage_report(g, cls, ring) for cls in subgroup_conjugacy_classes(g)]
     lines = [_stage_rows(reports)]
     for rep in reports:
@@ -147,7 +136,7 @@ def _cmd_conditions(args):
     return [rep.to_json() for rep in reports], "\n".join(lines)
 
 
-def _groupoid_text(gpd: FiniteGroupoid) -> str:
+def _groupoid_text(gpd) -> str:
     rows = [[c.label, c.aut_order] for c in gpd.components]
     return _table(rows, ["component", "aut_order"])
 
@@ -157,6 +146,8 @@ def _cmd_classify(args):
         raise GroupSpecError(f"--max-size must be >= 0, got {args.max_size}")
     g = make_group(args.group)
     ring = _parse_coeff(args.coeff)
+    from .classifier import classify
+
     out = classify(g, ring, args.max_size)
     lines = [f"verdict: {out.verdict.value}"]
     if out.stage_reports:
@@ -187,6 +178,8 @@ def _witness_text(rec) -> str:
 def _cmd_witness(args):
     g = make_group(args.group)
     ring = _parse_coeff(args.coeff)
+    from .classifier import witness_nonstandard
+
     probe = witness_nonstandard(g, ring)
     if probe.found:
         payload = {"found": True, "witness": probe.record.to_json()}
@@ -198,6 +191,8 @@ def _cmd_witness(args):
 
 
 def _random_groupoid(rng, name, pool, max_components):
+    from .groupoid_calc import FiniteGroupoid, GroupoidComponent
+
     n = rng.randint(1, max_components)
     return FiniteGroupoid(
         [GroupoidComponent(f"{name}{i}", rng.choice(pool)) for i in range(n)]
@@ -205,6 +200,8 @@ def _random_groupoid(rng, name, pool, max_components):
 
 
 def _random_functor(rng, src, dst):
+    from .groupoid_calc import GroupoidFunctor, all_homomorphisms
+
     cmap, amap = {}, {}
     for comp in src.components:
         target = rng.choice(dst.components)
@@ -214,6 +211,10 @@ def _random_functor(rng, src, dst):
 
 
 def _cmd_pullback_demo(args):
+    import random
+
+    from .groupoid_calc import brute_force_pullback, pullback_pi0
+
     rng = random.Random(args.seed)
     pool = [
         trivial_group(),
@@ -311,6 +312,8 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.format == "json":
+            import json
+
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             print(text)

@@ -9,15 +9,17 @@ nontrivial action are declared but rejected by every check.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from ._record import _Record, _set, _set_key
 from .burnside import is_indecomposable_mod, sphere_ic
-from .group_core import Group, SubgroupClass, prime_factors, weyl_group
-
-
-class UnsupportedDescriptorError(ValueError):
-    """Raised when a ring descriptor is outside the implemented fragment."""
+from .group_core import (
+    Group,
+    SubgroupClass,
+    UnsupportedDescriptorError,
+    prime_factors,
+    weyl_group,
+)
 
 
 class RingDescriptor(_Record):
@@ -38,7 +40,7 @@ class RingDescriptor(_Record):
                  torsion_free: Callable[[int], bool],
                  prime_invertible: Callable[[int], bool],
                  separably_closed: bool, burnside_unit: bool,
-                 rc_witness_map_to: Optional[RingDescriptor] = None,
+                 rc_witness_map_to: RingDescriptor | None = None,
                  inflated: bool = True, action: str = "trivial"):
         _set(self, "name", name)
         _set(self, "kind", kind)  # sphere | integers | prime_field | custom
@@ -146,7 +148,7 @@ def custom(name: str, *, char: int, indecomposable: bool,
            torsion_free: Callable[[int], bool],
            prime_invertible: Callable[[int], bool],
            separably_closed: bool, burnside_unit: bool = False,
-           rc_witness_map_to: Optional[RingDescriptor] = None,
+           rc_witness_map_to: RingDescriptor | None = None,
            inflated: bool = False, action: str = "trivial") -> RingDescriptor:
     return RingDescriptor(
         name=name,

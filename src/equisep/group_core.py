@@ -58,6 +58,10 @@ class ResourceLimitError(RuntimeError):
     """A construction exceeds the configured order bound."""
 
 
+class UnsupportedDescriptorError(ValueError):
+    """Raised when a ring descriptor is outside the implemented fragment."""
+
+
 def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 
@@ -959,15 +963,28 @@ def group_flags(g: Group) -> GroupFlags:
 def perfect_subgroup_classes(g: Group) -> tuple:
     """Classes whose representative equals its own commutator subgroup.
 
-    Only the trivial subgroup of a solvable group is perfect.  By
-    Burnside's p^a q^b theorem a group whose order has at most two prime
-    divisors is solvable, so only classes of order 1 or with at least
-    three prime divisors need a derived subgroup.
+    Only the trivial subgroup of a solvable group is perfect, so its
+    class is returned without building the lattice (or read from the
+    lattice if that is built already).  By Burnside's p^a q^b theorem a
+    group whose order has at most two prime divisors is solvable, so
+    otherwise only classes of order 1 or with at least three prime
+    divisors need a derived subgroup.
     """
-    classes = subgroup_conjugacy_classes(g)
-    if group_flags(g).is_solvable:
-        return classes[:1]
     t = _table(g)
+    if group_flags(g).is_solvable:
+        if t.lattice is not None:
+            return t.lattice.classes[:1]
+        identity = t.perms[0]
+        return (
+            SubgroupClass(
+                parent=g,
+                representative=g.subgroup([identity]),
+                class_size=1,
+                canonical_key=encode_subgroup([identity]),
+                name="1a",
+            ),
+        )
+    classes = subgroup_conjugacy_classes(g)
     return tuple(
         cls
         for cls in classes

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import equisep
 from equisep import cli, group_core
 from equisep.conditions import custom
 
@@ -131,6 +132,112 @@ def test_cli_child_loads_no_heavy_modules(run):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+LIBRARY = ("burnside", "classifier", "conditions", "families", "group_core",
+           "groupoid_calc", "gset")
+
+
+def _loaded_by(code):
+    """The modules a child interpreter adds to sys.modules while it runs
+    code.  The child starts with -S, so no site hook preloads a module and
+    hides its import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equisep.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("EQUISEP_MAX_ORDER", None)
+    probe = ("import sys\nbefore = set(sys.modules)\n" + code + "\n"
+             "print('--loaded--', *sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    marker, *loaded = proc.stdout.splitlines()[-1].split()
+    assert marker == "--loaded--"
+    return set(loaded)
+
+
+def test_import_equisep_loads_no_submodule():
+    loaded = _loaded_by("import equisep")
+    assert "equisep" in loaded
+    assert [m for m in loaded if m.startswith("equisep.")] == []
+
+
+@pytest.mark.parametrize(
+    "argv, library",
+    [
+        (["subgroups", "--group", "S3", "--format", "text"], ["group_core"]),
+        (["burnside", "--group", "S3"], ["group_core"]),
+        (["marks", "--group", "S3"], ["group_core", "burnside"]),
+        (["conditions", "--group", "S3"],
+         ["group_core", "burnside", "conditions"]),
+        (["classify", "--group", "S3"], list(LIBRARY)),
+    ],
+    ids=["subgroups", "burnside", "marks", "conditions", "classify"],
+)
+def test_verb_loads_only_its_modules(argv, library):
+    loaded = _loaded_by(f"from equisep.cli import main\nmain({argv!r})")
+    ours = {m for m in loaded if m == "equisep" or m.startswith("equisep.")}
+    assert ours == {"equisep", "equisep._record", "equisep.cli"} | {
+        f"equisep.{m}" for m in library
+    }
+    if argv[0] in ("subgroups", "burnside"):
+        assert loaded.isdisjoint({"json", "typing", "random"})
+
+
+# The package's public names before its exports were made lazy.
+PUBLIC_NAMES = """
+BurnsideElement CheckResult ClassificationOutcome DoubleCosetDecomposition
+FSplitting Family Filtration FiniteGroupoid GSet GSetType Group GroupFlags
+GroupHom GroupSpecError GroupoidComponent GroupoidFunctor PullbackComponent
+ResourceLimitError RingDescriptor StageReport SubgroupClass TableOfMarks
+UnsupportedDescriptorError Verdict WitnessProbe WitnessRecord all_family
+all_homomorphisms alternating_group aut_group brute_force_pullback burnside
+check_ic check_rc class_of_subgroup classifier classify closure_family
+conditions containment_counts coset_gset custom cyclic_group
+degree_is_constant delete_orbits dihedral_group direct_product
+disjoint_union double_cosets empty_family empty_gset exhaustive_filtration
+f_assemble f_split families fixed_points geometric_fixed_points group_core
+group_flags groupoid_calc gset gset_from_action idempotent_block_count
+induce integers is_indecomposable_mod is_subconjugate mackey_decompose
+make_group minimal_additions normalizer orbit_type perfect_subgroup_classes
+prime_field pullback_pi0 quaternion_group realize_type restrict sphere
+sphere_ic stage_report standard_algebra subgroup_conjugacy_classes
+symmetric_group table_of_marks trivial_group trivial_gset
+truncated_gset_groupoid unit_power_component weyl_group
+weyl_group_with_section witness_nonstandard
+""".split()
+
+
+class TestLazyExports:
+    def test_all_lists_the_public_names(self):
+        assert len(PUBLIC_NAMES) == 92
+        assert sorted(equisep.__all__) == PUBLIC_NAMES
+
+    def test_each_name_is_the_object_its_module_defines(self):
+        for name in PUBLIC_NAMES:
+            obj = getattr(equisep, name)
+            if name in LIBRARY:
+                assert obj is sys.modules[f"equisep.{name}"]
+            else:
+                assert obj.__module__.startswith("equisep."), name
+                assert getattr(sys.modules[obj.__module__], name) is obj
+
+    def test_star_import_and_dir_cover_every_name(self):
+        namespace = {}
+        exec("from equisep import *", namespace)
+        assert set(PUBLIC_NAMES) <= namespace.keys()
+        assert set(PUBLIC_NAMES) <= set(dir(equisep))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            equisep.no_such_name
+        assert not hasattr(equisep, "no_such_name")
+
+    def test_unsupported_descriptor_error_is_one_class(self):
+        from equisep import conditions
+
+        assert (equisep.UnsupportedDescriptorError
+                is conditions.UnsupportedDescriptorError
+                is group_core.UnsupportedDescriptorError)
+
+
 def test_child_stdout_matches_in_process_main(capsys):
     """`python -m equisep` ends with os._exit; the flush before it must
     hand over the whole of a large output (about 1 MB here)."""
@@ -195,6 +302,15 @@ class TestExitCodes:
         assert found is not None, proc.stderr
         # every conjugation orbit of an abelian group is a single subgroup
         assert int(found.group(1)) == group_core.SUBGROUP_BOUND + 1
+
+    def test_burnside_of_oversized_solvable_lattice(self):
+        # blocks come from solvability alone; the lattice is never built
+        proc = run_cli("burnside", "--group", "C2xC2xC2xC2xC2xC2xC2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "group: C2xC2xC2xC2xC2xC2xC2\nblocks=1\nsolvable=true\n"
+            "perfect classes: 1a\n"
+        )
 
     @pytest.mark.parametrize("group", ["C4", "C6"])
     def test_negative_max_size_exit_two(self, group):

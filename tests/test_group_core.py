@@ -250,6 +250,24 @@ def test_perfect_subgroup_classes():
         assert [c.order for c in perfect_subgroup_classes(g)] == [1]
 
 
+@pytest.mark.parametrize("spec", ["C1", "C6", "S4", "Q8xS3", "D4xS3"])
+def test_perfect_classes_of_solvable_group_skip_the_lattice(spec, monkeypatch):
+    def refuse(g):
+        raise AssertionError("the lattice was built")
+
+    g = make_group(spec)
+    with monkeypatch.context() as m:
+        m.setattr(group_core, "_all_subgroups", refuse)
+        (trivial,) = perfect_subgroup_classes(g)
+    assert g._table.lattice is None
+    first = subgroup_conjugacy_classes(g)[0]
+    assert first.name == "1a"
+    assert trivial == first
+    assert hash(trivial) == hash(first)
+    # with the lattice built, its own class is returned
+    assert perfect_subgroup_classes(g)[0] is first
+
+
 def test_solvable_iff_only_trivial_perfect_class():
     for spec in ["C1", "C6", "S3", "S4", "A4", "A5", "S5", "Q8"]:
         g = make_group(spec)
