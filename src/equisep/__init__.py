@@ -1,13 +1,13 @@
 """Separable-algebra classification over finite group actions.
 
 The library is organized bottom-up: permutation groups and their
-subgroup lattice (group_core), finite G-sets and the Mackey calculus
-(gset), families and filtrations (families), the table of marks and
-Burnside-ring criteria (burnside), skeletal groupoids with pullback
-component counts (groupoid_calc), coefficient descriptors with the
-per-stage checks (conditions), and the classifier with its witness
-construction (classifier).  The cli module exposes all of it as the
-`equisep` command.
+subgroup lattice (group_core), the table of marks (burnside), families and
+filtrations (families), per-stage checks (conditions), G-set types and the
+census (groupoid_calc), and the classifier (classifier).  Beside them sit
+finite G-sets with the Mackey calculus and automorphism groups (gset), and
+functors, pullbacks and the non-standard witness (pullback), which
+classify loads only when a stage check fails.  The cli module exposes all
+of it as the `equisep` command.
 
 The names below load on first access (PEP 562): `import equisep` imports
 no submodule, and `equisep.classify` imports the classifier, and what it
@@ -36,11 +36,8 @@ _SUBMODULE = {
             "classifier",
             "ClassificationOutcome",
             "Verdict",
-            "WitnessProbe",
-            "WitnessRecord",
             "classify",
             "standard_algebra",
-            "witness_nonstandard",
         ),
         "conditions": (
             "conditions",
@@ -97,21 +94,14 @@ _SUBMODULE = {
         "groupoid_calc": (
             "groupoid_calc",
             "FiniteGroupoid",
-            "GroupHom",
+            "GSetType",
             "GroupoidComponent",
-            "GroupoidFunctor",
-            "PullbackComponent",
-            "all_homomorphisms",
-            "brute_force_pullback",
-            "pullback_pi0",
             "truncated_gset_groupoid",
-            "unit_power_component",
         ),
         "gset": (
             "gset",
             "FSplitting",
             "GSet",
-            "GSetType",
             "aut_group",
             "coset_gset",
             "delete_orbits",
@@ -127,6 +117,19 @@ _SUBMODULE = {
             "realize_type",
             "restrict",
             "trivial_gset",
+        ),
+        "pullback": (
+            "pullback",
+            "GroupHom",
+            "GroupoidFunctor",
+            "PullbackComponent",
+            "WitnessProbe",
+            "WitnessRecord",
+            "all_homomorphisms",
+            "brute_force_pullback",
+            "pullback_pi0",
+            "unit_power_component",
+            "witness_nonstandard",
         ),
     }.items()
     for name in names

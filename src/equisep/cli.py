@@ -178,7 +178,7 @@ def _witness_text(rec) -> str:
 def _cmd_witness(args):
     g = make_group(args.group)
     ring = _parse_coeff(args.coeff)
-    from .classifier import witness_nonstandard
+    from .pullback import witness_nonstandard
 
     probe = witness_nonstandard(g, ring)
     if probe.found:
@@ -200,7 +200,7 @@ def _random_groupoid(rng, name, pool, max_components):
 
 
 def _random_functor(rng, src, dst):
-    from .groupoid_calc import GroupoidFunctor, all_homomorphisms
+    from .pullback import GroupoidFunctor, all_homomorphisms
 
     cmap, amap = {}, {}
     for comp in src.components:
@@ -213,7 +213,7 @@ def _random_functor(rng, src, dst):
 def _cmd_pullback_demo(args):
     import random
 
-    from .groupoid_calc import brute_force_pullback, pullback_pi0
+    from .pullback import brute_force_pullback, pullback_pi0
 
     rng = random.Random(args.seed)
     pool = [

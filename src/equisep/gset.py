@@ -4,13 +4,13 @@ and splitting over a family of subgroups.
 
 A GSet stores the full action table, one point permutation per group
 element.  The multiset of (stabilizer class, multiplicity) pairs is a
-complete isomorphism invariant, so G-sets are compared through it.
+complete isomorphism invariant, so G-sets are compared through it; that
+GSetType lives with the census in groupoid_calc.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import factorial
 
 from ._record import _Record, _set, _set_key
 from .group_core import (
@@ -28,7 +28,10 @@ from .group_core import (
     normalizer,
     closure,
     orbit_of,
+    resolve_max_order,
+    ResourceLimitError,
 )
+from .groupoid_calc import GSetType
 
 
 class GSet:
@@ -128,75 +131,6 @@ def disjoint_union(*parts: GSet) -> GSet:
             offset += p.size
         maps[x] = tuple(img)
     return GSet(g, size, maps)
-
-
-class GSetType(_Record):
-    """Multiset of (stabilizer class, multiplicity): the isomorphism type."""
-
-    __slots__ = ("group", "entries")
-
-    def __init__(self, group: Group, entries: tuple):
-        _set(self, "group", group)
-        # ((SubgroupClass, int), ...) sorted by (order, key)
-        _set(self, "entries", entries)
-        _set_key(self, (group, entries))
-
-    @classmethod
-    def from_counts(cls, group: Group, counts: dict) -> "GSetType":
-        entries = tuple(
-            (c, counts[c])
-            for c in sorted(counts, key=lambda c: (c.order, c.canonical_key))
-            if counts[c] > 0
-        )
-        return cls(group, entries)
-
-    @property
-    def size(self) -> int:
-        g = self.group.order
-        return sum(n * (g // c.order) for c, n in self.entries)
-
-    @property
-    def aut_order(self) -> int:
-        """Order of the automorphism group, the product of W(H) wreath S_n.
-
-        That is the product over classes of |W(H)|^n * n! for n orbits of
-        class H, read off the class sizes; no Weyl group or automorphism is
-        built.
-        """
-        out = 1
-        for c, n in self.entries:
-            out *= c.weyl_order ** n * factorial(n)
-        return out
-
-    def multiplicity(self, cls: SubgroupClass) -> int:
-        return dict(self.entries).get(cls, 0)
-
-    def label(self) -> str:
-        if not self.entries:
-            return "empty"
-        chunks = []
-        for c, n in self.entries:
-            chunks.append(f"G/{c.name}" if n == 1 else f"{n}*G/{c.name}")
-        return " + ".join(chunks)
-
-    def drop(self, cls: SubgroupClass) -> "GSetType":
-        """The type with every orbit of the given class deleted."""
-        return GSetType(
-            self.group, tuple((c, n) for c, n in self.entries if c != cls)
-        )
-
-    def to_json(self):
-        return [
-            {
-                "subgroup_order": c.order,
-                "class_key": c.name,
-                "multiplicity": n,
-            }
-            for c, n in self.entries
-        ]
-
-    def __repr__(self):
-        return f"GSetType({self.label()})"
 
 
 def orbit_type(x: GSet) -> GSetType:
@@ -320,7 +254,8 @@ def aut_group(x: GSet) -> Group:
 
     Generated by Weyl translations on one orbit per class together with
     swaps of isomorphic orbits; the order is the product over classes of
-    |W|^n * n! for n orbits of that class.
+    |W|^n * n! for n orbits of that class.  An order over the bound
+    resolve_max_order() is refused before any generator is built.
     """
     g = x.group
     if x.size == 0:
@@ -329,6 +264,12 @@ def aut_group(x: GSet) -> Group:
     for orbit, stab in x.orbit_stabilizers():
         cls = class_of_subgroup(g, stab)
         by_class.setdefault(cls, []).append((orbit, stab))
+    counts = {cls: len(orbits) for cls, orbits in by_class.items()}
+    order = GSetType.from_counts(g, counts).aut_order
+    bound = resolve_max_order()
+    if order > bound:
+        raise ResourceLimitError(f"automorphism group of order {order} exceeds "
+                                 f"the bound {bound} (layer gset.aut_group)")
     gens = []
     for cls, orbits in sorted(
         by_class.items(), key=lambda kv: (kv[0].order, kv[0].canonical_key)

@@ -14,7 +14,7 @@ from equisep.burnside import (
     sphere_ic,
     table_of_marks,
 )
-from equisep.classifier import Verdict, classify, witness_nonstandard
+from equisep.classifier import Verdict, classify
 from equisep.conditions import integers, sphere
 from equisep.families import closure_family, empty_family
 from equisep.group_core import (
@@ -25,15 +25,7 @@ from equisep.group_core import (
     symmetric_group,
     weyl_group,
 )
-from equisep.groupoid_calc import (
-    FiniteGroupoid,
-    GroupHom,
-    GroupoidComponent,
-    GroupoidFunctor,
-    all_homomorphisms,
-    brute_force_pullback,
-    pullback_pi0,
-)
+from equisep.groupoid_calc import FiniteGroupoid, GroupoidComponent
 from equisep.gset import (
     GSetType,
     disjoint_union,
@@ -45,6 +37,14 @@ from equisep.gset import (
     orbit_type,
     realize_type,
     restrict,
+)
+from equisep.pullback import (
+    GroupHom,
+    GroupoidFunctor,
+    all_homomorphisms,
+    brute_force_pullback,
+    pullback_pi0,
+    witness_nonstandard,
 )
 
 from .oracles import count_orbit_multisets, injective_equivariant_maps

@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from equisep import classifier, groupoid_calc
+from equisep import classifier, pullback
 from equisep.classifier import (
     ClassificationOutcome,
     Verdict,
-    WitnessRecord,
     classify,
     standard_algebra,
-    witness_nonstandard,
 )
 from equisep.conditions import integers, prime_field, sphere
 from equisep.families import closure_family, empty_family
@@ -20,6 +18,7 @@ from equisep.group_core import (
     subgroup_conjugacy_classes,
 )
 from equisep.gset import GSetType, delete_orbits, orbit_type, realize_type
+from equisep.pullback import WitnessRecord, witness_nonstandard
 
 from .oracles import count_orbit_multisets
 
@@ -28,17 +27,17 @@ from .oracles import count_orbit_multisets
 def test_witness_leg_pullback_matches_brute_force(r):
     """The double-coset count of the witness leg against itself agrees
     with the materialized pullback, for two and three primes."""
-    leg, _ = classifier._witness_leg(r)
-    comps = groupoid_calc.pullback_pi0(leg, leg)
+    leg, _ = pullback._witness_leg(r)
+    comps = pullback.pullback_pi0(leg, leg)
     assert len(comps) == 2 ** (r - 1)
-    assert len(groupoid_calc.brute_force_pullback(leg, leg)) == len(comps)
+    assert len(pullback.brute_force_pullback(leg, leg)) == len(comps)
 
 
 def test_witness_runs_without_brute_force(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("brute_force_pullback on the witness path")
 
-    monkeypatch.setattr(groupoid_calc, "brute_force_pullback", boom)
+    monkeypatch.setattr(pullback, "brute_force_pullback", boom)
     monkeypatch.setattr(classifier, "brute_force_pullback", boom, raising=False)
     probe = witness_nonstandard(make_group("C10"), integers())
     assert probe.found
@@ -128,7 +127,7 @@ class TestClassify:
         assert all(rep.passed for rep in out.stage_reports)
 
     def test_census_never_builds_aut_groups(self, monkeypatch):
-        import equisep.groupoid_calc as gc
+        import equisep.gset as gc
 
         def refuse(x):
             raise AssertionError("aut_group called by the census")

@@ -133,7 +133,11 @@ def test_cli_child_loads_no_heavy_modules(run):
 
 
 LIBRARY = ("burnside", "classifier", "conditions", "families", "group_core",
-           "groupoid_calc", "gset")
+           "groupoid_calc", "gset", "pullback")
+# what a classify answered from the stage checks and the census loads
+CENSUS = ["group_core", "burnside", "conditions", "families", "groupoid_calc",
+          "classifier"]
+PULLBACK = ["group_core", "burnside", "conditions", "groupoid_calc", "pullback"]
 
 
 def _loaded_by(code):
@@ -167,9 +171,13 @@ def test_import_equisep_loads_no_submodule():
         (["marks", "--group", "S3"], ["group_core", "burnside"]),
         (["conditions", "--group", "S3"],
          ["group_core", "burnside", "conditions"]),
-        (["classify", "--group", "S3"], list(LIBRARY)),
+        (["classify", "--group", "C4", "--max-size", "4"], CENSUS),
+        (["classify", "--group", "S3", "--coeff", "Z"], CENSUS + ["pullback"]),
+        (["witness", "--group", "C6", "--coeff", "Z"], PULLBACK),
+        (["pullback-demo", "--seed", "3"], PULLBACK),
     ],
-    ids=["subgroups", "burnside", "marks", "conditions", "classify"],
+    ids=["subgroups", "burnside", "marks", "conditions", "classify",
+         "classify-witness", "witness", "pullback-demo"],
 )
 def test_verb_loads_only_its_modules(argv, library):
     loaded = _loaded_by(f"from equisep.cli import main\nmain({argv!r})")
@@ -181,7 +189,8 @@ def test_verb_loads_only_its_modules(argv, library):
         assert loaded.isdisjoint({"json", "typing", "random"})
 
 
-# The package's public names before its exports were made lazy.
+# The package's public names before its exports were made lazy, and the
+# pullback module.
 PUBLIC_NAMES = """
 BurnsideElement CheckResult ClassificationOutcome DoubleCosetDecomposition
 FSplitting Family Filtration FiniteGroupoid GSet GSetType Group GroupFlags
@@ -197,7 +206,7 @@ f_assemble f_split families fixed_points geometric_fixed_points group_core
 group_flags groupoid_calc gset gset_from_action idempotent_block_count
 induce integers is_indecomposable_mod is_subconjugate mackey_decompose
 make_group minimal_additions normalizer orbit_type perfect_subgroup_classes
-prime_field pullback_pi0 quaternion_group realize_type restrict sphere
+prime_field pullback pullback_pi0 quaternion_group realize_type restrict sphere
 sphere_ic stage_report standard_algebra subgroup_conjugacy_classes
 symmetric_group table_of_marks trivial_group trivial_gset
 truncated_gset_groupoid unit_power_component weyl_group
@@ -207,7 +216,7 @@ weyl_group_with_section witness_nonstandard
 
 class TestLazyExports:
     def test_all_lists_the_public_names(self):
-        assert len(PUBLIC_NAMES) == 92
+        assert len(PUBLIC_NAMES) == 93
         assert sorted(equisep.__all__) == PUBLIC_NAMES
 
     def test_each_name_is_the_object_its_module_defines(self):

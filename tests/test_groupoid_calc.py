@@ -17,17 +17,19 @@ from equisep.families import all_family, closure_family, empty_family
 from equisep.groupoid_calc import (
     CENSUS_COMPONENT_BOUND,
     FiniteGroupoid,
-    GroupHom,
     GroupoidComponent,
+    census_size,
+    truncated_gset_groupoid,
+)
+from equisep.gset import aut_group, realize_type
+from equisep.pullback import (
+    GroupHom,
     GroupoidFunctor,
     all_homomorphisms,
     brute_force_pullback,
-    census_size,
     pullback_pi0,
-    truncated_gset_groupoid,
     unit_power_component,
 )
-from equisep.gset import aut_group, realize_type
 
 from .oracles import count_orbit_multisets, resummed_count_vectors
 
@@ -218,6 +220,18 @@ class TestPullbackAgainstBruteForce:
             aut_d = f.target.component(f.component_map[base[0]]).aut
             assert sum(p.coset_size for p in ps) == aut_d.order
 
+    def test_refusal_names_component_and_bound(self):
+        pt = FiniteGroupoid([component("pt", trivial_group())])
+        d = FiniteGroupoid([component("s5", symmetric_group(5))])
+        f = functor_to_point(pt, d)
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"component 's5' has order 120, over the bound "
+                  r"BRUTE_FORCE_AUT_BOUND = 64: .*"
+                  r"\(layer pullback.brute_force_pullback\)",
+        ):
+            brute_force_pullback(f, f)
+
     def test_small_catalogue(self):
         pt = FiniteGroupoid([component("pt", trivial_group())])
         d = FiniteGroupoid([component("d", symmetric_group(3))])
@@ -364,6 +378,31 @@ class TestTruncatedGroupoid:
             for comp in rng.sample(census.components, 6):
                 built = aut_group(realize_type(comp.gset_type)).order
                 assert comp.aut_order == comp.aut.order == built
+
+    def test_aut_refused_before_building(self, monkeypatch):
+        import equisep.gset as gs
+
+        def no_closure(*args, **kwargs):
+            raise AssertionError("aut_group built generators")
+
+        monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
+        monkeypatch.setattr(gs, "closure", no_closure)
+        monkeypatch.setattr(gs, "normalizer", no_closure)
+        g = cyclic_group(4)
+        census = truncated_gset_groupoid(g, empty_family(g), 12)
+        top = census.component("12*G/4a")
+        assert top.aut_order == 479_001_600
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"order 479001600 exceeds the bound 2000 \(layer gset.aut_group\)",
+        ):
+            top.aut
+        monkeypatch.setenv("EQUISEP_MAX_ORDER", "23")
+        with pytest.raises(ResourceLimitError, match="order 24 exceeds the bound 23"):
+            census.component("4*G/4a").aut
+        monkeypatch.undo()
+        monkeypatch.setenv("EQUISEP_MAX_ORDER", "24")
+        assert census.component("4*G/4a").aut.order == 24
 
     def test_census_refused_before_enumerating(self, monkeypatch):
         import equisep.groupoid_calc as gc

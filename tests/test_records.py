@@ -10,13 +10,7 @@ import pytest
 
 from equisep._record import _Record
 from equisep.burnside import BurnsideElement, TableOfMarks, table_of_marks
-from equisep.classifier import (
-    MODELING_NOTE,
-    ClassificationOutcome,
-    Verdict,
-    WitnessProbe,
-    WitnessRecord,
-)
+from equisep.classifier import ClassificationOutcome, Verdict
 from equisep.conditions import (
     CheckResult,
     RingDescriptor,
@@ -34,8 +28,14 @@ from equisep.group_core import (
     make_group,
     subgroup_conjugacy_classes,
 )
-from equisep.groupoid_calc import FiniteGroupoid, PullbackComponent
+from equisep.groupoid_calc import FiniteGroupoid
 from equisep.gset import FSplitting, GSetType
+from equisep.pullback import (
+    MODELING_NOTE,
+    PullbackComponent,
+    WitnessProbe,
+    WitnessRecord,
+)
 
 # Each record with its fields in constructor order.  Records that check
 # nothing in their constructor are filled with plain strings.
