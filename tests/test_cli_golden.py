@@ -4,8 +4,16 @@ SHA-256 digests of stdout, with the exit code, for `subgroups`, `marks`,
 `burnside` and `conditions` (coefficients Z, sphere and Fp:3), in text
 and JSON, over nine groups.  The digests were generated from commit
 2f30137, the tuple-permutation core, before subgroups became bitmasks
-over numbered elements.  A change that alters any of these bytes must
-say why and regenerate them.
+over numbered elements.
+
+CLASSIFY_GOLDEN holds the same digests for `classify`, in text and JSON,
+over inputs that reach every verdict: AllStandard (C4, D4 with Z, and
+C2xC2xC2xC2xC2), NonStandardWitness (C6 with sphere, S3 with Z),
+ConditionsFailNoWitness (C12 with Z) and UnitDecomposes (A5 with
+sphere).  They were generated from commit 76d1dfc, before families
+became masks over class positions.
+
+A change that alters any of these bytes must say why and regenerate them.
 """
 
 import hashlib
@@ -125,6 +133,24 @@ GOLDEN = {
     ('conditions', 'perm:7:(1 2 3 4 5 6 7);(2 4 3 7 5 6)', 'json', 'Fp:3'): (0, "045eeac2d61cb224ac701b24aacf8c67e535f2d4e5f254cbabdfc0a7d276393c"),
 }
 
+# (group, coefficients, --max-size, format) -> (exit code, digest)
+CLASSIFY_GOLDEN = {
+    ('C4', 'sphere', 4, 'text'): (0, "25a3464b00b00148f3c447597d60a491215efcb670859a032d2424d5dca9c7dd"),
+    ('C4', 'sphere', 4, 'json'): (0, "2c786ea649e73d3b0265200d51a646e232c6904d68ef0184430c6d0cb90c3873"),
+    ('D4', 'Z', 6, 'text'): (0, "65679ecf4d39612b9a2efb069d9f43b7408438f2066ce773aaf54924b47f3897"),
+    ('D4', 'Z', 6, 'json'): (0, "851842cc13481d91590acb5f2579cb8c544b00a5f6df3552ad988e544a621a9d"),
+    ('C2xC2xC2xC2xC2', 'sphere', 2, 'text'): (0, "1eb34e5c11b0010d3365040371ae0987d5089d7eb31cefdbc149d5d68578ca1f"),
+    ('C2xC2xC2xC2xC2', 'sphere', 2, 'json'): (0, "9b9cb794ba607571998c80c4737b219440563a62f7cddd17c9f0643596ab26ee"),
+    ('C6', 'sphere', 6, 'text'): (0, "fdd2fb17fd9a594f0b40adce7b00ebf1f9a3ffd7edfb02013e3eb9145d11e365"),
+    ('C6', 'sphere', 6, 'json'): (0, "72c60f5c6b295162eb9001f2b6d7a11da0e7174e5d2e1e94d4ea30e436118768"),
+    ('S3', 'Z', 6, 'text'): (0, "942a0130269d5dc06acbde799398401f8aeeb4298e54d4dfb2c704723639a1d2"),
+    ('S3', 'Z', 6, 'json'): (0, "78981fc73f41b799a8dcb088fc1d22cc2def4a26d6ed1759c7918cedf14deb44"),
+    ('C12', 'Z', 6, 'text'): (0, "e9d593fe320f26c5094534e2b2fb56705a2765b5cca63e2445132d9d51a0ad32"),
+    ('C12', 'Z', 6, 'json'): (0, "c8c860a054b90c36193ef6a739d3de185d3cad82b1cff6179725d3a19b96a66d"),
+    ('A5', 'sphere', 6, 'text'): (0, "2139d5e3ecbca1826a1b1a8a9d94650d7386e801272faca3aa339070f14b572c"),
+    ('A5', 'sphere', 6, 'json'): (0, "09ede4c2f94060e2d8f49ce1f957e327966950998c2a88858b27b69fbbc10ea7"),
+}
+
 
 @pytest.fixture(autouse=True)
 def _no_env_bound(monkeypatch):
@@ -139,3 +165,12 @@ def test_cli_output_digest(capsys, verb, group, fmt, coeff):
     code = cli.main(argv)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[verb, group, fmt, coeff]
+
+
+@pytest.mark.parametrize("group,coeff,max_size,fmt", sorted(CLASSIFY_GOLDEN, key=str))
+def test_classify_output_digest(capsys, group, coeff, max_size, fmt):
+    argv = ["classify", "--group", group, "--coeff", coeff,
+            "--max-size", str(max_size), "--format", fmt]
+    code = cli.main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == CLASSIFY_GOLDEN[group, coeff, max_size, fmt]
