@@ -57,6 +57,7 @@ def classify(g: Group, ring: RingDescriptor, max_size: int,
     family comes from a G-set, and present the evidence."""
     if family is None:
         family = empty_family(g)
+    family.check_group(g)
     flags = group_flags(g)
     if not flags.is_solvable and ring.burnside_unit:
         blocks = idempotent_block_count(g)
@@ -102,6 +103,7 @@ def standard_algebra(g: Group, family: Family, x: GSet) -> str:
     """
     from .gset import orbit_type
 
+    family.check_group(g)
     t = orbit_type(x)
     offenders = [cls.name for cls, _ in t.entries if cls in family]
     if offenders:

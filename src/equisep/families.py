@@ -1,72 +1,117 @@
 """Families of subgroups (sets of conjugacy classes closed under
-subconjugation) and exhaustive filtrations that grow one class at a time."""
+subconjugation) and exhaustive filtrations that grow one class at a time.
+
+A family is an int mask over class positions in subgroup_conjugacy_classes
+order.  It is closed when, for each member c, the mask below[c] of the
+classes subconjugate to c (see _Lattice.below) has no bit outside it."""
 
 from __future__ import annotations
 
 from ._record import _Record, _set, _set_key
-from .group_core import (
-    Group,
-    SubgroupClass,
-    is_subconjugate,
-    subgroup_conjugacy_classes,
-)
+from .group_core import Group, SubgroupClass, _subgroup_classes
 
 
 class Family(_Record):
-    """A subconjugation-closed set of subgroup conjugacy classes."""
+    """A subconjugation-closed set of subgroup conjugacy classes, held as
+    a mask over their positions; `classes` is the set it was built from,
+    or one built from the mask on first read."""
 
-    __slots__ = ("group", "classes")
+    __slots__ = ("group", "mask", "_classes")
 
     def __init__(self, group: Group, classes: frozenset):
-        _set(self, "group", group)
-        _set(self, "classes", classes)
-        _set_key(self, (group, classes))
+        assert all(cls.parent == group for cls in classes)
+        position = _subgroup_classes(group).position
+        _fill(self, group, sum(1 << position[c] for c in classes), classes)
         for cls in classes:
-            assert cls.parent == group
-            for other in subgroup_conjugacy_classes(group):
-                if other not in classes and is_subconjugate(group, other, cls):
-                    raise ValueError(
-                        f"family not closed under subconjugation: "
-                        f"{other.name} below {cls.name} is missing"
-                    )
+            self._checked(cls)
+
+    @property
+    def classes(self) -> frozenset:
+        if self._classes is None:
+            every = _subgroup_classes(self.group).classes
+            members = (c for i, c in enumerate(every) if self.mask >> i & 1)
+            _set(self, "_classes", frozenset(members))
+        return self._classes
 
     def __contains__(self, cls: SubgroupClass) -> bool:
         return cls in self.classes
 
     def __len__(self):
-        return len(self.classes)
+        return self.mask.bit_count()
+
+    def __hash__(self):
+        return hash((self.group, self.classes))
+
+    def __reduce__(self):
+        return type(self), (self.group, self.classes)
+
+    def _checked(self, cls: SubgroupClass) -> "Family":
+        """The family itself, or a ValueError naming the least class below
+        cls that it lacks."""
+        lattice = _subgroup_classes(self.group)
+        missing = lattice.below()[lattice.position[cls]] & ~self.mask
+        if missing:
+            other = lattice.classes[(missing & -missing).bit_length() - 1]
+            raise ValueError(
+                f"family not closed under subconjugation: "
+                f"{other.name} below {cls.name} is missing"
+            )
+        return self
 
     def sorted_classes(self):
         return sorted(self.classes, key=lambda c: (c.order, c.canonical_key))
 
+    def outside(self) -> list:
+        """The classes not in the family, sorted by (order, canonical key)."""
+        return [c for c in _subgroup_classes(self.group).classes if c not in self]
+
     def is_all(self) -> bool:
-        return len(self.classes) == len(subgroup_conjugacy_classes(self.group))
+        return len(self) == len(_subgroup_classes(self.group).classes)
 
     def with_class(self, cls: SubgroupClass) -> "Family":
-        return Family(self.group, self.classes | {cls})
+        """The family with cls added; cls alone is checked."""
+        assert cls.parent == self.group
+        pos = _subgroup_classes(self.group).position[cls]
+        return _family(self.group, self.mask | 1 << pos)._checked(cls)
+
+    def check_group(self, g: Group) -> None:
+        if self.group != g:
+            raise ValueError(f"the family is over a group of order "
+                             f"{self.group.order}, not {g.order}")
 
     def __repr__(self):
         names = ",".join(c.name for c in self.sorted_classes())
         return f"Family({{{names}}})"
 
 
+def _fill(fam: Family, group: Group, mask: int, classes=None) -> Family:
+    _set(fam, "group", group)
+    _set(fam, "mask", mask)
+    _set(fam, "_classes", classes)
+    _set_key(fam, (group, mask))
+    return fam
+
+
+def _family(group: Group, mask: int) -> Family:
+    """The family with this mask, which the caller knows to be closed."""
+    return _fill(object.__new__(Family), group, mask)
+
+
 def empty_family(g: Group) -> Family:
-    return Family(g, frozenset())
+    return _family(g, 0)
 
 
 def all_family(g: Group) -> Family:
-    return Family(g, frozenset(subgroup_conjugacy_classes(g)))
+    return _family(g, (1 << len(_subgroup_classes(g).classes)) - 1)
 
 
 def closure_family(g: Group, seed) -> Family:
     """The smallest family containing the seed classes."""
-    seed = list(seed)
-    members = frozenset(
-        c
-        for c in subgroup_conjugacy_classes(g)
-        if any(is_subconjugate(g, c, s) for s in seed)
-    )
-    return Family(g, members)
+    lattice = _subgroup_classes(g)
+    mask = 0
+    for s in seed:
+        mask |= lattice.below()[lattice.position[s]]
+    return _family(g, mask)
 
 
 def minimal_additions(g: Group, family: Family):
@@ -75,15 +120,12 @@ def minimal_additions(g: Group, family: Family):
     These are exactly the classes that can extend the family by a single
     conjugacy class, sorted by (order, canonical key).
     """
-    classes = subgroup_conjugacy_classes(g)
+    family.check_group(g)
+    lattice, mask = _subgroup_classes(g), family.mask
     return [
         cls
-        for cls in classes
-        if cls not in family.classes
-        and all(
-            c in family.classes or c == cls or not is_subconjugate(g, c, cls)
-            for c in classes
-        )
+        for pos, (cls, below) in enumerate(zip(lattice.classes, lattice.below()))
+        if below & ~mask == 1 << pos
     ]
 
 
@@ -110,11 +152,9 @@ def exhaustive_filtration(g: Group, start: Family | None = None) -> Filtration:
     step, and the filtration is deterministic.
     """
     fam = start if start is not None else empty_family(g)
-    assert fam.group == g
+    fam.check_group(g)
     stages = [fam]
-    added = tuple(
-        c for c in subgroup_conjugacy_classes(g) if c not in fam.classes
-    )
+    added = tuple(fam.outside())
     for cls in added:
         fam = fam.with_class(cls)
         stages.append(fam)

@@ -128,21 +128,6 @@ def orbit_of(seed, maps) -> set:
     return out
 
 
-def reduce_generators(elements, degree: int):
-    """Greedily pick a small generating set for a known element set."""
-    target = frozenset(elements)
-    gens: list[Perm] = []
-    have = {identity_perm(degree)}
-    for x in sorted(target):
-        if x not in have:
-            gens.append(x)
-            have = closure(gens, degree)
-            if have == target:
-                break
-    assert have == target or target == {identity_perm(degree)}
-    return tuple(gens)
-
-
 class Group:
     """An immutable permutation group on points 0..degree-1."""
 
@@ -289,7 +274,7 @@ class _Table:
 
     def generators_of(self, elems) -> list:
         """Generators of the subgroup with these indices, picked greedily
-        in index order (the choice reduce_generators makes)."""
+        in index order: each index not yet generated is added."""
         target = sorted(elems)
         gens, have = [], [0]
         seen = {0}
@@ -501,8 +486,7 @@ def make_group(spec: str, max_order: int | None = None) -> Group:
             for chunk in parts[2].split(";")
             if chunk.strip()
         ]
-        els = closure(gens, degree, max_size=bound)
-        return Group(degree, gens, els)
+        return Group(degree, gens, max_order=bound)
     builders = []
     expected = 1
     for token in spec.split("x"):
@@ -658,11 +642,12 @@ class _Lattice:
     """A group's subgroup classes, in subgroup_conjugacy_classes order,
     with a subgroup mask -> class position index, a class -> position
     map, and per class its representative's mask and the masks of its
-    orbit.  The containment counts are computed on first read, and each
-    class's (Weyl group, section) pair on first request (weyl, by class
-    position)."""
+    orbit.  The containment counts and the subconjugacy masks are
+    computed on first read, and each class's (Weyl group, section) pair
+    on first request (weyl, by class position)."""
 
-    __slots__ = ("classes", "index", "position", "orbits", "weyl", "_counts")
+    __slots__ = ("classes", "index", "position", "orbits", "weyl", "_counts",
+                 "_below")
 
     def __init__(self, classes, index, orbits):
         self.classes = classes
@@ -671,6 +656,7 @@ class _Lattice:
         self.orbits = orbits
         self.weyl = [None] * len(classes)
         self._counts = None
+        self._below = None
 
     def counts(self) -> tuple:
         """c[H][K] (see containment_counts).  A conjugate of H can only
@@ -685,6 +671,15 @@ class _Lattice:
                 for (_, orbit), order in zip(self.orbits, orders)
             )
         return self._counts
+
+    def below(self) -> tuple:
+        """below[H], a mask over class positions with bit K set when K is
+        subconjugate to H, that is, when c[H][K] > 0; H's own bit is set."""
+        if self._below is None:
+            self._below = tuple(
+                _mask(k for k, n in enumerate(row) if n) for row in self.counts()
+            )
+        return self._below
 
 
 def _subgroup_classes(g: Group) -> _Lattice:
@@ -772,7 +767,7 @@ def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> boo
     `below`'s representative, is positive; the mark is |W(above)| times it."""
     lattice = (g._table or _table(g)).lattice or _subgroup_classes(g)
     position = lattice.position
-    return lattice.counts()[position[above]][position[below]] > 0
+    return lattice.below()[position[above]] >> position[below] & 1 == 1
 
 
 def normalizer(g: Group, sub: Group) -> Group:

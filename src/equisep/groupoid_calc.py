@@ -15,7 +15,6 @@ from .group_core import (
     Group,
     ResourceLimitError,
     SubgroupClass,
-    subgroup_conjugacy_classes,
 )
 
 
@@ -230,9 +229,8 @@ def truncated_gset_groupoid(g: Group, family, max_size: int) -> FiniteGroupoid:
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    outside = [
-        c for c in subgroup_conjugacy_classes(g) if c not in family.classes
-    ]
+    family.check_group(g)
+    outside = family.outside()
     sizes = [g.order // c.order for c in outside]
     estimate = census_size(sizes, max_size, CENSUS_COMPONENT_BOUND)
     if estimate > CENSUS_COMPONENT_BOUND:

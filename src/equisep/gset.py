@@ -21,8 +21,6 @@ from .group_core import (
     left_cosets,
     pinv,
     pmul,
-    reduce_generators,
-    subgroup_conjugacy_classes,
     weyl_group_with_section,
     is_subconjugate,
     normalizer,
@@ -265,15 +263,14 @@ def aut_group(x: GSet) -> Group:
         cls = class_of_subgroup(g, stab)
         by_class.setdefault(cls, []).append((orbit, stab))
     counts = {cls: len(orbits) for cls, orbits in by_class.items()}
-    order = GSetType.from_counts(g, counts).aut_order
+    t = GSetType.from_counts(g, counts)
     bound = resolve_max_order()
-    if order > bound:
-        raise ResourceLimitError(f"automorphism group of order {order} exceeds "
-                                 f"the bound {bound} (layer gset.aut_group)")
+    if t.aut_order > bound:
+        raise ResourceLimitError(f"automorphism group of order {t.aut_order} "
+                                 f"exceeds the bound {bound} (layer gset.aut_group)")
     gens = []
-    for cls, orbits in sorted(
-        by_class.items(), key=lambda kv: (kv[0].order, kv[0].canonical_key)
-    ):
+    for cls, _ in t.entries:  # in (order, canonical key) order
+        orbits = by_class[cls]
         s0 = g.subgroup(orbits[0][1])
         # One base point per orbit, all with the literal stabilizer s0: the
         # stabilizer of a point fixed by s0 is a conjugate containing s0, so
@@ -312,7 +309,7 @@ def aut_group(x: GSet) -> Group:
                 perm[p] = x.perm(word)[bases[i]]
             gens.append(tuple(perm))
     els = closure(gens, x.size)
-    return Group(x.size, reduce_generators(els, x.size), els)
+    return Group(x.size, gens, els).subgroup(els)
 
 
 class FSplitting(_Record):
@@ -338,16 +335,14 @@ def f_split(x: GSet, family) -> FSplitting:
     the count of injective equivariant maps G/H -> X divided by |W(H)|.
     """
     g = x.group
+    family.check_group(g)
     t = orbit_type(x)
-    offending = [c.name for c, _ in t.entries if c in family.classes]
+    offending = [c.name for c, _ in t.entries if c in family]
     if offending:
         raise ValueError(
             f"G-set has isotropy inside the family: {', '.join(offending)}"
         )
-    outside = [
-        c for c in subgroup_conjugacy_classes(g) if c not in family.classes
-    ]
-    ranks = tuple((c, t.multiplicity(c)) for c in outside)
+    ranks = tuple((c, t.multiplicity(c)) for c in family.outside())
     return FSplitting(g, family, ranks)
 
 

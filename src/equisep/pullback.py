@@ -29,7 +29,6 @@ from .group_core import (
     perm_order,
     pinv,
     pmul,
-    reduce_generators,
     subgroup_conjugacy_classes,
     symmetric_group,
 )
@@ -88,7 +87,7 @@ class GroupHom:
 
     def image_group(self) -> Group:
         els = frozenset(self.mapping.values())
-        return Group(self.dst.degree, reduce_generators(els, self.dst.degree), els)
+        return self.dst.subgroup(els)
 
     def __repr__(self):
         return f"GroupHom({self.src!r} -> {self.dst!r})"
@@ -259,16 +258,16 @@ def brute_force_pullback(f: GroupoidFunctor, g: GroupoidFunctor) -> FiniteGroupo
         for eta in aut_d.elements:
             blocks.setdefault(find(eta), []).append(eta)
         ordered = sorted(blocks.values(), key=min)
+        pair_group = direct_product(aut_b, aut_c)
+        db = aut_b.degree
         for idx, block in enumerate(ordered):
             rep = min(block)
             pairs = []
-            db, dc = aut_b.degree, aut_c.degree
             for beta in aut_b.elements:
                 for gamma in aut_c.elements:
                     if pmul(gc(gamma), rep) == pmul(rep, fb(beta)):
                         pairs.append(beta + tuple(x + db for x in gamma))
-            els = frozenset(pairs)
-            aut = Group(db + dc, reduce_generators(els, db + dc), els)
+            aut = pair_group.subgroup(pairs)
             components.append(
                 GroupoidComponent(label=f"{b}|{c}#{idx}", aut=aut)
             )
@@ -393,8 +392,7 @@ def _witness_leg(r: int):
 
 def _build_witness(g: Group, ring: RingDescriptor, primes) -> WitnessRecord:
     r = len(primes)
-    top = [c for c in subgroup_conjugacy_classes(g) if c.order == g.order]
-    x1 = GSetType.from_counts(g, {top[0]: 2})
+    x1 = GSetType.from_counts(g, {subgroup_conjugacy_classes(g)[-1]: 2})
     leg, diag = _witness_leg(r)
     comps = pullback_pi0(leg, leg)
     fiber = len(comps)

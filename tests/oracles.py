@@ -2,8 +2,10 @@
 
 Everything here recomputes results by a different route than the library:
 power-set scans, the layered subgroup search and conjugation scans on
-tuple permutations, exhaustive map enumeration, union-find on materialized
-objects, and exact rational linear algebra.
+tuple permutations, pairwise scans of the containment counts for
+families, generator picks that close perm tuples after each pick,
+exhaustive map enumeration, union-find on materialized objects, and
+exact rational linear algebra.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from fractions import Fraction
 from equisep.group_core import (
     Group,
     closure,
+    containment_counts,
     encode_subgroup,
     identity_perm,
     pconj,
     pinv,
     pmul,
+    subgroup_conjugacy_classes,
 )
 
 
@@ -152,6 +156,64 @@ def brute_force_subconjugate(g: Group, below, above) -> bool:
     return any(
         all(pconj(x, h) in target for h in gens) for x in g.sorted_elements()
     )
+
+
+def pairwise_subconjugacy(g: Group):
+    """below(k, h), whether class k is subconjugate to class h, read pair by
+    pair off containment_counts (c[h][k] > 0) without the lattice's masks."""
+    position = {c: i for i, c in enumerate(subgroup_conjugacy_classes(g))}
+    counts = containment_counts(g)
+    return lambda k, h: counts[position[h]][position[k]] > 0
+
+
+def missing_by_scan(g: Group, classes):
+    """The first (missing class, member) pair the pairwise closure check
+    meets, taking members in the set's own order and then every class of
+    g in order; None when the set is closed under subconjugation."""
+    below = pairwise_subconjugacy(g)
+    for cls in classes:
+        for other in subgroup_conjugacy_classes(g):
+            if other not in classes and below(other, cls):
+                return other, cls
+    return None
+
+
+def closure_by_scan(g: Group, seed) -> frozenset:
+    """Every class subconjugate to some seed class, by pairwise scan."""
+    below = pairwise_subconjugacy(g)
+    return frozenset(
+        c for c in subgroup_conjugacy_classes(g)
+        if any(below(c, s) for s in seed)
+    )
+
+
+def minimal_additions_by_scan(g: Group, classes) -> list:
+    """The classes outside the set all of whose proper subconjugates are
+    inside it, in class order, by pairwise scan."""
+    below = pairwise_subconjugacy(g)
+    every = subgroup_conjugacy_classes(g)
+    return [
+        cls for cls in every
+        if cls not in classes
+        and all(c in classes or c == cls or not below(c, cls) for c in every)
+    ]
+
+
+def reduce_generators(elements, degree: int):
+    """Greedily pick generators for a known element set: each element, in
+    sorted order, that the closure of those picked so far lacks, with the
+    perm tuples closed again after each pick."""
+    target = frozenset(elements)
+    gens = []
+    have = {identity_perm(degree)}
+    for x in sorted(target):
+        if x not in have:
+            gens.append(x)
+            have = closure(gens, degree)
+            if have == target:
+                break
+    assert have == target or target == {identity_perm(degree)}
+    return tuple(gens)
 
 
 def random_perm_specs(rng, count: int, max_degree: int = 6):

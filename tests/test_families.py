@@ -1,7 +1,10 @@
 """Families of subgroups and exhaustive filtrations."""
 
+import random
+
 import pytest
 
+from equisep import families, group_core
 from equisep.families import (
     Family,
     all_family,
@@ -11,6 +14,8 @@ from equisep.families import (
     minimal_additions,
 )
 from equisep.group_core import make_group, subgroup_conjugacy_classes
+
+from . import oracles
 
 
 def by_order(g):
@@ -27,6 +32,23 @@ def test_family_closure_validation():
         Family(g, frozenset([classes[2][0]]))
     fam = closure_family(g, [classes[2][0]])
     assert sorted(c.order for c in fam.classes) == [1, 2]
+
+
+def test_with_class_checks_the_added_class():
+    g = make_group("S3")
+    classes = by_order(g)
+    with pytest.raises(ValueError, match="1a below 2a is missing"):
+        empty_family(g).with_class(classes[2][0])
+    fam = empty_family(g).with_class(classes[1][0]).with_class(classes[2][0])
+    assert fam == Family(g, frozenset([classes[1][0], classes[2][0]]))
+
+
+def test_family_over_another_group_rejected():
+    g, other = make_group("C4"), make_group("C2")
+    with pytest.raises(ValueError, match="order 2, not 4"):
+        minimal_additions(g, all_family(other))
+    with pytest.raises(ValueError, match="order 2, not 4"):
+        exhaustive_filtration(g, all_family(other))
 
 
 def test_minimal_additions_c6_example():
@@ -95,3 +117,113 @@ def test_filtration_from_partial_family():
     filt = exhaustive_filtration(g, start)
     assert [c.order for c in filt.added] == [3, 6]
     assert filt.stages[-1] == all_family(g)
+
+
+ORACLE_SPECS = ["S4", "D4xD4", "A5xC2", "Q8xS3", "C2xC2xC2xC2", "C2xC2xC2xC2xC2"]
+
+
+def random_seeds(rng, classes, count):
+    return [rng.sample(classes, rng.randint(0, 4)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_validation_matches_pairwise_scan(spec):
+    g = make_group(spec)
+    classes = subgroup_conjugacy_classes(g)
+    rng = random.Random(1101)
+    accepted = rejected = 0
+    for seed in random_seeds(rng, classes, 30):
+        closed = oracles.closure_by_scan(g, seed)
+        # a closed family less one member stays closed exactly when that
+        # member is maximal in it; a random set is rarely closed
+        dropped = closed
+        if closed:
+            dropped -= {rng.choice(sorted(closed, key=classes.index))}
+        scattered = frozenset(rng.sample(classes, rng.randint(1, 5)))
+        for candidate in (closed, dropped, scattered):
+            missing = oracles.missing_by_scan(g, candidate)
+            if missing is None:
+                assert Family(g, candidate).classes is candidate
+                accepted += 1
+            else:
+                other, cls = missing
+                with pytest.raises(ValueError) as err:
+                    Family(g, candidate)
+                assert str(err.value).endswith(
+                    f"{other.name} below {cls.name} is missing"
+                )
+                rejected += 1
+    assert accepted >= 30 and rejected >= 30
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_closure_and_minimal_additions_match_pairwise_scan(spec):
+    g = make_group(spec)
+    classes = subgroup_conjugacy_classes(g)
+    rng = random.Random(1102)
+    for seed in random_seeds(rng, classes, 12):
+        fam = closure_family(g, seed)
+        expected = oracles.closure_by_scan(g, seed)
+        assert fam.classes == expected
+        assert fam == Family(g, expected)
+        assert hash(fam) == hash((g, expected))
+        assert minimal_additions(g, fam) == oracles.minimal_additions_by_scan(
+            g, expected
+        )
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_every_filtration_stage_is_closed(spec):
+    g = make_group(spec)
+    classes = subgroup_conjugacy_classes(g)
+    below = oracles.pairwise_subconjugacy(g)
+    rng = random.Random(1103)
+    for seed in random_seeds(rng, classes, 3):
+        start = closure_family(g, seed)
+        filt = exhaustive_filtration(g, start)
+        # stage i is the start plus the first i added classes
+        step = dict.fromkeys(start.classes, -1)
+        for i, cls in enumerate(filt.added):
+            step[cls] = i
+        assert len(step) == len(classes)
+        for i, fam in enumerate(filt.stages):
+            assert fam.classes == start.classes | set(filt.added[:i])
+        # so every stage is closed when no class is added after a class
+        # above it
+        for k in classes:
+            for h in classes:
+                if below(k, h):
+                    assert step[k] <= step[h], (k.name, h.name)
+
+
+class CountingMasks(tuple):
+    """A tuple that counts the items read from it."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("spec", ["S4", "C2xC2xC2xC2"])
+def test_one_below_test_per_added_class(spec, monkeypatch):
+    g = make_group(spec)
+    classes = subgroup_conjugacy_classes(g)
+    lattice = group_core._subgroup_classes(g)
+    masks = CountingMasks(lattice.below())
+    monkeypatch.setattr(lattice, "_below", masks)
+
+    def refuse(*args):
+        raise AssertionError("is_subconjugate called")
+
+    monkeypatch.setattr(group_core, "is_subconjugate", refuse)
+    assert not hasattr(families, "is_subconjugate")
+    seed = [classes[1], classes[-2]]
+    masks.reads = 0
+    start = closure_family(g, seed)
+    assert masks.reads == len(seed)
+    masks.reads = 0
+    filt = exhaustive_filtration(g, start)
+    assert masks.reads == len(filt.added) == len(classes) - len(start)
+    masks.reads = 0
+    filt = exhaustive_filtration(g)
+    assert masks.reads == len(filt.added) == len(classes)

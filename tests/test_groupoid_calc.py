@@ -31,7 +31,11 @@ from equisep.pullback import (
     unit_power_component,
 )
 
-from .oracles import count_orbit_multisets, resummed_count_vectors
+from .oracles import (
+    count_orbit_multisets,
+    reduce_generators,
+    resummed_count_vectors,
+)
 
 
 def component(label, aut):
@@ -86,6 +90,20 @@ class TestGroupHom:
         # abelianization of S3 is C2, so exactly two maps into any C6
         assert len(all_homomorphisms(s3, c6)) == 2
         assert len(all_homomorphisms(s3, cyclic_group(3))) == 1
+
+    def test_image_generators_are_the_greedy_choice(self):
+        pairs = [
+            (symmetric_group(3), symmetric_group(3)),
+            (cyclic_group(4), dihedral_group(4)),
+            (dihedral_group(4), symmetric_group(3)),
+            (make_group("C2xC2"), dihedral_group(4)),
+        ]
+        for src, dst in pairs:
+            for hom in all_homomorphisms(src, dst):
+                image = hom.image_group()
+                assert image.generators == reduce_generators(
+                    image.elements, dst.degree
+                )
 
     def test_all_homs_are_distinct_and_valid(self):
         s3 = symmetric_group(3)
@@ -282,6 +300,27 @@ class TestPullbackAgainstBruteForce:
             checked += 1
         assert checked >= 100
 
+    def test_component_generators_are_the_greedy_choice(self):
+        rng = random.Random(1104)
+        pool = [cyclic_group(2), cyclic_group(4), make_group("C2xC2"),
+                symmetric_group(3), dihedral_group(4)]
+        for _ in range(20):
+            d = FiniteGroupoid([component("d", rng.choice(pool))])
+            b = FiniteGroupoid([component("b", rng.choice(pool))])
+            c = FiniteGroupoid([component("c", rng.choice(pool))])
+            daut = d.components[0].aut
+
+            def to_d(src):
+                comp = src.components[0]
+                hom = rng.choice(all_homomorphisms(comp.aut, daut))
+                return GroupoidFunctor(src, d, {comp.label: "d"},
+                                       {comp.label: hom})
+
+            for comp in brute_force_pullback(to_d(b), to_d(c)).components:
+                assert comp.aut.generators == reduce_generators(
+                    comp.aut.elements, comp.aut.degree
+                )
+
     def test_coset_size_formula(self):
         # |U eta V| = |U| |V| / |U cap eta V eta^-1| on a nonabelian target
         s3 = symmetric_group(3)
@@ -324,6 +363,10 @@ class TestTruncatedGroupoid:
         assert len(gpd) == 7
         for comp in gpd.components:
             assert all(c not in fam for c, _ in comp.gset_type.entries)
+
+    def test_family_over_another_group_rejected(self):
+        with pytest.raises(ValueError, match="order 2, not 4"):
+            truncated_gset_groupoid(cyclic_group(4), all_family(cyclic_group(2)), 4)
 
     def test_counts_match_multiset_oracle(self):
         for spec, bound in [("C4", 6), ("C2xC2", 5), ("S3", 6), ("D4", 4)]:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from equisep.group_core import (
+    cyclic_group,
     make_group,
     pconj,
     subgroup_conjugacy_classes,
@@ -27,7 +28,7 @@ from equisep.gset import (
     restrict,
     trivial_gset,
 )
-from equisep.families import closure_family, empty_family
+from equisep.families import all_family, closure_family, empty_family
 
 from . import oracles
 
@@ -206,6 +207,18 @@ def test_aut_group_matches_brute_force():
         assert a.elements == frozenset(bijections)
 
 
+@pytest.mark.parametrize("spec", ["C4", "S3", "D4", "C2xC2xC2"])
+def test_aut_group_generators_are_the_greedy_choice(spec):
+    g = make_group(spec)
+    classes = subgroup_conjugacy_classes(g)
+    rng = random.Random(1105)
+    for _ in range(6):
+        picks = rng.sample(classes, rng.randint(1, 3)) * rng.randint(1, 2)
+        x = disjoint_union(*(coset_gset(g, c.representative) for c in picks))
+        a = aut_group(x)
+        assert a.generators == oracles.reduce_generators(a.elements, x.size)
+
+
 @pytest.mark.parametrize("spec", ["S3", "D4", "A4"])
 def test_aut_group_with_conjugate_stabilizers(spec):
     """Orbits of one class whose least points have different stabilizers."""
@@ -295,6 +308,13 @@ def test_f_split_rejects_isotropy_in_family():
     x = coset_gset(g, by[2][0].representative)
     with pytest.raises(ValueError):
         f_split(x, fam)
+
+
+def test_f_split_rejects_family_over_another_group():
+    g = cyclic_group(4)
+    x = coset_gset(g, g)
+    with pytest.raises(ValueError, match="order 2, not 4"):
+        f_split(x, all_family(cyclic_group(2)))
 
 
 def test_f_split_roundtrip_randomized():
