@@ -4,10 +4,11 @@ The library is organized bottom-up: permutation groups and their
 subgroup lattice (group_core), the table of marks (burnside), families and
 filtrations (families), per-stage checks (conditions), G-set types and the
 census (groupoid_calc), and the classifier (classifier).  Beside them sit
-finite G-sets with the Mackey calculus and automorphism groups (gset), and
-functors, pullbacks and the non-standard witness (pullback), which
-classify loads only when a stage check fails.  The cli module exposes all
-of it as the `equisep` command.
+finite G-sets with the Mackey calculus and automorphism groups (gset),
+functors and pullbacks of skeletal groupoids (pullback), and the
+non-standard witness built from a pullback (witness), which classify
+loads only when a stage check fails.  The cli module exposes all of it as
+the `equisep` command.
 
 The names below load on first access (PEP 562): `import equisep` imports
 no submodule, and `equisep.classify` imports the classifier, and what it
@@ -18,7 +19,8 @@ only the modules it uses.
 __version__ = "0.1.0"
 
 # Each public name -> the submodule that defines it.  A submodule's own
-# name maps to itself and reads as the module.
+# name maps to itself and reads as the module; witness, split from
+# pullback after the names were fixed, is left out of that list.
 _SUBMODULE = {
     name: module
     for module, names in {
@@ -123,12 +125,14 @@ _SUBMODULE = {
             "GroupHom",
             "GroupoidFunctor",
             "PullbackComponent",
-            "WitnessProbe",
-            "WitnessRecord",
             "all_homomorphisms",
             "brute_force_pullback",
             "pullback_pi0",
             "unit_power_component",
+        ),
+        "witness": (
+            "WitnessProbe",
+            "WitnessRecord",
             "witness_nonstandard",
         ),
     }.items()

@@ -1,7 +1,7 @@
 """Top-level classification: run the stage checks along an exhaustive
 filtration, and when they all pass present the truncated groupoid of
 G-sets; when they fail, try to produce an explicit non-standard witness
-(pullback.witness_nonstandard).
+(witness.witness_nonstandard).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def classify(g: Group, ring: RingDescriptor, max_size: int,
             groupoid=truncated_gset_groupoid(g, family, max_size),
         )
 
-    from .pullback import witness_nonstandard
+    from .witness import witness_nonstandard
 
     probe = witness_nonstandard(g, ring)
     if probe.found:

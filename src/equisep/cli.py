@@ -21,6 +21,7 @@ from .group_core import (
     GroupSpecError,
     ResourceLimitError,
     UnsupportedDescriptorError,
+    _spec_int,
     cyclic_group,
     group_flags,
     make_group,
@@ -39,8 +40,8 @@ def _parse_coeff(text: str):
     if text == "Z":
         return integers()
     if text.startswith("Fp:"):
+        p = _spec_int(text[3:], "coefficient prime")
         try:
-            p = int(text[3:])
             return prime_field(p)
         except ValueError as exc:
             raise GroupSpecError(f"bad coefficient spec {text!r}: {exc}") from exc
@@ -178,7 +179,7 @@ def _witness_text(rec) -> str:
 def _cmd_witness(args):
     g = make_group(args.group)
     ring = _parse_coeff(args.coeff)
-    from .pullback import witness_nonstandard
+    from .witness import witness_nonstandard
 
     probe = witness_nonstandard(g, ring)
     if probe.found:

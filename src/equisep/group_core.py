@@ -10,8 +10,10 @@ common parent be used as dictionary keys.
 Inside this module a group's elements are also numbered 0..n-1 in
 `sorted_elements()` order (`_Table`), so the identity is 0 and index order
 is the order everything here sorts by.  The table holds the perm -> index
-map, inverses, and left-multiplication rows row(a)[x] = index(a*x), each
-built on first use.  A subgroup is then a Python int bitmask over the
+map, inverses, and left-multiplication rows row(a)[x] = index(a*x).  An
+action of the group is held as its generators' images, and the image of
+another element is composed on first read (`_Table.compose`); the rows
+are the regular action.  A subgroup is then a Python int bitmask over the
 numbering: K <= H is `k & h == k`, a union is `|`, and closure walks the
 generators' rows one left coset at a time (`_Table.join`).  The table is
 also the one home of what is derived from the group: its lattice (with
@@ -128,6 +130,18 @@ def orbit_of(seed, maps) -> set:
     return out
 
 
+def _orbits(size: int, maps) -> list:
+    """The orbits of the maps on points 0..size-1, as sorted tuples in
+    order of their least points."""
+    seen, out = set(), []
+    for p in range(size):
+        if p not in seen:
+            orbit = orbit_of(p, maps)
+            seen |= orbit
+            out.append(tuple(sorted(orbit)))
+    return out
+
+
 class Group:
     """An immutable permutation group on points 0..degree-1."""
 
@@ -214,31 +228,35 @@ class _Table:
     def indices(self, perms) -> list:
         return [self.index[p] for p in perms]
 
-    def row(self, a: int) -> list:
-        """row(a)[x] = index(a*x), built on first use.  The generators'
-        rows are computed from the perms; any other row composes a
-        generator's row with the row of a shorter word."""
-        rows = self._rows
-        if rows[a] is None:
-            if self._words is None:
-                self._words = self._spanning_words()
-            chain = []
-            while rows[a] is None:
-                chain.append(a)
-                a = self._words[a][1]
-            for a in reversed(chain):
-                s, b = self._words[a]
-                rows[a] = list(map(rows[s].__getitem__, rows[b]))
-        return rows[a]
+    def row(self, a: int) -> tuple:
+        """row(a)[x] = index(a*x), composed on first use."""
+        return self._rows[a] or self.compose(self._rows, a)
+
+    def compose(self, images: list, a: int) -> tuple:
+        """images[a], where images lists an action's point permutations
+        over the numbering, the identity's and the generators' given: a
+        missing one is composed along the spanning words as
+        image(s*x) = image(s) o image(x), keeping those made on the way."""
+        if self._words is None:
+            self._words = self._spanning_words()
+        words, chain = self._words, []
+        while images[a] is None:
+            chain.append(a)
+            a = words[a][1]
+        for a in reversed(chain):
+            s, b = words[a]
+            image = images[s]
+            images[a] = tuple([image[x] for x in images[b]])
+        return images[a]
 
     def _spanning_words(self) -> list:
         """words[y] = (s, x) with y = s*x for a generator s, over a
         breadth-first tree from the identity; fills the generators' rows."""
         perms, index, rows = self.perms, self.index, self._rows
-        rows[0] = list(range(len(perms)))
+        rows[0] = tuple(range(len(perms)))
         for s in self.gens:
             p = perms[s]
-            rows[s] = [index[pmul(p, x)] for x in perms]
+            rows[s] = tuple([index[pmul(p, x)] for x in perms])
         words = [None] * len(perms)
         words[0] = (0, 0)
         frontier = [0]
@@ -374,8 +392,12 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def _spec_int(digits: str, what: str) -> int:
-    """A decimal spec field; a GroupSpecError when int() cannot read it
-    (non-ASCII digits, or more digits than the interpreter converts)."""
+    """A decimal field of the command line's input, ASCII digits only: a
+    GroupSpecError for anything else (int() alone would also take other
+    scripts' digits, signs, spaces and underscores) and for more digits
+    than the interpreter converts."""
+    if not (digits.isascii() and digits.isdigit()):
+        raise GroupSpecError(f"bad {what} {digits[:20]!r}")
     try:
         return int(digits)
     except ValueError:
@@ -423,8 +445,6 @@ def _parse_cycles(text: str, degree: int) -> Perm:
         pts = [p for p in re.split(r"[,\s]+", body.strip()) if p]
         cyc = []
         for p in pts:
-            if not p.isdigit():
-                raise GroupSpecError(f"bad point {p!r} in cycle")
             k = _spec_int(p, "point")
             if not 1 <= k <= degree:
                 raise GroupSpecError(f"point {k} outside 1..{degree}")
@@ -473,8 +493,6 @@ def make_group(spec: str, max_order: int | None = None) -> Group:
         parts = spec.split(":", 2)
         if len(parts) != 3:
             raise GroupSpecError("perm spec needs the form perm:<degree>:<gens>")
-        if not parts[1].isdigit():
-            raise GroupSpecError(f"bad degree {parts[1]!r}")
         degree = _spec_int(parts[1], "degree")
         if degree < 1:
             raise GroupSpecError("perm spec needs degree >= 1")
@@ -580,9 +598,11 @@ def _normalizing_cosets(t: _Table, elems: list, gens) -> list:
     return [x for x in reps if all(t.conj(x, y) in inside for y in gens)]
 
 
-def _all_subgroups(g: Group) -> list:
+def _all_subgroups(g: Group, lower: list | None = None) -> list:
     """Every subgroup of g, as (frozenset of its element indices, number
-    of its conjugation orbit) pairs.
+    of its conjugation orbit) pairs.  A list given as lower gets one entry
+    per orbit: lower[j] lists the orbit i of every extension <H, c> of
+    orbit i's subgroup H that lies in orbit j, whether or not it was new.
 
     One subgroup H per orbit is extended by one prime-power cyclic
     subgroup from each N(H)-conjugation orbit of those it does not
@@ -604,17 +624,19 @@ def _all_subgroups(g: Group) -> list:
     ]
     found = {frozenset([0]): 0}
     todo = [((), [0])]
-    for gens, elems in todo:
+    lower = [] if lower is None else lower
+    lower.append([])
+    for i, (gens, elems) in enumerate(todo):
         reps = _normalizing_cosets(t, elems, gens)
         # reps[0] is the identity, H's own coset
         movers = t.gens if len(reps) * len(elems) == n else gens + tuple(reps[1:])
         rows = list(map(t.row, movers))
         inside = set(elems)
         seen = bytearray(len(cyclics))
-        for i, c in enumerate(cyclics):
-            if seen[i] or c in inside:
+        for j, c in enumerate(cyclics):
+            if seen[j] or c in inside:
                 continue
-            seen[i] = 1
+            seen[j] = 1
             stack = [c]
             while stack:
                 y = stack.pop()
@@ -635,25 +657,29 @@ def _all_subgroups(g: Group) -> list:
                         "(layer group_core._all_subgroups)"
                     )
                 todo.append((gens + (c,), k))
+                lower.append([])
+            lower[found[key]].append(i)
     return list(found.items())
 
 
 class _Lattice:
     """A group's subgroup classes, in subgroup_conjugacy_classes order,
     with a subgroup mask -> class position index, a class -> position
-    map, and per class its representative's mask and the masks of its
-    orbit.  The containment counts and the subconjugacy masks are
-    computed on first read, and each class's (Weyl group, section) pair
-    on first request (weyl, by class position)."""
+    map, and per class its representative's mask, the masks of its orbit
+    and the positions of the classes the search extended into it (lower,
+    see _all_subgroups).  The containment counts and the subconjugacy
+    masks are computed on first read, and each class's (Weyl group,
+    section) pair on first request (weyl, by class position)."""
 
-    __slots__ = ("classes", "index", "position", "orbits", "weyl", "_counts",
-                 "_below")
+    __slots__ = ("classes", "index", "position", "orbits", "lower", "weyl",
+                 "_counts", "_below")
 
-    def __init__(self, classes, index, orbits):
+    def __init__(self, classes, index, orbits, lower):
         self.classes = classes
         self.index = index
         self.position = {c: i for i, c in enumerate(classes)}
         self.orbits = orbits
+        self.lower = lower
         self.weyl = [None] * len(classes)
         self._counts = None
         self._below = None
@@ -674,11 +700,22 @@ class _Lattice:
 
     def below(self) -> tuple:
         """below[H], a mask over class positions with bit K set when K is
-        subconjugate to H, that is, when c[H][K] > 0; H's own bit is set."""
+        subconjugate to H, that is, when c[H][K] > 0; H's own bit is set.
+
+        It is the closure of lower, taken in class order.  If M is maximal
+        in K, then K = <M, c> for some c of prime-power order, and the
+        search extends the representative H of M's class by a cyclic from
+        each N(H)-orbit, one of which gives a conjugate of K (see the
+        module docstring).  So each class lists the classes of its
+        maximal subgroups, all earlier in class order; no count is read."""
         if self._below is None:
-            self._below = tuple(
-                _mask(k for k, n in enumerate(row) if n) for row in self.counts()
-            )
+            below = []
+            for pos, lower in enumerate(self.lower):
+                mask = 1 << pos
+                for k in lower:
+                    mask |= below[k]
+                below.append(mask)
+            self._below = tuple(below)
         return self._below
 
 
@@ -694,7 +731,8 @@ def _subgroup_classes(g: Group) -> _Lattice:
     if t.lattice is not None:
         return t.lattice
     orbits: dict[int, list] = {}
-    for sub, orbit in _all_subgroups(g):
+    extended: list = []
+    for sub, orbit in _all_subgroups(g, extended):
         orbits.setdefault(orbit, []).append(sub)
     rank = [0] * len(t.perms)
     encoded = sorted(range(len(t.perms)), key=lambda x: encode_subgroup([t.perms[x]]))
@@ -705,14 +743,15 @@ def _subgroup_classes(g: Group) -> _Lattice:
         return tuple(map(rank.__getitem__, sorted(sub)))
 
     raw = []
-    for orbit in orbits.values():
+    for number, orbit in orbits.items():
         rep = min(orbit, key=key)
-        raw.append((len(rep), key(rep), rep, orbit))
+        raw.append((len(rep), key(rep), rep, orbit, number))
     raw.sort(key=lambda item: item[:2])
+    position = {item[4]: pos for pos, item in enumerate(raw)}
     classes, masks = [], []
     index: dict[int, int] = {}
     per_order: dict[int, int] = {}
-    for pos, (order, _, rep, orbit) in enumerate(raw):
+    for pos, (order, _, rep, orbit, _) in enumerate(raw):
         idx = per_order.get(order, 0)
         per_order[order] = idx + 1
         suffix = chr(ord("a") + idx) if idx < 26 else f"_{idx}"
@@ -728,7 +767,8 @@ def _subgroup_classes(g: Group) -> _Lattice:
         orbit_masks = list(map(_mask, orbit))
         masks.append((_mask(rep), orbit_masks))
         index.update(dict.fromkeys(orbit_masks, pos))
-    t.lattice = _Lattice(tuple(classes), index, masks)
+    lower = [{position[i] for i in extended[item[4]]} for item in raw]
+    t.lattice = _Lattice(tuple(classes), index, masks, lower)
     return t.lattice
 
 
@@ -866,21 +906,19 @@ class DoubleCosetDecomposition(_Record):
 
 
 def double_cosets(g: Group, h: Group, k: Group) -> DoubleCosetDecomposition:
-    """Decompose g into double cosets HxK, sorted by minimal representative."""
+    """Decompose g into double cosets HxK, sorted by minimal representative:
+    the H-orbits on the left cosets of K, each led by its least coset."""
     if not (h.is_subgroup_of(g) and k.is_subgroup_of(g)):
         raise ValueError("double_cosets needs subgroups of g")
-    moves = [lambda y, a=a: pmul(a, y) for a in h.generators]
-    moves += [lambda y, b=b: pmul(y, b) for b in k.generators]
-    seen: set[Perm] = set()
-    reps, sizes = [], []
-    for x in g.sorted_elements():
-        if x not in seen:
-            orbit = orbit_of(x, moves)
-            seen |= orbit
-            reps.append(x)
-            sizes.append(len(orbit))
+    t = _table(g)
+    reps, coset_of = _cosets(t, range(g.order), t.indices(k.elements))
+    moves = [[coset_of[row[x]] for x in reps].__getitem__
+             for row in map(t.row, t.indices(h.generators))]
+    orbits = _orbits(len(reps), moves)
+    sizes = tuple(len(orbit) * k.order for orbit in orbits)
     assert sum(sizes) == g.order
-    return DoubleCosetDecomposition(g, h, k, tuple(reps), tuple(sizes))
+    first = tuple(t.perms[reps[orbit[0]]] for orbit in orbits)
+    return DoubleCosetDecomposition(g, h, k, first, sizes)
 
 
 def prime_factors(n: int) -> tuple:

@@ -2,10 +2,12 @@
 induction and restriction, the Mackey decomposition, automorphism groups,
 and splitting over a family of subgroups.
 
-A GSet stores the full action table, one point permutation per group
-element.  The multiset of (stabilizer class, multiplicity) pairs is a
-complete isomorphism invariant, so G-sets are compared through it; that
-GSetType lives with the census in groupoid_calc.
+A GSet holds one point permutation per generator of its group; any other
+element's is composed on first read (group_core's _Table.compose), so a
+G-set costs its generators to build, not its group.  The multiset of
+(stabilizer class, multiplicity) pairs is a complete isomorphism
+invariant, so G-sets are compared through it; that GSetType lives with
+the census in groupoid_calc.
 """
 
 from __future__ import annotations
@@ -16,16 +18,17 @@ from ._record import _Record, _set, _set_key
 from .group_core import (
     Group,
     SubgroupClass,
+    _cosets,
+    _orbits,
+    _table,
     class_of_subgroup,
     identity_perm,
-    left_cosets,
     pinv,
     pmul,
     weyl_group_with_section,
     is_subconjugate,
     normalizer,
     closure,
-    orbit_of,
     resolve_max_order,
     ResourceLimitError,
 )
@@ -33,48 +36,35 @@ from .groupoid_calc import GSetType
 
 
 class GSet:
-    """A finite left action of a Group on points 0..size-1."""
+    """A finite left action of a Group on points 0..size-1, given by
+    gen_images, the point permutations of group.generators in order; the
+    permutation of any other element is composed on first read."""
 
-    __slots__ = ("group", "size", "_maps")
+    __slots__ = ("group", "size", "gen_images", "_images")
 
-    def __init__(self, group: Group, size: int, maps: dict):
+    def __init__(self, group: Group, size: int, gen_images):
         self.group = group
         self.size = size
-        self._maps = dict(maps)
+        self.gen_images = tuple(map(tuple, gen_images))
+        if len(self.gen_images) != len(group.generators):
+            raise ValueError("a GSet needs one image per generator")
+        self._images = None  # over the group's numbering, once one is read
 
     def act(self, g, point: int) -> int:
-        return self._maps[g][point]
+        return self.perm(g)[point]
 
     def perm(self, g):
-        return self._maps[g]
-
-    def validate(self):
-        """Check the table is a genuine action; used on untrusted input."""
-        if set(self._maps) != set(self.group.elements):
-            raise ValueError("action table must cover every group element")
-        ident = identity_perm(self.size)
-        for g, p in self._maps.items():
-            if len(p) != self.size or sorted(p) != list(range(self.size)):
-                raise ValueError(f"image of {g} is not a permutation")
-        if self._maps[self.group.identity] != ident:
-            raise ValueError("identity must act trivially")
-        for g in self.group.elements:
-            for h in self.group.elements:
-                if pmul(self._maps[g], self._maps[h]) != self._maps[pmul(g, h)]:
-                    raise ValueError("action table is not multiplicative")
-        return self
+        t = _table(self.group)
+        if self._images is None:
+            self._images = [None] * len(t.perms)
+            self._images[0] = identity_perm(self.size)
+            for s, p in zip(t.gens, self.gen_images):
+                self._images[s] = p
+        return t.compose(self._images, t.index[g])
 
     def orbits(self):
         """Orbits as sorted point tuples, ordered by minimal point."""
-        moves = [self._maps[g].__getitem__ for g in self.group.generators]
-        seen = set()
-        out = []
-        for p in range(self.size):
-            if p not in seen:
-                orbit = orbit_of(p, moves)
-                seen |= orbit
-                out.append(tuple(sorted(orbit)))
-        return out
+        return _orbits(self.size, [p.__getitem__ for p in self.gen_images])
 
     def orbit_stabilizers(self):
         """Each orbit, as in `orbits`, with the elements fixing its least point."""
@@ -85,7 +75,7 @@ class GSet:
 
     def _fixing(self, point: int) -> frozenset:
         return frozenset(
-            g for g in self.group.elements if self._maps[g][point] == point
+            g for g in self.group.elements if self.perm(g)[point] == point
         )
 
     def __repr__(self):
@@ -93,42 +83,52 @@ class GSet:
 
 
 def empty_gset(g: Group) -> GSet:
-    return GSet(g, 0, {x: () for x in g.elements})
+    return trivial_gset(g, 0)
 
 
 def trivial_gset(g: Group, n: int) -> GSet:
-    ident = identity_perm(n)
-    return GSet(g, n, {x: ident for x in g.elements})
+    return GSet(g, n, [identity_perm(n)] * len(g.generators))
 
 
 def gset_from_action(g: Group, size: int, maps: dict) -> GSet:
-    """Build a GSet from an explicit table, validating it."""
-    return GSet(g, size, {tuple(k): tuple(v) for k, v in maps.items()}).validate()
+    """Build a GSet from an explicit table over every element, checking
+    that it is an action: every entry a permutation, the identity acting
+    trivially and f(s*x) = f(s) o f(x) for each generator s."""
+    maps = {tuple(k): tuple(v) for k, v in maps.items()}
+    if maps.keys() != g.elements:
+        raise ValueError("action table must cover every group element")
+    ident = identity_perm(size)
+    for x, p in maps.items():
+        if len(p) != size or sorted(p) != list(ident):
+            raise ValueError(f"image of {x} is not a permutation")
+    if maps[g.identity] != ident:
+        raise ValueError("identity must act trivially")
+    if not all(maps[pmul(s, x)] == pmul(maps[s], fx)
+               for s in g.generators for x, fx in maps.items()):
+        raise ValueError("action table is not multiplicative")
+    return GSet(g, size, [maps[s] for s in g.generators])
 
 
 def coset_gset(g: Group, h: Group) -> GSet:
     """The left coset action of g on g/h."""
     if not h.is_subgroup_of(g):
         raise ValueError("coset_gset needs a subgroup of g")
-    reps, coset_of = left_cosets(g, h)
-    maps = {u: tuple(coset_of[pmul(u, r)] for r in reps) for u in g.elements}
-    return GSet(g, len(reps), maps)
+    t = _table(g)
+    reps, coset_of = _cosets(t, range(g.order), t.indices(h.elements))
+    images = [[coset_of[row[r]] for r in reps] for row in map(t.row, t.gens)]
+    return GSet(g, len(reps), images)
 
 
 def disjoint_union(*parts: GSet) -> GSet:
     assert parts, "disjoint_union needs at least one part"
     g = parts[0].group
     assert all(p.group == g for p in parts)
-    size = sum(p.size for p in parts)
-    maps = {}
-    for x in g.elements:
-        img = []
-        offset = 0
-        for p in parts:
-            img.extend(q + offset for q in p.perm(x))
-            offset += p.size
-        maps[x] = tuple(img)
-    return GSet(g, size, maps)
+    images, offset = [[] for _ in g.generators], 0
+    for p in parts:
+        for img, s in zip(images, g.generators):
+            img.extend(q + offset for q in p.perm(s))
+        offset += p.size
+    return GSet(g, offset, images)
 
 
 def orbit_type(x: GSet) -> GSetType:
@@ -161,10 +161,8 @@ def delete_orbits(x: GSet, cls: SubgroupClass) -> GSet:
         for p in orbit
     )
     index = {p: i for i, p in enumerate(keep)}
-    maps = {
-        g: tuple(index[x.perm(g)[p]] for p in keep) for g in x.group.elements
-    }
-    return GSet(x.group, len(keep), maps)
+    images = [[index[img[p]] for p in keep] for img in x.gen_images]
+    return GSet(x.group, len(keep), images)
 
 
 def fixed_points(x: GSet, k: SubgroupClass) -> GSet:
@@ -182,13 +180,11 @@ def fixed_points(x: GSet, k: SubgroupClass) -> GSet:
     fixed = [
         p
         for p in range(x.size)
-        if all(x.perm(t)[p] == p for t in krep.generators)
+        if all(x.act(t, p) == p for t in krep.generators)
     ]
     index = {p: i for i, p in enumerate(fixed)}
-    maps = {}
-    for wp, rep in section.items():
-        maps[wp] = tuple(index[x.perm(rep)[p]] for p in fixed)
-    out = GSet(w, len(fixed), maps)
+    images = [[index[x.act(section[s], p)] for p in fixed] for s in w.generators]
+    out = GSet(w, len(fixed), images)
     entries = orbit_type(x).entries
     if all(c == k or not is_subconjugate(g, k, c) for c, _ in entries):
         free = all(len(orbit) == w.order for orbit in out.orbits())
@@ -200,26 +196,25 @@ def restrict(x: GSet, h: Group) -> GSet:
     """The same points viewed as an H-set for a subgroup H."""
     if not h.is_subgroup_of(x.group):
         raise ValueError("restrict needs a subgroup of the acting group")
-    return GSet(h, x.size, {t: x.perm(t) for t in h.elements})
+    return GSet(h, x.size, [x.perm(s) for s in h.generators])
 
 
 def induce(g: Group, k: Group, y: GSet) -> GSet:
-    """The induced G-set G x_K Y on pairs (coset representative, point)."""
+    """The induced G-set G x_K Y on pairs (coset representative, point):
+    s(r, q) = (r', k q) for s r = r' k."""
     if not k.is_subgroup_of(g):
         raise ValueError("induce needs a subgroup of g")
     if y.group != k:
         raise ValueError("induce needs a K-set over the same subgroup")
-    reps, coset_of = left_cosets(g, k)
-    n = y.size
-    maps = {}
-    for u in g.elements:
-        img = []
-        for r in reps:
-            moved = pmul(u, r)
-            j = coset_of[moved]
-            img.extend(j * n + q for q in y.perm(pmul(pinv(reps[j]), moved)))
-        maps[u] = tuple(img)
-    return GSet(g, len(reps) * n, maps)
+    t, n = _table(g), y.size
+    reps, coset_of = _cosets(t, range(g.order), t.indices(k.elements))
+    back = [pinv(t.perms[r]) for r in reps]
+    images = [[] for _ in t.gens]
+    for img, s in zip(images, t.gens):
+        for x in map(t.row(s).__getitem__, reps):
+            j = coset_of[x]
+            img.extend(j * n + q for q in y.perm(pmul(back[j], t.perms[x])))
+    return GSet(g, len(reps) * n, images)
 
 
 def mackey_decompose(g: Group, h: Group, k: Group, y: GSet) -> GSet:
@@ -241,7 +236,7 @@ def mackey_decompose(g: Group, h: Group, k: Group, y: GSet) -> GSet:
         twisted = GSet(
             cap,
             y.size,
-            {l: y.perm(pmul(pmul(ir, l), r)) for l in cap.elements},
+            [y.perm(pmul(pmul(ir, l), r)) for l in cap.generators],
         )
         parts.append(induce(h, cap, twisted))
     return disjoint_union(*parts) if parts else empty_gset(h)
@@ -283,18 +278,8 @@ def aut_group(x: GSet) -> Group:
             )
             for orbit, _ in orbits
         ]
-        words = {}
-        for base in bases:
-            w = {base: g.identity}
-            frontier = [base]
-            while frontier:
-                p = frontier.pop()
-                for t in g.generators:
-                    q = x.perm(t)[p]
-                    if q not in w:
-                        w[q] = pmul(t, w[p])
-                        frontier.append(q)
-            words[base] = w
+        # words[b][p], some element moving b to p; any one will do
+        words = {b: {x.act(u, b): u for u in g.elements} for b in bases}
         n_group = normalizer(g, s0)
         for t in n_group.generators:
             perm = list(range(x.size))

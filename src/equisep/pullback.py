@@ -1,16 +1,11 @@
-"""Functors between skeletal groupoids, the component count of a
-pullback, and the explicit non-standard witness built from one.
+"""Functors between skeletal groupoids and the component count of a
+pullback.
 
 The components of a pullback over a fixed pair of source components
 biject with double cosets of the target automorphism group under the two
 images, so pullback_pi0 never materializes objects; brute_force_pullback
-does, as an independent check.
-
-The witness lives over the two-object set 2*[G/G]: splitting the ambient
-category at each prime divisor turns its automorphisms into a power of
-the symmetric group on two letters, both comparison maps become the
-diagonal, and counting double cosets of the diagonal in that power shows
-the comparison fiber has 2^(r-1) elements instead of one.
+does, as an independent check.  The non-standard witness built from such
+a pullback lives in the witness module.
 """
 
 from __future__ import annotations
@@ -18,21 +13,18 @@ from __future__ import annotations
 from itertools import product
 
 from ._record import _Record, _set, _set_key
-from .conditions import RingDescriptor, geometric_fixed_points, stage_report
 from .group_core import (
     Group,
     ResourceLimitError,
+    _table,
     direct_product,
     double_cosets,
-    group_flags,
-    identity_perm,
     perm_order,
     pinv,
     pmul,
-    subgroup_conjugacy_classes,
     symmetric_group,
 )
-from .groupoid_calc import FiniteGroupoid, GroupoidComponent, GSetType
+from .groupoid_calc import FiniteGroupoid, GroupoidComponent
 
 
 class GroupHom:
@@ -47,32 +39,25 @@ class GroupHom:
         for x, fx in self.mapping.items():
             if fx not in dst.elements:
                 raise ValueError("homomorphism image leaves the target group")
-        for a in src.generators:
-            fa = self.mapping[a]
-            for b in src.elements:
-                if self.mapping[pmul(a, b)] != pmul(fa, self.mapping[b]):
-                    raise ValueError("mapping is not multiplicative")
+        if not all(self.mapping[pmul(s, x)] == pmul(self.mapping[s], fx)
+                   for s in src.generators for x, fx in self.mapping.items()):
+            raise ValueError("mapping is not multiplicative")
 
     @classmethod
     def from_generator_images(cls, src: Group, dst: Group, images: dict):
-        """Extend generator images to a homomorphism, or return None."""
-        mapping = {src.identity: dst.identity}
-        frontier = [src.identity]
-        while frontier:
-            x = frontier.pop()
-            fx = mapping[x]
-            for gen, img in images.items():
-                y = pmul(gen, x)
-                fy = pmul(img, fx)
-                if y in mapping:
-                    if mapping[y] != fy:
-                        return None
-                else:
-                    mapping[y] = fy
-                    frontier.append(y)
-        if len(mapping) != src.order:
+        """Extend the images of src's generators to a homomorphism, or
+        return None when they define none into dst: every image is
+        composed along src's spanning words, and __init__ checks them."""
+        t = _table(src)
+        composed = [None] * len(t.perms)
+        composed[0] = dst.identity
+        for s, gen in zip(t.gens, src.generators):
+            composed[s] = images[gen]
+        mapping = {p: t.compose(composed, x) for x, p in enumerate(t.perms)}
+        try:
+            return cls(src, dst, mapping)
+        except ValueError:
             return None
-        return cls(src, dst, mapping)
 
     @classmethod
     def trivial(cls, src: Group, dst: Group) -> "GroupHom":
@@ -290,183 +275,3 @@ def unit_power_component(n: int, *, unit_indecomposable: bool = False) -> Groupo
     if n < 0:
         raise ValueError("unit power needs n >= 0")
     return GroupoidComponent(label=f"unit^{n}", aut=symmetric_group(n))
-
-
-MODELING_NOTE = (
-    "per-prime unit indecomposability is checked through the descriptor's "
-    "prime-power modulus data; the fiber count itself is certified by "
-    "explicit double-coset enumeration"
-)
-
-
-class WitnessRecord(_Record):
-    """An explicit two-object comparison square whose fiber is too big.
-
-    eta records one automorphism tuple per prime divisor; the certificate
-    lists every double-coset orbit, and eta's orbit differs from the
-    identity's.
-    """
-
-    __slots__ = ("x1", "x2", "primes", "eta", "fiber_size",
-                 "double_coset_certificate", "note")
-
-    def __init__(self, x1: GSetType, x2: GSetType, primes: tuple, eta: tuple,
-                 fiber_size: int, double_coset_certificate: tuple,
-                 note: str = MODELING_NOTE):
-        _set(self, "x1", x1)
-        _set(self, "x2", x2)
-        _set(self, "primes", primes)
-        _set(self, "eta", eta)  # one of "id" / "swap" per prime
-        _set(self, "fiber_size", fiber_size)
-        # orbits, each a tuple of rendered tuples
-        _set(self, "double_coset_certificate", double_coset_certificate)
-        _set(self, "note", note)
-        _set_key(self, (x1, x2, primes, eta, fiber_size,
-                            double_coset_certificate, note))
-
-    @property
-    def eta_text(self) -> str:
-        return "(" + ",".join(self.eta) + ")"
-
-    def to_json(self):
-        return {
-            "x1": self.x1.label(),
-            "x2": self.x2.label(),
-            "eta": self.eta_text,
-            "fiber_size": self.fiber_size,
-            "certificate": [list(orbit) for orbit in self.double_coset_certificate],
-            "primes": list(self.primes),
-            "note": self.note,
-        }
-
-
-class WitnessProbe(_Record):
-    """Outcome of the witness search: a record, or the reasons there is none."""
-
-    __slots__ = ("record", "failures", "stage_reports")
-
-    def __init__(self, record: WitnessRecord | None, failures: tuple,
-                 stage_reports: tuple):
-        _set(self, "record", record)
-        _set(self, "failures", failures)
-        _set(self, "stage_reports", stage_reports)
-        _set_key(self, (record, failures, stage_reports))
-
-    @property
-    def found(self) -> bool:
-        return self.record is not None
-
-
-def _describe_group(w: Group) -> str:
-    if any(perm_order(x) == w.order for x in w.elements):
-        return f"C{w.order}"
-    return f"of order {w.order}"
-
-
-def _render_blocks(eta, r: int) -> str:
-    parts = ["id" if eta[2 * i] == 2 * i else "swap" for i in range(r)]
-    return "(" + ",".join(parts) + ")"
-
-
-def _witness_leg(r: int):
-    """The comparison leg for r primes, with its diagonal S_2 -> (S_2)^r."""
-    s2 = symmetric_group(2)
-    # the per-prime indecomposability precondition was checked by the
-    # caller, so each local corner is a genuine two-fold unit power
-    per_prime = [
-        unit_power_component(2, unit_indecomposable=True) for _ in range(r)
-    ]
-    power = per_prime[0].aut
-    for comp in per_prime[1:]:
-        power = direct_product(power, comp.aut)
-    all_swap = tuple(2 * (i // 2) + (1 - i % 2) for i in range(2 * r))
-    diag = GroupHom.from_generator_images(s2, power, {s2.generators[0]: all_swap})
-    assert diag is not None
-
-    source = FiniteGroupoid([GroupoidComponent("2*[G/G]", s2)])
-    corner = FiniteGroupoid([GroupoidComponent("unit-power", power)])
-    leg = GroupoidFunctor(source, corner, {"2*[G/G]": "unit-power"},
-                          {"2*[G/G]": diag})
-    return leg, diag
-
-
-def _build_witness(g: Group, ring: RingDescriptor, primes) -> WitnessRecord:
-    r = len(primes)
-    x1 = GSetType.from_counts(g, {subgroup_conjugacy_classes(g)[-1]: 2})
-    leg, diag = _witness_leg(r)
-    comps = pullback_pi0(leg, leg)
-    fiber = len(comps)
-    assert all(p.fiber_size == fiber for p in comps)
-
-    diag_els = sorted(diag.image_group().elements)
-    orbits = []
-    rep_of: dict = {}
-    for p in comps:
-        members = sorted(
-            {pmul(pmul(u, p.eta_class), v) for u in diag_els for v in diag_els}
-        )
-        orbits.append(tuple(_render_blocks(m, r) for m in members))
-        for m in members:
-            rep_of[m] = p.eta_class
-    ident = identity_perm(2 * r)
-    eta_perm = tuple(range(2 * r - 2)) + (2 * r - 1, 2 * r - 2)
-    assert rep_of[eta_perm] != rep_of[ident], "witness class collapsed"
-
-    return WitnessRecord(
-        x1=x1,
-        x2=x1,
-        primes=tuple(primes),
-        eta=("id",) * (r - 1) + ("swap",),
-        fiber_size=fiber,
-        double_coset_certificate=tuple(sorted(orbits)),
-    )
-
-
-def witness_nonstandard(g: Group, ring: RingDescriptor) -> WitnessProbe:
-    """Search for the two-object non-standard witness.
-
-    Needs at least two prime divisors, passing stage checks at every
-    nontrivial subgroup, separably closed fixed points at the bottom, and
-    per-prime indecomposability of the coefficients.  Returns the record,
-    or the list of violated preconditions.
-    """
-    primes = sorted(group_flags(g).prime_divisors)
-    r = len(primes)
-    failures = []
-    if r < 2:
-        failures.append(
-            f"group order {g.order} has {r} prime divisor(s); need at least 2"
-        )
-
-    reports = []
-    for cls in subgroup_conjugacy_classes(g):
-        rep = stage_report(g, cls, ring)
-        reports.append(rep)
-        if cls.order == 1 or rep.passed:
-            continue
-        which = "indecomposability" if not rep.ic.ok else "retraction"
-        failures.append(
-            f"stage {cls.name}: {which} fails for Weyl group "
-            f"{_describe_group(rep.weyl)}"
-        )
-
-    triv = subgroup_conjugacy_classes(g)[0]
-    fixed = geometric_fixed_points(ring, triv)
-    if not fixed.separably_closed:
-        failures.append(
-            f"fixed points of {ring.name} at the trivial subgroup are not "
-            "separably closed"
-        )
-
-    for p in primes:
-        k = 1
-        n = g.order
-        while n % p == 0:
-            k *= p
-            n //= p
-        if not ring.indecomposable_mod(k):
-            failures.append(f"{ring.name} decomposes mod {k}")
-
-    if failures:
-        return WitnessProbe(None, tuple(failures), tuple(reports))
-    return WitnessProbe(_build_witness(g, ring, primes), (), tuple(reports))

@@ -1,0 +1,205 @@
+"""The explicit non-standard witness, built from a pullback.
+
+The witness lives over the two-object set 2*[G/G]: splitting the ambient
+category at each prime divisor turns its automorphisms into a power of
+the symmetric group on two letters, both comparison maps become the
+diagonal, and counting double cosets of the diagonal in that power shows
+the comparison fiber has 2^(r-1) elements instead of one.
+"""
+
+from __future__ import annotations
+
+from ._record import _Record, _set, _set_key
+from .conditions import RingDescriptor, geometric_fixed_points, stage_report
+from .group_core import (
+    Group,
+    direct_product,
+    group_flags,
+    identity_perm,
+    perm_order,
+    pmul,
+    subgroup_conjugacy_classes,
+    symmetric_group,
+)
+from .groupoid_calc import FiniteGroupoid, GroupoidComponent, GSetType
+from .pullback import GroupHom, GroupoidFunctor, pullback_pi0, unit_power_component
+
+
+MODELING_NOTE = (
+    "per-prime unit indecomposability is checked through the descriptor's "
+    "prime-power modulus data; the fiber count itself is certified by "
+    "explicit double-coset enumeration"
+)
+
+
+class WitnessRecord(_Record):
+    """An explicit two-object comparison square whose fiber is too big.
+
+    eta records one automorphism tuple per prime divisor; the certificate
+    lists every double-coset orbit, and eta's orbit differs from the
+    identity's.
+    """
+
+    __slots__ = ("x1", "x2", "primes", "eta", "fiber_size",
+                 "double_coset_certificate", "note")
+
+    def __init__(self, x1: GSetType, x2: GSetType, primes: tuple, eta: tuple,
+                 fiber_size: int, double_coset_certificate: tuple,
+                 note: str = MODELING_NOTE):
+        _set(self, "x1", x1)
+        _set(self, "x2", x2)
+        _set(self, "primes", primes)
+        _set(self, "eta", eta)  # one of "id" / "swap" per prime
+        _set(self, "fiber_size", fiber_size)
+        # orbits, each a tuple of rendered tuples
+        _set(self, "double_coset_certificate", double_coset_certificate)
+        _set(self, "note", note)
+        _set_key(self, (x1, x2, primes, eta, fiber_size,
+                            double_coset_certificate, note))
+
+    @property
+    def eta_text(self) -> str:
+        return "(" + ",".join(self.eta) + ")"
+
+    def to_json(self):
+        return {
+            "x1": self.x1.label(),
+            "x2": self.x2.label(),
+            "eta": self.eta_text,
+            "fiber_size": self.fiber_size,
+            "certificate": [list(orbit) for orbit in self.double_coset_certificate],
+            "primes": list(self.primes),
+            "note": self.note,
+        }
+
+
+class WitnessProbe(_Record):
+    """Outcome of the witness search: a record, or the reasons there is none."""
+
+    __slots__ = ("record", "failures", "stage_reports")
+
+    def __init__(self, record: WitnessRecord | None, failures: tuple,
+                 stage_reports: tuple):
+        _set(self, "record", record)
+        _set(self, "failures", failures)
+        _set(self, "stage_reports", stage_reports)
+        _set_key(self, (record, failures, stage_reports))
+
+    @property
+    def found(self) -> bool:
+        return self.record is not None
+
+
+def _describe_group(w: Group) -> str:
+    if any(perm_order(x) == w.order for x in w.elements):
+        return f"C{w.order}"
+    return f"of order {w.order}"
+
+
+def _render_blocks(eta, r: int) -> str:
+    parts = ["id" if eta[2 * i] == 2 * i else "swap" for i in range(r)]
+    return "(" + ",".join(parts) + ")"
+
+
+def _witness_leg(r: int):
+    """The comparison leg for r primes, with its diagonal S_2 -> (S_2)^r."""
+    s2 = symmetric_group(2)
+    # the per-prime indecomposability precondition was checked by the
+    # caller, so each local corner is a genuine two-fold unit power
+    per_prime = [
+        unit_power_component(2, unit_indecomposable=True) for _ in range(r)
+    ]
+    power = per_prime[0].aut
+    for comp in per_prime[1:]:
+        power = direct_product(power, comp.aut)
+    all_swap = tuple(2 * (i // 2) + (1 - i % 2) for i in range(2 * r))
+    diag = GroupHom.from_generator_images(s2, power, {s2.generators[0]: all_swap})
+    assert diag is not None
+
+    source = FiniteGroupoid([GroupoidComponent("2*[G/G]", s2)])
+    corner = FiniteGroupoid([GroupoidComponent("unit-power", power)])
+    leg = GroupoidFunctor(source, corner, {"2*[G/G]": "unit-power"},
+                          {"2*[G/G]": diag})
+    return leg, diag
+
+
+def _build_witness(g: Group, ring: RingDescriptor, primes) -> WitnessRecord:
+    r = len(primes)
+    x1 = GSetType.from_counts(g, {subgroup_conjugacy_classes(g)[-1]: 2})
+    leg, diag = _witness_leg(r)
+    comps = pullback_pi0(leg, leg)
+    fiber = len(comps)
+    assert all(p.fiber_size == fiber for p in comps)
+
+    diag_els = sorted(diag.image_group().elements)
+    orbits = []
+    rep_of: dict = {}
+    for p in comps:
+        members = sorted(
+            {pmul(pmul(u, p.eta_class), v) for u in diag_els for v in diag_els}
+        )
+        orbits.append(tuple(_render_blocks(m, r) for m in members))
+        for m in members:
+            rep_of[m] = p.eta_class
+    ident = identity_perm(2 * r)
+    eta_perm = tuple(range(2 * r - 2)) + (2 * r - 1, 2 * r - 2)
+    assert rep_of[eta_perm] != rep_of[ident], "witness class collapsed"
+
+    return WitnessRecord(
+        x1=x1,
+        x2=x1,
+        primes=tuple(primes),
+        eta=("id",) * (r - 1) + ("swap",),
+        fiber_size=fiber,
+        double_coset_certificate=tuple(sorted(orbits)),
+    )
+
+
+def witness_nonstandard(g: Group, ring: RingDescriptor) -> WitnessProbe:
+    """Search for the two-object non-standard witness.
+
+    Needs at least two prime divisors, passing stage checks at every
+    nontrivial subgroup, separably closed fixed points at the bottom, and
+    per-prime indecomposability of the coefficients.  Returns the record,
+    or the list of violated preconditions.
+    """
+    primes = sorted(group_flags(g).prime_divisors)
+    r = len(primes)
+    failures = []
+    if r < 2:
+        failures.append(
+            f"group order {g.order} has {r} prime divisor(s); need at least 2"
+        )
+
+    reports = []
+    for cls in subgroup_conjugacy_classes(g):
+        rep = stage_report(g, cls, ring)
+        reports.append(rep)
+        if cls.order == 1 or rep.passed:
+            continue
+        which = "indecomposability" if not rep.ic.ok else "retraction"
+        failures.append(
+            f"stage {cls.name}: {which} fails for Weyl group "
+            f"{_describe_group(rep.weyl)}"
+        )
+
+    triv = subgroup_conjugacy_classes(g)[0]
+    fixed = geometric_fixed_points(ring, triv)
+    if not fixed.separably_closed:
+        failures.append(
+            f"fixed points of {ring.name} at the trivial subgroup are not "
+            "separably closed"
+        )
+
+    for p in primes:
+        k = 1
+        n = g.order
+        while n % p == 0:
+            k *= p
+            n //= p
+        if not ring.indecomposable_mod(k):
+            failures.append(f"{ring.name} decomposes mod {k}")
+
+    if failures:
+        return WitnessProbe(None, tuple(failures), tuple(reports))
+    return WitnessProbe(_build_witness(g, ring, primes), (), tuple(reports))

@@ -2,7 +2,8 @@
 
 Everything here recomputes results by a different route than the library:
 power-set scans, the layered subgroup search and conjugation scans on
-tuple permutations, pairwise scans of the containment counts for
+tuple permutations, double cosets and G-set action tables built element
+by element, pairwise scans of the containment counts for
 families, generator picks that close perm tuples after each pick,
 exhaustive map enumeration, union-find on materialized objects, and
 exact rational linear algebra.
@@ -239,6 +240,83 @@ def random_perm_specs(rng, count: int, max_degree: int = 6):
             gens.append("".join(cycles) or "(1)")
         specs.append(f"perm:{degree}:" + ";".join(gens))
     return specs
+
+
+def double_cosets_by_orbits(g: Group, h: Group, k: Group):
+    """(representatives, sizes) of the double cosets HxK in order of their
+    least elements, each walked on tuple permutations from that element
+    by left multiplication with H's generators and right multiplication
+    with K's."""
+    moves = [lambda y, a=a: pmul(a, y) for a in h.generators]
+    moves += [lambda y, b=b: pmul(y, b) for b in k.generators]
+    seen, reps, sizes = set(), [], []
+    for x in g.sorted_elements():
+        if x in seen:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for move in moves:
+                z = move(y)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        reps.append(x)
+        sizes.append(len(orbit))
+    return tuple(reps), tuple(sizes)
+
+
+def _left_cosets_by_scan(elements, sub):
+    """The left cosets of the element set sub in the element set elements:
+    (reps, coset_of), reps the least element of each coset in increasing
+    order and coset_of element -> coset number."""
+    reps, coset_of = [], {}
+    for x in sorted(elements):
+        if x not in coset_of:
+            for t in sub:
+                coset_of[pmul(x, t)] = len(reps)
+            reps.append(x)
+    return reps, coset_of
+
+
+def coset_table(elements, sub) -> dict:
+    """The left coset action on elements/sub as a table over every element:
+    u -> the permutation of coset numbers."""
+    reps, coset_of = _left_cosets_by_scan(elements, sub)
+    return {u: tuple(coset_of[pmul(u, r)] for r in reps) for u in elements}
+
+
+def induced_table(elements, sub, y_table: dict, size: int) -> dict:
+    """The induced set elements x_sub Y over every element, on pairs
+    (coset number, point) numbered coset * size + point, where y_table
+    gives the action of every element of sub on Y's size points."""
+    reps, coset_of = _left_cosets_by_scan(elements, sub)
+    out = {}
+    for u in elements:
+        img = []
+        for r in reps:
+            moved = pmul(u, r)
+            j = coset_of[moved]
+            img.extend(j * size + q for q in y_table[pmul(pinv(reps[j]), moved)])
+        out[u] = tuple(img)
+    return out
+
+
+def mackey_table(g: Group, h: Group, k: Group, y_table: dict, size: int) -> dict:
+    """The restriction to H of G x_K Y over every element of H, as the
+    concatenation, one summand per double coset HrK in order, of the set
+    induced from H meet rKr^-1 acting on Y through conjugation by r."""
+    out = dict.fromkeys(h.elements, ())
+    for r in double_cosets_by_orbits(g, h, k)[0]:
+        ir = pinv(r)
+        cap = h.elements & {pmul(pmul(r, t), ir) for t in k.elements}
+        twisted = {l: y_table[pmul(pmul(ir, l), r)] for l in cap}
+        part = induced_table(h.elements, cap, twisted, size)
+        offset = len(out[h.identity])
+        for u in out:
+            out[u] += tuple(q + offset for q in part[u])
+    return out
 
 
 def conjugacy_class_count(g: Group, subgroups) -> int:

@@ -44,8 +44,8 @@ from equisep.pullback import (
     all_homomorphisms,
     brute_force_pullback,
     pullback_pi0,
-    witness_nonstandard,
 )
+from equisep.witness import witness_nonstandard
 
 from .oracles import count_orbit_multisets, injective_equivariant_maps
 

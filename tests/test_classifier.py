@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from equisep import classifier, pullback
+from equisep import classifier, group_core, pullback, witness
 from equisep.classifier import (
     ClassificationOutcome,
     Verdict,
@@ -19,7 +19,7 @@ from equisep.group_core import (
     subgroup_conjugacy_classes,
 )
 from equisep.gset import GSetType, delete_orbits, orbit_type, realize_type
-from equisep.pullback import WitnessRecord, witness_nonstandard
+from equisep.witness import WitnessRecord, witness_nonstandard
 
 from .oracles import count_orbit_multisets
 
@@ -28,7 +28,7 @@ from .oracles import count_orbit_multisets
 def test_witness_leg_pullback_matches_brute_force(r):
     """The double-coset count of the witness leg against itself agrees
     with the materialized pullback, for two and three primes."""
-    leg, _ = pullback._witness_leg(r)
+    leg, _ = witness._witness_leg(r)
     comps = pullback.pullback_pi0(leg, leg)
     assert len(comps) == 2 ** (r - 1)
     assert len(pullback.brute_force_pullback(leg, leg)) == len(comps)
@@ -303,3 +303,22 @@ def test_p_groups_are_all_standard(spec):
         out = classify(g, ring, 0)
         assert out.verdict is Verdict.ALL_STANDARD, (spec, ring.name)
         assert len(out.groupoid) == 1
+
+
+@pytest.mark.parametrize(
+    "spec, verdict",
+    [("C2xC2xC2xC2", Verdict.ALL_STANDARD),
+     ("S4", Verdict.CONDITIONS_FAIL_NO_WITNESS),
+     ("C6", Verdict.NON_STANDARD_WITNESS),
+     ("A5", Verdict.UNIT_DECOMPOSES)],
+)
+def test_classify_reads_no_containment_count(spec, verdict, monkeypatch):
+    """Every verdict is reached without the containment-count table: the
+    filtration reads the subconjugacy masks, which the lattice search's
+    extensions give."""
+
+    def refuse(self):
+        raise AssertionError("containment counts built")
+
+    monkeypatch.setattr(group_core._Lattice, "counts", refuse)
+    assert classify(make_group(spec), sphere(), 2).verdict is verdict

@@ -133,11 +133,12 @@ def test_cli_child_loads_no_heavy_modules(run):
 
 
 LIBRARY = ("burnside", "classifier", "conditions", "families", "group_core",
-           "groupoid_calc", "gset", "pullback")
+           "groupoid_calc", "gset", "pullback", "witness")
 # what a classify answered from the stage checks and the census loads
 CENSUS = ["group_core", "burnside", "conditions", "families", "groupoid_calc",
           "classifier"]
-PULLBACK = ["group_core", "burnside", "conditions", "groupoid_calc", "pullback"]
+WITNESS = ["group_core", "burnside", "conditions", "groupoid_calc", "pullback",
+           "witness"]
 
 
 def _loaded_by(code):
@@ -172,9 +173,11 @@ def test_import_equisep_loads_no_submodule():
         (["conditions", "--group", "S3"],
          ["group_core", "burnside", "conditions"]),
         (["classify", "--group", "C4", "--max-size", "4"], CENSUS),
-        (["classify", "--group", "S3", "--coeff", "Z"], CENSUS + ["pullback"]),
-        (["witness", "--group", "C6", "--coeff", "Z"], PULLBACK),
-        (["pullback-demo", "--seed", "3"], PULLBACK),
+        (["classify", "--group", "S3", "--coeff", "Z"],
+         CENSUS + ["pullback", "witness"]),
+        (["witness", "--group", "C6", "--coeff", "Z"], WITNESS),
+        (["pullback-demo", "--seed", "3"],
+         ["group_core", "groupoid_calc", "pullback"]),
     ],
     ids=["subgroups", "burnside", "marks", "conditions", "classify",
          "classify-witness", "witness", "pullback-demo"],
@@ -363,6 +366,27 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: cannot read ")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["subgroups", "--group", "perm:\u0663:(1 2 3)"],
+         ["subgroups", "--group", "perm:3:(\u0661 \u0662 \u0663)"],
+         ["subgroups", "--group", "C\u0664"],
+         ["conditions", "--group", "C2", "--coeff", "Fp:\u0667"],
+         ["conditions", "--group", "C2", "--coeff", "Fp: 7"],
+         ["conditions", "--group", "C2", "--coeff", "Fp:1_000_003"],
+         ["conditions", "--group", "C2", "--coeff", "Fp:+7"]],
+        ids=["perm-degree", "cycle-points", "named-size", "prime-digit",
+             "prime-space", "prime-underscore", "prime-sign"],
+    )
+    def test_decimal_fields_take_ascii_digits_only(self, argv, capsys):
+        """int() would read each of these; a decimal field of the input
+        is ASCII digits and nothing else."""
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "spec",

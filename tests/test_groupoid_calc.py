@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -33,6 +34,7 @@ from equisep.pullback import (
 
 from .oracles import (
     count_orbit_multisets,
+    extend_hom,
     reduce_generators,
     resummed_count_vectors,
 )
@@ -73,6 +75,20 @@ class TestGroupHom:
         gen = c2.generators[0]
         img = c3.generators[0]
         assert GroupHom.from_generator_images(c2, c3, {gen: img}) is None
+
+    def test_from_generator_images_matches_extension_oracle(self):
+        """Every tuple of generator images: the composed map is the one a
+        breadth-first extension finds, and None exactly when that meets a
+        conflict."""
+        groups = [trivial_group(), cyclic_group(2), cyclic_group(4),
+                  symmetric_group(3), make_group("C2xC2"), make_group("Q8")]
+        for src, dst in product(groups, repeat=2):
+            for images in product(dst.sorted_elements(),
+                                  repeat=len(src.generators)):
+                gens = dict(zip(src.generators, images))
+                hom = GroupHom.from_generator_images(src, dst, gens)
+                want = extend_hom(src, dst, gens)
+                assert (None if hom is None else hom.mapping) == want
 
     def test_identity_and_image(self):
         s3 = symmetric_group(3)

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from equisep import group_core
 from equisep.group_core import (
+    ResourceLimitError,
     cyclic_group,
+    double_cosets,
     make_group,
     pconj,
     subgroup_conjugacy_classes,
@@ -15,6 +18,7 @@ from equisep.gset import (
     GSetType,
     aut_group,
     coset_gset,
+    delete_orbits,
     disjoint_union,
     empty_gset,
     f_assemble,
@@ -76,6 +80,10 @@ def test_gset_from_action_validates():
         gset_from_action(g, 2, {g.identity: (0, 1), sigma: (0, 0)})
     with pytest.raises(ValueError):
         gset_from_action(g, 2, {g.identity: (1, 0), sigma: (0, 1)})
+    # every entry a permutation and the identity trivial, but sigma^2 = 1
+    # is sent to a 3-cycle squared
+    with pytest.raises(ValueError, match="not multiplicative"):
+        gset_from_action(g, 3, {g.identity: (0, 1, 2), sigma: (1, 2, 0)})
 
 
 def test_fixed_points_c6_example():
@@ -335,3 +343,90 @@ def test_f_split_roundtrip_randomized():
             size += block.size
         x = disjoint_union(*parts)
         assert f_assemble(f_split(x, fam)) == orbit_type(x)
+
+
+def random_triples(seed: int, count: int):
+    """(g, h, k) for random `perm:` groups of order at most 120, with h a
+    class representative and k a random conjugate of one."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        (spec,) = oracles.random_perm_specs(rng, 1)
+        try:
+            g = make_group(spec, max_order=120)
+        except ResourceLimitError:
+            continue
+        classes = subgroup_conjugacy_classes(g)
+        h = rng.choice(classes).representative
+        k, x = rng.choice(classes).representative, rng.choice(g.sorted_elements())
+        out.append((g, h, g.subgroup(pconj(x, t) for t in k.elements)))
+    return out
+
+
+def test_double_cosets_match_element_orbits():
+    """Representatives and sizes agree with H-by-K orbits walked on tuple
+    permutations, on 200 random triples."""
+    for g, h, k in random_triples(1301, 200):
+        dec = double_cosets(g, h, k)
+        assert (dec.representatives, dec.sizes) == oracles.double_cosets_by_orbits(
+            g, h, k
+        )
+
+
+def test_actions_match_per_element_tables():
+    """coset_gset, induce, restrict and mackey_decompose, read at every
+    element, agree with tables built element by element."""
+    rng = random.Random(1302)
+    for g, h, k in random_triples(1303, 30):
+        x = coset_gset(g, h)
+        table = oracles.coset_table(g.elements, h.elements)
+        assert all(x.perm(u) == table[u] for u in g.elements)
+        r = restrict(x, k)
+        assert all(r.perm(u) == table[u] for u in k.elements)
+        sub = rng.choice(subgroup_conjugacy_classes(k)).representative
+        y = disjoint_union(coset_gset(k, sub), trivial_gset(k, 1))
+        y_table = {u: y.perm(u) for u in k.elements}
+        assert y_table == {
+            u: p + (len(p),)
+            for u, p in oracles.coset_table(k.elements, sub.elements).items()
+        }
+        ind = induce(g, k, y)
+        want = oracles.induced_table(g.elements, k.elements, y_table, y.size)
+        assert all(ind.perm(u) == want[u] for u in g.elements)
+        mackey = mackey_decompose(g, h, k, y)
+        want = oracles.mackey_table(g, h, k, y_table, y.size)
+        assert all(mackey.perm(u) == want[u] for u in h.elements)
+
+
+def test_building_gsets_composes_no_image_until_read(monkeypatch):
+    """A G-set is built from its generators' images: no other element's
+    image is composed, and no per-element list made, until one is read."""
+    composed = []
+    compose = group_core._Table.compose
+
+    def counting(t, images, a):
+        if images is not t._rows and images[a] is None:
+            composed.append(a)
+        return compose(t, images, a)
+
+    monkeypatch.setattr(group_core._Table, "compose", counting)
+    g = make_group("S4")
+    classes = subgroup_conjugacy_classes(g)
+    h, k = classes[2].representative, classes[-3].representative
+    x = coset_gset(g, h)  # the input the others read
+    built = [coset_gset(g, h), trivial_gset(g, 2), empty_gset(g),
+             disjoint_union(x, trivial_gset(g, 1), x),
+             induce(g, k, trivial_gset(k, 2))]
+    assert composed == []
+    # these read their inputs' images, but compose none of their own
+    built += [restrict(x, k),
+              delete_orbits(disjoint_union(x, x), classes[-1]),
+              fixed_points(x, classes[1]),
+              mackey_decompose(g, h, k, coset_gset(k, k))]
+    assert all(b._images is None for b in built)
+    fresh = built[0]
+    u = next(u for u in g.sorted_elements()[1:] if u not in g.generators)
+    before = len(composed)
+    assert fresh.perm(u) == oracles.coset_table(g.elements, h.elements)[u]
+    assert len(composed) > before
+    assert fresh._images[group_core._table(g).index[u]] == fresh.perm(u)

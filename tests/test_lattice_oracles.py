@@ -130,3 +130,17 @@ def test_subconjugacy_is_read_without_a_scan(monkeypatch, spec):
     assert [is_subconjugate(g, top, c) for c in classes] == [
         c is top for c in classes
     ]
+
+
+@pytest.mark.parametrize("spec", ["S4xS4", "D4xD4", "C2xC2xC2xC2xC2"])
+def test_below_masks_match_pairwise_counts(spec):
+    """The subconjugacy masks, closed over the lattice search's
+    extensions, agree pair by pair with the containment counts."""
+    g = make_group(spec)
+    classes = subgroup_conjugacy_classes(g)
+    masks = group_core._subgroup_classes(g).below()
+    below = oracles.pairwise_subconjugacy(g)
+    for i, h in enumerate(classes):
+        assert [masks[i] >> j & 1 == 1 for j in range(len(classes))] == [
+            below(k, h) for k in classes
+        ], h.name

@@ -30,12 +30,8 @@ from equisep.group_core import (
 )
 from equisep.groupoid_calc import FiniteGroupoid
 from equisep.gset import FSplitting, GSetType
-from equisep.pullback import (
-    MODELING_NOTE,
-    PullbackComponent,
-    WitnessProbe,
-    WitnessRecord,
-)
+from equisep.pullback import PullbackComponent
+from equisep.witness import MODELING_NOTE, WitnessProbe, WitnessRecord
 
 # Each record with its fields in constructor order.  Records that check
 # nothing in their constructor are filled with plain strings.
