@@ -45,24 +45,29 @@ class TableOfMarks(_Record):
         return self.marks[self.index(cls)]
 
     def to_text(self) -> str:
-        names = [c.name for c in self.classes]
-        width = max(len(n) for n in names)
-        cell = max(width, max(len(str(v)) for row in self.marks for v in row))
-        head = " " * (width + 1) + " ".join(n.rjust(cell) for n in names)
-        lines = [head]
-        for name, row in zip(names, self.marks):
-            lines.append(
-                name.rjust(width)
-                + " "
-                + " ".join(str(v).rjust(cell) for v in row)
-            )
-        return "\n".join(lines)
+        return marks_layout([c.name for c in self.classes], self.marks)
 
     def to_json(self):
         return {
             "classes": [c.name for c in self.classes],
             "marks": [list(row) for row in self.marks],
         }
+
+
+def marks_layout(names, marks) -> str:
+    """The table of marks as right-aligned text: a header of class names,
+    then one row per class, its name and its marks."""
+    width = max(len(n) for n in names)
+    cell = max(width, max(len(str(v)) for row in marks for v in row))
+    head = " " * (width + 1) + " ".join(n.rjust(cell) for n in names)
+    lines = [head]
+    for name, row in zip(names, marks):
+        lines.append(
+            name.rjust(width)
+            + " "
+            + " ".join(str(v).rjust(cell) for v in row)
+        )
+    return "\n".join(lines)
 
 
 def table_of_marks(g: Group) -> TableOfMarks:

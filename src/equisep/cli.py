@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Verbs map one-to-one onto library entry points; everything prints either
-an aligned text block or JSON.  Exit codes: 0 success, 1 unsupported
-coefficient descriptor, 2 parse error, 3 resource bound exceeded, and 141
-(128 + SIGPIPE, as a shell reports a process killed by SIGPIPE) when
-stdout is closed before the output is written, e.g. by `| head -1`; that
-exit prints nothing to stderr.  `run`, the console entry point, exits
-without tearing the interpreter down; `main` returns the code instead.
-Each verb imports the library modules it runs inside its own function,
-after its input is parsed, so a call loads only what its verb needs.
+VERBS lists each verb once: its help, its options, the builder of its
+JSON payload and the renderer of its text, which reads that payload alone,
+so both formats report the same numbers by construction; only the
+requested format is made.  Each builder imports the library modules it
+runs, after its input is parsed, so a call loads only what its verb needs.
+Exit codes: 0 success, 1 unsupported coefficient descriptor, 2 parse
+error, 3 resource bound exceeded, and 141 (128 + SIGPIPE, as a shell
+reports a process killed by SIGPIPE) when stdout is closed before the
+output is written, e.g. by `| head -1`; that exit prints nothing to
+stderr.  `run`, the console entry point, exits without tearing the
+interpreter down; `main` returns the code instead.
 """
 
 from __future__ import annotations
@@ -50,145 +52,140 @@ def _parse_coeff(text: str):
     )
 
 
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
+def _read_options(args):
+    """Read the verb's option strings, in this order, so the first bad one
+    is the one reported: --max-size and --group (the group as args.g),
+    then --coeff (as args.ring) and --seed."""
+    given = vars(args)
+    if "max_size" in given:
+        args.max_size = _spec_int(args.max_size, "--max-size")
+    if "group" in given:
+        args.g = make_group(args.group)
+    if "coeff" in given:
+        args.ring = _parse_coeff(args.coeff)
+    if "seed" in given:
+        args.seed = _spec_int(args.seed, "--seed")
 
 
-def _table(rows, header) -> str:
-    widths = [
-        max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+# Column headers that differ from the payload key the column shows.
+_HEADERS = {"weyl_order": "weyl", "label": "component"}
+_STAGE_KEYS = ("subgroup", "weyl_order", "ic", "rc", "sep_closed")
+
+
+def _table(rows, keys) -> str:
+    """The rows' values at keys, aligned in columns under their headers."""
+    cells = [[_HEADERS.get(k, k) for k in keys]]
+    cells += [[_cell(r[k]) for k in keys] for r in rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(keys))]
+    return "\n".join(
+        "  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in cells
+    )
+
+
+def _witness_lines(w) -> list:
+    return [
+        f"x1 = x2 = {w['x1']}",
+        f"eta = {w['eta']}",
+        f"fiber_size = {w['fiber_size']}",
+        "certificate:",
+        *("  {" + ", ".join(orbit) + "}" for orbit in w["certificate"]),
+        f"note: {w['note']}",
     ]
-    lines = []
-    for r in [header] + rows:
-        lines.append("  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip())
-    return "\n".join(lines)
 
 
-def _stage_rows(reports):
-    rows = [
-        [
-            rep.subgroup.name,
-            rep.weyl_order,
-            _bool(rep.ic.ok),
-            _bool(rep.rc.ok),
-            _bool(rep.sep_closed),
-        ]
-        for rep in reports
-    ]
-    return _table(rows, ["subgroup", "weyl", "ic", "rc", "sep_closed"])
+def _subgroups(args):
+    return [{"subgroup": c.name, "order": c.order, "class_size": c.class_size,
+             "weyl_order": c.weyl_order}
+            for c in subgroup_conjugacy_classes(args.g)]
 
 
-def _cmd_subgroups(args):
-    g = make_group(args.group)
-    classes = subgroup_conjugacy_classes(g)
-    payload = [
-        {
-            "subgroup": c.name,
-            "order": c.order,
-            "class_size": c.class_size,
-            "weyl_order": c.weyl_order,
-        }
-        for c in classes
-    ]
-    rows = [list(row.values()) for row in payload]
-    return payload, _table(rows, ["subgroup", "order", "class_size", "weyl"])
+def _subgroups_text(payload, args) -> str:
+    return _table(payload, ("subgroup", "order", "class_size", "weyl_order"))
 
 
-def _cmd_marks(args):
-    g = make_group(args.group)
+def _marks(args):
     from .burnside import table_of_marks
 
-    tom = table_of_marks(g)
-    return tom.to_json(), tom.to_text()
+    return table_of_marks(args.g).to_json()
 
 
-def _cmd_burnside(args):
-    g = make_group(args.group)
-    perfect = [c.name for c in perfect_subgroup_classes(g)]
-    blocks = len(perfect)
-    solvable = group_flags(g).is_solvable
-    text = "\n".join(
-        [
-            f"group: {args.group}",
-            f"blocks={blocks}",
-            f"solvable={_bool(solvable)}",
-            "perfect classes: " + ", ".join(perfect),
-        ]
-    )
-    payload = {
+def _marks_text(payload, args) -> str:
+    from .burnside import marks_layout
+
+    return marks_layout(payload["classes"], payload["marks"])
+
+
+def _burnside(args):
+    perfect = [c.name for c in perfect_subgroup_classes(args.g)]
+    return {
         "group": args.group,
-        "blocks": blocks,
-        "solvable": solvable,
+        "blocks": len(perfect),
+        "solvable": group_flags(args.g).is_solvable,
         "perfect_classes": perfect,
     }
-    return payload, text
 
 
-def _cmd_conditions(args):
-    g = make_group(args.group)
-    ring = _parse_coeff(args.coeff)
+def _burnside_text(payload, args) -> str:
+    return (f"group: {payload['group']}\nblocks={payload['blocks']}\n"
+            f"solvable={_cell(payload['solvable'])}\n"
+            "perfect classes: " + ", ".join(payload["perfect_classes"]))
+
+
+def _conditions(args):
     from .conditions import stage_report
 
-    reports = [stage_report(g, cls, ring) for cls in subgroup_conjugacy_classes(g)]
-    lines = [_stage_rows(reports)]
-    for rep in reports:
-        lines.append(f"{rep.subgroup.name}: ic: {rep.ic.rule}")
-        lines.append(f"{rep.subgroup.name}: rc: {rep.rc.rule}")
-    return [rep.to_json() for rep in reports], "\n".join(lines)
-
-
-def _groupoid_text(gpd) -> str:
-    rows = [[c.label, c.aut_order] for c in gpd.components]
-    return _table(rows, ["component", "aut_order"])
-
-
-def _cmd_classify(args):
-    if args.max_size < 0:
-        raise GroupSpecError(f"--max-size must be >= 0, got {args.max_size}")
-    g = make_group(args.group)
-    ring = _parse_coeff(args.coeff)
-    from .classifier import classify
-
-    out = classify(g, ring, args.max_size)
-    lines = [f"verdict: {out.verdict.value}"]
-    if out.stage_reports:
-        lines.append(_stage_rows(out.stage_reports))
-    if out.groupoid is not None:
-        lines.append(f"components (size <= {args.max_size}):")
-        lines.append(_groupoid_text(out.groupoid))
-    if out.witness is not None:
-        lines.append(_witness_text(out.witness))
-    for note in out.notes:
-        lines.append(f"note: {note}")
-    return out.to_json(), "\n".join(lines)
-
-
-def _witness_text(rec) -> str:
-    lines = [
-        f"x1 = x2 = {rec.x1.label()}",
-        f"eta = {rec.eta_text}",
-        f"fiber_size = {rec.fiber_size}",
-        "certificate:",
+    return [
+        stage_report(args.g, cls, args.ring).to_json()
+        for cls in subgroup_conjugacy_classes(args.g)
     ]
-    for orbit in rec.double_coset_certificate:
-        lines.append("  {" + ", ".join(orbit) + "}")
-    lines.append(f"note: {rec.note}")
+
+
+def _conditions_text(payload, args) -> str:
+    lines = [_table(payload, _STAGE_KEYS)]
+    for s in payload:
+        lines.extend(f"{s['subgroup']}: {reason}" for reason in s["reasons"])
     return "\n".join(lines)
 
 
-def _cmd_witness(args):
-    g = make_group(args.group)
-    ring = _parse_coeff(args.coeff)
+def _classify(args):
+    from .classifier import classify
+
+    return classify(args.g, args.ring, args.max_size).to_json()
+
+
+def _classify_text(payload, args) -> str:
+    lines = [f"verdict: {payload['verdict']}"]
+    if payload["stages"]:
+        lines.append(_table(payload["stages"], _STAGE_KEYS))
+    if "groupoid" in payload:
+        lines.append(f"components (size <= {args.max_size}):")
+        lines.append(_table(payload["groupoid"], ("label", "aut_order")))
+    if "witness" in payload:
+        lines.extend(_witness_lines(payload["witness"]))
+    lines.extend(f"note: {note}" for note in payload.get("notes", ()))
+    return "\n".join(lines)
+
+
+def _witness(args):
     from .witness import witness_nonstandard
 
-    probe = witness_nonstandard(g, ring)
+    probe = witness_nonstandard(args.g, args.ring)
     if probe.found:
-        payload = {"found": True, "witness": probe.record.to_json()}
-        text = "witness found\n" + _witness_text(probe.record)
-    else:
-        payload = {"found": False, "failures": list(probe.failures)}
-        text = "witness absent\n" + "\n".join(f"  - {f}" for f in probe.failures)
-    return payload, text
+        return {"found": True, "witness": probe.record.to_json()}
+    return {"found": False, "failures": list(probe.failures)}
+
+
+def _witness_text(payload, args) -> str:
+    if payload["found"]:
+        return "\n".join(["witness found", *_witness_lines(payload["witness"])])
+    return "\n".join(["witness absent",
+                      *(f"  - {f}" for f in payload["failures"])])
 
 
 def _random_groupoid(rng, name, pool, max_components):
@@ -211,44 +208,69 @@ def _random_functor(rng, src, dst):
     return GroupoidFunctor(src, dst, cmap, amap)
 
 
-def _cmd_pullback_demo(args):
+def _pullback_demo(args):
     import random
 
     from .pullback import brute_force_pullback, pullback_pi0
 
     rng = random.Random(args.seed)
-    pool = [
-        trivial_group(),
-        cyclic_group(2),
-        cyclic_group(3),
-        cyclic_group(4),
-        symmetric_group(3),
-    ]
+    pool = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+            symmetric_group(3)]
     d = _random_groupoid(rng, "d", pool, 2)
     b = _random_groupoid(rng, "b", pool, 3)
     c = _random_groupoid(rng, "c", pool, 3)
     f = _random_functor(rng, b, d)
     g = _random_functor(rng, c, d)
     comps = pullback_pi0(f, g)
-    bf = brute_force_pullback(f, g)
-    ok = len(comps) == len(bf)
-    rows = [
-        [f"{p.base[0]}|{p.base[1]}", p.fiber_index, p.fiber_size, p.aut_order]
-        for p in comps
-    ]
-    text = "\n".join(
-        [
-            f"seed: {args.seed}",
-            _table(rows, ["base", "fiber_index", "fiber_size", "aut_order"]),
-            f"brute_force_matches={_bool(ok)}",
-        ]
-    )
-    payload = {
+    return {
         "seed": args.seed,
         "components": [p.to_json() for p in comps],
-        "brute_force_matches": ok,
+        "brute_force_matches": len(comps) == len(brute_force_pullback(f, g)),
     }
-    return payload, text
+
+
+def _pullback_demo_text(payload, args) -> str:
+    bases = ["|".join(p["base"]) for p in payload["components"]]
+    # the fiber over a base pair has one component per double coset
+    rows = [{**p, "base": base, "fiber_size": bases.count(base)}
+            for base, p in zip(bases, payload["components"])]
+    table = _table(rows, ("base", "fiber_index", "fiber_size", "aut_order"))
+    return (f"seed: {payload['seed']}\n{table}\n"
+            f"brute_force_matches={_cell(payload['brute_force_matches'])}")
+
+
+def _json(payload, args) -> str:
+    import json
+
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+_OPTIONS = {
+    "group": {"required": True,
+              "help": "group spec, e.g. C6, S4, Q8, C2xC2, "
+                      "perm:<degree>:<cycles>"},
+    "coeff": {"default": "sphere", "help": "coefficients: sphere, Z, or Fp:<p>"},
+    "max-size": {"default": "6",
+                 "help": "G-set cardinality bound for the census"},
+    "seed": {"default": "0"},
+}
+
+# verb: (help, options, builder, text renderer)
+VERBS = {
+    "subgroups": ("subgroup conjugacy classes", ("group",),
+                  _subgroups, _subgroups_text),
+    "marks": ("table of marks", ("group",), _marks, _marks_text),
+    "burnside": ("idempotent blocks and solvability", ("group",),
+                 _burnside, _burnside_text),
+    "conditions": ("per-stage checks", ("group", "coeff"),
+                   _conditions, _conditions_text),
+    "classify": ("full classification", ("group", "coeff", "max-size"),
+                 _classify, _classify_text),
+    "witness": ("non-standard witness search", ("group", "coeff"),
+                _witness, _witness_text),
+    "pullback-demo": ("random pullback vs brute force", ("seed",),
+                      _pullback_demo, _pullback_demo_text),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,66 +280,30 @@ def build_parser() -> argparse.ArgumentParser:
         "and compute the underlying G-set calculus.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, group=True, coeff=False, size=False):
-        if group:
-            p.add_argument("--group", required=True,
-                           help="group spec, e.g. C6, S4, Q8, C2xC2, "
-                                "perm:<degree>:<cycles>")
-        if coeff:
-            p.add_argument("--coeff", default="sphere",
-                           help="coefficients: sphere, Z, or Fp:<p>")
-        if size:
-            p.add_argument("--max-size", type=int, default=6,
-                           help="G-set cardinality bound for the census")
+    for verb, (help_text, options, _, _) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
         p.add_argument("--format", choices=["text", "json"], default="text")
-
-    common(sub.add_parser("subgroups", help="subgroup conjugacy classes"))
-    common(sub.add_parser("marks", help="table of marks"))
-    common(sub.add_parser("burnside", help="idempotent blocks and solvability"))
-    common(sub.add_parser("conditions", help="per-stage checks"), coeff=True)
-    common(sub.add_parser("classify", help="full classification"),
-           coeff=True, size=True)
-    common(sub.add_parser("witness", help="non-standard witness search"),
-           coeff=True)
-    demo = sub.add_parser("pullback-demo",
-                          help="random pullback vs brute force")
-    demo.add_argument("--seed", type=int, default=0)
-    common(demo, group=False)
     return parser
 
 
-_DISPATCH = {
-    "subgroups": _cmd_subgroups,
-    "marks": _cmd_marks,
-    "burnside": _cmd_burnside,
-    "conditions": _cmd_conditions,
-    "classify": _cmd_classify,
-    "witness": _cmd_witness,
-    "pullback-demo": _cmd_pullback_demo,
-}
+_EXIT_CODES = {GroupSpecError: 2, ResourceLimitError: 3,
+               UnsupportedDescriptorError: 1}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, _, build, render = VERBS[args.verb]
     try:
-        payload, text = _DISPATCH[args.verb](args)
-    except GroupSpecError as exc:
+        _read_options(args)
+        payload = build(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except UnsupportedDescriptorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(c for e, c in _EXIT_CODES.items() if isinstance(exc, e))
+    text = (_json if args.format == "json" else render)(payload, args)
     try:
-        if args.format == "json":
-            import json
-
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(text)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader is gone; send what is left, and the flush at exit,

@@ -50,6 +50,10 @@ MAX_ORDER_ENV = "EQUISEP_MAX_ORDER"
 # Most subgroups _all_subgroups finds before refusing the lattice: groups
 # within the order bound can have hundreds of millions (C2 to the 10th).
 SUBGROUP_BOUND = 10_000
+# Most cells of the k x k containment-count table _Lattice.counts builds:
+# C2 to the 6th (2,825 classes, 7,980,625 cells) fits in 1 GiB of address
+# space, C2 to the 5th x C4 (5,276 classes, 27,836,176 cells) does not.
+COUNT_CELL_BOUND = 10_000_000
 
 
 class GroupSpecError(ValueError):
@@ -686,8 +690,17 @@ class _Lattice:
 
     def counts(self) -> tuple:
         """c[H][K] (see containment_counts).  A conjugate of H can only
-        contain K when |K| divides |H|, so only those pairs are tested."""
+        contain K when |K| divides |H|, so only those pairs are tested.
+        Refuses, before counting, a table of more than COUNT_CELL_BOUND
+        cells."""
         if self._counts is None:
+            cells = len(self.classes) ** 2
+            if cells > COUNT_CELL_BOUND:
+                raise ResourceLimitError(
+                    f"containment-count table of {len(self.classes)} classes "
+                    f"has {cells} cells, over the bound {COUNT_CELL_BOUND} "
+                    "(layer group_core._Lattice.counts)"
+                )
             orders = [c.order for c in self.classes]
             self._counts = tuple(
                 tuple(

@@ -110,6 +110,42 @@ class TestTextJsonAgreement:
         ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["subgroups", "--group", "S3"],
+     ["marks", "--group", "S3"],
+     ["burnside", "--group", "A5"],
+     ["conditions", "--group", "C6", "--coeff", "Fp:5"],
+     ["classify", "--group", "C6", "--coeff", "sphere"],
+     ["witness", "--group", "C30", "--coeff", "sphere"],
+     ["pullback-demo", "--seed", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_only_the_requested_format_is_built(argv, monkeypatch, capsys):
+    """The builder runs once per call; JSON mode never renders text, and
+    text mode renders from the payload the builder returned."""
+    help_text, options, build, render = cli.VERBS[argv[0]]
+    built = []
+
+    def counted(args):
+        built.append((build(args), args))
+        return built[-1][0]
+
+    def no_text(payload, args):
+        raise AssertionError("text rendered in JSON mode")
+
+    monkeypatch.setitem(cli.VERBS, argv[0],
+                        (help_text, options, counted, no_text))
+    assert cli.main(argv + ["--format", "json"]) == 0
+    assert len(built) == 1
+    assert json.loads(capsys.readouterr().out) == built[0][0]
+    monkeypatch.setitem(cli.VERBS, argv[0],
+                        (help_text, options, counted, render))
+    assert cli.main(argv + ["--format", "text"]) == 0
+    assert len(built) == 2
+    assert capsys.readouterr().out == render(*built[1]) + "\n"
+
+
 # numpy is not a dependency; dataclasses brings inspect, ast, dis and
 # tokenize with it, and string is not needed: each would add to the start-up
 # cost of every command-line call.
@@ -332,6 +368,16 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
 
+    def test_count_table_over_bound_exit_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(group_core, "COUNT_CELL_BOUND", 120)
+        assert cli.main(["marks", "--group", "S4", "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: containment-count table of 11 classes has 121 cells, "
+            "over the bound 120 (layer group_core._Lattice.counts)\n"
+        )
+
     def test_large_prime_coefficient(self):
         ok = run_cli("conditions", "--group", "C2", "--coeff", "Fp:1000000007")
         assert ok.returncode == 0
@@ -375,9 +421,18 @@ class TestExitCodes:
          ["conditions", "--group", "C2", "--coeff", "Fp:\u0667"],
          ["conditions", "--group", "C2", "--coeff", "Fp: 7"],
          ["conditions", "--group", "C2", "--coeff", "Fp:1_000_003"],
-         ["conditions", "--group", "C2", "--coeff", "Fp:+7"]],
+         ["conditions", "--group", "C2", "--coeff", "Fp:+7"],
+         ["classify", "--group", "C2", "--max-size", "\u0663"],
+         ["classify", "--group", "C2", "--max-size", " 3"],
+         ["classify", "--group", "C2", "--max-size", "1_0"],
+         ["classify", "--group", "C2", "--max-size", "+3"],
+         ["pullback-demo", "--seed", "\u0663"],
+         ["pullback-demo", "--seed", "+3"],
+         ["pullback-demo", "--seed", "-3"]],
         ids=["perm-degree", "cycle-points", "named-size", "prime-digit",
-             "prime-space", "prime-underscore", "prime-sign"],
+             "prime-space", "prime-underscore", "prime-sign", "size-digit",
+             "size-space", "size-underscore", "size-sign", "seed-digit",
+             "seed-sign", "seed-negative"],
     )
     def test_decimal_fields_take_ascii_digits_only(self, argv, capsys):
         """int() would read each of these; a decimal field of the input

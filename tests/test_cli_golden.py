@@ -13,6 +13,12 @@ ConditionsFailNoWitness (C12 with Z) and UnitDecomposes (A5 with
 sphere).  They were generated from commit 76d1dfc, before families
 became masks over class positions.
 
+WITNESS_GOLDEN holds them for `witness`, in text and JSON, on C6, C10,
+C15, S3, D5, C30 and C12 with Z and on C6 with sphere (found and absent
+witnesses both), and PULLBACK_GOLDEN for `pullback-demo` with seeds 0-9.
+They were generated from commit 73f8eed, before each verb's text was
+rendered from its JSON payload.
+
 A change that alters any of these bytes must say why and regenerate them.
 """
 
@@ -151,6 +157,50 @@ CLASSIFY_GOLDEN = {
     ('A5', 'sphere', 6, 'json'): (0, "09ede4c2f94060e2d8f49ce1f957e327966950998c2a88858b27b69fbbc10ea7"),
 }
 
+# (group, coefficients, format) -> (exit code, digest)
+WITNESS_GOLDEN = {
+    ('C6', 'Z', 'text'): (0, "31f26bdf52b96b130042b9144705f18df9385f270eb3bdf9d617a402bcf96c00"),
+    ('C6', 'Z', 'json'): (0, "60aad5768e4dc3ba970ce9df09623e24c27857f10f0f14b0359a670694f6d559"),
+    ('C10', 'Z', 'text'): (0, "cec2d53011c72ecb2b568131a4a95bbe5c3d2c2270c860060b8ef8d4404ba48f"),
+    ('C10', 'Z', 'json'): (0, "8ca9995204f00c0990623ea15a6c1938f1dc927ee12fdf1e04873d15899ac66f"),
+    ('C15', 'Z', 'text'): (0, "1922e4b78acef187b6e91710292a58400436face62ef438c2fa8fdb5382a41a6"),
+    ('C15', 'Z', 'json'): (0, "45019da9618f67922f5d1a32005c57bb1a6875b3e334af615f6de82fdee3c19b"),
+    ('S3', 'Z', 'text'): (0, "31f26bdf52b96b130042b9144705f18df9385f270eb3bdf9d617a402bcf96c00"),
+    ('S3', 'Z', 'json'): (0, "60aad5768e4dc3ba970ce9df09623e24c27857f10f0f14b0359a670694f6d559"),
+    ('D5', 'Z', 'text'): (0, "cec2d53011c72ecb2b568131a4a95bbe5c3d2c2270c860060b8ef8d4404ba48f"),
+    ('D5', 'Z', 'json'): (0, "8ca9995204f00c0990623ea15a6c1938f1dc927ee12fdf1e04873d15899ac66f"),
+    ('C30', 'Z', 'text'): (0, "6912cb282848638b7692aefb602bc804a0eaa8a77bbd8cec67da214c8ab474c3"),
+    ('C30', 'Z', 'json'): (0, "8f3d963dc6091feb72cc9d59a0267fe42be57a656c239e110bb9157f26af30e7"),
+    ('C12', 'Z', 'text'): (0, "97d295db48d33669f38c6b86a3766819dad3359e8128023156bea19060121971"),
+    ('C12', 'Z', 'json'): (0, "e857ff2ad4617b3da83178d1d523a055623afd0b26ffbf86a1adf0ae37cf6bbc"),
+    ('C6', 'sphere', 'text'): (0, "31f26bdf52b96b130042b9144705f18df9385f270eb3bdf9d617a402bcf96c00"),
+    ('C6', 'sphere', 'json'): (0, "60aad5768e4dc3ba970ce9df09623e24c27857f10f0f14b0359a670694f6d559"),
+}
+
+# (seed, format) -> (exit code, digest)
+PULLBACK_GOLDEN = {
+    (0, 'text'): (0, "1b75e968879355dca57b728857ebee008c6a99df905e91ce95c6bd90000dfb19"),
+    (0, 'json'): (0, "5ba68228faed5f67237f9fdea2c624245ec3c5ddee6694ebe169ea1ac040def3"),
+    (1, 'text'): (0, "779908446d1fa7d11eb0b51ffd8b1511c7317b6ed84949415bc76ecfec3af59e"),
+    (1, 'json'): (0, "0459fc70c20736d45aa64491ea60c474dcb176743c8e75ed460bbfa569d95c60"),
+    (2, 'text'): (0, "7a684dc9736c8e1535beea6449f665109f5693d30cadada59957753a5b1825d6"),
+    (2, 'json'): (0, "7ff273e7f690d8118aecff9e1e71ac4df02a34a14e9096c682e9f05d8000b34e"),
+    (3, 'text'): (0, "59736035ba80967e615b792731639a09f4969d51f144f3ee14ff88d481bcd273"),
+    (3, 'json'): (0, "dcc64b26bbd815b3b5099228559d255c49d7518b5343e73ee8a64091cb5d823e"),
+    (4, 'text'): (0, "58eef81dc4a34a384746b96aeb3ba1d12c21aba49396b1286619b1cffbc9dc29"),
+    (4, 'json'): (0, "263fd4e866531f9325728f9827c1bcf5c794f9f4cb1d11388bef49e395dcd368"),
+    (5, 'text'): (0, "1eeb1a167016446c751d7eee1c675c9b51227158d1bc97b09a3fb69a25b9a65a"),
+    (5, 'json'): (0, "80d1224f715b98adfffc878e565d280c34564ae2e3c98c10b0b5ae5e3e618f2a"),
+    (6, 'text'): (0, "c3b6a08a5c3343e32e038167375c503337c6e9bf5c5599d7731231f02724ef1d"),
+    (6, 'json'): (0, "902c076158b848d00a71c9c43612f44f2759f6ebca50ea3013bc283fa821640d"),
+    (7, 'text'): (0, "6c7ce77d5de82914ebde299c6d6c98a5716f5d7524b3748fea146362d4dd41da"),
+    (7, 'json'): (0, "be6e3140a8d75f8736bf79858875a1b15018481ad36af46e5de1bd300272e70d"),
+    (8, 'text'): (0, "ca59b472c3a5d6b9d5e151338eb5f1531e9f4ed19aea9bd5c027a6b4fd15e2ee"),
+    (8, 'json'): (0, "27abb30665bb5e5d5ce209d171733c0c03eb28e02068d5b7f910f01717c7e9cb"),
+    (9, 'text'): (0, "7c3bb55a42d84eae16a71f605d69e27534ec1f05040723fac63fa3df578fba6e"),
+    (9, 'json'): (0, "bc30916ce42be5e8d2e389fbfab69422582be0874b51aa4d0e36a062da34417e"),
+}
+
 
 @pytest.fixture(autouse=True)
 def _no_env_bound(monkeypatch):
@@ -174,3 +224,18 @@ def test_classify_output_digest(capsys, group, coeff, max_size, fmt):
     code = cli.main(argv)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == CLASSIFY_GOLDEN[group, coeff, max_size, fmt]
+
+
+@pytest.mark.parametrize("group,coeff,fmt", sorted(WITNESS_GOLDEN, key=str))
+def test_witness_output_digest(capsys, group, coeff, fmt):
+    code = cli.main(["witness", "--group", group, "--coeff", coeff,
+                     "--format", fmt])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == WITNESS_GOLDEN[group, coeff, fmt]
+
+
+@pytest.mark.parametrize("seed,fmt", sorted(PULLBACK_GOLDEN, key=str))
+def test_pullback_demo_output_digest(capsys, seed, fmt):
+    code = cli.main(["pullback-demo", "--seed", str(seed), "--format", fmt])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == PULLBACK_GOLDEN[seed, fmt]

@@ -394,6 +394,22 @@ def test_lattice_bound_counts_subgroups_found(monkeypatch):
     )
 
 
+def test_count_bound_refuses_the_table_before_counting(monkeypatch):
+    """S4 has 11 classes: a bound of 120 cells refuses its 121-cell
+    containment-count table, with no count made, and 121 answers it."""
+    g = make_group("S4")
+    monkeypatch.setattr(group_core, "COUNT_CELL_BOUND", 120)
+    with pytest.raises(ResourceLimitError) as info:
+        group_core.containment_counts(g)
+    assert str(info.value) == (
+        "containment-count table of 11 classes has 121 cells, over the "
+        "bound 120 (layer group_core._Lattice.counts)"
+    )
+    assert group_core._subgroup_classes(g)._counts is None
+    monkeypatch.setattr(group_core, "COUNT_CELL_BOUND", 121)
+    assert len(group_core.containment_counts(g)) == 11
+
+
 def test_derived_data_dies_with_its_group():
     """Lattice, marks, flags, Weyl groups, normalizers and automorphism
     groups are kept on the group or recomputed, never in a module-level
