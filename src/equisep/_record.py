@@ -1,18 +1,66 @@
 """The base of the library's immutable value records.
 
-A record is a plain class that lists its fields in ``__slots__``.  Its
-own ``__init__`` sets each field through ``_set``, then ``_key``, the
-tuple of the fields that take part in ``==`` and ``hash``, through
-``_set_key``.  Records compare equal only to instances of the same
-class, hash as that tuple, print as ``Name(field=value, ...)`` and refuse
-assignment.  They are plain classes, not frozen dataclasses, because the
-dataclass decorator imports ``inspect`` and compiles its methods when the
-module loads, a cost every command-line call would pay.
+A record is a plain class that names its fields once, in ``__slots__``,
+and takes its constructor from ``_Record``: values bind by position or
+keyword, a field left out takes its value from the class's ``_defaults``,
+and a missing, unknown or repeated field raises ``TypeError``.  A record
+that checks its values calls that constructor first.  ``==`` and
+``hash`` compare ``_key``, the tuple of the fields not named in
+``_uncompared``.  Records compare equal only to instances of the same
+class, print as ``Name(field=value, ...)`` and refuse assignment; a
+subclass that declares ``__slots__ = ()`` keeps its parent's fields.
+``Family``, which stores a mask built from its argument, sets its slots
+itself through ``_set`` and ``_set_key``.
+
+They are plain classes, not frozen dataclasses, because the dataclass
+decorator imports ``inspect`` and compiles its methods when the module
+loads, a cost every command-line call would pay.
 """
 
 
 class _Record:
     __slots__ = ("_key",)
+    _defaults = {}
+    _uncompared = ()
+
+    def __init_subclass__(cls):
+        if cls.__dict__.get("__slots__"):
+            cls._fields = fields = cls.__slots__
+            # each slot's own setter skips the attribute lookup of setattr
+            cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)
+            cls._compared = [i for i, f in enumerate(fields)
+                             if f not in cls._uncompared]
+
+    def __init__(self, *values, **named):
+        if named or len(values) != len(self._fields):
+            values = self._bind(values, named)
+        for put, value in zip(self._setters, values):
+            put(self, value)
+        if self._uncompared:
+            values = tuple([values[i] for i in self._compared])
+        _set_key(self, values)
+
+    @classmethod
+    def _bind(cls, values, named):
+        """The values in field order, or the TypeError that an explicit
+        signature would raise."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(values) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional "
+                            f"arguments but {len(values)} were given")
+        bound = list(values)
+        for field in fields[len(values):]:
+            if field in named:
+                bound.append(named.pop(field))
+            elif field in cls._defaults:
+                bound.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        for field in named:
+            problem = ("multiple values for" if field in fields
+                       else "an unexpected keyword")
+            raise TypeError(f"{name}() got {problem} argument {field!r}")
+        return tuple(bound)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -23,7 +71,7 @@ class _Record:
         return hash(self._key)
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -34,9 +82,8 @@ class _Record:
 
     def __reduce__(self):
         # rebuilt through __init__, since the fields cannot be assigned
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 _set = object.__setattr__
-# the slot's own setter skips the attribute lookup that _set makes
 _set_key = _Record._key.__set__

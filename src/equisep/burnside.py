@@ -10,7 +10,7 @@ conjugates of H that contain K (`containment_counts`)."""
 
 from __future__ import annotations
 
-from ._record import _Record, _set, _set_key
+from ._record import _Record
 from .group_core import (
     Group,
     SubgroupClass,
@@ -30,13 +30,7 @@ class TableOfMarks(_Record):
     Weyl group orders on the diagonal (only H itself contains H).
     """
 
-    __slots__ = ("group", "classes", "marks")
-
-    def __init__(self, group: Group, classes: tuple, marks: tuple):
-        _set(self, "group", group)
-        _set(self, "classes", classes)
-        _set(self, "marks", marks)  # one tuple of ints per row
-        _set_key(self, (group, classes, marks))
+    __slots__ = ("group", "classes", "marks")  # marks: one tuple of ints per row
 
     def index(self, cls: SubgroupClass) -> int:
         return self.classes.index(cls)
@@ -84,11 +78,9 @@ class BurnsideElement(_Record):
 
     __slots__ = ("table", "coefficients")
 
-    def __init__(self, table: TableOfMarks, coefficients: tuple):
-        _set(self, "table", table)
-        _set(self, "coefficients", coefficients)
-        _set_key(self, (table, coefficients))
-        assert len(coefficients) == len(table.classes)
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
+        assert len(self.coefficients) == len(self.table.classes)
 
     def marks_vector(self) -> tuple:
         """Ghost coordinates: the fixed-point count at every class."""

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._record import _Record, _set, _set_key
+from ._record import _Record
 from .burnside import idempotent_block_count
 from .conditions import RingDescriptor, stage_report
 from .families import Family, empty_family, exhaustive_filtration
 from .group_core import Group, group_flags
-from .groupoid_calc import FiniteGroupoid, truncated_gset_groupoid
+from .groupoid_calc import truncated_gset_groupoid
 
 
 class Verdict(Enum):
@@ -24,18 +24,15 @@ class Verdict(Enum):
 
 
 class ClassificationOutcome(_Record):
-    __slots__ = ("verdict", "stage_reports", "groupoid", "witness", "notes")
+    __slots__ = ("verdict", "stage_reports",
+                 "groupoid",  # the FiniteGroupoid of an AllStandard verdict
+                 "witness",  # a WitnessRecord or None
+                 "notes")
+    _defaults = {"groupoid": None, "witness": None, "notes": ()}
 
-    def __init__(self, verdict: Verdict, stage_reports: tuple,
-                 groupoid: FiniteGroupoid | None = None,
-                 witness: WitnessRecord | None = None, notes: tuple = ()):
-        _set(self, "verdict", verdict)
-        _set(self, "stage_reports", stage_reports)
-        _set(self, "groupoid", groupoid)
-        _set(self, "witness", witness)
-        _set(self, "notes", notes)
-        _set_key(self, (verdict, stage_reports, groupoid, witness, notes))
-        assert (groupoid is not None) == (verdict is Verdict.ALL_STANDARD)
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
+        assert (self.groupoid is not None) == (self.verdict is Verdict.ALL_STANDARD)
 
     def to_json(self):
         out = {
@@ -95,8 +92,8 @@ def classify(g: Group, ring: RingDescriptor, max_size: int,
     )
 
 
-def standard_algebra(g: Group, family: Family, x: GSet) -> str:
-    """The component label of x in the classification groupoid.
+def standard_algebra(g: Group, family: Family, x) -> str:
+    """The component label of the GSet x in the classification groupoid.
 
     x must have isotropy outside the family; deleting the orbits of a
     newly added class commutes with this labeling.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ._record import _Record, _set, _set_key
+from ._record import _Record
 from .burnside import is_indecomposable_mod, sphere_ic
 from .group_core import (
     Group,
@@ -31,31 +31,13 @@ class RingDescriptor(_Record):
     The callables take no part in == and hash.
     """
 
-    __slots__ = ("name", "kind", "char", "indecomposable", "indecomposable_mod",
-                 "torsion_free", "prime_invertible", "separably_closed",
-                 "burnside_unit", "rc_witness_map_to", "inflated", "action")
-
-    def __init__(self, name: str, kind: str, char: int, indecomposable: bool,
-                 indecomposable_mod: Callable[[int], bool],
-                 torsion_free: Callable[[int], bool],
-                 prime_invertible: Callable[[int], bool],
-                 separably_closed: bool, burnside_unit: bool,
-                 rc_witness_map_to: RingDescriptor | None = None,
-                 inflated: bool = True, action: str = "trivial"):
-        _set(self, "name", name)
-        _set(self, "kind", kind)  # sphere | integers | prime_field | custom
-        _set(self, "char", char)
-        _set(self, "indecomposable", indecomposable)
-        _set(self, "indecomposable_mod", indecomposable_mod)
-        _set(self, "torsion_free", torsion_free)
-        _set(self, "prime_invertible", prime_invertible)
-        _set(self, "separably_closed", separably_closed)
-        _set(self, "burnside_unit", burnside_unit)
-        _set(self, "rc_witness_map_to", rc_witness_map_to)
-        _set(self, "inflated", inflated)
-        _set(self, "action", action)
-        _set_key(self, (name, kind, char, indecomposable, separably_closed,
-                            burnside_unit, rc_witness_map_to, inflated, action))
+    __slots__ = ("name", "kind",  # kind: sphere | integers | prime_field | custom
+                 "char", "indecomposable", "indecomposable_mod", "torsion_free",
+                 "prime_invertible", "separably_closed", "burnside_unit",
+                 "rc_witness_map_to",  # a RingDescriptor or None
+                 "inflated", "action")
+    _defaults = {"rc_witness_map_to": None, "inflated": True, "action": "trivial"}
+    _uncompared = ("indecomposable_mod", "torsion_free", "prime_invertible")
 
 
 def sphere() -> RingDescriptor:
@@ -191,12 +173,7 @@ def geometric_fixed_points(ring: RingDescriptor, cls: SubgroupClass) -> RingDesc
 
 class CheckResult(_Record):
     __slots__ = ("ok", "rule", "convention")
-
-    def __init__(self, ok: bool, rule: str, convention: bool = False):
-        _set(self, "ok", ok)
-        _set(self, "rule", rule)
-        _set(self, "convention", convention)
-        _set_key(self, (ok, rule, convention))
+    _defaults = {"convention": False}
 
 
 def check_ic(ring: RingDescriptor, weyl_order: int) -> CheckResult:
@@ -248,15 +225,7 @@ class StageReport(_Record):
     built when `weyl` is first read.
     """
 
-    __slots__ = ("subgroup", "ic", "rc", "sep_closed")
-
-    def __init__(self, subgroup: SubgroupClass, ic: CheckResult,
-                 rc: CheckResult, sep_closed: bool):
-        _set(self, "subgroup", subgroup)
-        _set(self, "ic", ic)
-        _set(self, "rc", rc)
-        _set(self, "sep_closed", sep_closed)
-        _set_key(self, (subgroup, ic, rc, sep_closed))
+    __slots__ = ("subgroup", "ic", "rc", "sep_closed")  # ic, rc: CheckResult
 
     @property
     def weyl_order(self) -> int:

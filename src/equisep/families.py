@@ -132,12 +132,8 @@ def minimal_additions(g: Group, family: Family):
 class Filtration(_Record):
     """A chain of families each adding one conjugacy class, ending at all."""
 
-    __slots__ = ("stages", "added")
-
-    def __init__(self, stages: tuple, added: tuple):
-        _set(self, "stages", stages)  # Family, one more class each step
-        _set(self, "added", added)  # SubgroupClass added at each step
-        _set_key(self, (stages, added))
+    __slots__ = ("stages",  # Family, one more class each step
+                 "added")  # SubgroupClass added at each step
 
     def __len__(self):
         return len(self.added)

@@ -41,7 +41,7 @@ import sys
 from itertools import combinations
 from math import factorial, gcd
 
-from ._record import _Record, _set, _set_key
+from ._record import _Record
 
 Perm = tuple
 
@@ -466,10 +466,7 @@ def resolve_max_order(max_order: int | None = None) -> int:
         return max_order
     env = os.environ.get(MAX_ORDER_ENV)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise GroupSpecError(f"bad {MAX_ORDER_ENV} value {env!r}") from exc
+        return _spec_int(env, MAX_ORDER_ENV)
     return DEFAULT_MAX_ORDER
 
 
@@ -536,16 +533,8 @@ def encode_subgroup(elements) -> bytes:
 class SubgroupClass(_Record):
     """A conjugacy class of subgroups, with its canonical representative."""
 
+    # parent and representative are Groups; canonical_key is bytes
     __slots__ = ("parent", "representative", "class_size", "canonical_key", "name")
-
-    def __init__(self, parent: Group, representative: Group, class_size: int,
-                 canonical_key: bytes, name: str):
-        _set(self, "parent", parent)
-        _set(self, "representative", representative)
-        _set(self, "class_size", class_size)
-        _set(self, "canonical_key", canonical_key)
-        _set(self, "name", name)
-        _set_key(self, (parent, representative, class_size, canonical_key, name))
 
     @property
     def order(self) -> int:
@@ -903,16 +892,8 @@ def weyl_group(g: Group, cls: SubgroupClass) -> Group:
 class DoubleCosetDecomposition(_Record):
     """The partition of a group into H-g-K double cosets."""
 
+    # left and right are Groups; one representative and size per double coset
     __slots__ = ("group", "left", "right", "representatives", "sizes")
-
-    def __init__(self, group: Group, left: Group, right: Group,
-                 representatives: tuple, sizes: tuple):
-        _set(self, "group", group)
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "representatives", representatives)
-        _set(self, "sizes", sizes)
-        _set_key(self, (group, left, right, representatives, sizes))
 
     def __len__(self):
         return len(self.representatives)
@@ -967,18 +948,9 @@ def _derived_subgroup(t: _Table, gens):
 
 
 class GroupFlags(_Record):
-    __slots__ = ("is_trivial", "is_p_group", "p_prime", "is_solvable",
-                 "prime_divisors")
-
-    def __init__(self, is_trivial: bool, is_p_group: bool, p_prime: int | None,
-                 is_solvable: bool, prime_divisors: frozenset):
-        _set(self, "is_trivial", is_trivial)
-        _set(self, "is_p_group", is_p_group)
-        _set(self, "p_prime", p_prime)
-        _set(self, "is_solvable", is_solvable)
-        _set(self, "prime_divisors", prime_divisors)
-        _set_key(self, (is_trivial, is_p_group, p_prime, is_solvable,
-                            prime_divisors))
+    __slots__ = ("is_trivial", "is_p_group",
+                 "p_prime",  # the prime of a p-group, else None
+                 "is_solvable", "prime_divisors")
 
 
 def group_flags(g: Group) -> GroupFlags:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from ._record import _Record, _set, _set_key
+from ._record import _Record
 from .group_core import (
     Group,
     ResourceLimitError,
@@ -21,13 +21,8 @@ from .group_core import (
 class GSetType(_Record):
     """Multiset of (stabilizer class, multiplicity): the isomorphism type."""
 
-    __slots__ = ("group", "entries")
-
-    def __init__(self, group: Group, entries: tuple):
-        _set(self, "group", group)
-        # ((SubgroupClass, int), ...) sorted by (order, key)
-        _set(self, "entries", entries)
-        _set_key(self, (group, entries))
+    __slots__ = ("group",
+                 "entries")  # ((SubgroupClass, int), ...) sorted by (order, key)
 
     @classmethod
     def from_counts(cls, group: Group, counts: dict) -> "GSetType":

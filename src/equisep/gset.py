@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ._record import _Record, _set, _set_key
+from ._record import _Record
 from .group_core import (
     Group,
     SubgroupClass,
@@ -29,6 +29,7 @@ from .group_core import (
     is_subconjugate,
     normalizer,
     closure,
+    double_cosets,
     resolve_max_order,
     ResourceLimitError,
 )
@@ -223,8 +224,6 @@ def mackey_decompose(g: Group, h: Group, k: Group, y: GSet) -> GSet:
     Each double coset representative r contributes the H-set induced from
     H meet rKr^-1 acting on y through conjugation by r.
     """
-    from .group_core import double_cosets
-
     if y.group != k:
         raise ValueError("mackey_decompose needs a K-set")
     dec = double_cosets(g, h, k)
@@ -300,14 +299,8 @@ def aut_group(x: GSet) -> Group:
 class FSplitting(_Record):
     """Free Weyl-set ranks of a G-set over the classes outside a family."""
 
-    __slots__ = ("group", "family", "ranks")
-
-    def __init__(self, group: Group, family, ranks: tuple):
-        _set(self, "group", group)
-        _set(self, "family", family)
-        # ((SubgroupClass, int), ...) over all classes outside F
-        _set(self, "ranks", ranks)
-        _set_key(self, (group, family, ranks))
+    __slots__ = ("group", "family",
+                 "ranks")  # ((SubgroupClass, int), ...) over all classes outside F
 
     def rank(self, cls: SubgroupClass) -> int:
         return dict(self.ranks)[cls]

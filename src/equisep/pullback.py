@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from ._record import _Record, _set, _set_key
+from ._record import _Record
 from .group_core import (
     Group,
     ResourceLimitError,
@@ -88,16 +88,10 @@ def all_homomorphisms(src: Group, dst: Group):
         [y for y in dst.sorted_elements() if gen_orders[i] % perm_order(y) == 0]
         for i in range(len(gens))
     ]
-    out = []
-    seen = set()
-    for images in product(*candidates):
-        hom = GroupHom.from_generator_images(src, dst, dict(zip(gens, images)))
-        if hom is not None:
-            key = tuple(sorted(hom.mapping.items()))
-            if key not in seen:
-                seen.add(key)
-                out.append(hom)
-    return out
+    # the generators are distinct, so distinct images give distinct maps
+    homs = (GroupHom.from_generator_images(src, dst, dict(zip(gens, images)))
+            for images in product(*candidates))
+    return [hom for hom in homs if hom is not None]
 
 
 class GroupoidFunctor:
@@ -134,19 +128,9 @@ class PullbackComponent(_Record):
     aut_order the order of its automorphism group (the orbit stabilizer).
     """
 
-    __slots__ = ("base", "eta_class", "fiber_size", "fiber_index", "coset_size",
-                 "aut_order")
-
-    def __init__(self, base: tuple, eta_class: tuple, fiber_size: int,
-                 fiber_index: int, coset_size: int, aut_order: int):
-        _set(self, "base", base)  # (source label in B, source label in C)
-        _set(self, "eta_class", eta_class)  # minimal double-coset rep in Aut_D
-        _set(self, "fiber_size", fiber_size)
-        _set(self, "fiber_index", fiber_index)
-        _set(self, "coset_size", coset_size)
-        _set(self, "aut_order", aut_order)
-        _set_key(self, (base, eta_class, fiber_size, fiber_index, coset_size,
-                            aut_order))
+    __slots__ = ("base",  # (source label in B, source label in C)
+                 "eta_class",  # minimal double-coset rep in Aut_D
+                 "fiber_size", "fiber_index", "coset_size", "aut_order")
 
     def to_json(self):
         return {

@@ -9,7 +9,7 @@ the comparison fiber has 2^(r-1) elements instead of one.
 
 from __future__ import annotations
 
-from ._record import _Record, _set, _set_key
+from ._record import _Record
 from .conditions import RingDescriptor, geometric_fixed_points, stage_report
 from .group_core import (
     Group,
@@ -40,22 +40,12 @@ class WitnessRecord(_Record):
     identity's.
     """
 
-    __slots__ = ("x1", "x2", "primes", "eta", "fiber_size",
-                 "double_coset_certificate", "note")
-
-    def __init__(self, x1: GSetType, x2: GSetType, primes: tuple, eta: tuple,
-                 fiber_size: int, double_coset_certificate: tuple,
-                 note: str = MODELING_NOTE):
-        _set(self, "x1", x1)
-        _set(self, "x2", x2)
-        _set(self, "primes", primes)
-        _set(self, "eta", eta)  # one of "id" / "swap" per prime
-        _set(self, "fiber_size", fiber_size)
-        # orbits, each a tuple of rendered tuples
-        _set(self, "double_coset_certificate", double_coset_certificate)
-        _set(self, "note", note)
-        _set_key(self, (x1, x2, primes, eta, fiber_size,
-                            double_coset_certificate, note))
+    __slots__ = ("x1", "x2", "primes",  # x1 and x2 are GSetTypes
+                 "eta",  # one of "id" / "swap" per prime
+                 "fiber_size",
+                 "double_coset_certificate",  # orbits, tuples of rendered tuples
+                 "note")
+    _defaults = {"note": MODELING_NOTE}
 
     @property
     def eta_text(self) -> str:
@@ -76,14 +66,8 @@ class WitnessRecord(_Record):
 class WitnessProbe(_Record):
     """Outcome of the witness search: a record, or the reasons there is none."""
 
-    __slots__ = ("record", "failures", "stage_reports")
-
-    def __init__(self, record: WitnessRecord | None, failures: tuple,
-                 stage_reports: tuple):
-        _set(self, "record", record)
-        _set(self, "failures", failures)
-        _set(self, "stage_reports", stage_reports)
-        _set_key(self, (record, failures, stage_reports))
+    __slots__ = ("record",  # a WitnessRecord or None
+                 "failures", "stage_reports")
 
     @property
     def found(self) -> bool:
@@ -123,7 +107,7 @@ def _witness_leg(r: int):
     return leg, diag
 
 
-def _build_witness(g: Group, ring: RingDescriptor, primes) -> WitnessRecord:
+def _build_witness(g: Group, primes) -> WitnessRecord:
     r = len(primes)
     x1 = GSetType.from_counts(g, {subgroup_conjugacy_classes(g)[-1]: 2})
     leg, diag = _witness_leg(r)
@@ -202,4 +186,4 @@ def witness_nonstandard(g: Group, ring: RingDescriptor) -> WitnessProbe:
 
     if failures:
         return WitnessProbe(None, tuple(failures), tuple(reports))
-    return WitnessProbe(_build_witness(g, ring, primes), (), tuple(reports))
+    return WitnessProbe(_build_witness(g, primes), (), tuple(reports))

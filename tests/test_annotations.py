@@ -1,0 +1,58 @@
+"""Every annotation in the package resolves: typing.get_type_hints succeeds
+on each function and method defined at the top level of a module or in a
+class body.  The functions are found by parsing the sources, so a new one
+is checked without being listed here."""
+
+import ast
+import importlib
+import pathlib
+import typing
+
+import pytest
+
+import equisep
+
+PACKAGE = pathlib.Path(equisep.__file__).parent
+# __main__ defines nothing and runs the command line when imported
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__main__")
+
+
+def _unwrap(obj):
+    if isinstance(obj, property):
+        return [f for f in (obj.fget, obj.fset, obj.fdel) if f is not None]
+    return [getattr(obj, "__func__", obj)]
+
+
+def _functions(stem):
+    """(qualified name, function) for each def at the top level of the
+    module or in a top-level class body."""
+    name = "equisep" if stem == "__init__" else f"equisep.{stem}"
+    module = importlib.import_module(name)
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((node.name, vars(module)[node.name]))
+        elif isinstance(node, ast.ClassDef):
+            cls = vars(module)[node.name]
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for func in _unwrap(vars(cls)[item.name]):
+                        out.append((f"{node.name}.{item.name}", func))
+    return out
+
+
+def test_every_module_is_checked():
+    assert {"__init__", "_record", "cli", "classifier", "gset"} <= set(MODULES)
+    assert sum(len(_functions(stem)) for stem in MODULES) > 200
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_annotations_resolve(stem):
+    failures = []
+    for qualname, func in _functions(stem):
+        try:
+            typing.get_type_hints(func)
+        except Exception as exc:  # any failure to resolve is reported
+            failures.append(f"{qualname}: {type(exc).__name__}: {exc}")
+    assert failures == []

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -302,6 +304,60 @@ def test_p_groups_are_all_standard(spec):
         out = classify(g, ring, 0)
         assert out.verdict is Verdict.ALL_STANDARD, (spec, ring.name)
         assert len(out.groupoid) == 1
+
+
+def paper_table_specs():
+    """Every product of the named atoms C2-C32, D3-D16, S3, S4, A4, A5 and
+    Q8 of order at most 64, as a multiset of factors in atom order."""
+    atoms = [(f"C{n}", n) for n in range(2, 33)]
+    atoms += [(f"D{n}", 2 * n) for n in range(3, 17)]
+    atoms += [("S3", 6), ("S4", 24), ("A4", 12), ("A5", 60), ("Q8", 8)]
+    specs = []
+
+    def grow(factors, order, start):
+        for i in range(start, len(atoms)):
+            name, n = atoms[i]
+            if order * n <= 64:
+                specs.append(("x".join(factors + [name]), order * n))
+                grow(factors + [name], order * n, i)
+
+    grow([], 1, 0)
+    return specs
+
+
+# sha256 of the "spec ring verdict" lines of the non-p-group specs, in
+# paper_table_specs order with sphere before Z, joined by newlines
+PAPER_TABLE_DIGEST = (
+    "a24d325e6f46699aebaaaeffb1a00f80fdf75bbed46576ac7ecb781c14716d63"
+)
+
+
+def test_verdict_table_of_the_other_products():
+    """The rest of the verdict table.  Only A5 is not solvable, and its
+    unit decomposes over the sphere.  Every other group that is not a
+    p-group fails a stage check, so none is AllStandard.  The witness
+    search needs two prime divisors and every proper stage passing, so
+    ConditionsFailNoWitness marks where it stops, not a proof that no
+    non-standard algebra exists."""
+    table = paper_table_specs()
+    assert len(table) == 284
+    p_groups = [s for s, n in table if len(prime_factors(n)) == 1]
+    assert sorted(p_groups) == sorted(P_GROUP_SPECS)
+    lines = []
+    for spec, order in table:
+        if len(prime_factors(order)) == 1:
+            continue
+        g = make_group(spec)
+        for name, ring in (("sphere", sphere()), ("Z", integers())):
+            lines.append(f"{spec} {name} {classify(g, ring, 0).verdict.value}")
+    verdicts = Counter(line.split()[2] for line in lines)
+    assert verdicts == {"ConditionsFailNoWitness": 364,
+                        "NonStandardWitness": 65, "UnitDecomposes": 1}
+    assert [line for line in lines if line.endswith("UnitDecomposes")] == [
+        "A5 sphere UnitDecomposes"
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PAPER_TABLE_DIGEST
 
 
 @pytest.mark.parametrize(

@@ -444,6 +444,22 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "value",
+        [" 5", "5 ", "+5", "1_0", "\u06630", "-1"],
+        ids=["space-before", "space-after", "sign", "underscore", "digit",
+             "negative"],
+    )
+    def test_max_order_env_takes_ascii_digits_only(self, value, monkeypatch,
+                                                   capsys):
+        """The bound from the environment is read as the command line's
+        decimal fields are; -1 is refused as input, not taken as a bound."""
+        monkeypatch.setenv("EQUISEP_MAX_ORDER", value)
+        assert cli.main(["subgroups", "--group", "C2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad EQUISEP_MAX_ORDER {value!r}\n"
+
+    @pytest.mark.parametrize(
         "spec",
         ["C2000xC" + "9" * 4299, "C" + "9" * 4299 + "xC" + "9" * 4299],
         ids=["past-digit-limit", "within-digit-limit"],

@@ -1,10 +1,12 @@
 """The contract of the immutable value records: construction by position
 and keyword with their defaults, equality within one class, hashing as
 the compared fields, the Name(field=value, ...) repr, refused assignment,
-the constructor checks, and copy and pickle."""
+the constructor checks, the refusal of wrong arguments, and copy and
+pickle."""
 
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -241,3 +243,42 @@ def test_copy_of_a_checked_record():
     g = make_group("S3")
     fam = empty_family(g)
     assert copy.deepcopy(fam) == fam
+
+
+@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
+def test_wrong_arguments_raise_type_error(index):
+    """A missing field, an unknown keyword, a field given twice and one
+    positional argument too many are refused as an explicit signature
+    would refuse them."""
+    cls, fields, args = _samples()[index]
+    without_first = dict(zip(fields[1:], args[1:]))
+    calls = {
+        "missing": lambda: cls(**without_first),
+        "unknown": lambda: cls(*args, no_such_field=1),
+        "twice": lambda: cls(*args, **{fields[0]: args[0]}),
+        "too many": lambda: cls(*args, None),
+    }
+    for what, call in calls.items():
+        with pytest.raises(TypeError):
+            call()
+            pytest.fail(f"{cls.__name__}: {what} argument accepted")
+
+
+def test_only_family_sets_its_own_fields(monkeypatch):
+    """Every record but Family binds its fields in the shared constructor,
+    and only the families module keeps the slot setters."""
+    samples = [(cls, args) for cls, _, args in _samples() if cls is not Family]
+    shared = _Record.__init__
+    built = []
+
+    def counted(self, *values, **named):
+        built.append(type(self))
+        shared(self, *values, **named)
+
+    monkeypatch.setattr(_Record, "__init__", counted)
+    for cls, args in samples:
+        cls(*args)
+    assert built == [cls for cls, _ in samples]
+    modules = {sys.modules[cls.__module__] for cls, _, _ in _samples()}
+    setters = {m.__name__ for m in modules if hasattr(m, "_set")}
+    assert setters == {"equisep.families"}
