@@ -67,7 +67,7 @@ def marks_layout(names, marks) -> str:
 def table_of_marks(g: Group) -> TableOfMarks:
     classes = subgroup_conjugacy_classes(g)
     marks = tuple(
-        tuple(h.weyl_order * c for c in row)
+        tuple(map(h.weyl_order.__mul__, row))
         for h, row in zip(classes, containment_counts(g))
     )
     return TableOfMarks(g, classes, marks)
@@ -131,7 +131,8 @@ def degree_is_constant(g: Group, h: SubgroupClass) -> bool:
 
     True only for H = G: a proper subgroup has a positive mark at the
     trivial class and mark zero at the full class.  The marks are |W(H)|
-    times the containment counts, so the counts are read instead.
+    times the containment counts, so the row's two end counts decide it:
+    c[H][1] is H's class size, since every conjugate contains 1, and
+    c[H][G] is 1 when H = G and 0 otherwise.  No count table is built.
     """
-    row = containment_counts(g)[subgroup_conjugacy_classes(g).index(h)]
-    return row[0] != 0 and all(v == row[0] for v in row)
+    return h.class_size == (h.order == g.order)

@@ -11,7 +11,7 @@ from enum import Enum
 from ._record import _Record
 from .burnside import idempotent_block_count
 from .conditions import RingDescriptor, stage_report
-from .families import Family, empty_family, exhaustive_filtration
+from .families import Family, empty_family
 from .group_core import Group, group_flags
 from .groupoid_calc import truncated_gset_groupoid
 
@@ -67,8 +67,8 @@ def classify(g: Group, ring: RingDescriptor, max_size: int,
             ),
         )
 
-    filtration = exhaustive_filtration(g, family)
-    reports = tuple(stage_report(g, cls, ring) for cls in filtration.added)
+    # the classes an exhaustive filtration from the family adds, in order
+    reports = tuple(stage_report(g, cls, ring) for cls in family.outside())
     if all(rep.passed for rep in reports):
         return ClassificationOutcome(
             verdict=Verdict.ALL_STANDARD,

@@ -14,11 +14,18 @@ map, inverses, and left-multiplication rows row(a)[x] = index(a*x).  An
 action of the group is held as its generators' images, and the image of
 another element is composed on first read (`_Table.compose`); the rows
 are the regular action.  A subgroup is then a Python int bitmask over the
-numbering: K <= H is `k & h == k`, a union is `|`, and closure walks the
-generators' rows one left coset at a time (`_Table.join`).  The table is
-also the one home of what is derived from the group: its lattice (with
-the Weyl groups built so far) and its flags are fields of the table, so
-they are computed once per group and freed with it.
+numbering: K <= H is `k & h == k`, a union is `|`, and a join walks the
+generators' rows one left coset at a time (`_Table.join`); `_Table.span`
+joins candidates in greedily, which picks a subgroup's generators and
+spans commutator subgroups and stabilizers.  The table is also the one
+home of what is derived from the group: its lattice (with the Weyl groups
+built so far) and its flags are fields of the table, so they are
+computed once per group and freed with it.
+
+There is one orbit walk, `orbit_of`, which returns its breadth-first tree
+(each point with the map and the point it was first reached from).
+Closures, orbits, powers, conjugacy orbits, the spanning words that
+`compose` follows and the transversals of G-sets all read it.
 
 The lattice (`_all_subgroups`) is found by Neubueser's cyclic extension,
 one subgroup per conjugacy class.  If M is a maximal subgroup of K, then
@@ -29,8 +36,11 @@ And for n in N(H), <H, ncn^-1> = n<H, c>n^-1 lies in the class of
 <H, c>.  So extending each representative by one prime-power cyclic
 subgroup per N(H)-conjugation orbit of those it does not contain, and
 adding the whole conjugation orbit of each new subgroup, reaches every
-subgroup, by induction on the order.  The public API keeps perm tuples
-and frozensets.
+subgroup, by induction on the order.  Once K = <H, c> has prime index
+over H, every cyclic subgroup inside K but not inside H gives K again,
+and each member of its N(H)-orbit a conjugate of K, so those orbits are
+skipped without losing a class.  The public API keeps perm tuples and
+frozensets.
 """
 
 from __future__ import annotations
@@ -90,48 +100,38 @@ def pconj(g: Perm, h: Perm) -> Perm:
 
 
 def perm_order(a: Perm) -> int:
-    e = identity_perm(len(a))
-    n, x = 1, a
-    while x != e:
-        x = pmul(a, x)
-        n += 1
-    return n
+    """The order of a, the size of its powers' orbit."""
+    return len(orbit_of(a, [lambda x, f=a.__getitem__: tuple(map(f, x))]))
 
 
 def closure(generators, degree: int, max_size: int | None = None) -> frozenset:
-    """Multiplicative closure of the generators, as a frozenset of perms."""
-    e = identity_perm(degree)
-    els = {e}
-    frontier = [e]
-    gens = [tuple(g) for g in generators]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = pmul(g, x)
-                if y not in els:
-                    els.add(y)
-                    new.append(y)
-                    if max_size is not None and len(els) > max_size:
-                        raise ResourceLimitError(
-                            f"group order exceeds the bound {max_size}"
-                        )
-        frontier = new
-    return frozenset(els)
+    """Multiplicative closure of the generators, as a frozenset of perms:
+    the orbit of the identity under left multiplication by each."""
+    # pmul(g, x) inlined, one call per product
+    maps = [lambda x, f=tuple(g).__getitem__: tuple(map(f, x)) for g in generators]
+    tree = orbit_of(identity_perm(degree), maps, max_size)
+    if max_size is not None and len(tree) > max_size:
+        raise ResourceLimitError(f"group order exceeds the bound {max_size}")
+    return frozenset(tree)
 
 
-def orbit_of(seed, maps) -> set:
-    """Everything reachable from seed by applying the maps repeatedly."""
-    out = {seed}
+def orbit_of(seed, maps, limit: int | None = None) -> dict:
+    """Everything reachable from seed by applying the maps repeatedly, as
+    a breadth-first tree in the order it was walked: each point maps to
+    how it was first reached, (map number, predecessor), and the seed to
+    None.  With a limit, the walk stops once it holds more points."""
+    tree = {seed: None}
     frontier = [seed]
-    while frontier:
-        x = frontier.pop()
-        for f in maps:
+    numbered = list(enumerate(maps))
+    for x in frontier:
+        for i, f in numbered:
             y = f(x)
-            if y not in out:
-                out.add(y)
+            if y not in tree:
+                tree[y] = (i, x)
                 frontier.append(y)
-    return out
+        if limit is not None and len(tree) > limit:
+            break
+    return tree
 
 
 def _orbits(size: int, maps) -> list:
@@ -141,7 +141,7 @@ def _orbits(size: int, maps) -> list:
     for p in range(size):
         if p not in seen:
             orbit = orbit_of(p, maps)
-            seen |= orbit
+            seen.update(orbit)
             out.append(tuple(sorted(orbit)))
     return out
 
@@ -203,7 +203,9 @@ class Group:
         els = frozenset(elements)
         assert els <= self.elements
         t = _table(self)
-        gens = t.generators_of(t.indices(els))
+        # generators picked greedily in index order
+        gens, have = t.span(sorted(t.indices(els)), [], [0])
+        assert len(have) == len(els)
         return Group(self.degree, [t.perms[x] for x in gens], els)
 
     def is_subgroup_of(self, other: "Group") -> bool:
@@ -248,29 +250,21 @@ class _Table:
             chain.append(a)
             a = words[a][1]
         for a in reversed(chain):
-            s, b = words[a]
-            image = images[s]
+            i, b = words[a]
+            image = images[self.gens[i]]
             images[a] = tuple([image[x] for x in images[b]])
         return images[a]
 
-    def _spanning_words(self) -> list:
-        """words[y] = (s, x) with y = s*x for a generator s, over a
-        breadth-first tree from the identity; fills the generators' rows."""
+    def _spanning_words(self) -> dict:
+        """words[y] = (i, x) with y = s*x for the i-th generator s: the
+        orbit_of tree of the identity under the generators' rows, which
+        this fills."""
         perms, index, rows = self.perms, self.index, self._rows
         rows[0] = tuple(range(len(perms)))
         for s in self.gens:
             p = perms[s]
             rows[s] = tuple([index[pmul(p, x)] for x in perms])
-        words = [None] * len(perms)
-        words[0] = (0, 0)
-        frontier = [0]
-        for x in frontier:
-            for s in self.gens:
-                y = rows[s][x]
-                if words[y] is None:
-                    words[y] = (s, x)
-                    frontier.append(y)
-        return words
+        return orbit_of(0, [rows[s].__getitem__ for s in self.gens])
 
     def conj(self, t: int, y: int) -> int:
         """index(t y t^-1), read off row(t) alone."""
@@ -279,8 +273,9 @@ class _Table:
 
     def join(self, elems: list, gens, c: int) -> list:
         """The elements of <H, c>, where elems lists H = <gens> with the
-        identity first: left cosets of H are added while a generator
-        moves a coset representative outside what is known."""
+        identity first, followed by the new ones: left cosets of H are
+        added while a generator moves a coset representative outside what
+        is known."""
         out = list(elems)
         seen = set(out)
         rows = [self.row(s) for s in gens] + [self.row(c)]
@@ -294,21 +289,18 @@ class _Table:
                     cosets.append(new)
         return out
 
-    def generators_of(self, elems) -> list:
-        """Generators of the subgroup with these indices, picked greedily
-        in index order: each index not yet generated is added."""
-        target = sorted(elems)
-        gens, have = [], [0]
-        seen = {0}
-        for x in target:
-            if len(have) == len(target):
-                break
-            if x not in seen:
-                have = self.join(have, gens, x)
-                gens.append(x)
-                seen = set(have)
-        assert seen == set(target)
-        return gens
+    def span(self, candidates, gens, elems: list) -> tuple:
+        """Greedy joins onto H = <gens>, whose elements elems lists with
+        the identity first: each candidate outside what is generated so far
+        is joined in and becomes a generator.  Returns (gens, elems) of
+        the subgroup generated."""
+        gens, seen = list(gens), set(elems)
+        for c in candidates:
+            if c not in seen:
+                elems = self.join(elems, gens, c)
+                gens.append(c)
+                seen = set(elems)
+        return gens, elems
 
 
 def _table(g: Group) -> _Table:
@@ -559,16 +551,13 @@ def _prime_power_cyclics(t: _Table):
     least generating indices, and cyclic_of, which maps every index that
     generates one of them to its position in that list (-1 elsewhere)."""
     n = len(t.perms)
-    ident, cyclic_of, out = t.perms[0], [-1] * n, []
+    cyclic_of, out = [-1] * n, []
     done = bytearray(n)
     for x in range(1, n):
         if done[x]:
             continue
-        p = t.perms[x]
-        powers, y = [0], p
-        while y != ident:
-            powers.append(t.index[y])
-            y = pmul(p, y)
+        # the lattice search builds most of these rows for its joins anyway
+        powers = list(orbit_of(0, [t.row(x).__getitem__]))
         m = len(powers)
         prime_power = len(prime_factors(m)) == 1
         for k in range(1, m):
@@ -591,19 +580,36 @@ def _normalizing_cosets(t: _Table, elems: list, gens) -> list:
     return [x for x in reps if all(t.conj(x, y) in inside for y in gens)]
 
 
+def _generators_mod(t: _Table, elems: list, reps: list) -> tuple:
+    """Some of reps, the least indices of the left cosets of H in N(H)
+    (reps[0] = 0, H's own), that generate N(H) together with H, where
+    elems lists H: each one outside the cosets reached so far is picked,
+    and those reached are the orbit of H's own coset under the picks."""
+    rep_of = {t.row(r)[k]: r for r in reps for k in elems}
+    picked, reached = [], {0}
+    for r in reps[1:]:
+        if r not in reached:
+            picked.append(r)
+            maps = [lambda c, row=t.row(x): rep_of[row[c]] for x in picked]
+            reached = orbit_of(0, maps)
+    return tuple(picked)
+
+
 def _all_subgroups(g: Group, lower: list | None = None) -> list:
     """Every subgroup of g, as (frozenset of its element indices, number
     of its conjugation orbit) pairs.  A list given as lower gets one entry
     per orbit: lower[j] lists the orbit i of every extension <H, c> of
-    orbit i's subgroup H that lies in orbit j, whether or not it was new.
+    orbit i's subgroup H that lies in orbit j, whether or not it was new;
+    a skipped extension lies in an orbit already listed.
 
     One subgroup H per orbit is extended by one prime-power cyclic
     subgroup from each N(H)-conjugation orbit of those it does not
-    contain; each new subgroup brings its whole orbit.  The module
-    docstring gives the argument that this is exhaustive.  The orbits of
-    the cyclics are walked with H's generators and the representatives of
-    the other cosets in N(H), or with g's generators, fewer, when H is
-    normal.  The search keys subgroups by frozensets of indices, which
+    contain, skipping the orbits that meet a join of prime index over H;
+    each new subgroup brings its whole orbit.  The module docstring gives
+    the argument that this is exhaustive.  The orbits of the cyclics are
+    walked with H's generators and cosets that generate N(H) with them
+    (_generators_mod), or, once for every normal H, with g's generators.
+    The search keys subgroups by frozensets of indices, which
     hash faster than building a mask per join, and returns them as they
     are.  It stops with a ResourceLimitError once more than SUBGROUP_BOUND
     subgroups are found.
@@ -611,6 +617,15 @@ def _all_subgroups(g: Group, lower: list | None = None) -> list:
     t = _table(g)
     n, inv = len(t.perms), t.inverse
     cyclics, cyclic_of = _prime_power_cyclics(t)
+
+    def cyclic_orbits(movers) -> list:
+        """The orbits of the cyclics' positions under conjugation."""
+        return _orbits(len(cyclics), [
+            [cyclic_of[r[inv[r[inv[c]]]]] for c in cyclics].__getitem__
+            for r in map(t.row, movers)
+        ])
+
+    normal_orbits = cyclic_orbits(t.gens)
     conjugations = [[t.conj(s, x) for x in range(n)] for s in t.gens]
     conjugators = [
         lambda sub, m=m: frozenset(map(m.__getitem__, sub)) for m in conjugations
@@ -621,24 +636,22 @@ def _all_subgroups(g: Group, lower: list | None = None) -> list:
     lower.append([])
     for i, (gens, elems) in enumerate(todo):
         reps = _normalizing_cosets(t, elems, gens)
-        # reps[0] is the identity, H's own coset
-        movers = t.gens if len(reps) * len(elems) == n else gens + tuple(reps[1:])
-        rows = list(map(t.row, movers))
+        if len(reps) * len(elems) == n:
+            orbits = normal_orbits
+        else:
+            orbits = cyclic_orbits(gens + _generators_mod(t, elems, reps))
         inside = set(elems)
-        seen = bytearray(len(cyclics))
-        for j, c in enumerate(cyclics):
-            if seen[j] or c in inside:
+        # the cyclics in a join of prime index over H, and -1, which
+        # cyclic_of gives the elements of other orders and no orbit holds
+        covered = set()
+        for orbit in orbits:
+            c = cyclics[orbit[0]]
+            if c in inside or not covered.isdisjoint(orbit):
                 continue
-            seen[j] = 1
-            stack = [c]
-            while stack:
-                y = stack.pop()
-                for r in rows:
-                    j = cyclic_of[r[inv[r[inv[y]]]]]
-                    if not seen[j]:
-                        seen[j] = 1
-                        stack.append(cyclics[j])
             k = t.join(elems, gens, c)
+            index = len(k) // len(elems)
+            if prime_factors(index) == (index,):
+                covered.update(map(cyclic_of.__getitem__, k[len(elems):]))
             key = frozenset(k)
             if key not in found:
                 for member in orbit_of(key, conjugators):
@@ -707,8 +720,9 @@ class _Lattice:
         It is the closure of lower, taken in class order.  If M is maximal
         in K, then K = <M, c> for some c of prime-power order, and the
         search extends the representative H of M's class by a cyclic from
-        each N(H)-orbit, one of which gives a conjugate of K (see the
-        module docstring).  So each class lists the classes of its
+        each N(H)-orbit, one of which gives a conjugate of K; an orbit it
+        skips gives the class of a join it made (see the module
+        docstring).  So each class lists the classes of its
         maximal subgroups, all earlier in class order; no count is read."""
         if self._below is None:
             below = []
@@ -933,18 +947,12 @@ def prime_factors(n: int) -> tuple:
 
 def _derived_subgroup(t: _Table, gens):
     """Generators and elements of H' for H = <gens>: the normal closure,
-    in H, of the commutators of H's generators."""
+    in H, of the commutators of H's generators, spanned by their
+    conjugacy orbits in H."""
     row, inv = t.row, t.inverse
-    pending = [row(a)[row(b)[row(inv[a])[inv[b]]]] for a, b in combinations(gens, 2)]
-    dgens, elems, seen = [], [0], {0}
-    while pending:
-        y = pending.pop()
-        if y not in seen:
-            elems = t.join(elems, dgens, y)
-            dgens.append(y)
-            seen = set(elems)
-            pending += [t.conj(h, y) for h in gens]
-    return dgens, elems
+    commutators = [row(a)[row(b)[row(inv[a])[inv[b]]]] for a, b in combinations(gens, 2)]
+    conjugators = [lambda y, h=h: t.conj(h, y) for h in gens]
+    return t.span((y for c in commutators for y in orbit_of(c, conjugators)), [], [0])
 
 
 class GroupFlags(_Record):

@@ -4,7 +4,10 @@ and splitting over a family of subgroups.
 
 A GSet holds one point permutation per generator of its group; any other
 element's is composed on first read (group_core's _Table.compose), so a
-G-set costs its generators to build, not its group.  The multiset of
+G-set costs its generators to build, not its group.  Orbits and
+transversals are read off group_core's one orbit walk (orbit_of) over the
+generators' images, and a point's stabilizer is spanned by its Schreier
+elements, so neither reads any other element's image.  The multiset of
 (stabilizer class, multiplicity) pairs is a complete isomorphism
 invariant, so G-sets are compared through it; that GSetType lives with
 the census in groupoid_calc.
@@ -28,6 +31,7 @@ from .group_core import (
     weyl_group_with_section,
     is_subconjugate,
     normalizer,
+    orbit_of,
     closure,
     double_cosets,
     resolve_max_order,
@@ -74,10 +78,37 @@ class GSet:
     def stabilizer(self, point: int) -> Group:
         return self.group.subgroup(self._fixing(point))
 
+    def transversal(self, point: int) -> dict:
+        """Each point q of point's orbit mapped to an element moving point
+        to q."""
+        perms = _table(self.group).perms
+        return {q: perms[w] for q, w in self._words(point).items()}
+
+    def _words(self, point: int) -> dict:
+        """The transversal over the group's numbering, along orbit_of's
+        tree: w(point) is the identity and w(s q) = s w(q) for the
+        generator s that first reached s q."""
+        t = _table(self.group)
+        rows = [t.row(s) for s in t.gens]
+        words = {}
+        walk = orbit_of(point, [p.__getitem__ for p in self.gen_images])
+        for q, step in walk.items():
+            words[q] = 0 if step is None else rows[step[0]][words[step[1]]]
+        return words
+
     def _fixing(self, point: int) -> frozenset:
-        return frozenset(
-            g for g in self.group.elements if self.perm(g)[point] == point
+        """The stabilizer of point, spanned by its Schreier elements
+        w(s q)^-1 s w(q) over the orbit's points q and the generators s
+        (Schreier's lemma); read off the generators' images and the
+        group's rows."""
+        t = _table(self.group)
+        words, inv = self._words(point), t.inverse
+        schreier = (
+            t.row(inv[words[image[q]]])[row[w]]
+            for image, row in zip(self.gen_images, map(t.row, t.gens))
+            for q, w in words.items()
         )
+        return frozenset(map(t.perms.__getitem__, t.span(schreier, [], [0])[1]))
 
     def __repr__(self):
         return f"GSet(group_order={self.group.order}, size={self.size})"
@@ -277,8 +308,9 @@ def aut_group(x: GSet) -> Group:
             )
             for orbit, _ in orbits
         ]
-        # words[b][p], some element moving b to p; any one will do
-        words = {b: {x.act(u, b): u for u in g.elements} for b in bases}
+        # words[b][p], some element moving b to p; any two differ by an
+        # element of s0, which N(s0) normalizes, so any one will do
+        words = {b: x.transversal(b) for b in bases}
         n_group = normalizer(g, s0)
         for t in n_group.generators:
             perm = list(range(x.size))

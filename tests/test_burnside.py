@@ -8,6 +8,7 @@ from equisep.burnside import (
     sphere_ic,
     table_of_marks,
 )
+from equisep import group_core
 from equisep.group_core import (
     encode_subgroup,
     is_subconjugate,
@@ -144,8 +145,13 @@ def test_sphere_ic_quotient_characterization():
         assert direct == via_quotients
 
 
-def test_degree_is_constant_iff_full_subgroup():
-    for spec in ["C6", "S3", "D4", "A4"]:
+def test_degree_is_constant_iff_full_subgroup(monkeypatch):
+    """Decided from two counts, with no count table built."""
+    def refuse(self):
+        raise AssertionError("the count table was built")
+
+    monkeypatch.setattr(group_core._Lattice, "counts", refuse)
+    for spec in ["C6", "S3", "D4", "A4", "C2xC2xC2xC2xC2"]:
         g = make_group(spec)
         for cls in subgroup_conjugacy_classes(g):
             assert degree_is_constant(g, cls) == (cls.order == g.order)

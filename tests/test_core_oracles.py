@@ -4,7 +4,8 @@ Every subgroup, every class (size, canonical key, name, containment
 counts), normalizers, Weyl groups with their sections, solvability and
 perfect subgroups are recomputed on tuple permutations by
 `tests/oracles.py` and compared with the library, on the acceptance
-corpus, S5, A5xC2 and random `perm:` specs of order at most 48.
+corpus, S5, A5xC2, C2xC2xC2xC2xC2, Q8xQ8 and random `perm:` specs of
+order at most 48.
 """
 
 import functools
@@ -30,7 +31,7 @@ from .test_acceptance import CORPUS
 
 
 def _specs():
-    specs = CORPUS + ["S5", "A5xC2"]
+    specs = CORPUS + ["S5", "A5xC2", "C2xC2xC2xC2xC2", "Q8xQ8"]
     for spec in oracles.random_perm_specs(random.Random(2024), 40):
         try:
             make_group(spec, max_order=48)

@@ -255,6 +255,37 @@ def test_orbit_stabilizers_match_stabilizer():
         assert stab == oracles.stabilizer_elements(x, orbit[0])
 
 
+def test_stabilizers_and_transversals_on_random_unions(monkeypatch):
+    """On disjoint unions of coset G-sets of random `perm:` groups, each
+    orbit's stabilizer equals the elements found by scanning the group,
+    and each transversal element moves its base point where it says.
+    The stabilizers are spanned from the generators' images and the
+    group's rows alone: no other element's image is read."""
+    rng = random.Random(1601)
+    checked = 0
+    for spec in oracles.random_perm_specs(random.Random(1602), 24):
+        try:
+            g = make_group(spec, max_order=120)
+        except ResourceLimitError:
+            continue
+        classes = subgroup_conjugacy_classes(g)
+        x = disjoint_union(*(coset_gset(g, rng.choice(classes).representative)
+                             for _ in range(rng.randint(1, 3))))
+        for orbit in x.orbits():
+            words = x.transversal(orbit[0])
+            assert sorted(words) == list(orbit)
+            assert all(x.act(u, orbit[0]) == q for q, u in words.items())
+        fresh = disjoint_union(x)
+        with monkeypatch.context() as m:
+            m.setattr(type(x), "perm", lambda *_: pytest.fail("perm was read"))
+            pairs = fresh.orbit_stabilizers()
+        assert [orbit for orbit, _ in pairs] == x.orbits()
+        for orbit, stab in pairs:
+            assert stab == oracles.stabilizer_elements(x, orbit[0])
+        checked += 1
+    assert checked >= 15
+
+
 def test_aut_group_order_formula():
     g = make_group("D4")
     classes = subgroup_conjugacy_classes(g)
