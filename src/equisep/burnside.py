@@ -108,11 +108,8 @@ def idempotent_block_count(g: Group) -> int:
 
 def is_indecomposable_mod(n: int) -> bool:
     """Whether Z/n is an indecomposable ring (n = 0 meaning Z itself)."""
-    if n == 0:
-        return True
-    if n == 1:
-        return False
-    return len(prime_factors(n)) == 1
+    # Z/1, the zero ring, has no prime factor
+    return n == 0 or len(prime_factors(n)) == 1
 
 
 def sphere_ic(weyl_order: int) -> bool:

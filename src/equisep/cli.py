@@ -3,21 +3,26 @@
 VERBS lists each verb once: its help, its options, the builder of its
 JSON payload and the renderer of its text, which reads that payload alone,
 so both formats report the same numbers by construction; only the
-requested format is made.  Each builder imports the library modules it
-runs, after its input is parsed, so a call loads only what its verb needs.
+requested format is made.  _OPTIONS gives each option its default and
+the reader of its text.  The command line is read from these two tables
+alone: the first word is the verb, the rest are its options, each
+--option value or --option=value in any order, the last one given
+counting, and -h or --help anywhere prints the help built from them.
+Each builder imports the library modules it runs, after its input is
+parsed, so a call loads only what its verb needs.
 Exit codes: 0 success, 1 unsupported coefficient descriptor, 2 parse
 error, 3 resource bound exceeded, and 141 (128 + SIGPIPE, as a shell
 reports a process killed by SIGPIPE) when stdout is closed before the
 output is written, e.g. by `| head -1`; that exit prints nothing to
-stderr.  `run`, the console entry point, exits without tearing the
-interpreter down; `main` returns the code instead.
+stderr.  Every refused input, a malformed command line included, leaves
+through _EXIT_CODES as one `error:` line on stderr.  `run`, the console
+entry point, exits without tearing the interpreter down; `main` returns
+the code instead.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .group_core import (
     GroupSpecError,
@@ -30,7 +35,6 @@ from .group_core import (
     perfect_subgroup_classes,
     subgroup_conjugacy_classes,
     symmetric_group,
-    trivial_group,
 )
 
 
@@ -50,21 +54,6 @@ def _parse_coeff(text: str):
     raise GroupSpecError(
         f"unknown coefficient {text!r}; expected sphere, Z, or Fp:<p>"
     )
-
-
-def _read_options(args):
-    """Read the verb's option strings, in this order, so the first bad one
-    is the one reported: --max-size and --group (the group as args.g),
-    then --coeff (as args.ring) and --seed."""
-    given = vars(args)
-    if "max_size" in given:
-        args.max_size = _spec_int(args.max_size, "--max-size")
-    if "group" in given:
-        args.g = make_group(args.group)
-    if "coeff" in given:
-        args.ring = _parse_coeff(args.coeff)
-    if "seed" in given:
-        args.seed = _spec_int(args.seed, "--seed")
 
 
 def _cell(v) -> str:
@@ -188,39 +177,19 @@ def _witness_text(payload, args) -> str:
                       *(f"  - {f}" for f in payload["failures"])])
 
 
-def _random_groupoid(rng, name, pool, max_components):
-    from .groupoid_calc import FiniteGroupoid, GroupoidComponent
-
-    n = rng.randint(1, max_components)
-    return FiniteGroupoid(
-        [GroupoidComponent(f"{name}{i}", rng.choice(pool)) for i in range(n)]
-    )
-
-
-def _random_functor(rng, src, dst):
-    from .pullback import GroupoidFunctor, all_homomorphisms
-
-    cmap, amap = {}, {}
-    for comp in src.components:
-        target = rng.choice(dst.components)
-        cmap[comp.label] = target.label
-        amap[comp.label] = rng.choice(all_homomorphisms(comp.aut, target.aut))
-    return GroupoidFunctor(src, dst, cmap, amap)
-
-
 def _pullback_demo(args):
     import random
 
-    from .pullback import brute_force_pullback, pullback_pi0
+    from .pullback import (brute_force_pullback, pullback_pi0, random_functor,
+                           random_groupoid)
 
     rng = random.Random(args.seed)
-    pool = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
-            symmetric_group(3)]
-    d = _random_groupoid(rng, "d", pool, 2)
-    b = _random_groupoid(rng, "b", pool, 3)
-    c = _random_groupoid(rng, "c", pool, 3)
-    f = _random_functor(rng, b, d)
-    g = _random_functor(rng, c, d)
+    pool = [cyclic_group(n) for n in (1, 2, 3, 4)] + [symmetric_group(3)]
+    d = random_groupoid(rng, "d", pool, 2)
+    b = random_groupoid(rng, "b", pool, 3)
+    c = random_groupoid(rng, "c", pool, 3)
+    f = random_functor(rng, b, d)
+    g = random_functor(rng, c, d)
     comps = pullback_pi0(f, g)
     return {
         "seed": args.seed,
@@ -245,17 +214,30 @@ def _json(payload, args) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _format(text: str) -> str:
+    if text not in ("text", "json"):
+        raise GroupSpecError(f"--format must be text or json, not {text!r}")
+    return text
+
+
+# option: (attribute it is read into, its default text or None if it is
+# required, the reader of its text, help).  The options are read in this
+# order, so the first bad one is the one reported.  The readers of --group
+# and --coeff look their function up when called, so a wrapper set on this
+# module (a tracer's span, a test's stub) takes effect.
 _OPTIONS = {
-    "group": {"required": True,
-              "help": "group spec, e.g. C6, S4, Q8, C2xC2, "
-                      "perm:<degree>:<cycles>"},
-    "coeff": {"default": "sphere", "help": "coefficients: sphere, Z, or Fp:<p>"},
-    "max-size": {"default": "6",
-                 "help": "G-set cardinality bound for the census"},
-    "seed": {"default": "0"},
+    "format": ("format", "text", _format, "text or json"),
+    "max-size": ("max_size", "6", lambda text: _spec_int(text, "--max-size"),
+                 "G-set cardinality bound for the census"),
+    "group": ("g", None, lambda text: make_group(text),
+              "group spec, e.g. C6, S4, Q8, C2xC2, perm:<degree>:<cycles>"),
+    "coeff": ("ring", "sphere", lambda text: _parse_coeff(text),
+              "coefficients: sphere, Z, or Fp:<p>"),
+    "seed": ("seed", "0", lambda text: _spec_int(text, "--seed"),
+             "seed of the random groupoids"),
 }
 
-# verb: (help, options, builder, text renderer)
+# verb: (help, options besides --format, builder, text renderer)
 VERBS = {
     "subgroups": ("subgroup conjugacy classes", ("group",),
                   _subgroups, _subgroups_text),
@@ -273,35 +255,61 @@ VERBS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="equisep",
-        description="Classify separable algebras over finite group actions "
-        "and compute the underlying G-set calculus.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (help_text, options, _, _) in VERBS.items():
-        p = sub.add_parser(verb, help=help_text)
-        for option in options:
-            p.add_argument(f"--{option}", **_OPTIONS[option])
-        p.add_argument("--format", choices=["text", "json"], default="text")
-    return parser
+def _parse(argv):
+    """The verb argv[0] and its options, each written --option value or
+    --option=value; a value may start with "-", and the last one given
+    counts.  Once every word is placed, the options are read in _OPTIONS
+    order: --group into args.g (its text stays args.group), --coeff into
+    args.ring, and the rest under their own names."""
+    verb = argv[0] if argv else None
+    if verb not in VERBS:
+        raise GroupSpecError(f"expected a verb ({', '.join(VERBS)}), got {verb!r}")
+    given = {option: _OPTIONS[option][1] for option in (*VERBS[verb][1], "format")}
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, value = word.partition("=")
+        value = value if eq else next(words, None)
+        if name[:2] != "--" or name[2:] not in given or value is None:
+            raise GroupSpecError(f"cannot read {word!r}; {verb} takes "
+                                 + ", ".join(f"--{o} VALUE" for o in given))
+        given[name[2:]] = value
+    args = SimpleNamespace(verb=verb, group=given.get("group"))
+    for option, (attribute, _, read, _) in _OPTIONS.items():
+        if option in given:
+            if given[option] is None:
+                raise GroupSpecError(f"{verb} needs --{option}")
+            setattr(args, attribute, read(given[option]))
+    return args
+
+
+def _help(verb) -> str:
+    """The verb's help, then each of its options with its help and default."""
+    lines = [f"{verb}: {VERBS[verb][0]}"]
+    for option in (*VERBS[verb][1], "format"):
+        _, default, _, text = _OPTIONS[option]
+        need = "required" if default is None else f"default {default}"
+        lines.append(f"  --{option:<9} {text} ({need})")
+    return "\n".join(lines)
 
 
 _EXIT_CODES = {GroupSpecError: 2, ResourceLimitError: 3,
                UnsupportedDescriptorError: 1}
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _, _, build, render = VERBS[args.verb]
-    try:
-        _read_options(args)
-        payload = build(args)
-    except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(c for e, c in _EXIT_CODES.items() if isinstance(exc, e))
-    text = (_json if args.format == "json" else render)(payload, args)
+def main(argv) -> int:
+    """Answer the command line argv (the words after the program name) and
+    return its exit code; no input makes it raise SystemExit."""
+    if "-h" in argv or "--help" in argv:
+        text = "\n".join(map(_help, argv[:1] if argv[0] in VERBS else VERBS))
+    else:
+        try:
+            args = _parse(argv)
+            payload = VERBS[args.verb][2](args)
+        except tuple(_EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(c for e, c in _EXIT_CODES.items() if isinstance(exc, e))
+        render = _json if args.format == "json" else VERBS[args.verb][3]
+        text = render(payload, args)
     try:
         print(text)
         sys.stdout.flush()
@@ -314,12 +322,12 @@ def main(argv=None) -> int:
 
 
 def run():
-    """The console entry: main(), then flush stdout and stderr and end the
-    process at once with os._exit.  A query keeps no open files, children
-    or atexit work, so the interpreter's teardown, which frees every
-    object one by one, only costs time.  An exception, SystemExit from
-    argparse included, leaves the normal way."""
-    code = main()
+    """The console entry: main() on sys.argv, then flush stdout and stderr
+    and end the process at once with os._exit.  A query keeps no open
+    files, children or atexit work, so the interpreter's teardown, which
+    frees every object one by one, only costs time.  An exception from a
+    fault in the code still leaves the normal way."""
+    code = main(sys.argv[1:])
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)

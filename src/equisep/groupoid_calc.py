@@ -55,12 +55,8 @@ class GSetType(_Record):
         return dict(self.entries).get(cls, 0)
 
     def label(self) -> str:
-        if not self.entries:
-            return "empty"
-        chunks = []
-        for c, n in self.entries:
-            chunks.append(f"G/{c.name}" if n == 1 else f"{n}*G/{c.name}")
-        return " + ".join(chunks)
+        return " + ".join([f"G/{c.name}" if n == 1 else f"{n}*G/{c.name}"
+                           for c, n in self.entries]) or "empty"
 
     def drop(self, cls: SubgroupClass) -> "GSetType":
         """The type with every orbit of the given class deleted."""

@@ -4,8 +4,10 @@ pullback.
 The components of a pullback over a fixed pair of source components
 biject with double cosets of the target automorphism group under the two
 images, so pullback_pi0 never materializes objects; brute_force_pullback
-does, as an independent check.  The non-standard witness built from such
-a pullback lives in the witness module.
+does, as an independent check.  random_groupoid and random_functor draw
+the random instances that `equisep pullback-demo` compares the two on.
+The non-standard witness built from such a pullback lives in the witness
+module.
 """
 
 from __future__ import annotations
@@ -118,6 +120,26 @@ class GroupoidFunctor:
 
     def __repr__(self):
         return f"GroupoidFunctor({len(self.source)} -> {len(self.target)})"
+
+
+def random_groupoid(rng, name: str, pool, max_components: int) -> FiniteGroupoid:
+    """A groupoid of 1 to max_components components, labelled name0,
+    name1, ..., each with an automorphism group drawn from pool by rng."""
+    n = rng.randint(1, max_components)
+    return FiniteGroupoid(
+        [GroupoidComponent(f"{name}{i}", rng.choice(pool)) for i in range(n)]
+    )
+
+
+def random_functor(rng, src: FiniteGroupoid, dst: FiniteGroupoid) -> GroupoidFunctor:
+    """A functor src -> dst that sends each component to one drawn by rng,
+    through a homomorphism drawn from all those between their groups."""
+    cmap, amap = {}, {}
+    for comp in src.components:
+        target = rng.choice(dst.components)
+        cmap[comp.label] = target.label
+        amap[comp.label] = rng.choice(all_homomorphisms(comp.aut, target.aut))
+    return GroupoidFunctor(src, dst, cmap, amap)
 
 
 class PullbackComponent(_Record):

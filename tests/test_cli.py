@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -147,10 +148,11 @@ def test_only_the_requested_format_is_built(argv, monkeypatch, capsys):
 
 
 # numpy is not a dependency; dataclasses brings inspect, ast, dis and
-# tokenize with it, and string is not needed: each would add to the start-up
-# cost of every command-line call.
+# tokenize with it, string is not needed, and argparse (with gettext) is
+# replaced by reading the VERBS table: each would add to the start-up cost
+# of every command-line call.
 HEAVY_MODULES = ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize",
-                 "string")
+                 "string", "argparse", "gettext")
 
 
 @pytest.mark.parametrize(
@@ -515,3 +517,124 @@ class TestExitCodes:
         code = cli.main(["conditions", "--group", "C2", "--coeff", "whatever"])
         assert code == 1
         assert "nontrivial action" in capsys.readouterr().err
+
+
+def _main_output(argv, capsys):
+    """cli.main(argv) in process: its code, stdout and stderr."""
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestArgumentReading:
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["nope"], ["subgroups"], ["subgroups", "--group"],
+         ["subgroups", "--gr", "S4"], ["subgroups", "S4"],
+         ["marks", "-g", "S4"], ["subgroups", "--group", "S4", "--coeff", "Z"],
+         ["subgroups", "--group", "S4", "--format", "xml"]],
+        ids=["empty", "unknown-verb", "missing-group", "missing-value",
+             "abbreviation", "bare-word", "short-option", "other-verbs-option",
+             "bad-format"],
+    )
+    def test_refused_argv_exits_two_with_one_line(self, argv, capsys):
+        code, out, err = _main_output(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "variant",
+        [["classify", "--group=C4", "--coeff=Z", "--max-size=4",
+          "--format=json"],
+         ["classify", "--format", "json", "--max-size", "4", "--coeff", "Z",
+          "--group", "C4"],
+         ["classify", "--group", "S3", "--coeff", "sphere", "--max-size", "2",
+          "--format", "text", "--group", "C4", "--coeff", "Z", "--max-size",
+          "4", "--format", "json"]],
+        ids=["equals", "swapped", "repeated"],
+    )
+    def test_spellings_print_the_same_bytes(self, variant, capsys):
+        plain = ["classify", "--group", "C4", "--coeff", "Z", "--max-size", "4",
+                 "--format", "json"]
+        expected = _main_output(plain, capsys)
+        assert expected[0] == 0 and expected[2] == ""
+        assert _main_output(variant, capsys) == expected
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["classify", "--help"]],
+                             ids=["help", "h", "classify-help"])
+    def test_help(self, argv, capsys):
+        code, out, err = _main_output(argv, capsys)
+        assert code == 0
+        assert err == ""
+        verbs = [v for v in cli.VERBS if f"{v}: " in out]
+        if argv[0] == "classify":
+            assert verbs == ["classify"]
+            for option in ("--group", "--coeff", "--max-size", "--format"):
+                assert option in out
+        else:
+            assert verbs == list(cli.VERBS)
+
+
+# each option's good and malformed values for the fuzzed command lines;
+# a --max-size value is drawn from its own lists or the group lists, so
+# every --max-size that reads as a number is at most 6
+FUZZ_VALUES = {
+    "group": (["C1", "C2", "C6", "S3", "D4", "Q8", "C2xC2", "perm:3:(1 2 3)"],
+              ["S5", "C2000xC2", "X7", "C0", "C", "", "perm:3:(1 4)",
+               "perm:x:(1 2)", "S4xT2", "perm:4:(1 2]", "a\nb"]),
+    "coeff": (["sphere", "Z", "Fp:2", "Fp:5"],
+              ["Fp:4", "Fp:", "Fp:-7", "Fp:\u0667", "Fp:+3", "Q"]),
+    "max-size": (["0", "2", "4", "6"], ["-1", "+3", "\u0663", " 4", "x"]),
+    "seed": (["0", "42", "987654321"],
+             ["-3", "+5", "\u0661\u0662", "1_0"]),
+    "format": (["text", "json"], ["xml", "JSON", ""]),
+}
+# words that are no option of any verb
+FUZZ_JUNK = ["-h", "-g", "--", "-", "--gr", "--help=1", "x", "=", "--=",
+             "\u00e9", "classify"]
+
+
+def _fuzz_argv(rng):
+    """A verb (now and then a wrong one), then most of its options in a
+    random order, each as --option value or --option=value, with a good
+    value more often than not; now and then a junk word, an option of
+    another verb, a value meant for another option or a missing value."""
+    verb = rng.choice(list(cli.VERBS) * 5 + ["nope", "--group", "-h"])
+    options = [*cli.VERBS.get(verb, ((), ("group",)))[1], "format"]
+    options = [o for o in options if rng.random() < 0.8]
+    for _ in range(rng.choice((0, 0, 0, 0, 1))):
+        options.append(rng.choice(list(FUZZ_VALUES)))
+    argv = [verb]
+    for option in rng.sample(options, len(options)):
+        good, bad = FUZZ_VALUES[option if rng.random() < 0.95 else "group"]
+        value = rng.choice(good if rng.random() < 0.85 else bad)
+        if rng.random() < 0.3:
+            argv.append(f"--{option}={value}")
+        elif rng.random() < 0.03:
+            argv.append(f"--{option}")  # its value left out
+        else:
+            argv += [f"--{option}", value]
+        if rng.random() < 0.04:
+            argv.append(rng.choice(FUZZ_JUNK))
+    return argv
+
+
+def test_fuzzed_command_lines_exit_with_one_line(monkeypatch, capsys):
+    """Seeded random command lines: each call returns 0-3, raises nothing,
+    writes nothing to stderr on success and one error line otherwise."""
+    monkeypatch.setenv("EQUISEP_MAX_ORDER", "60")
+    rng = random.Random(17)
+    codes = set()
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        code, out, err = _main_output(argv, capsys)
+        codes.add(code)
+        assert code in (0, 1, 2, 3), argv
+        if code:
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        else:
+            assert err == "", argv
+    assert {0, 2, 3} <= codes
