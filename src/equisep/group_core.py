@@ -17,10 +17,10 @@ are the regular action.  A subgroup is then a Python int bitmask over the
 numbering: K <= H is `k & h == k`, a union is `|`, and a join walks the
 generators' rows one left coset at a time (`_Table.join`); `_Table.span`
 joins candidates in greedily, which picks a subgroup's generators and
-spans commutator subgroups and stabilizers.  The table is also the one
-home of what is derived from the group: its lattice (with the Weyl groups
-built so far) and its flags are fields of the table, so they are
-computed once per group and freed with it.
+spans commutator subgroups, stabilizers and normalizers.  The table is
+also the one home of what is derived from the group: its lattice (with
+the Weyl groups built so far) and its flags are fields of the table, so
+they are computed once per group and freed with it.
 
 There is one orbit walk, `orbit_of`, which returns its breadth-first tree
 (each point with the map and the point it was first reached from).
@@ -36,11 +36,11 @@ And for n in N(H), <H, ncn^-1> = n<H, c>n^-1 lies in the class of
 <H, c>.  So extending each representative by one prime-power cyclic
 subgroup per N(H)-conjugation orbit of those it does not contain, and
 adding the whole conjugation orbit of each new subgroup, reaches every
-subgroup, by induction on the order.  Once K = <H, c> has prime index
-over H, every cyclic subgroup inside K but not inside H gives K again,
-and each member of its N(H)-orbit a conjugate of K, so those orbits are
-skipped without losing a class.  The public API keeps perm tuples and
-frozensets.
+subgroup, by induction on the order; the span of N(H) stops at
+|G| / |orbit of H| elements.  Once K = <H, c> has prime index over H,
+every cyclic subgroup inside K but not inside H gives K again, and each
+member of its N(H)-orbit a conjugate of K, so those orbits are skipped
+without losing a class.  The public API keeps perm tuples and frozensets.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from itertools import combinations
+from itertools import combinations, filterfalse
 from math import factorial, gcd
 
 from ._record import _Record
@@ -111,7 +111,8 @@ def closure(generators, degree: int, max_size: int | None = None) -> frozenset:
     maps = [lambda x, f=tuple(g).__getitem__: tuple(map(f, x)) for g in generators]
     tree = orbit_of(identity_perm(degree), maps, max_size)
     if max_size is not None and len(tree) > max_size:
-        raise ResourceLimitError(f"group order exceeds the bound {max_size}")
+        raise ResourceLimitError(f"group order exceeds the bound {max_size} "
+                                 "(layer group_core.closure)")
     return frozenset(tree)
 
 
@@ -422,7 +423,8 @@ def _named_atom(token: str):
         return 2 * n, lambda: dihedral_group(n)
     if n > _MAX_FACTORIAL_DEGREE:
         # n! is too long to compute or print and beyond any buildable order.
-        raise ResourceLimitError(f"group {token} exceeds every order bound")
+        raise ResourceLimitError(f"group {token} exceeds every order bound "
+                                 "(layer group_core.make_group)")
     if kind == "S":
         return factorial(n), lambda: symmetric_group(n)
     return max(1, factorial(n) // 2), lambda: alternating_group(n)
@@ -491,7 +493,8 @@ def make_group(spec: str, max_order: int | None = None) -> Group:
             raise GroupSpecError("perm spec needs degree >= 1")
         if degree > bound:
             # checked before any degree-length permutation is allocated
-            raise ResourceLimitError(f"perm degree {degree} exceeds the bound {bound}")
+            raise ResourceLimitError(f"perm degree {degree} exceeds the bound "
+                                     f"{bound} (layer group_core.make_group)")
         gens = [
             _parse_cycles(chunk, degree)
             for chunk in parts[2].split(";")
@@ -505,7 +508,8 @@ def make_group(spec: str, max_order: int | None = None) -> Group:
         expected *= order
         if expected > bound:
             raise ResourceLimitError(
-                f"group of order {_decimal(expected)} exceeds the bound {bound}"
+                f"group of order {_decimal(expected)} exceeds the bound {bound} "
+                "(layer group_core.make_group)"
             )
         builders.append(build)
     group = builders[0]()
@@ -570,29 +574,22 @@ def _prime_power_cyclics(t: _Table):
     return out, cyclic_of
 
 
-def _normalizing_cosets(t: _Table, elems: list, gens) -> list:
-    """The least index of every left coset xH that normalizes H, where
-    elems lists H = <gens>; N(H) is the union of these cosets.  Each coset
-    is tested once, through its least index: if x normalizes H, so does
-    all of xH."""
-    inside = set(elems)
-    reps, _ = _cosets(t, range(len(t.perms)), elems)
-    return [x for x in reps if all(t.conj(x, y) in inside for y in gens)]
-
-
-def _generators_mod(t: _Table, elems: list, reps: list) -> tuple:
-    """Some of reps, the least indices of the left cosets of H in N(H)
-    (reps[0] = 0, H's own), that generate N(H) together with H, where
-    elems lists H: each one outside the cosets reached so far is picked,
-    and those reached are the orbit of H's own coset under the picks."""
-    rep_of = {t.row(r)[k]: r for r in reps for k in elems}
-    picked, reached = [], {0}
-    for r in reps[1:]:
-        if r not in reached:
-            picked.append(r)
-            maps = [lambda c, row=t.row(x): rep_of[row[c]] for x in picked]
-            reached = orbit_of(0, maps)
-    return tuple(picked)
+def _normalizer(t: _Table, gens, elems: list, order: int | None = None) -> tuple:
+    """(gens, elems) of N(H), where elems lists H = <gens>, identity first:
+    a greedy span over the indices in order, which joins in each x that
+    normalizes H and passes the left coset xH of each other x, stopping
+    at order elements (|N(H)|, when the caller knows it)."""
+    inside, passed, ngens = set(elems), set(elems), list(gens)
+    for x in filterfalse(passed.__contains__, range(len(t.perms))):
+        if len(elems) == order:
+            break
+        if all(t.conj(x, y) in inside for y in gens):
+            elems = t.join(elems, ngens, x)
+            ngens.append(x)
+            passed.update(elems)
+        else:
+            passed.update(map(t.row(x).__getitem__, inside))
+    return ngens, elems
 
 
 def _all_subgroups(g: Group, lower: list | None = None) -> list:
@@ -606,13 +603,13 @@ def _all_subgroups(g: Group, lower: list | None = None) -> list:
     subgroup from each N(H)-conjugation orbit of those it does not
     contain, skipping the orbits that meet a join of prime index over H;
     each new subgroup brings its whole orbit.  The module docstring gives
-    the argument that this is exhaustive.  The orbits of the cyclics are
-    walked with H's generators and cosets that generate N(H) with them
-    (_generators_mod), or, once for every normal H, with g's generators.
-    The search keys subgroups by frozensets of indices, which
-    hash faster than building a mask per join, and returns them as they
-    are.  It stops with a ResourceLimitError once more than SUBGROUP_BOUND
-    subgroups are found.
+    the argument that this is exhaustive.  Each todo entry keeps the size
+    of H's conjugation orbit: the cyclics' orbits are walked with the
+    generators of N(H) that _normalizer spans up to |G| / size elements,
+    or, once for every normal H (size 1), with g's generators.  The
+    search keys subgroups by frozensets of indices, which hash faster than
+    building a mask per join, and returns them as they are.  It stops with
+    a ResourceLimitError once it finds more than SUBGROUP_BOUND subgroups.
     """
     t = _table(g)
     n, inv = len(t.perms), t.inverse
@@ -631,15 +628,14 @@ def _all_subgroups(g: Group, lower: list | None = None) -> list:
         lambda sub, m=m: frozenset(map(m.__getitem__, sub)) for m in conjugations
     ]
     found = {frozenset([0]): 0}
-    todo = [((), [0])]
+    todo = [((), [0], 1)]
     lower = [] if lower is None else lower
     lower.append([])
-    for i, (gens, elems) in enumerate(todo):
-        reps = _normalizing_cosets(t, elems, gens)
-        if len(reps) * len(elems) == n:
+    for i, (gens, elems, size) in enumerate(todo):
+        if size == 1:
             orbits = normal_orbits
         else:
-            orbits = cyclic_orbits(gens + _generators_mod(t, elems, reps))
+            orbits = cyclic_orbits(_normalizer(t, gens, elems, n // size)[0])
         inside = set(elems)
         # the cyclics in a join of prime index over H, and -1, which
         # cyclic_of gives the elements of other orders and no orbit holds
@@ -654,15 +650,15 @@ def _all_subgroups(g: Group, lower: list | None = None) -> list:
                 covered.update(map(cyclic_of.__getitem__, k[len(elems):]))
             key = frozenset(k)
             if key not in found:
-                for member in orbit_of(key, conjugators):
-                    found[member] = len(todo)
+                conjugates = orbit_of(key, conjugators)
+                found.update(dict.fromkeys(conjugates, len(todo)))
                 if len(found) > SUBGROUP_BOUND:
                     raise ResourceLimitError(
                         f"subgroup lattice has at least {len(found)} "
                         f"subgroups, over the bound {SUBGROUP_BOUND} "
                         "(layer group_core._all_subgroups)"
                     )
-                todo.append((gens + (c,), k))
+                todo.append((gens + (c,), k, len(conjugates)))
                 lower.append([])
             lower[found[key]].append(i)
     return list(found.items())
@@ -829,9 +825,9 @@ def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> boo
 def normalizer(g: Group, sub: Group) -> Group:
     """N_g(sub) as a subgroup of g."""
     t = _table(g)
-    elems = t.indices(sub.elements)
-    reps = _normalizing_cosets(t, elems, t.indices(sub.generators))
-    return g.subgroup(t.perms[t.row(x)[k]] for x in reps for k in elems)
+    h = sorted(t.indices(sub.elements))
+    elems = _normalizer(t, t.indices(sub.generators), h)[1]
+    return g.subgroup(map(t.perms.__getitem__, elems))
 
 
 def _cosets(t: _Table, members, h: list):
@@ -877,9 +873,11 @@ def weyl_group_with_section(g: Group, cls: SubgroupClass):
         return lattice.weyl[pos]
     t = _table(g)
     h = cls.representative
-    n = normalizer(g, h)
-    members = sorted(t.indices(n.elements))
-    reps, coset_of = _cosets(t, members, t.indices(h.elements))
+    elems = sorted(t.indices(h.elements))
+    order = g.order // cls.class_size
+    members = sorted(_normalizer(t, t.indices(h.generators), elems, order)[1])
+    n = g.subgroup(map(t.perms.__getitem__, members))
+    reps, coset_of = _cosets(t, members, elems)
     m = len(reps)
 
     def image(x):

@@ -471,14 +471,17 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: group of order ")
-        assert proc.stderr.endswith(" exceeds the bound 2000\n")
+        assert proc.stderr.endswith(
+            " exceeds the bound 2000 (layer group_core.make_group)\n"
+        )
         assert proc.stderr.count("\n") == 1
 
     def test_order_past_digit_limit_is_not_printed(self):
         proc = run_cli("subgroups", "--group", "C2000xC" + "9" * 4299,
                        env_extra={"PYTHONINTMAXSTRDIGITS": "4300"})
         assert proc.stderr == (
-            "error: group of order at least 10^4300 exceeds the bound 2000\n"
+            "error: group of order at least 10^4300 exceeds the bound 2000 "
+            "(layer group_core.make_group)\n"
         )
 
     def test_perm_degree_over_bound_refused_before_building(
@@ -495,8 +498,20 @@ class TestExitCodes:
         code = cli.main(["subgroups", "--group", "perm:300000000:(1 2)"])
         assert code == 3
         assert capsys.readouterr().err == (
-            "error: perm degree 300000000 exceeds the bound 2000\n"
+            "error: perm degree 300000000 exceeds the bound 2000 "
+            "(layer group_core.make_group)\n"
         )
+
+    @pytest.mark.parametrize("spec, message", [
+        ("S1001", "group S1001 exceeds every order bound "
+                  "(layer group_core.make_group)"),
+        ("perm:10:(1 2 3 4 5 6 7 8 9 10);(1 2)",
+         "group order exceeds the bound 2000 (layer group_core.closure)"),
+    ], ids=["factorial-degree", "perm-closure"])
+    def test_order_refusals_name_their_layer(self, monkeypatch, capsys, spec, message):
+        monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
+        assert cli.main(["subgroups", "--group", spec]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_env_override_tightens_bound(self):
         ok = run_cli("subgroups", "--group", "C12")

@@ -4,8 +4,9 @@ Every subgroup, every class (size, canonical key, name, containment
 counts), normalizers, Weyl groups with their sections, solvability and
 perfect subgroups are recomputed on tuple permutations by
 `tests/oracles.py` and compared with the library, on the acceptance
-corpus, S5, A5xC2, C2xC2xC2xC2xC2, Q8xQ8 and random `perm:` specs of
-order at most 48.
+corpus, S5, A5xC2, C2xC2xC2xC2xC2, Q8xQ8, D4xD4 and random `perm:` specs
+of order at most 48.  On the specs of order at most 48, normalizers are
+also checked on subgroups that are not class representatives.
 """
 
 import functools
@@ -20,18 +21,20 @@ from equisep.group_core import (
     group_flags,
     make_group,
     normalizer,
+    pconj,
     perfect_subgroup_classes,
     prime_factors,
     subgroup_conjugacy_classes,
     weyl_group_with_section,
 )
+from equisep.gset import coset_gset
 
 from . import oracles
 from .test_acceptance import CORPUS
 
 
 def _specs():
-    specs = CORPUS + ["S5", "A5xC2", "C2xC2xC2xC2xC2", "Q8xQ8"]
+    specs = CORPUS + ["S5", "A5xC2", "C2xC2xC2xC2xC2", "Q8xQ8", "D4xD4"]
     for spec in oracles.random_perm_specs(random.Random(2024), 40):
         try:
             make_group(spec, max_order=48)
@@ -102,6 +105,27 @@ def test_normalizers_and_weyl_sections(spec):
         assert section == oracles.brute_force_weyl_section(h.elements, n)
         assert w.elements == frozenset(section)
         assert w.order == cls.weyl_order
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if make_group(s).order <= 48])
+def test_normalizers_of_other_subgroups(spec):
+    """normalizer on each representative conjugated by a seeded random
+    element, and on the point stabilizers of the coset G-set of the
+    class with the most members."""
+    g, _, _ = _oracle(spec)
+    rng = random.Random(18)
+    perms = g.sorted_elements()
+    classes = subgroup_conjugacy_classes(g)
+    subs = []
+    for cls in classes:
+        x = rng.choice(perms)
+        subs.append(g.subgroup(pconj(x, y) for y in cls.representative.elements))
+    widest = max(classes, key=lambda c: c.class_size)
+    x = coset_gset(g, widest.representative)
+    subs += [x.stabilizer(p) for p in range(x.size)]
+    for sub in subs:
+        want = oracles.brute_force_normalizer(g, sub.elements)
+        assert normalizer(g, sub).elements == want
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -364,12 +364,16 @@ def test_lattice_sizes_match_known_counts(spec, classes, subgroups):
     "spec,most", [("S5", 200), ("S6", 1500), ("C2xC2xC2xC2xC2", 2077)]
 )
 def test_lattice_search_joins_once_per_normalizer_orbit(monkeypatch, spec, most):
-    """Each class representative H is joined with one cyclic per
-    N(H)-orbit, skipping the orbits that meet a join of prime index over
-    H: 142 joins on S5 and 1,260 on S6, where one join per cyclic took
-    901 and 12,498.  On C2 to the 5th every join has index 2, so the
-    search makes one join per cover of its subspace lattice, the sum over
-    d of [5 choose d]_2 (2^(5-d) - 1) = 2,077; one join per orbit took
+    """Every _Table.join is counted, of two kinds.  Extensions: each
+    class representative H is joined with one cyclic per N(H)-orbit,
+    skipping the orbits that meet a join of prime index over H: 142 on S5
+    and 1,260 on S6, where one join per cyclic took 901 and 12,498.  N(H)
+    spans: each representative that is not normal spans N(H) from H by
+    one join per picked generator, 16 on S5 and 73 on S6, so 158 and
+    1,333 in all.  On C2 to the 5th every subgroup is normal, so no N(H)
+    is spanned, and every join has index 2: the search makes one join
+    per cover of its subspace lattice, the sum over d of
+    [5 choose d]_2 (2^(5-d) - 1) = 2,077; one join per orbit took
     9,517."""
     calls = []
     join = group_core._Table.join
@@ -382,6 +386,17 @@ def test_lattice_search_joins_once_per_normalizer_orbit(monkeypatch, spec, most)
     found = group_core._all_subgroups(make_group(spec))
     assert len(found) == {"S5": 156, "S6": 1455, "C2xC2xC2xC2xC2": 374}[spec]
     assert len(calls) <= most
+
+
+def test_lattice_search_partitions_no_whole_group(monkeypatch):
+    """N(H) is spanned up to |G| / |class of H|, so the search never
+    splits G into the left cosets of a subgroup."""
+    def refuse(*args):
+        raise AssertionError("the search partitioned a group into cosets")
+
+    monkeypatch.setattr(group_core, "_cosets", refuse)
+    for spec, count in [("S5", 156), ("D4xS3", 120), ("C2xC2xC2xC2", 67)]:
+        assert len(group_core._all_subgroups(make_group(spec))) == count
 
 
 def test_lattice_bound_counts_subgroups_found(monkeypatch):
