@@ -50,9 +50,10 @@ class TableOfMarks(_Record):
 
 def marks_layout(names, marks) -> str:
     """The table of marks as right-aligned text: a header of class names,
-    then one row per class, its name and its marks."""
+    then one row per class, its name and its marks.  Every mark is at most
+    |G:H| <= |G| = m(G/1, 1), the first mark, so that one sets the width."""
     width = max(len(n) for n in names)
-    cell = max(width, max(len(str(v)) for row in marks for v in row))
+    cell = max(width, len(str(marks[0][0])))
     head = " " * (width + 1) + " ".join(n.rjust(cell) for n in names)
     lines = [head]
     for name, row in zip(names, marks):

@@ -823,11 +823,13 @@ def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> boo
 
 
 def normalizer(g: Group, sub: Group) -> Group:
-    """N_g(sub) as a subgroup of g."""
+    """N_g(sub) as a subgroup of g, generated by sub's generators followed
+    by the elements _normalizer's span joined onto sub."""
     t = _table(g)
     h = sorted(t.indices(sub.elements))
-    elems = _normalizer(t, t.indices(sub.generators), h)[1]
-    return g.subgroup(map(t.perms.__getitem__, elems))
+    gens, elems = _normalizer(t, t.indices(sub.generators), h)
+    return Group(g.degree, map(t.perms.__getitem__, gens),
+                 map(t.perms.__getitem__, elems))
 
 
 def _cosets(t: _Table, members, h: list):
@@ -863,9 +865,10 @@ def weyl_group_with_section(g: Group, cls: SubgroupClass):
     """The Weyl group N_g(H)/H acting on cosets, with a coset-rep section.
 
     Returns (W, section) where W permutes the left cosets of H inside its
-    normalizer and section maps each element of W to one representative in
-    the normalizer inducing it.  Built once per class and kept on g's
-    lattice.
+    normalizer and section maps each element of W to the least element of
+    the coset of H that induces it.  W is generated by the images of the
+    elements _normalizer's span joined onto H, none of which lies in H.
+    Built once per class and kept on g's lattice.
     """
     lattice = _subgroup_classes(g)
     pos = lattice.position[cls]
@@ -874,25 +877,18 @@ def weyl_group_with_section(g: Group, cls: SubgroupClass):
     t = _table(g)
     h = cls.representative
     elems = sorted(t.indices(h.elements))
-    order = g.order // cls.class_size
-    members = sorted(_normalizer(t, t.indices(h.generators), elems, order)[1])
-    n = g.subgroup(map(t.perms.__getitem__, members))
-    reps, coset_of = _cosets(t, members, elems)
-    m = len(reps)
+    hgens = t.indices(h.generators)
+    ngens, members = _normalizer(t, hgens, elems, g.order // cls.class_size)
+    reps, coset_of = _cosets(t, sorted(members), elems)
 
     def image(x):
+        # depends only on the coset xH, as every r normalizes H
         row = t.row(x)
         return tuple(coset_of[row[r]] for r in reps)
 
-    section: dict[Perm, Perm] = {}
-    for x in members:
-        section.setdefault(image(x), t.perms[x])
-    assert len(section) == m
-    # W is generated by the images of N's generators; those in H act
-    # trivially and are left out
-    ident = identity_perm(m)
-    gens = [w for w in map(image, t.indices(n.generators)) if w != ident]
-    lattice.weyl[pos] = Group(m, gens, frozenset(section)), section
+    section = {image(r): t.perms[r] for r in reps}
+    lattice.weyl[pos] = (Group(len(reps), map(image, ngens[len(hgens):]),
+                               section), section)
     return lattice.weyl[pos]
 
 

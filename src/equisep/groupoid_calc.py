@@ -64,16 +64,6 @@ class GSetType(_Record):
             self.group, tuple((c, n) for c, n in self.entries if c != cls)
         )
 
-    def to_json(self):
-        return [
-            {
-                "subgroup_order": c.order,
-                "class_key": c.name,
-                "multiplicity": n,
-            }
-            for c, n in self.entries
-        ]
-
     def __repr__(self):
         return f"GSetType({self.label()})"
 

@@ -311,8 +311,9 @@ def aut_group(x: GSet) -> Group:
         # words[b][p], some element moving b to p; any two differ by an
         # element of s0, which N(s0) normalizes, so any one will do
         words = {b: x.transversal(b) for b in bases}
+        # N(s0)'s generators begin with s0's, which fix the first base
         n_group = normalizer(g, s0)
-        for t in n_group.generators:
+        for t in n_group.generators[len(s0.generators):]:
             perm = list(range(x.size))
             for p, word in words[bases[0]].items():
                 perm[p] = x.perm(pmul(word, t))[bases[0]]

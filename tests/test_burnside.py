@@ -41,6 +41,8 @@ def test_marks_structure():
         g = make_group(spec)
         tom = table_of_marks(g)
         n = len(tom.classes)
+        # marks_layout sizes every cell from the first mark
+        assert max(map(max, tom.marks)) == tom.marks[0][0] == g.order
         for i in range(n):
             # First column is the index, the diagonal is the Weyl order.
             assert tom.marks[i][0] == g.order // tom.classes[i].order

@@ -17,6 +17,7 @@ import pytest
 from equisep import group_core
 from equisep.group_core import (
     ResourceLimitError,
+    closure,
     containment_counts,
     group_flags,
     make_group,
@@ -100,10 +101,15 @@ def test_normalizers_and_weyl_sections(spec):
     for cls in subgroup_conjugacy_classes(g):
         h = cls.representative
         n = oracles.brute_force_normalizer(g, h.elements)
-        assert normalizer(g, h).elements == n
+        got = normalizer(g, h)
+        assert got.elements == n
+        assert closure(got.generators, g.degree) == n
+        # aut_group skips this prefix, which acts trivially
+        assert got.generators[:len(h.generators)] == h.generators
         w, section = weyl_group_with_section(g, cls)
         assert section == oracles.brute_force_weyl_section(h.elements, n)
         assert w.elements == frozenset(section)
+        assert closure(w.generators, w.degree) == w.elements
         assert w.order == cls.weyl_order
 
 
@@ -125,7 +131,10 @@ def test_normalizers_of_other_subgroups(spec):
     subs += [x.stabilizer(p) for p in range(x.size)]
     for sub in subs:
         want = oracles.brute_force_normalizer(g, sub.elements)
-        assert normalizer(g, sub).elements == want
+        got = normalizer(g, sub)
+        assert got.elements == want
+        assert closure(got.generators, g.degree) == want
+        assert got.generators[:len(sub.generators)] == sub.generators
 
 
 @pytest.mark.parametrize("spec", SPECS)

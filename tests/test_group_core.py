@@ -3,6 +3,7 @@
 import gc
 import importlib
 import pkgutil
+import re
 import weakref
 
 import pytest
@@ -12,9 +13,13 @@ from equisep import group_core
 from equisep.burnside import table_of_marks
 from equisep.gset import GSetType, aut_group, realize_type
 from equisep.group_core import (
+    Group,
     GroupSpecError,
     ResourceLimitError,
+    alternating_group,
     class_of_subgroup,
+    cyclic_group,
+    dihedral_group,
     double_cosets,
     encode_subgroup,
     group_flags,
@@ -27,6 +32,7 @@ from equisep.group_core import (
     pinv,
     pmul,
     subgroup_conjugacy_classes,
+    symmetric_group,
     weyl_group,
     weyl_group_with_section,
 )
@@ -86,6 +92,29 @@ def test_make_group_env_override(monkeypatch):
     monkeypatch.setenv("EQUISEP_MAX_ORDER", "10")
     with pytest.raises(ResourceLimitError):
         make_group("C12")
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: class_of_subgroup(make_group("S3"), {(1, 0, 2, 3)}),
+         ValueError, "not a subgroup of g"),
+        (lambda: Group(3, [(0, 0, 1)]),
+         ValueError, "not a permutation of degree 3: (0, 0, 1)"),
+        (lambda: cyclic_group(0),
+         GroupSpecError, "cyclic group needs n >= 1, got 0"),
+        (lambda: symmetric_group(-1),
+         GroupSpecError, "symmetric group needs n >= 0, got -1"),
+        (lambda: alternating_group(0),
+         GroupSpecError, "alternating group needs n >= 1, got 0"),
+        (lambda: dihedral_group(2),
+         GroupSpecError, "dihedral group needs n >= 3, got 2"),
+    ],
+    ids=["foreign-subgroup", "non-permutation", "C0", "S-1", "A0", "D2"],
+)
+def test_library_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -397,6 +426,22 @@ def test_lattice_search_partitions_no_whole_group(monkeypatch):
     monkeypatch.setattr(group_core, "_cosets", refuse)
     for spec, count in [("S5", 156), ("D4xS3", 120), ("C2xC2xC2xC2", 67)]:
         assert len(group_core._all_subgroups(make_group(spec))) == count
+
+
+def test_normalizers_and_weyl_groups_span_no_second_group(monkeypatch):
+    """normalizer and weyl_group_with_section keep the generators of the
+    one N(H) span and never respan a subgroup from its elements."""
+    g = make_group("S5")
+    classes = subgroup_conjugacy_classes(g)
+
+    def refuse(*args):
+        raise AssertionError("a subgroup was spanned from its elements")
+
+    monkeypatch.setattr(group_core.Group, "subgroup", refuse)
+    for cls in classes:
+        assert normalizer(g, cls.representative).order == g.order // cls.class_size
+        w, section = weyl_group_with_section(g, cls)
+        assert w.order == len(section) == cls.weyl_order
 
 
 def test_lattice_bound_counts_subgroups_found(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -38,6 +39,27 @@ from .oracles import (
     reduce_generators,
     resummed_count_vectors,
 )
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: truncated_gset_groupoid(cyclic_group(2),
+                                         empty_family(cyclic_group(2)), -1),
+         "max_size must be >= 0"),
+        (lambda: GroupoidComponent("x"),
+         "a component needs an automorphism group or a type"),
+        (lambda: GroupHom(cyclic_group(2), cyclic_group(3),
+                          {x: x for x in cyclic_group(2).elements}),
+         "homomorphism image leaves the target group"),
+        (lambda: unit_power_component(-1, unit_indecomposable=True),
+         "unit power needs n >= 0"),
+    ],
+    ids=["census-size", "bare-component", "hom-target", "unit-power"],
+)
+def test_groupoid_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def component(label, aut):

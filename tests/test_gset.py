@@ -1,6 +1,7 @@
 """G-set orbit typing, fixed points, induction, Mackey, automorphisms."""
 
 import random
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from equisep.group_core import (
     weyl_group,
 )
 from equisep.gset import (
+    GSet,
     GSetType,
     aut_group,
     coset_gset,
@@ -84,6 +86,35 @@ def test_gset_from_action_validates():
     # is sent to a 3-cycle squared
     with pytest.raises(ValueError, match="not multiplicative"):
         gset_from_action(g, 3, {g.identity: (0, 1, 2), sigma: (1, 2, 0)})
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: GSet(make_group("S3"), 2, []),
+         "a GSet needs one image per generator"),
+        (lambda: gset_from_action(make_group("C2"), 2, {(0, 1): (0, 1)}),
+         "action table must cover every group element"),
+        (lambda: coset_gset(make_group("S3"), make_group("C4")),
+         "coset_gset needs a subgroup of g"),
+        (lambda: restrict(trivial_gset(make_group("S3"), 1), make_group("C4")),
+         "restrict needs a subgroup of the acting group"),
+        (lambda: induce(make_group("S3"), make_group("C4"),
+                        trivial_gset(make_group("C4"), 1)),
+         "induce needs a subgroup of g"),
+        (lambda: induce(make_group("S3"), cyclic_group(3),
+                        trivial_gset(make_group("S3"), 1)),
+         "induce needs a K-set over the same subgroup"),
+        (lambda: mackey_decompose(make_group("S3"), cyclic_group(3),
+                                  cyclic_group(3), trivial_gset(make_group("S3"), 1)),
+         "mackey_decompose needs a K-set"),
+    ],
+    ids=["images", "partial-table", "coset", "restrict", "induce-subgroup",
+         "induce-kset", "mackey"],
+)
+def test_gset_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_fixed_points_c6_example():
