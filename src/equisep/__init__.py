@@ -49,7 +49,6 @@ _SUBMODULE = {
             "check_ic",
             "check_rc",
             "custom",
-            "geometric_fixed_points",
             "integers",
             "prime_field",
             "sphere",
@@ -73,7 +72,6 @@ _SUBMODULE = {
             "GroupSpecError",
             "ResourceLimitError",
             "SubgroupClass",
-            "UnsupportedDescriptorError",
             "alternating_group",
             "class_of_subgroup",
             "containment_counts",

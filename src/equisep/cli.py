@@ -10,14 +10,14 @@ alone: the first word is the verb, the rest are its options, each
 counting, and -h or --help anywhere prints the help built from them.
 Each builder imports the library modules it runs, after its input is
 parsed, so a call loads only what its verb needs.
-Exit codes: 0 success, 1 unsupported coefficient descriptor, 2 parse
-error, 3 resource bound exceeded, and 141 (128 + SIGPIPE, as a shell
-reports a process killed by SIGPIPE) when stdout is closed before the
-output is written, e.g. by `| head -1`; that exit prints nothing to
-stderr.  Every refused input, a malformed command line included, leaves
-through _EXIT_CODES as one `error:` line on stderr.  `run`, the console
-entry point, exits without tearing the interpreter down; `main` returns
-the code instead.
+Exit codes: 0 success, 2 parse error, 3 resource bound exceeded, and
+141 (128 + SIGPIPE, as a shell reports a process killed by SIGPIPE) when
+stdout is closed before the output is written, e.g. by `| head -1`; that
+exit prints nothing to stderr.  Every refused input, a malformed command
+line included, leaves through _EXIT_CODES as one `error:` line on
+stderr.  A traceback (exit 1) is never a refusal; it marks a fault in
+the code.  `run`, the console entry point, exits without tearing the
+interpreter down; `main` returns the code instead.
 """
 
 import os
@@ -27,7 +27,6 @@ from types import SimpleNamespace
 from .group_core import (
     GroupSpecError,
     ResourceLimitError,
-    UnsupportedDescriptorError,
     _spec_int,
     cyclic_group,
     group_flags,
@@ -292,8 +291,7 @@ def _help(verb) -> str:
     return "\n".join(lines)
 
 
-_EXIT_CODES = {GroupSpecError: 2, ResourceLimitError: 3,
-               UnsupportedDescriptorError: 1}
+_EXIT_CODES = {GroupSpecError: 2, ResourceLimitError: 3}
 
 
 def main(argv) -> int:

@@ -1,10 +1,11 @@
 """Coefficient ring descriptors and the per-stage standardness checks.
 
-A descriptor records just enough arithmetic about the coefficients to
-decide, for each subgroup stage, whether the induction step applies: an
-indecomposability check tied to the Weyl group order and a retraction
-check tied to torsion and invertible primes.  Descriptors with a
-nontrivial action are declared but rejected by every check.
+A descriptor is plain data: it records what the checks need to know
+about the coefficients at every subgroup stage, as predicates of the
+Weyl order, so no per-stage descriptor is computed and each check reads
+the same descriptor unchanged.  The checks decide whether the induction
+step applies: an indecomposability check tied to the Weyl group order
+and a retraction check tied to torsion and invertible primes.
 """
 
 from __future__ import annotations
@@ -13,30 +14,26 @@ from collections.abc import Callable
 
 from ._record import _Record
 from .burnside import is_indecomposable_mod, sphere_ic
-from .group_core import (
-    Group,
-    SubgroupClass,
-    UnsupportedDescriptorError,
-    prime_factors,
-    weyl_group,
-)
+from .group_core import Group, SubgroupClass, prime_factors, weyl_group
 
 
 class RingDescriptor(_Record):
-    """What the checks need to know about a coefficient ring.
+    """What the checks need to know about a coefficient ring, at every
+    subgroup stage.
 
     The callables take integers: indecomposable_mod(n) asks whether the
     mod-n reduction stays indecomposable, torsion_free(n) whether there is
-    no n-torsion, prime_invertible(q) whether the prime q is a unit.
-    The callables take no part in == and hash.
+    no n-torsion, prime_invertible(q) whether the prime q is a unit.  The
+    stage checks pass them the Weyl order |W(H)| or its prime divisors, so
+    one descriptor serves every stage.  The callables take no part in ==
+    and hash.
     """
 
     __slots__ = ("name", "kind",  # kind: sphere | integers | prime_field | custom
                  "char", "indecomposable", "indecomposable_mod", "torsion_free",
                  "prime_invertible", "separably_closed", "burnside_unit",
-                 "rc_witness_map_to",  # a RingDescriptor or None
-                 "inflated", "action")
-    _defaults = {"rc_witness_map_to": None, "inflated": True, "action": "trivial"}
+                 "rc_witness_map_to")  # a RingDescriptor or None
+    _defaults = {"rc_witness_map_to": None}
     _uncompared = ("indecomposable_mod", "torsion_free", "prime_invertible")
 
 
@@ -130,8 +127,7 @@ def custom(name: str, *, char: int, indecomposable: bool,
            torsion_free: Callable[[int], bool],
            prime_invertible: Callable[[int], bool],
            separably_closed: bool, burnside_unit: bool = False,
-           rc_witness_map_to: RingDescriptor | None = None,
-           inflated: bool = False, action: str = "trivial") -> RingDescriptor:
+           rc_witness_map_to: RingDescriptor | None = None) -> RingDescriptor:
     return RingDescriptor(
         name=name,
         kind="custom",
@@ -143,32 +139,7 @@ def custom(name: str, *, char: int, indecomposable: bool,
         separably_closed=separably_closed,
         burnside_unit=burnside_unit,
         rc_witness_map_to=rc_witness_map_to,
-        inflated=inflated,
-        action=action,
     )
-
-
-def _require_supported(ring: RingDescriptor):
-    if ring.action != "trivial":
-        raise UnsupportedDescriptorError(
-            f"descriptor {ring.name!r} carries a nontrivial action "
-            f"({ring.action!r}); only trivial actions are implemented"
-        )
-
-
-def geometric_fixed_points(ring: RingDescriptor, cls: SubgroupClass) -> RingDescriptor:
-    """Coefficients after applying geometric fixed points at a subgroup.
-
-    Inflated descriptors are unchanged; anything else has no computable
-    fixed-point descriptor here.
-    """
-    _require_supported(ring)
-    if not ring.inflated:
-        raise UnsupportedDescriptorError(
-            f"descriptor {ring.name!r} is not inflated; its fixed points "
-            f"at {cls.name} are not determined by this data"
-        )
-    return ring
 
 
 class CheckResult(_Record):
@@ -178,7 +149,6 @@ class CheckResult(_Record):
 
 def check_ic(ring: RingDescriptor, weyl_order: int) -> CheckResult:
     """Indecomposability at a stage whose Weyl group has this order."""
-    _require_supported(ring)
     if weyl_order == 1:
         return CheckResult(True, "trivial Weyl group, holds by convention",
                            convention=True)
@@ -198,7 +168,6 @@ def check_ic(ring: RingDescriptor, weyl_order: int) -> CheckResult:
 
 def check_rc(ring: RingDescriptor, weyl_order: int) -> CheckResult:
     """Retraction obstruction at a stage whose Weyl group has this order."""
-    _require_supported(ring)
     if weyl_order == 1:
         return CheckResult(True, "trivial Weyl group, holds by convention",
                            convention=True)
@@ -258,10 +227,9 @@ class StageReport(_Record):
 
 def stage_report(g: Group, cls: SubgroupClass, ring: RingDescriptor) -> StageReport:
     """Run both checks at one subgroup stage."""
-    fixed = geometric_fixed_points(ring, cls)
     return StageReport(
         subgroup=cls,
-        ic=check_ic(fixed, cls.weyl_order),
-        rc=check_rc(fixed, cls.weyl_order),
-        sep_closed=fixed.separably_closed,
+        ic=check_ic(ring, cls.weyl_order),
+        rc=check_rc(ring, cls.weyl_order),
+        sep_closed=ring.separably_closed,
     )

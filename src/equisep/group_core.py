@@ -74,10 +74,6 @@ class ResourceLimitError(RuntimeError):
     """A construction exceeds the configured order bound."""
 
 
-class UnsupportedDescriptorError(ValueError):
-    """Raised when a ring descriptor is outside the implemented fragment."""
-
-
 def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 

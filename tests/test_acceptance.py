@@ -16,7 +16,7 @@ from equisep.burnside import (
 )
 from equisep.classifier import Verdict, classify
 from equisep.conditions import integers, sphere
-from equisep.families import closure_family, empty_family
+from equisep.families import closure_family
 from equisep.group_core import (
     alternating_group,
     group_flags,
@@ -28,8 +28,6 @@ from equisep.group_core import (
 from equisep.groupoid_calc import FiniteGroupoid, GroupoidComponent
 from equisep.gset import (
     GSetType,
-    disjoint_union,
-    coset_gset,
     f_assemble,
     f_split,
     induce,
@@ -39,7 +37,6 @@ from equisep.gset import (
     restrict,
 )
 from equisep.pullback import (
-    GroupHom,
     GroupoidFunctor,
     all_homomorphisms,
     brute_force_pullback,

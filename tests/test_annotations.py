@@ -1,7 +1,8 @@
 """Every annotation in the package resolves: typing.get_type_hints succeeds
 on each function and method defined at the top level of a module or in a
 class body.  The functions are found by parsing the sources, so a new one
-is checked without being listed here."""
+is checked without being listed here.  No module of the package or of the
+tests imports a name at its top level that it never reads."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import pytest
 import equisep
 
 PACKAGE = pathlib.Path(equisep.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 # __main__ defines nothing and runs the command line when imported
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__main__")
 
@@ -56,3 +58,25 @@ def test_annotations_resolve(stem):
         except Exception as exc:  # any failure to resolve is reported
             failures.append(f"{qualname}: {type(exc).__name__}: {exc}")
     assert failures == []
+
+
+def _unused_imports(path):
+    """The names path's top-level imports bind that nothing in it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line}: {name}"
+                  for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(paths) > 25
+    assert [u for path in paths for u in _unused_imports(path)] == []

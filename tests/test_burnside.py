@@ -1,5 +1,7 @@
 """Table of marks, idempotent blocks, decomposability predicates."""
 
+import random
+
 from equisep.burnside import (
     BurnsideElement,
     degree_is_constant,
@@ -17,6 +19,7 @@ from equisep.group_core import (
     subgroup_conjugacy_classes,
     weyl_group,
 )
+from equisep.gset import GSet, coset_gset, disjoint_union, orbit_type
 
 from . import oracles
 
@@ -66,6 +69,44 @@ def test_burnside_element_marks_vector():
     assert e.marks_vector() == (3, 1, 0, 0)
     s = e + BurnsideElement(tom, (1, 0, 0, 0))
     assert s.marks_vector() == (9, 1, 0, 0)
+
+
+def _marks(tom, x):
+    """The mark vector of the G-set x, read from its orbit type."""
+    t = orbit_type(x)
+    coefficients = tuple(t.multiplicity(cls) for cls in tom.classes)
+    return BurnsideElement(tom, coefficients).marks_vector()
+
+
+def test_marks_are_a_ring_homomorphism():
+    """The marks of X x Y are the entrywise product of those of X and Y
+    (tom Dieck, Transformation Groups and Representation Theory, LNM 766),
+    and each mark of X counts the points its class representative fixes."""
+    rng = random.Random(11)
+    for spec in ["S3", "D4", "Q8", "A4", "C6", "S4", "C2xC2xC2"]:
+        g = make_group(spec)
+        tom = table_of_marks(g)
+        reps = [cls.representative for cls in tom.classes]
+
+        def draw():
+            return disjoint_union(*(coset_gset(g, rng.choice(reps))
+                                    for _ in range(rng.randint(1, 2))))
+
+        for _ in range(4):
+            x, y = draw(), draw()
+            while x.size * y.size > 600:
+                x, y = draw(), draw()
+            images = [[p * y.size + q for p in xs for q in ys]
+                      for xs, ys in zip(x.gen_images, y.gen_images)]
+            product = GSet(g, x.size * y.size, images)
+            mx, my = _marks(tom, x), _marks(tom, y)
+            assert _marks(tom, product) == tuple(a * b for a, b in zip(mx, my))
+            fixed = tuple(
+                sum(all(x.perm(h)[p] == p for h in rep.generators)
+                    for p in range(x.size))
+                for rep in reps
+            )
+            assert mx == fixed
 
 
 def test_idempotent_block_count_examples():

@@ -5,12 +5,7 @@ from collections import Counter
 import pytest
 
 from equisep import classifier, group_core, pullback, witness
-from equisep.classifier import (
-    ClassificationOutcome,
-    Verdict,
-    classify,
-    standard_algebra,
-)
+from equisep.classifier import Verdict, classify, standard_algebra
 from equisep.conditions import integers, prime_field, sphere
 from equisep.families import all_family, closure_family, empty_family
 from equisep.group_core import (
@@ -21,7 +16,7 @@ from equisep.group_core import (
     subgroup_conjugacy_classes,
 )
 from equisep.gset import GSetType, delete_orbits, orbit_type, realize_type
-from equisep.witness import WitnessRecord, witness_nonstandard
+from equisep.witness import witness_nonstandard
 
 from .oracles import count_orbit_multisets
 

@@ -9,7 +9,6 @@ import pytest
 
 import equisep
 from equisep import cli, group_core
-from equisep.conditions import custom
 
 
 def run_cli(*args, env_extra=None):
@@ -230,20 +229,19 @@ def test_verb_loads_only_its_modules(argv, library):
         assert loaded.isdisjoint({"json", "typing", "random"})
 
 
-# The package's public names before its exports were made lazy, and the
-# pullback module.
+# The package's public names.
 PUBLIC_NAMES = """
 BurnsideElement CheckResult ClassificationOutcome DoubleCosetDecomposition
 FSplitting Family Filtration FiniteGroupoid GSet GSetType Group GroupFlags
 GroupHom GroupSpecError GroupoidComponent GroupoidFunctor PullbackComponent
 ResourceLimitError RingDescriptor StageReport SubgroupClass TableOfMarks
-UnsupportedDescriptorError Verdict WitnessProbe WitnessRecord all_family
+Verdict WitnessProbe WitnessRecord all_family
 all_homomorphisms alternating_group aut_group brute_force_pullback burnside
 check_ic check_rc class_of_subgroup classifier classify closure_family
 conditions containment_counts coset_gset custom cyclic_group
 degree_is_constant delete_orbits dihedral_group direct_product
 disjoint_union double_cosets empty_family empty_gset exhaustive_filtration
-f_assemble f_split families fixed_points geometric_fixed_points group_core
+f_assemble f_split families fixed_points group_core
 group_flags groupoid_calc gset gset_from_action idempotent_block_count
 induce integers is_indecomposable_mod is_subconjugate mackey_decompose
 make_group minimal_additions normalizer orbit_type perfect_subgroup_classes
@@ -257,7 +255,7 @@ weyl_group_with_section witness_nonstandard
 
 class TestLazyExports:
     def test_all_lists_the_public_names(self):
-        assert len(PUBLIC_NAMES) == 93
+        assert len(PUBLIC_NAMES) == 91
         assert sorted(equisep.__all__) == PUBLIC_NAMES
 
     def test_each_name_is_the_object_its_module_defines(self):
@@ -279,13 +277,6 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             equisep.no_such_name
         assert not hasattr(equisep, "no_such_name")
-
-    def test_unsupported_descriptor_error_is_one_class(self):
-        from equisep import conditions
-
-        assert (equisep.UnsupportedDescriptorError
-                is conditions.UnsupportedDescriptorError
-                is group_core.UnsupportedDescriptorError)
 
 
 def test_child_stdout_matches_in_process_main(capsys):
@@ -520,19 +511,6 @@ class TestExitCodes:
                          env_extra={"EQUISEP_MAX_ORDER": "10"})
         assert denied.returncode == 3
 
-    def test_unsupported_descriptor_exit_one(self, monkeypatch, capsys):
-        twisted = custom(
-            "twisted", char=0, indecomposable=True,
-            indecomposable_mod=lambda n: True,
-            torsion_free=lambda n: True,
-            prime_invertible=lambda q: False,
-            separably_closed=True, inflated=True, action="galois",
-        )
-        monkeypatch.setattr(cli, "_parse_coeff", lambda text: twisted)
-        code = cli.main(["conditions", "--group", "C2", "--coeff", "whatever"])
-        assert code == 1
-        assert "nontrivial action" in capsys.readouterr().err
-
 
 def _main_output(argv, capsys):
     """cli.main(argv) in process: its code, stdout and stderr."""
@@ -637,8 +615,9 @@ def _fuzz_argv(rng):
 
 
 def test_fuzzed_command_lines_exit_with_one_line(monkeypatch, capsys):
-    """Seeded random command lines: each call returns 0-3, raises nothing,
-    writes nothing to stderr on success and one error line otherwise."""
+    """Seeded random command lines: each call returns 0, 2 or 3, raises
+    nothing, writes nothing to stderr on success and one error line
+    otherwise."""
     monkeypatch.setenv("EQUISEP_MAX_ORDER", "60")
     rng = random.Random(17)
     codes = set()
@@ -646,10 +625,11 @@ def test_fuzzed_command_lines_exit_with_one_line(monkeypatch, capsys):
         argv = _fuzz_argv(rng)
         code, out, err = _main_output(argv, capsys)
         codes.add(code)
-        assert code in (0, 1, 2, 3), argv
+        assert code in (0, 2, 3), argv
         if code:
             assert out == "", argv
             assert err.startswith("error: ") and err.count("\n") == 1, argv
         else:
             assert err == "", argv
-    assert {0, 2, 3} <= codes
+    assert codes == {0, 2, 3}
+    assert set(cli._EXIT_CODES.values()) == {2, 3}

@@ -1,13 +1,10 @@
 import pytest
 
+from equisep.classifier import classify
 from equisep.conditions import (
-    CheckResult,
-    RingDescriptor,
-    UnsupportedDescriptorError,
     check_ic,
     check_rc,
     custom,
-    geometric_fixed_points,
     integers,
     prime_field,
     sphere,
@@ -18,6 +15,7 @@ from equisep.group_core import (
     make_group,
     subgroup_conjugacy_classes,
 )
+from equisep.witness import witness_nonstandard
 
 
 def class_of_order(g, order):
@@ -61,41 +59,26 @@ class TestDescriptors:
         assert sphere() == sphere()
 
 
-class TestGeometricFixedPoints:
-    def test_inflated_descriptors_pass_through(self):
-        g = cyclic_group(4)
-        cls = class_of_order(g, 2)
-        for ring in (sphere(), integers(), prime_field(3)):
-            assert geometric_fixed_points(ring, cls) == ring
-
-    def test_non_inflated_custom_rejected(self):
+class TestCustomDescriptors:
+    def test_custom_copy_of_integers_reaches_every_check(self):
+        z = integers()
         ring = custom(
-            "mystery", char=0, indecomposable=True,
-            indecomposable_mod=lambda n: True,
-            torsion_free=lambda n: True,
-            prime_invertible=lambda q: False,
-            separably_closed=True,
+            "Z", char=z.char, indecomposable=z.indecomposable,
+            indecomposable_mod=z.indecomposable_mod,
+            torsion_free=z.torsion_free,
+            prime_invertible=z.prime_invertible,
+            separably_closed=z.separably_closed,
         )
-        g = cyclic_group(2)
-        cls = class_of_order(g, 1)
-        with pytest.raises(UnsupportedDescriptorError):
-            geometric_fixed_points(ring, cls)
-
-    def test_nontrivial_action_rejected_everywhere(self):
-        ring = custom(
-            "twisted", char=0, indecomposable=True,
-            indecomposable_mod=lambda n: True,
-            torsion_free=lambda n: True,
-            prime_invertible=lambda q: False,
-            separably_closed=True, inflated=True, action="galois",
-        )
-        with pytest.raises(UnsupportedDescriptorError):
-            check_ic(ring, 2)
-        with pytest.raises(UnsupportedDescriptorError):
-            check_rc(ring, 2)
-        g = cyclic_group(2)
-        with pytest.raises(UnsupportedDescriptorError):
-            stage_report(g, class_of_order(g, 1), ring)
+        for spec in ("C6", "S4", "C30"):
+            g = make_group(spec)
+            for cls in subgroup_conjugacy_classes(g):
+                assert (stage_report(g, cls, ring).to_json()
+                        == stage_report(g, cls, z).to_json())
+        for spec in ("C6", "C30"):
+            g = make_group(spec)
+            assert classify(g, ring, 4).to_json() == classify(g, z, 4).to_json()
+            assert (witness_nonstandard(g, ring).failures
+                    == witness_nonstandard(g, z).failures)
 
 
 class TestIndecomposabilityCheck:
@@ -126,7 +109,7 @@ class TestIndecomposabilityCheck:
             indecomposable_mod=lambda n: True,
             torsion_free=lambda n: True,
             prime_invertible=lambda q: False,
-            separably_closed=True, inflated=True,
+            separably_closed=True,
         )
         res = check_ic(ring, 2)
         assert not res.ok and "decomposable" in res.rule
@@ -157,7 +140,7 @@ class TestRetractionCheck:
             indecomposable_mod=lambda n: True,
             torsion_free=lambda n: n % 3 != 0,
             prime_invertible=lambda q: False,
-            separably_closed=True, inflated=True,
+            separably_closed=True,
         )
         res = check_rc(ring, 3)
         assert not res.ok and "torsion" in res.rule

@@ -44,8 +44,7 @@ FIELDS = {
     WitnessProbe: ("record", "failures", "stage_reports"),
     RingDescriptor: ("name", "kind", "char", "indecomposable",
                      "indecomposable_mod", "torsion_free", "prime_invertible",
-                     "separably_closed", "burnside_unit", "rc_witness_map_to",
-                     "inflated", "action"),
+                     "separably_closed", "burnside_unit", "rc_witness_map_to"),
     CheckResult: ("ok", "rule", "convention"),
     StageReport: ("subgroup", "ic", "rc", "sep_closed"),
     Filtration: ("stages", "added"),
@@ -191,9 +190,7 @@ def test_defaults():
     assert (outcome.groupoid, outcome.witness, outcome.notes) == (None, None, ())
     assert CheckResult(False, "r").convention is False
     ring = RingDescriptor("R", "custom", 0, True, abs, abs, abs, True, False)
-    assert (ring.rc_witness_map_to, ring.inflated, ring.action) == (
-        None, True, "trivial"
-    )
+    assert ring.rc_witness_map_to is None
     record = WitnessRecord(*_plain_args(WitnessRecord)[:6])
     assert record.note == MODELING_NOTE
 
