@@ -28,7 +28,7 @@ c6 = make_group("C6")
 # indecomposability check rejects it.
 print("stage checks for C6 over the sphere:")
 for cls in subgroup_conjugacy_classes(c6):
-    rep = stage_report(c6, cls, sphere())
+    rep = stage_report(cls, sphere())
     print(
         f"  {cls.name}: weyl order {rep.weyl.order}, "
         f"ic={rep.ic.ok}, rc={rep.rc.ok}"
@@ -59,7 +59,8 @@ leg = GroupoidFunctor(src, dst, {"2*[G/G]": "per-prime"}, {"2*[G/G]": diag})
 comps = pullback_pi0(leg, leg)
 print(f"the comparison fiber splits into {len(comps)} classes")
 
-# The packaged search does all of this and hands back the certificate.
+# The packaged search counts those double cosets directly and hands back
+# the certificate.
 probe = witness_nonstandard(c6, sphere())
 rec = probe.record
 print(f"\nwitness: eta = {rec.eta_text}, fiber size {rec.fiber_size}")

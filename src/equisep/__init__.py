@@ -6,9 +6,11 @@ filtrations (families), per-stage checks (conditions), G-set types and the
 census (groupoid_calc), and the classifier (classifier).  Beside them sit
 finite G-sets with the Mackey calculus and automorphism groups (gset),
 functors and pullbacks of skeletal groupoids (pullback), and the
-non-standard witness built from a pullback (witness), which classify
-loads only when a stage check fails.  The cli module exposes all of it as
-the `equisep` command.
+non-standard witness (witness), which classify loads only when a stage
+check fails.  The witness's comparison fiber is pi_0 of the pullback of
+the diagonal leg against itself, i.e. the double cosets of the diagonal
+in (S_2)^r, and the witness counts those directly.  The cli module
+exposes all of it as the `equisep` command.
 
 The names below load on first access (PEP 562): `import equisep` imports
 no submodule, and `equisep.classify` imports the classifier, and what it
@@ -126,7 +128,6 @@ _SUBMODULE = {
             "all_homomorphisms",
             "brute_force_pullback",
             "pullback_pi0",
-            "unit_power_component",
         ),
         "witness": (
             "WitnessProbe",

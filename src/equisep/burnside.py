@@ -32,12 +32,6 @@ class TableOfMarks(_Record):
 
     __slots__ = ("group", "classes", "marks")  # marks: one tuple of ints per row
 
-    def index(self, cls: SubgroupClass) -> int:
-        return self.classes.index(cls)
-
-    def row(self, cls: SubgroupClass):
-        return self.marks[self.index(cls)]
-
     def to_text(self) -> str:
         return marks_layout([c.name for c in self.classes], self.marks)
 

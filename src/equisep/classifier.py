@@ -68,7 +68,7 @@ def classify(g: Group, ring: RingDescriptor, max_size: int,
         )
 
     # the classes an exhaustive filtration from the family adds, in order
-    reports = tuple(stage_report(g, cls, ring) for cls in family.outside())
+    reports = tuple(stage_report(cls, ring) for cls in family.outside())
     if all(rep.passed for rep in reports):
         return ClassificationOutcome(
             verdict=Verdict.ALL_STANDARD,

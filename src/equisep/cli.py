@@ -129,7 +129,7 @@ def _conditions(args):
     from .conditions import stage_report
 
     return [
-        stage_report(args.g, cls, args.ring).to_json()
+        stage_report(cls, args.ring).to_json()
         for cls in subgroup_conjugacy_classes(args.g)
     ]
 

@@ -225,7 +225,7 @@ class StageReport(_Record):
         }
 
 
-def stage_report(g: Group, cls: SubgroupClass, ring: RingDescriptor) -> StageReport:
+def stage_report(cls: SubgroupClass, ring: RingDescriptor) -> StageReport:
     """Run both checks at one subgroup stage."""
     return StageReport(
         subgroup=cls,

@@ -6,8 +6,9 @@ biject with double cosets of the target automorphism group under the two
 images, so pullback_pi0 never materializes objects; brute_force_pullback
 does, as an independent check.  random_groupoid and random_functor draw
 the random instances that `equisep pullback-demo` compares the two on.
-The non-standard witness built from such a pullback lives in the witness
-module.
+The witness module counts the fiber of its comparison square, pi_0 of
+such a pullback, directly as double cosets; the tests check that count
+against both functions here.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .group_core import (
     perm_order,
     pinv,
     pmul,
-    symmetric_group,
 )
 from .groupoid_calc import FiniteGroupoid, GroupoidComponent
 
@@ -264,20 +264,3 @@ def brute_force_pullback(f: GroupoidFunctor, g: GroupoidFunctor) -> FiniteGroupo
             )
     return FiniteGroupoid(components)
 
-
-def unit_power_component(n: int, *, unit_indecomposable: bool = False) -> GroupoidComponent:
-    """The component of the n-fold unit power, with symmetric automorphisms.
-
-    The caller must assert that the modeled category has an indecomposable
-    unit; without that the automorphism group is not the full symmetric
-    group.
-    """
-    if not unit_indecomposable:
-        raise ValueError(
-            "unit_power_component needs unit_indecomposable=True; the "
-            "symmetric automorphism group is only valid for an "
-            "indecomposable unit"
-        )
-    if n < 0:
-        raise ValueError("unit power needs n >= 0")
-    return GroupoidComponent(label=f"unit^{n}", aut=symmetric_group(n))

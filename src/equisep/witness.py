@@ -1,10 +1,12 @@
-"""The explicit non-standard witness, built from a pullback.
+"""The explicit non-standard witness, counted by double cosets.
 
 The witness lives over the two-object set 2*[G/G]: splitting the ambient
-category at each prime divisor turns its automorphisms into a power of
-the symmetric group on two letters, both comparison maps become the
-diagonal, and counting double cosets of the diagonal in that power shows
-the comparison fiber has 2^(r-1) elements instead of one.
+category at each of the r prime divisors turns its automorphisms into the
+power (S_2)^r of the symmetric group on two letters, and both comparison
+maps become the diagonal D.  The comparison fiber is pi_0 of the pullback
+of that diagonal leg against itself, which is the set of double cosets
+D\\(S_2)^r/D; they are counted directly, and there are 2^(r-1) of them
+instead of one.
 """
 
 from __future__ import annotations
@@ -14,15 +16,14 @@ from .conditions import RingDescriptor, stage_report
 from .group_core import (
     Group,
     direct_product,
+    double_cosets,
     group_flags,
-    identity_perm,
     perm_order,
     pmul,
     subgroup_conjugacy_classes,
     symmetric_group,
 )
-from .groupoid_calc import FiniteGroupoid, GroupoidComponent, GSetType
-from .pullback import GroupHom, GroupoidFunctor, pullback_pi0, unit_power_component
+from .groupoid_calc import GSetType
 
 
 MODELING_NOTE = (
@@ -85,47 +86,29 @@ def _render_blocks(eta, r: int) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-def _witness_leg(r: int):
-    """The comparison leg for r primes, with its diagonal S_2 -> (S_2)^r."""
-    s2 = symmetric_group(2)
-    # the per-prime indecomposability precondition was checked by the
-    # caller, so each local corner is a genuine two-fold unit power
-    per_prime = [
-        unit_power_component(2, unit_indecomposable=True) for _ in range(r)
-    ]
-    power = per_prime[0].aut
-    for comp in per_prime[1:]:
-        power = direct_product(power, comp.aut)
-    all_swap = tuple(2 * (i // 2) + (1 - i % 2) for i in range(2 * r))
-    diag = GroupHom.from_generator_images(s2, power, {s2.generators[0]: all_swap})
-    assert diag is not None
-
-    source = FiniteGroupoid([GroupoidComponent("2*[G/G]", s2)])
-    corner = FiniteGroupoid([GroupoidComponent("unit-power", power)])
-    leg = GroupoidFunctor(source, corner, {"2*[G/G]": "unit-power"},
-                          {"2*[G/G]": diag})
-    return leg, diag
-
-
 def _build_witness(g: Group, primes) -> WitnessRecord:
     r = len(primes)
     x1 = GSetType.from_counts(g, {subgroup_conjugacy_classes(g)[-1]: 2})
-    leg, diag = _witness_leg(r)
-    comps = pullback_pi0(leg, leg)
-    fiber = len(comps)
-    assert all(p.fiber_size == fiber for p in comps)
+    # the per-prime indecomposability precondition was checked by the
+    # caller, so each local corner is a two-fold unit power with
+    # automorphisms S_2, and both comparison legs are the diagonal
+    s2 = symmetric_group(2)
+    power = s2
+    for _ in range(r - 1):
+        power = direct_product(power, s2)
+    ident = power.identity
+    all_swap = tuple(2 * (i // 2) + (1 - i % 2) for i in range(2 * r))
+    diag = (ident, all_swap)
+    diagonal = power.subgroup(diag)
+    dec = double_cosets(power, diagonal, diagonal)
 
-    diag_els = sorted(diag.image_group().elements)
     orbits = []
     rep_of: dict = {}
-    for p in comps:
-        members = sorted(
-            {pmul(pmul(u, p.eta_class), v) for u in diag_els for v in diag_els}
-        )
+    for rep in dec.representatives:
+        members = sorted({pmul(pmul(u, rep), v) for u in diag for v in diag})
         orbits.append(tuple(_render_blocks(m, r) for m in members))
         for m in members:
-            rep_of[m] = p.eta_class
-    ident = identity_perm(2 * r)
+            rep_of[m] = rep
     eta_perm = tuple(range(2 * r - 2)) + (2 * r - 1, 2 * r - 2)
     assert rep_of[eta_perm] != rep_of[ident], "witness class collapsed"
 
@@ -134,7 +117,7 @@ def _build_witness(g: Group, primes) -> WitnessRecord:
         x2=x1,
         primes=tuple(primes),
         eta=("id",) * (r - 1) + ("swap",),
-        fiber_size=fiber,
+        fiber_size=len(dec),
         double_coset_certificate=tuple(sorted(orbits)),
     )
 
@@ -157,7 +140,7 @@ def witness_nonstandard(g: Group, ring: RingDescriptor) -> WitnessProbe:
 
     reports = []
     for cls in subgroup_conjugacy_classes(g):
-        rep = stage_report(g, cls, ring)
+        rep = stage_report(cls, ring)
         reports.append(rep)
         if cls.order == 1 or rep.passed:
             continue

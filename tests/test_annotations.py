@@ -1,8 +1,9 @@
 """Every annotation in the package resolves: typing.get_type_hints succeeds
 on each function and method defined at the top level of a module or in a
 class body.  The functions are found by parsing the sources, so a new one
-is checked without being listed here.  No module of the package or of the
-tests imports a name at its top level that it never reads."""
+is checked without being listed here.  No module of the package, of the
+tests or of the demos imports a name at its top level that it never
+reads."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import equisep
 
 PACKAGE = pathlib.Path(equisep.__file__).parent
 TESTS = pathlib.Path(__file__).parent
+DEMOS = TESTS.parent / "demos"
 # __main__ defines nothing and runs the command line when imported
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__main__")
 
@@ -77,6 +79,8 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
-    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
-    assert len(paths) > 25
+    demos = sorted(DEMOS.glob("*.py"))
+    assert len(demos) >= 5
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) + demos
+    assert len(paths) > 30
     assert [u for path in paths for u in _unused_imports(path)] == []

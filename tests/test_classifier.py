@@ -4,31 +4,65 @@ from collections import Counter
 
 import pytest
 
-from equisep import classifier, group_core, pullback, witness
+from equisep import classifier, group_core, pullback
 from equisep.classifier import Verdict, classify, standard_algebra
 from equisep.conditions import integers, prime_field, sphere
 from equisep.families import all_family, closure_family, empty_family
 from equisep.group_core import (
     alternating_group,
     cyclic_group,
+    direct_product,
     make_group,
+    pmul,
     prime_factors,
     subgroup_conjugacy_classes,
+    symmetric_group,
 )
+from equisep.groupoid_calc import FiniteGroupoid, GroupoidComponent
 from equisep.gset import GSetType, delete_orbits, orbit_type, realize_type
 from equisep.witness import witness_nonstandard
 
 from .oracles import count_orbit_multisets
 
 
-@pytest.mark.parametrize("r", [2, 3])
-def test_witness_leg_pullback_matches_brute_force(r):
-    """The double-coset count of the witness leg against itself agrees
-    with the materialized pullback, for two and three primes."""
-    leg, _ = witness._witness_leg(r)
+@pytest.mark.parametrize(
+    "spec, ring",
+    [("C6", sphere()), ("C10", integers()), ("A5", integers())],
+    ids=["C6-sphere", "C10-Z", "A5-Z"],
+)
+def test_witness_count_matches_pullback_calculus(spec, ring):
+    """The witness counts the double cosets of the diagonal in (S_2)^r
+    itself.  The pullback of the diagonal leg against itself, through
+    pullback_pi0 and materialized, has as many components, and the
+    witness's certificate orbits are that pullback's double cosets."""
+    record = witness_nonstandard(make_group(spec), ring).record
+    r = len(record.primes)
+    s2 = symmetric_group(2)
+    power = s2
+    for _ in range(r - 1):
+        power = direct_product(power, s2)
+    all_swap = tuple(2 * (i // 2) + (1 - i % 2) for i in range(2 * r))
+    hom = pullback.GroupHom.from_generator_images(s2, power,
+                                                  {s2.generators[0]: all_swap})
+    one = FiniteGroupoid([GroupoidComponent("2*[G/G]", s2)])
+    corner = FiniteGroupoid([GroupoidComponent("unit-power", power)])
+    leg = pullback.GroupoidFunctor(one, corner, {"2*[G/G]": "unit-power"},
+                                   {"2*[G/G]": hom})
     comps = pullback.pullback_pi0(leg, leg)
-    assert len(comps) == 2 ** (r - 1)
-    assert len(pullback.brute_force_pullback(leg, leg)) == len(comps)
+    assert (record.fiber_size == len(comps)
+            == len(pullback.brute_force_pullback(leg, leg)) == 2 ** (r - 1))
+
+    def render(x):
+        return "(" + ",".join("id" if x[2 * i] == 2 * i else "swap"
+                              for i in range(r)) + ")"
+
+    diag = (power.identity, all_swap)
+    cosets = {frozenset(render(pmul(pmul(u, p.eta_class), v))
+                        for u in diag for v in diag) for p in comps}
+    orbits = [frozenset(orbit) for orbit in record.double_coset_certificate]
+    assert set(orbits) == cosets
+    assert sum(map(len, record.double_coset_certificate)) == 2 ** r
+    assert frozenset().union(*orbits) == {render(x) for x in power.elements}
 
 
 def test_witness_runs_without_brute_force(monkeypatch):

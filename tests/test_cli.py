@@ -174,8 +174,7 @@ LIBRARY = ("burnside", "classifier", "conditions", "families", "group_core",
 # what a classify answered from the stage checks and the census loads
 CENSUS = ["group_core", "burnside", "conditions", "families", "groupoid_calc",
           "classifier"]
-WITNESS = ["group_core", "burnside", "conditions", "groupoid_calc", "pullback",
-           "witness"]
+WITNESS = ["group_core", "burnside", "conditions", "groupoid_calc", "witness"]
 
 
 def _loaded_by(code):
@@ -211,7 +210,7 @@ def test_import_equisep_loads_no_submodule():
          ["group_core", "burnside", "conditions"]),
         (["classify", "--group", "C4", "--max-size", "4"], CENSUS),
         (["classify", "--group", "S3", "--coeff", "Z"],
-         CENSUS + ["pullback", "witness"]),
+         CENSUS + ["witness"]),
         (["witness", "--group", "C6", "--coeff", "Z"], WITNESS),
         (["pullback-demo", "--seed", "3"],
          ["group_core", "groupoid_calc", "pullback"]),
@@ -248,14 +247,14 @@ make_group minimal_additions normalizer orbit_type perfect_subgroup_classes
 prime_field pullback pullback_pi0 quaternion_group realize_type restrict sphere
 sphere_ic stage_report standard_algebra subgroup_conjugacy_classes
 symmetric_group table_of_marks trivial_group trivial_gset
-truncated_gset_groupoid unit_power_component weyl_group
+truncated_gset_groupoid weyl_group
 weyl_group_with_section witness_nonstandard
 """.split()
 
 
 class TestLazyExports:
     def test_all_lists_the_public_names(self):
-        assert len(PUBLIC_NAMES) == 91
+        assert len(PUBLIC_NAMES) == 90
         assert sorted(equisep.__all__) == PUBLIC_NAMES
 
     def test_each_name_is_the_object_its_module_defines(self):

@@ -72,8 +72,8 @@ class TestCustomDescriptors:
         for spec in ("C6", "S4", "C30"):
             g = make_group(spec)
             for cls in subgroup_conjugacy_classes(g):
-                assert (stage_report(g, cls, ring).to_json()
-                        == stage_report(g, cls, z).to_json())
+                assert (stage_report(cls, ring).to_json()
+                        == stage_report(cls, z).to_json())
         for spec in ("C6", "C30"):
             g = make_group(spec)
             assert classify(g, ring, 4).to_json() == classify(g, z, 4).to_json()
@@ -150,26 +150,26 @@ class TestStageReports:
     def test_c4_sphere_stages_all_pass(self):
         g = cyclic_group(4)
         for cls in subgroup_conjugacy_classes(g):
-            rep = stage_report(g, cls, sphere())
+            rep = stage_report(cls, sphere())
             assert rep.passed
             assert rep.sep_closed
 
     def test_c6_sphere_bottom_stage_fails_ic(self):
         g = cyclic_group(6)
-        rep = stage_report(g, class_of_order(g, 1), sphere())
+        rep = stage_report(class_of_order(g, 1), sphere())
         assert not rep.ic.ok
         assert rep.rc.ok
         assert not rep.passed
 
     def test_c6_sphere_c2_stage_passes(self):
         g = cyclic_group(6)
-        rep = stage_report(g, class_of_order(g, 2), sphere())
+        rep = stage_report(class_of_order(g, 2), sphere())
         assert rep.weyl.order == 3
         assert rep.passed
 
     def test_top_stage_is_convention(self):
         g = make_group("S3")
-        rep = stage_report(g, class_of_order(g, 6), sphere())
+        rep = stage_report(class_of_order(g, 6), sphere())
         assert rep.passed
         assert rep.ic.convention and rep.rc.convention
         flags = rep.to_json()["convention_flags"]
@@ -177,7 +177,7 @@ class TestStageReports:
 
     def test_json_schema(self):
         g = cyclic_group(6)
-        payload = stage_report(g, class_of_order(g, 1), sphere()).to_json()
+        payload = stage_report(class_of_order(g, 1), sphere()).to_json()
         assert set(payload) == {
             "subgroup", "weyl_order", "ic", "rc", "sep_closed",
             "reasons", "convention_flags",
@@ -190,6 +190,6 @@ class TestStageReports:
 
     def test_prime_field_stage_not_separably_closed(self):
         g = cyclic_group(5)
-        rep = stage_report(g, class_of_order(g, 1), prime_field(5))
+        rep = stage_report(class_of_order(g, 1), prime_field(5))
         assert rep.passed
         assert not rep.sep_closed

@@ -30,7 +30,6 @@ from equisep.pullback import (
     all_homomorphisms,
     brute_force_pullback,
     pullback_pi0,
-    unit_power_component,
 )
 
 from .oracles import (
@@ -52,10 +51,8 @@ from .oracles import (
         (lambda: GroupHom(cyclic_group(2), cyclic_group(3),
                           {x: x for x in cyclic_group(2).elements}),
          "homomorphism image leaves the target group"),
-        (lambda: unit_power_component(-1, unit_indecomposable=True),
-         "unit power needs n >= 0"),
     ],
-    ids=["census-size", "bare-component", "hom-target", "unit-power"],
+    ids=["census-size", "bare-component", "hom-target"],
 )
 def test_groupoid_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -175,13 +172,6 @@ class TestGroupoidBasics:
         with pytest.raises(ValueError):
             # endpoints of the hom must be the actual automorphism groups
             GroupoidFunctor(b, d, {"x": "d"}, {"x": GroupHom.identity(cyclic_group(3))})
-
-    def test_unit_power_requires_flag(self):
-        with pytest.raises(ValueError):
-            unit_power_component(3)
-        comp = unit_power_component(3, unit_indecomposable=True)
-        assert comp.aut.order == 6
-        assert unit_power_component(0, unit_indecomposable=True).aut.order == 1
 
 
 class TestPullbackSmall:
