@@ -50,7 +50,6 @@ _SUBMODULE = {
             "StageReport",
             "check_ic",
             "check_rc",
-            "custom",
             "integers",
             "prime_field",
             "sphere",

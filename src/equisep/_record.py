@@ -9,8 +9,6 @@ that checks its values calls that constructor first.  ``==`` and
 ``_uncompared``.  Records compare equal only to instances of the same
 class, print as ``Name(field=value, ...)`` and refuse assignment; a
 subclass that declares ``__slots__ = ()`` keeps its parent's fields.
-``Family``, which stores a mask built from its argument, sets its slots
-itself through ``_set`` and ``_set_key``.
 
 They are plain classes, not frozen dataclasses, because the dataclass
 decorator imports ``inspect`` and compiles its methods when the module
@@ -85,5 +83,4 @@ class _Record:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-_set = object.__setattr__
 _set_key = _Record._key.__set__

@@ -1,7 +1,7 @@
-"""Top-level classification: run the stage checks along an exhaustive
-filtration, and when they all pass present the truncated groupoid of
-G-sets; when they fail, try to produce an explicit non-standard witness
-(witness.witness_nonstandard).
+"""Top-level classification: run the stage checks on the classes outside
+the family, in (order, canonical key) order, and when they all pass
+present the truncated groupoid of G-sets; when they fail, try to produce
+an explicit non-standard witness (witness.witness_nonstandard).
 """
 
 from __future__ import annotations

@@ -10,8 +10,6 @@ and a retraction check tied to torsion and invertible primes.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from ._record import _Record
 from .burnside import is_indecomposable_mod, sphere_ic
 from .group_core import Group, SubgroupClass, prime_factors, weyl_group
@@ -26,14 +24,15 @@ class RingDescriptor(_Record):
     no n-torsion, prime_invertible(q) whether the prime q is a unit.  The
     stage checks pass them the Weyl order |W(H)| or its prime divisors, so
     one descriptor serves every stage.  The callables take no part in ==
-    and hash.
+    and hash.  A ring other than the three below is built directly, with
+    kind="custom"; burnside_unit defaults to False.
     """
 
     __slots__ = ("name", "kind",  # kind: sphere | integers | prime_field | custom
                  "char", "indecomposable", "indecomposable_mod", "torsion_free",
                  "prime_invertible", "separably_closed", "burnside_unit",
                  "rc_witness_map_to")  # a RingDescriptor or None
-    _defaults = {"rc_witness_map_to": None}
+    _defaults = {"burnside_unit": False, "rc_witness_map_to": None}
     _uncompared = ("indecomposable_mod", "torsion_free", "prime_invertible")
 
 
@@ -64,7 +63,6 @@ def integers() -> RingDescriptor:
         torsion_free=lambda n: True,
         prime_invertible=lambda q: False,
         separably_closed=True,
-        burnside_unit=False,
     )
 
 
@@ -118,27 +116,6 @@ def prime_field(p: int) -> RingDescriptor:
         torsion_free=lambda n: True,
         prime_invertible=lambda q, p=p: q != p,
         separably_closed=False,
-        burnside_unit=False,
-    )
-
-
-def custom(name: str, *, char: int, indecomposable: bool,
-           indecomposable_mod: Callable[[int], bool],
-           torsion_free: Callable[[int], bool],
-           prime_invertible: Callable[[int], bool],
-           separably_closed: bool, burnside_unit: bool = False,
-           rc_witness_map_to: RingDescriptor | None = None) -> RingDescriptor:
-    return RingDescriptor(
-        name=name,
-        kind="custom",
-        char=char,
-        indecomposable=indecomposable,
-        indecomposable_mod=indecomposable_mod,
-        torsion_free=torsion_free,
-        prime_invertible=prime_invertible,
-        separably_closed=separably_closed,
-        burnside_unit=burnside_unit,
-        rc_witness_map_to=rc_witness_map_to,
     )
 
 

@@ -7,43 +7,41 @@ classes subconjugate to c (see _Lattice.below) has no bit outside it."""
 
 from __future__ import annotations
 
-from ._record import _Record, _set, _set_key
+from ._record import _Record
 from .group_core import Group, SubgroupClass, _subgroup_classes
 
 
 class Family(_Record):
     """A subconjugation-closed set of subgroup conjugacy classes, held as
-    a mask over their positions; `classes` is the set it was built from,
-    or one built from the mask on first read."""
+    a mask over their positions; `classes` is read from the mask."""
 
-    __slots__ = ("group", "mask", "_classes")
+    __slots__ = ("group", "mask")
 
     def __init__(self, group: Group, classes: frozenset):
         assert all(cls.parent == group for cls in classes)
         position = _subgroup_classes(group).position
-        _fill(self, group, sum(1 << position[c] for c in classes), classes)
+        super().__init__(group, sum(1 << position[c] for c in classes))
         for cls in classes:
             self._checked(cls)
 
     @property
     def classes(self) -> frozenset:
-        if self._classes is None:
-            every = _subgroup_classes(self.group).classes
-            members = (c for i, c in enumerate(every) if self.mask >> i & 1)
-            _set(self, "_classes", frozenset(members))
-        return self._classes
+        return frozenset(self._members(1))
+
+    def _members(self, bit: int) -> list:
+        """The classes whose mask bit is `bit`, in position order."""
+        every = _subgroup_classes(self.group).classes
+        return [c for i, c in enumerate(every) if self.mask >> i & 1 == bit]
 
     def __contains__(self, cls: SubgroupClass) -> bool:
-        return cls in self.classes
+        pos = _subgroup_classes(self.group).position.get(cls)
+        return pos is not None and self.mask >> pos & 1 == 1
 
     def __len__(self):
         return self.mask.bit_count()
 
-    def __hash__(self):
-        return hash((self.group, self.classes))
-
     def __reduce__(self):
-        return type(self), (self.group, self.classes)
+        return _family, (self.group, self.mask)
 
     def _checked(self, cls: SubgroupClass) -> "Family":
         """The family itself, or a ValueError naming the least class below
@@ -58,12 +56,9 @@ class Family(_Record):
             )
         return self
 
-    def sorted_classes(self):
-        return sorted(self.classes, key=lambda c: (c.order, c.canonical_key))
-
     def outside(self) -> list:
         """The classes not in the family, sorted by (order, canonical key)."""
-        return [c for c in _subgroup_classes(self.group).classes if c not in self]
+        return self._members(0)
 
     def is_all(self) -> bool:
         return len(self) == len(_subgroup_classes(self.group).classes)
@@ -80,21 +75,16 @@ class Family(_Record):
                              f"{self.group.order}, not {g.order}")
 
     def __repr__(self):
-        names = ",".join(c.name for c in self.sorted_classes())
+        # position order is (order, canonical key) order
+        names = ",".join(c.name for c in self._members(1))
         return f"Family({{{names}}})"
-
-
-def _fill(fam: Family, group: Group, mask: int, classes=None) -> Family:
-    _set(fam, "group", group)
-    _set(fam, "mask", mask)
-    _set(fam, "_classes", classes)
-    _set_key(fam, (group, mask))
-    return fam
 
 
 def _family(group: Group, mask: int) -> Family:
     """The family with this mask, which the caller knows to be closed."""
-    return _fill(object.__new__(Family), group, mask)
+    fam = object.__new__(Family)
+    _Record.__init__(fam, group, mask)
+    return fam
 
 
 def empty_family(g: Group) -> Family:

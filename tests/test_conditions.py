@@ -2,9 +2,9 @@ import pytest
 
 from equisep.classifier import classify
 from equisep.conditions import (
+    RingDescriptor,
     check_ic,
     check_rc,
-    custom,
     integers,
     prime_field,
     sphere,
@@ -62,8 +62,9 @@ class TestDescriptors:
 class TestCustomDescriptors:
     def test_custom_copy_of_integers_reaches_every_check(self):
         z = integers()
-        ring = custom(
-            "Z", char=z.char, indecomposable=z.indecomposable,
+        ring = RingDescriptor(
+            name="Z", kind="custom", char=z.char,
+            indecomposable=z.indecomposable,
             indecomposable_mod=z.indecomposable_mod,
             torsion_free=z.torsion_free,
             prime_invertible=z.prime_invertible,
@@ -104,8 +105,8 @@ class TestIndecomposabilityCheck:
         assert not check_ic(prime_field(3), 4).ok
 
     def test_decomposable_ring_fails_outright(self):
-        ring = custom(
-            "split", char=0, indecomposable=False,
+        ring = RingDescriptor(
+            name="split", kind="custom", char=0, indecomposable=False,
             indecomposable_mod=lambda n: True,
             torsion_free=lambda n: True,
             prime_invertible=lambda q: False,
@@ -135,8 +136,8 @@ class TestRetractionCheck:
         assert "2" in res.rule and "invertible" in res.rule
 
     def test_torsion_failure_reported(self):
-        ring = custom(
-            "torn", char=0, indecomposable=True,
+        ring = RingDescriptor(
+            name="torn", kind="custom", char=0, indecomposable=True,
             indecomposable_mod=lambda n: True,
             torsion_free=lambda n: n % 3 != 0,
             prime_invertible=lambda q: False,

@@ -1,5 +1,7 @@
 """Families of subgroups and exhaustive filtrations."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -49,6 +51,28 @@ def test_family_over_another_group_rejected():
         minimal_additions(g, all_family(other))
     with pytest.raises(ValueError, match="order 2, not 4"):
         exhaustive_filtration(g, all_family(other))
+
+
+def test_class_of_another_group_is_not_a_member():
+    g = make_group("C4")
+    fam = all_family(g)
+    for spec in ("C2", "S3", "C4xC2"):
+        for cls in subgroup_conjugacy_classes(make_group(spec)):
+            assert (cls in fam) is False
+    assert all((cls in fam) is True for cls in subgroup_conjugacy_classes(g))
+
+
+def test_copy_and_pickle_keep_a_nonempty_family():
+    g = make_group("S4")
+    order_four = by_order(g)[4][0]
+    fam = closure_family(g, [order_four])
+    assert fam.mask not in (0, all_family(g).mask)
+    for twin in (copy.deepcopy(fam), copy.copy(fam),
+                 pickle.loads(pickle.dumps(fam))):
+        assert twin == fam and type(twin) is Family
+        assert twin.mask == fam.mask
+        assert twin.classes == fam.classes
+        assert order_four in twin.classes and repr(twin) == repr(fam)
 
 
 def test_minimal_additions_c6_example():
@@ -143,7 +167,7 @@ def test_validation_matches_pairwise_scan(spec):
         for candidate in (closed, dropped, scattered):
             missing = oracles.missing_by_scan(g, candidate)
             if missing is None:
-                assert Family(g, candidate).classes is candidate
+                assert Family(g, candidate).classes == candidate
                 accepted += 1
             else:
                 other, cls = missing
@@ -166,7 +190,7 @@ def test_closure_and_minimal_additions_match_pairwise_scan(spec):
         expected = oracles.closure_by_scan(g, seed)
         assert fam.classes == expected
         assert fam == Family(g, expected)
-        assert hash(fam) == hash((g, expected))
+        assert hash(fam) == hash((g, fam.mask))
         assert minimal_additions(g, fam) == oracles.minimal_additions_by_scan(
             g, expected
         )

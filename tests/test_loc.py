@@ -1,0 +1,48 @@
+"""The line counter of tests/loc.py on a fixture whose counts are known."""
+
+from . import loc
+
+FIXTURE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code
+
+# a comment alone
+
+
+class Thing:
+    """A class docstring."""
+
+    size = 1
+
+    def grow(self, by):
+        """A function
+        docstring."""
+        total = (self.size
+                 + by)
+        text = """a string
+that is not a docstring"""
+        return total, text
+'''
+
+
+def test_counts_of_a_small_fixture():
+    # code: import, class, size, def, the two lines of total, the two of
+    # text, return; non-blank: 15, every line but the 6 blank ones
+    assert loc.count(FIXTURE) == (9, 15)
+
+
+def test_docstrings_only_at_the_top_of_a_body():
+    source = 'x = 1\n"""not a docstring"""\n'
+    assert loc.count(source) == (2, 2)
+    assert loc.count('"""only a docstring"""\n') == (0, 1)
+
+
+def test_main_prints_each_module_and_the_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(FIXTURE)
+    (tmp_path / "b.py").write_text("\n# nothing\n")
+    assert loc.main(tmp_path) == (9, 16)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["a.py", "9", "15"], ["b.py", "0", "1"], ["total", "9", "16"],
+    ]

@@ -5,6 +5,8 @@ the constructor checks, the refusal of wrong arguments, and copy and
 pickle."""
 
 import copy
+import importlib
+import pathlib
 import pickle
 import sys
 
@@ -117,6 +119,8 @@ def test_equality_and_hash_follow_the_values(index):
     assert len({a, b}) == 1
     if cls is SubgroupClass:
         assert hash(a) == hash(a.canonical_key)
+    elif cls is Family:
+        assert hash(a) == hash((a.group, a.mask))
     elif cls is not RingDescriptor:
         assert hash(a) == hash(args)
 
@@ -141,7 +145,10 @@ def test_assignment_is_refused(index):
             setattr(rec, f, 0)
         with pytest.raises(AttributeError):
             delattr(rec, f)
-        assert getattr(rec, f) is args[fields.index(f)]
+        if (cls, f) == (Family, "classes"):
+            assert rec.classes == args[1]
+        else:
+            assert getattr(rec, f) is args[fields.index(f)]
     with pytest.raises(AttributeError):
         rec.extra = 1
 
@@ -191,6 +198,12 @@ def test_defaults():
     assert CheckResult(False, "r").convention is False
     ring = RingDescriptor("R", "custom", 0, True, abs, abs, abs, True, False)
     assert ring.rc_witness_map_to is None
+    named = RingDescriptor(name="R", kind="custom", char=0,
+                           indecomposable=True, indecomposable_mod=abs,
+                           torsion_free=abs, prime_invertible=abs,
+                           separably_closed=True)
+    assert named.burnside_unit is False
+    assert named == ring
     record = WitnessRecord(*_plain_args(WitnessRecord)[:6])
     assert record.note == MODELING_NOTE
 
@@ -261,10 +274,10 @@ def test_wrong_arguments_raise_type_error(index):
             pytest.fail(f"{cls.__name__}: {what} argument accepted")
 
 
-def test_only_family_sets_its_own_fields(monkeypatch):
-    """Every record but Family binds its fields in the shared constructor,
-    and only the families module keeps the slot setters."""
-    samples = [(cls, args) for cls, _, args in _samples() if cls is not Family]
+def test_every_record_binds_in_the_shared_constructor(monkeypatch):
+    """Every record, Family included, binds its fields in the shared
+    constructor, and no package module keeps a slot setter of its own."""
+    samples = [(cls, args) for cls, _, args in _samples()]
     shared = _Record.__init__
     built = []
 
@@ -276,6 +289,9 @@ def test_only_family_sets_its_own_fields(monkeypatch):
     for cls, args in samples:
         cls(*args)
     assert built == [cls for cls, _ in samples]
-    modules = {sys.modules[cls.__module__] for cls, _, _ in _samples()}
-    setters = {m.__name__ for m in modules if hasattr(m, "_set")}
-    assert setters == {"equisep.families"}
+    package = pathlib.Path(sys.modules["equisep"].__file__).parent
+    modules = [importlib.import_module(f"equisep.{p.stem}")
+               for p in package.glob("*.py") if p.stem[0] != "_"]
+    modules.append(sys.modules["equisep._record"])
+    assert len(modules) > 10
+    assert not [m.__name__ for m in modules if hasattr(m, "_set")]
