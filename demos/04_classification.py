@@ -14,13 +14,13 @@ from equisep import (
 )
 
 # For a p-group every stage check passes and the answer is the full
-# census of G-sets up to the size bound, one component per isomorphism
-# class with its automorphism group.
+# census of G-sets up to the size bound: one GSetType per isomorphism
+# class, with the order of its automorphism group.
 c4 = make_group("C4")
 out = classify(c4, sphere(), max_size=4)
 print(f"C4 over the sphere: {out.verdict.value}")
-for comp in out.groupoid.components:
-    print(f"  {comp.label:<16} aut order {comp.aut_order}")
+for t in out.groupoid:
+    print(f"  {t.label():<16} aut order {t.aut_order}")
 
 # C6 fails at the bottom stage: the Weyl group there is all of C6, whose
 # order has two prime factors.  The classifier answers with an explicit

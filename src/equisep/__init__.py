@@ -3,14 +3,15 @@
 The library is organized bottom-up: permutation groups and their
 subgroup lattice (group_core), the table of marks (burnside), families and
 filtrations (families), per-stage checks (conditions), G-set types and the
-census (groupoid_calc), and the classifier (classifier).  Beside them sit
-finite G-sets with the Mackey calculus and automorphism groups (gset),
-functors and pullbacks of skeletal groupoids (pullback), and the
-non-standard witness (witness), which classify loads only when a stage
-check fails.  The witness's comparison fiber is pi_0 of the pullback of
-the diagonal leg against itself, i.e. the double cosets of the diagonal
-in (S_2)^r, and the witness counts those directly.  The cli module
-exposes all of it as the `equisep` command.
+census, a tuple of GSetTypes (groupoid_calc), and the classifier
+(classifier).  Beside them sit finite G-sets with the Mackey calculus and
+automorphism groups (gset), skeletal groupoids with their functors and
+pullbacks (pullback), and the non-standard witness (witness), which
+classify loads only when a stage check fails.  The witness's comparison
+fiber is pi_0 of the pullback of the diagonal leg against itself, i.e.
+the double cosets of the diagonal in (S_2)^r, and the witness counts
+those directly.  The cli module exposes all of it as the `equisep`
+command.
 
 The names below load on first access (PEP 562): `import equisep` imports
 no submodule, and `equisep.classify` imports the classifier, and what it
@@ -94,9 +95,7 @@ _SUBMODULE = {
         ),
         "groupoid_calc": (
             "groupoid_calc",
-            "FiniteGroupoid",
             "GSetType",
-            "GroupoidComponent",
             "truncated_gset_groupoid",
         ),
         "gset": (
@@ -121,7 +120,9 @@ _SUBMODULE = {
         ),
         "pullback": (
             "pullback",
+            "FiniteGroupoid",
             "GroupHom",
+            "GroupoidComponent",
             "GroupoidFunctor",
             "PullbackComponent",
             "all_homomorphisms",

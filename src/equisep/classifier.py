@@ -1,7 +1,9 @@
 """Top-level classification: run the stage checks on the classes outside
 the family, in (order, canonical key) order, and when they all pass
-present the truncated groupoid of G-sets; when they fail, try to produce
+present the census of G-sets up to the size bound, a tuple of GSetTypes
+(groupoid_calc.truncated_gset_groupoid); when they fail, try to produce
 an explicit non-standard witness (witness.witness_nonstandard).
+Skeletal groupoids with built automorphism groups are in pullback.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class Verdict(Enum):
 
 class ClassificationOutcome(_Record):
     __slots__ = ("verdict", "stage_reports",
-                 "groupoid",  # the FiniteGroupoid of an AllStandard verdict
+                 "groupoid",  # an AllStandard verdict's census: GSetTypes
                  "witness",  # a WitnessRecord or None
                  "notes")
     _defaults = {"groupoid": None, "witness": None, "notes": ()}
@@ -40,7 +42,8 @@ class ClassificationOutcome(_Record):
             "stages": [rep.to_json() for rep in self.stage_reports],
         }
         if self.groupoid is not None:
-            out["groupoid"] = self.groupoid.to_json()
+            out["groupoid"] = [{"label": t.label(), "aut_order": t.aut_order}
+                               for t in self.groupoid]
         if self.witness is not None:
             out["witness"] = self.witness.to_json()
         if self.notes:

@@ -790,10 +790,9 @@ def subgroup_conjugacy_classes(g: Group) -> tuple:
 
 def class_of_subgroup(g: Group, elements: frozenset) -> SubgroupClass:
     """The conjugacy class containing the given subgroup of g."""
-    t = g._table or _table(g)
-    lattice = t.lattice or _subgroup_classes(g)
+    lattice = _subgroup_classes(g)
     try:
-        pos = lattice.index.get(_mask(t.indices(frozenset(elements))))
+        pos = lattice.index.get(_mask(_table(g).indices(frozenset(elements))))
     except KeyError:
         pos = None
     if pos is None:
@@ -813,7 +812,7 @@ def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> boo
     """True when some conjugate of `below` sits inside `above`, that is,
     when c[above][below], the number of conjugates of `above` containing
     `below`'s representative, is positive; the mark is |W(above)| times it."""
-    lattice = (g._table or _table(g)).lattice or _subgroup_classes(g)
+    lattice = _subgroup_classes(g)
     position = lattice.position
     return lattice.below()[position[above]] >> position[below] & 1 == 1
 

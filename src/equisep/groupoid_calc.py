@@ -1,9 +1,11 @@
-"""Skeletal finite groupoids and the truncated census of G-sets.
+"""G-set types and the truncated census of G-sets.
 
-A skeletal groupoid is a list of components, each a label with its
-automorphism group.  The census lists one component per isomorphism type
-of G-set, its GSetType, and reads each automorphism order off the type;
-the functor and pullback calculus over these groupoids is in pullback.
+The census is the skeletal groupoid of G-sets up to a size bound, listed
+by its objects: one GSetType per isomorphism type.  A type's automorphism
+group is gset.aut_group(realize_type(t)), of order t.aut_order, which is
+read off the type without building it.  Skeletal groupoids with built
+automorphism groups, and the functors and pullbacks between them, are in
+pullback.
 """
 
 from __future__ import annotations
@@ -68,88 +70,6 @@ class GSetType(_Record):
         return f"GSetType({self.label()})"
 
 
-class GroupoidComponent:
-    """One component of a skeletal groupoid: a label and its automorphisms.
-
-    A census component carries its G-set type instead of a built group: its
-    aut_order comes from the wreath-product formula, and aut realizes the
-    type and builds the group with gset.aut_group, which refuses an order
-    over the bound, only on first access.
-    """
-
-    __slots__ = ("label", "gset_type", "_aut")
-
-    def __init__(self, label: str, aut: Group | None = None,
-                 gset_type: GSetType | None = None):
-        if aut is None and gset_type is None:
-            raise ValueError("a component needs an automorphism group or a type")
-        self.label = label
-        self.gset_type = gset_type
-        self._aut = aut
-
-    @property
-    def aut(self) -> Group:
-        if self._aut is None:
-            from .gset import aut_group, realize_type
-
-            self._aut = aut_group(realize_type(self.gset_type))
-        return self._aut
-
-    @property
-    def aut_order(self) -> int:
-        if self._aut is None:
-            return self.gset_type.aut_order
-        return self._aut.order
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupoidComponent):
-            return NotImplemented
-        if (self.label, self.gset_type, self.aut_order) != (
-            other.label, other.gset_type, other.aut_order
-        ):
-            return False
-        # a type fixes the group it realizes; components without one
-        # compare their groups
-        return self.gset_type is not None or self.aut == other.aut
-
-    def __repr__(self):
-        return f"GroupoidComponent({self.label!r}, aut_order={self.aut_order})"
-
-
-class FiniteGroupoid:
-    """A skeletal groupoid with deterministically ordered components."""
-
-    def __init__(self, components):
-        self.components = tuple(components)
-        labels = [c.label for c in self.components]
-        if len(set(labels)) != len(labels):
-            raise ValueError("component labels must be unique")
-        self._by_label = {c.label: c for c in self.components}
-
-    def labels(self):
-        return tuple(c.label for c in self.components)
-
-    def component(self, label: str) -> GroupoidComponent:
-        return self._by_label[label]
-
-    def __len__(self):
-        return len(self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteGroupoid):
-            return NotImplemented
-        return self.components == other.components
-
-    def to_json(self):
-        return [
-            {"label": c.label, "aut_order": c.aut_order}
-            for c in self.components
-        ]
-
-    def __repr__(self):
-        return f"FiniteGroupoid({len(self.components)} components)"
-
-
 # Largest G-set census truncated_gset_groupoid enumerates; the cost of a
 # census grows with its number of components.
 CENSUS_COMPONENT_BOUND = 200_000
@@ -199,14 +119,13 @@ def census_size(sizes, bound: int, limit: int) -> int:
     return total
 
 
-def truncated_gset_groupoid(g: Group, family, max_size: int) -> FiniteGroupoid:
-    """The groupoid of G-sets with isotropy outside the family, up to size N.
+def truncated_gset_groupoid(g: Group, family,
+                            max_size: int) -> tuple[GSetType, ...]:
+    """The G-set types with isotropy outside the family, up to size N.
 
-    One component per isomorphism class, including the empty G-set.  Each
-    component carries its orbit type; automorphism orders come from the
-    wreath-product formula and groups are built only when asked for.
-    Refuses, before enumerating, a census of more than CENSUS_COMPONENT_BOUND
-    components.
+    One GSetType per isomorphism class, the empty G-set included, sorted
+    by (size, label).  Refuses, before enumerating, a census of more than
+    CENSUS_COMPONENT_BOUND types.
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
@@ -220,10 +139,7 @@ def truncated_gset_groupoid(g: Group, family, max_size: int) -> FiniteGroupoid:
             f"components, over the bound {CENSUS_COMPONENT_BOUND} "
             "(layer groupoid_calc.truncated_gset_groupoid)"
         )
-    comps = []
-    for vector in _count_vectors(sizes, max_size):
-        # outside is in (order, canonical key) order, as GSetType entries are
-        t = GSetType(g, tuple((c, n) for c, n in zip(outside, vector) if n))
-        comps.append(GroupoidComponent(t.label(), gset_type=t))
-    comps.sort(key=lambda c: (c.gset_type.size, c.label))
-    return FiniteGroupoid(comps)
+    # outside is in (order, canonical key) order, as GSetType entries are
+    census = [GSetType(g, tuple((c, n) for c, n in zip(outside, v) if n))
+              for v in _count_vectors(sizes, max_size)]
+    return tuple(sorted(census, key=lambda t: (t.size, t.label())))

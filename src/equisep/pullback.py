@@ -1,5 +1,10 @@
-"""Functors between skeletal groupoids and the component count of a
-pullback.
+"""Skeletal groupoids, the functors between them and the component
+count of a pullback.
+
+A skeletal groupoid is a list of components, each a label with its built
+automorphism group.  The G-set census of groupoid_calc is such a groupoid
+listed by its objects alone: a tuple of GSetTypes, each with its
+automorphism order, and no group built.
 
 The components of a pullback over a fixed pair of source components
 biject with double cosets of the target automorphism group under the two
@@ -26,7 +31,44 @@ from .group_core import (
     pinv,
     pmul,
 )
-from .groupoid_calc import FiniteGroupoid, GroupoidComponent
+
+
+class GroupoidComponent(_Record):
+    """One component of a skeletal groupoid: a label and its automorphisms."""
+
+    __slots__ = ("label", "aut")
+
+    @property
+    def aut_order(self) -> int:
+        return self.aut.order
+
+
+class FiniteGroupoid:
+    """A skeletal groupoid with deterministically ordered components."""
+
+    def __init__(self, components):
+        self.components = tuple(components)
+        labels = [c.label for c in self.components]
+        if len(set(labels)) != len(labels):
+            raise ValueError("component labels must be unique")
+        self._by_label = {c.label: c for c in self.components}
+
+    def labels(self):
+        return tuple(c.label for c in self.components)
+
+    def component(self, label: str) -> GroupoidComponent:
+        return self._by_label[label]
+
+    def __len__(self):
+        return len(self.components)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteGroupoid):
+            return NotImplemented
+        return self.components == other.components
+
+    def __repr__(self):
+        return f"FiniteGroupoid({len(self.components)} components)"
 
 
 class GroupHom:

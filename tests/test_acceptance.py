@@ -25,7 +25,6 @@ from equisep.group_core import (
     symmetric_group,
     weyl_group,
 )
-from equisep.groupoid_calc import FiniteGroupoid, GroupoidComponent
 from equisep.gset import (
     GSetType,
     f_assemble,
@@ -37,6 +36,8 @@ from equisep.gset import (
     restrict,
 )
 from equisep.pullback import (
+    FiniteGroupoid,
+    GroupoidComponent,
     GroupoidFunctor,
     all_homomorphisms,
     brute_force_pullback,

@@ -18,7 +18,6 @@ from equisep.group_core import (
     subgroup_conjugacy_classes,
     symmetric_group,
 )
-from equisep.groupoid_calc import FiniteGroupoid, GroupoidComponent
 from equisep.gset import GSetType, delete_orbits, orbit_type, realize_type
 from equisep.witness import witness_nonstandard
 
@@ -44,8 +43,9 @@ def test_witness_count_matches_pullback_calculus(spec, ring):
     all_swap = tuple(2 * (i // 2) + (1 - i % 2) for i in range(2 * r))
     hom = pullback.GroupHom.from_generator_images(s2, power,
                                                   {s2.generators[0]: all_swap})
-    one = FiniteGroupoid([GroupoidComponent("2*[G/G]", s2)])
-    corner = FiniteGroupoid([GroupoidComponent("unit-power", power)])
+    one = pullback.FiniteGroupoid([pullback.GroupoidComponent("2*[G/G]", s2)])
+    corner = pullback.FiniteGroupoid(
+        [pullback.GroupoidComponent("unit-power", power)])
     leg = pullback.GroupoidFunctor(one, corner, {"2*[G/G]": "unit-power"},
                                    {"2*[G/G]": hom})
     comps = pullback.pullback_pi0(leg, leg)
@@ -169,10 +169,12 @@ class TestClassify:
         out = classify(g, sphere(), 12)
         sizes = [g.order // c.order for c in subgroup_conjugacy_classes(g)]
         assert len(out.groupoid) == count_orbit_multisets(sizes, 12) == 84
+        assert all(type(t) is GSetType for t in out.groupoid)
         payload = out.to_json()["groupoid"]
-        assert payload[-1]["aut_order"] == out.groupoid.components[-1].aut_order
+        assert payload[-1] == {"label": out.groupoid[-1].label(),
+                               "aut_order": out.groupoid[-1].aut_order}
         with pytest.raises(AssertionError, match="aut_group"):
-            out.groupoid.components[-1].aut
+            gc.aut_group(realize_type(out.groupoid[-1]))
 
     def test_c6_sphere_is_witnessed(self):
         out = classify(cyclic_group(6), sphere(), 6)

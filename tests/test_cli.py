@@ -212,8 +212,7 @@ def test_import_equisep_loads_no_submodule():
         (["classify", "--group", "S3", "--coeff", "Z"],
          CENSUS + ["witness"]),
         (["witness", "--group", "C6", "--coeff", "Z"], WITNESS),
-        (["pullback-demo", "--seed", "3"],
-         ["group_core", "groupoid_calc", "pullback"]),
+        (["pullback-demo", "--seed", "3"], ["group_core", "pullback"]),
     ],
     ids=["subgroups", "burnside", "marks", "conditions", "classify",
          "classify-witness", "witness", "pullback-demo"],
