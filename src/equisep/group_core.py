@@ -13,14 +13,15 @@ is the order everything here sorts by.  The table holds the perm -> index
 map, inverses, and left-multiplication rows row(a)[x] = index(a*x).  An
 action of the group is held as its generators' images, and the image of
 another element is composed on first read (`_Table.compose`); the rows
-are the regular action.  A subgroup is then a Python int bitmask over the
-numbering: K <= H is `k & h == k`, a union is `|`, and a join walks the
-generators' rows one left coset at a time (`_Table.join`); `_Table.span`
-joins candidates in greedily, which picks a subgroup's generators and
-spans commutator subgroups, stabilizers and normalizers.  The table is
-also the one home of what is derived from the group: its lattice (with
-the Weyl groups built so far) and its flags are fields of the table, so
-they are computed once per group and freed with it.
+are the regular action.  A subgroup is then a frozenset of indices, the
+one form the lattice search finds it in and the lattice keeps, so K <= H
+is a set test.  A join walks the generators' rows one left coset at a
+time (`_Table.join`); `_Table.span` joins candidates in greedily, which
+picks a subgroup's generators and spans commutator subgroups,
+stabilizers and normalizers.  The table is also the one home of what is
+derived from the group: its lattice (with the Weyl groups built so far)
+and its flags are fields of the table, so they are computed once per
+group and freed with it.
 
 There is one orbit walk, `orbit_of`, which returns its breadth-first tree
 (each point with the map and the point it was first reached from).
@@ -304,10 +305,6 @@ def _table(g: Group) -> _Table:
     if g._table is None:
         g._table = _Table(g)
     return g._table
-
-
-def _mask(indices) -> int:
-    return sum(map((1).__lshift__, indices))
 
 
 def trivial_group(degree: int = 1) -> Group:
@@ -603,9 +600,9 @@ def _all_subgroups(g: Group, lower: list | None = None) -> list:
     of H's conjugation orbit: the cyclics' orbits are walked with the
     generators of N(H) that _normalizer spans up to |G| / size elements,
     or, once for every normal H (size 1), with g's generators.  The
-    search keys subgroups by frozensets of indices, which hash faster than
-    building a mask per join, and returns them as they are.  It stops with
-    a ResourceLimitError once it finds more than SUBGROUP_BOUND subgroups.
+    search keys subgroups by frozensets of indices and returns them as
+    they are, the form the lattice keeps.  It stops with a
+    ResourceLimitError once it finds more than SUBGROUP_BOUND subgroups.
     """
     t = _table(g)
     n, inv = len(t.perms), t.inverse
@@ -662,12 +659,13 @@ def _all_subgroups(g: Group, lower: list | None = None) -> list:
 
 class _Lattice:
     """A group's subgroup classes, in subgroup_conjugacy_classes order,
-    with a subgroup mask -> class position index, a class -> position
-    map, and per class its representative's mask, the masks of its orbit
-    and the positions of the classes the search extended into it (lower,
-    see _all_subgroups).  The containment counts and the subconjugacy
-    masks are computed on first read, and each class's (Weyl group,
-    section) pair on first request (weyl, by class position)."""
+    with a subgroup -> class position index, a class -> position map, and
+    per class its (representative, conjugates) and the positions of the
+    classes the search extended into it (lower, see _all_subgroups).  A
+    subgroup is the frozenset of element indices _all_subgroups found.
+    The containment counts and the subconjugacy masks are computed on
+    first read, and each class's (Weyl group, section) pair on first
+    request (weyl, by class position)."""
 
     __slots__ = ("classes", "index", "position", "orbits", "lower", "weyl",
                  "_counts", "_below")
@@ -683,26 +681,27 @@ class _Lattice:
         self._below = None
 
     def counts(self) -> tuple:
-        """c[H][K] (see containment_counts).  A conjugate of H can only
-        contain K when |K| divides |H|, so only those pairs are tested.
-        Refuses, before counting, a table of more than COUNT_CELL_BOUND
-        cells."""
+        """c[H][K] (see containment_counts).  It is nonzero exactly at the
+        bits of below[H], so only those cells are counted, lowest bit
+        first; the rest are 0.  Refuses, before counting, a table of more
+        than COUNT_CELL_BOUND cells."""
         if self._counts is None:
-            cells = len(self.classes) ** 2
-            if cells > COUNT_CELL_BOUND:
+            k = len(self.classes)
+            if k * k > COUNT_CELL_BOUND:
                 raise ResourceLimitError(
-                    f"containment-count table of {len(self.classes)} classes "
-                    f"has {cells} cells, over the bound {COUNT_CELL_BOUND} "
+                    f"containment-count table of {k} classes has {k * k} "
+                    f"cells, over the bound {COUNT_CELL_BOUND} "
                     "(layer group_core._Lattice.counts)"
                 )
-            orders = [c.order for c in self.classes]
-            self._counts = tuple(
-                tuple(
-                    sum(k & h == k for h in orbit) if order % k_order == 0 else 0
-                    for (k, _), k_order in zip(self.orbits, orders)
-                )
-                for (_, orbit), order in zip(self.orbits, orders)
-            )
+            rows = []
+            for (_, orbit), mask in zip(self.orbits, self.below()):
+                row = [0] * k
+                while mask:
+                    pos = (mask & -mask).bit_length() - 1
+                    row[pos] = sum(map(self.orbits[pos][0].issubset, orbit))
+                    mask &= mask - 1
+                rows.append(tuple(row))
+            self._counts = tuple(rows)
         return self._counts
 
     def below(self) -> tuple:
@@ -740,7 +739,8 @@ def _subgroup_classes(g: Group) -> _Lattice:
         return t.lattice
     orbits: dict[int, list] = {}
     extended: list = []
-    for sub, orbit in _all_subgroups(g, extended):
+    found = _all_subgroups(g, extended)
+    for sub, orbit in found:
         orbits.setdefault(orbit, []).append(sub)
     rank = [0] * len(t.perms)
     encoded = sorted(range(len(t.perms)), key=lambda x: encode_subgroup([t.perms[x]]))
@@ -756,8 +756,7 @@ def _subgroup_classes(g: Group) -> _Lattice:
         raw.append((len(rep), key(rep), rep, orbit, number))
     raw.sort(key=lambda item: item[:2])
     position = {item[4]: pos for pos, item in enumerate(raw)}
-    classes, masks = [], []
-    index: dict[int, int] = {}
+    classes = []
     per_order: dict[int, int] = {}
     for pos, (order, _, rep, orbit, _) in enumerate(raw):
         idx = per_order.get(order, 0)
@@ -772,11 +771,10 @@ def _subgroup_classes(g: Group) -> _Lattice:
             name=f"{order}{suffix}",
         )
         classes.append(cls)
-        orbit_masks = list(map(_mask, orbit))
-        masks.append((_mask(rep), orbit_masks))
-        index.update(dict.fromkeys(orbit_masks, pos))
+    index = {sub: position[orbit] for sub, orbit in found}
     lower = [{position[i] for i in extended[item[4]]} for item in raw]
-    t.lattice = _Lattice(tuple(classes), index, masks, lower)
+    t.lattice = _Lattice(tuple(classes), index,
+                         [(rep, orbit) for _, _, rep, orbit, _ in raw], lower)
     return t.lattice
 
 
@@ -792,7 +790,7 @@ def class_of_subgroup(g: Group, elements: frozenset) -> SubgroupClass:
     """The conjugacy class containing the given subgroup of g."""
     lattice = _subgroup_classes(g)
     try:
-        pos = lattice.index.get(_mask(_table(g).indices(frozenset(elements))))
+        pos = lattice.index.get(frozenset(_table(g).indices(elements)))
     except KeyError:
         pos = None
     if pos is None:
@@ -804,7 +802,7 @@ def containment_counts(g: Group) -> tuple:
     """c[H][K], the number of conjugates of H that contain the
     representative of K, over the classes in subgroup_conjugacy_classes
     order.  Marks are m(H, K) = |W(H)| * c[H][K]; K is subconjugate to H
-    exactly when c[H][K] > 0.  Counted on first call for g."""
+    exactly when c[H][K] > 0, and only those cells are counted, once per g."""
     return _subgroup_classes(g).counts()
 
 

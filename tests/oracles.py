@@ -3,14 +3,15 @@
 Everything here recomputes results by a different route than the library:
 power-set scans, the layered subgroup search and conjugation scans on
 tuple permutations, double cosets and G-set action tables built element
-by element, pairwise scans of the containment counts for
-families, generator picks that close perm tuples after each pick,
-exhaustive map enumeration, union-find on materialized objects, and
-exact rational linear algebra.
+by element, containment counts scanned pair by pair over conjugation
+orbits for marks, subconjugacy and families, generator picks that close
+perm tuples after each pick, exhaustive map enumeration, union-find on
+materialized objects, and exact rational linear algebra.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import string
 from fractions import Fraction
@@ -18,7 +19,6 @@ from fractions import Fraction
 from equisep.group_core import (
     Group,
     closure,
-    containment_counts,
     encode_subgroup,
     identity_perm,
     pconj,
@@ -159,11 +159,39 @@ def brute_force_subconjugate(g: Group, below, above) -> bool:
     )
 
 
+@functools.cache
+def containment_counts_by_scan(g: Group) -> tuple:
+    """c[H][K] over the classes in subgroup_conjugacy_classes order, the
+    number of conjugates of H that contain K's representative, counted
+    pair by pair: every pair with |K| dividing |H|, each representative
+    against every conjugate of H, the conjugates walked on tuple
+    permutations with g's generators.  Reads no lattice mask."""
+    classes = subgroup_conjugacy_classes(g)
+    conjugates = []
+    for h in classes:
+        orbit, frontier = {h.representative.elements}, [h.representative.elements]
+        for sub in frontier:
+            for x in g.generators:
+                image = frozenset(pconj(x, y) for y in sub)
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        conjugates.append(orbit)
+    return tuple(
+        tuple(
+            sum(k.representative.elements <= c for c in orbit)
+            if h.order % k.order == 0 else 0
+            for k in classes
+        )
+        for h, orbit in zip(classes, conjugates)
+    )
+
+
 def pairwise_subconjugacy(g: Group):
     """below(k, h), whether class k is subconjugate to class h, read pair by
-    pair off containment_counts (c[h][k] > 0) without the lattice's masks."""
+    pair off containment_counts_by_scan (c[h][k] > 0)."""
     position = {c: i for i, c in enumerate(subgroup_conjugacy_classes(g))}
-    counts = containment_counts(g)
+    counts = containment_counts_by_scan(g)
     return lambda k, h: counts[position[h]][position[k]] > 0
 
 

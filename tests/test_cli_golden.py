@@ -4,7 +4,10 @@ SHA-256 digests of stdout, with the exit code, for `subgroups`, `marks`,
 `burnside` and `conditions` (coefficients Z, sphere and Fp:3), in text
 and JSON, over nine groups.  The digests were generated from commit
 2f30137, the tuple-permutation core, before subgroups became bitmasks
-over numbered elements.
+over numbered elements.  The `marks` digests of S4xS4 (274 classes, the
+largest table here) were generated from commit 2609384, before the
+containment counts were read off the subconjugacy masks and the lattice
+dropped its element bitmasks.
 
 CLASSIFY_GOLDEN holds the same digests for `classify`, in text and JSON,
 over inputs that reach every verdict: AllStandard (C4, D4 with Z, and
@@ -137,6 +140,8 @@ GOLDEN = {
     ('conditions', 'perm:7:(1 2 3 4 5 6 7);(2 4 3 7 5 6)', 'json', 'Z'): (0, "f798b17650f66a6346de251b16d8c017b615201409c039fdad1596f15b7c8dcf"),
     ('conditions', 'perm:7:(1 2 3 4 5 6 7);(2 4 3 7 5 6)', 'json', 'sphere'): (0, "d2ccc2cf2c372f9ff16a1d06fe505f1425969fb470fa3feb558c978b31ccfe1b"),
     ('conditions', 'perm:7:(1 2 3 4 5 6 7);(2 4 3 7 5 6)', 'json', 'Fp:3'): (0, "045eeac2d61cb224ac701b24aacf8c67e535f2d4e5f254cbabdfc0a7d276393c"),
+    ('marks', 'S4xS4', 'text', None): (0, "09aa345d060b3d972ae3721be950e29815684a8fd2fcb5166283d4aca85bc7cc"),
+    ('marks', 'S4xS4', 'json', None): (0, "e91dc26aae14304e5e8f7bf64673ec4e7cb31da3ff7161fca9ba32fad23bbf30"),
 }
 
 # (group, coefficients, --max-size, format) -> (exit code, digest)

@@ -135,7 +135,8 @@ def test_subconjugacy_is_read_without_a_scan(monkeypatch, spec):
 @pytest.mark.parametrize("spec", ["S4xS4", "D4xD4", "C2xC2xC2xC2xC2"])
 def test_below_masks_match_pairwise_counts(spec):
     """The subconjugacy masks, closed over the lattice search's
-    extensions, agree pair by pair with the containment counts."""
+    extensions, agree pair by pair with the scanned containment counts,
+    which read no mask (containment_counts itself reads them)."""
     g = make_group(spec)
     classes = subgroup_conjugacy_classes(g)
     masks = group_core._subgroup_classes(g).below()
@@ -144,3 +145,20 @@ def test_below_masks_match_pairwise_counts(spec):
         assert [masks[i] >> j & 1 == 1 for j in range(len(classes))] == [
             below(k, h) for k in classes
         ], h.name
+
+
+def test_counts_match_scan_on_random_groups():
+    """containment_counts against the pair-by-pair scan, cell by cell, on
+    30 seeded random `perm:` specs of degree at most 6 and on C2 to the
+    5th; a cell is nonzero exactly where the subconjugacy masks have a
+    bit, so every cell outside them is 0."""
+    specs = oracles.random_perm_specs(random.Random(2025), 30)
+    for spec in specs + ["C2xC2xC2xC2xC2"]:
+        g = make_group(spec)
+        counts = containment_counts(g)
+        want = oracles.containment_counts_by_scan(g)
+        masks = group_core._subgroup_classes(g).below()
+        for i, (row, mask) in enumerate(zip(counts, masks)):
+            for j, c in enumerate(row):
+                assert c == want[i][j], (spec, i, j)
+                assert (c > 0) == (mask >> j & 1 == 1), (spec, i, j)
