@@ -6,7 +6,9 @@ Marks are counted, not read off G-sets (Pfeiffer, Experiment. Math. 6,
 1997): a coset gH is fixed by K exactly when K lies in the conjugate
 gHg^-1, and each conjugate of H arises from |N(H)| elements g, so
 m(H, K) = |(G/H)^K| = |W(H)| * c[H][K], with c[H][K] the number of
-conjugates of H that contain K (`containment_counts`)."""
+conjugates of H that contain K (`containment_counts`).  That count is 0
+unless K is subconjugate to H, so only the bits of the lattice's
+`below[H]` mask are scaled."""
 
 from __future__ import annotations
 
@@ -14,10 +16,9 @@ from ._record import _Record
 from .group_core import (
     Group,
     SubgroupClass,
-    containment_counts,
+    _subgroup_classes,
     perfect_subgroup_classes,
     prime_factors,
-    subgroup_conjugacy_classes,
 )
 
 
@@ -60,12 +61,16 @@ def marks_layout(names, marks) -> str:
 
 
 def table_of_marks(g: Group) -> TableOfMarks:
-    classes = subgroup_conjugacy_classes(g)
-    marks = tuple(
-        tuple(map(h.weyl_order.__mul__, row))
-        for h, row in zip(classes, containment_counts(g))
-    )
-    return TableOfMarks(g, classes, marks)
+    lattice = _subgroup_classes(g)
+    marks = []
+    for h, row, mask in zip(lattice.classes, lattice.counts(), lattice.below()):
+        row = list(row)
+        while mask:
+            pos = (mask & -mask).bit_length() - 1
+            row[pos] *= h.weyl_order
+            mask &= mask - 1
+        marks.append(tuple(row))
+    return TableOfMarks(g, lattice.classes, tuple(marks))
 
 
 class BurnsideElement(_Record):

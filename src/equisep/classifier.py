@@ -1,8 +1,9 @@
-"""Top-level classification: run the stage checks on the classes outside
-the family, in (order, canonical key) order, and when they all pass
-present the census of G-sets up to the size bound, a tuple of GSetTypes
-(groupoid_calc.truncated_gset_groupoid); when they fail, try to produce
-an explicit non-standard witness (witness.witness_nonstandard).
+"""Top-level classification: build one stage report per subgroup class,
+in (order, canonical key) order, and judge the classes outside the
+family.  When they all pass, present the census of G-sets up to the size
+bound, a tuple of GSetTypes (groupoid_calc.truncated_gset_groupoid);
+when one fails, hand every report to the witness step (witness._find,
+the step witness_nonstandard also calls), so no report is built twice.
 Skeletal groupoids with built automorphism groups are in pullback.
 """
 
@@ -14,7 +15,7 @@ from ._record import _Record
 from .burnside import idempotent_block_count
 from .conditions import RingDescriptor, stage_report
 from .families import Family, empty_family
-from .group_core import Group, group_flags
+from .group_core import Group, group_flags, subgroup_conjugacy_classes
 from .groupoid_calc import truncated_gset_groupoid
 
 
@@ -70,8 +71,10 @@ def classify(g: Group, ring: RingDescriptor, max_size: int,
             ),
         )
 
-    # the classes an exhaustive filtration from the family adds, in order
-    reports = tuple(stage_report(cls, ring) for cls in family.outside())
+    # one report per class, each built once: the witness step reads them
+    # all, the verdict those an exhaustive filtration from the family adds
+    every = tuple(stage_report(cls, ring) for cls in subgroup_conjugacy_classes(g))
+    reports = tuple(rep for rep in every if rep.subgroup not in family)
     if all(rep.passed for rep in reports):
         return ClassificationOutcome(
             verdict=Verdict.ALL_STANDARD,
@@ -79,9 +82,9 @@ def classify(g: Group, ring: RingDescriptor, max_size: int,
             groupoid=truncated_gset_groupoid(g, family, max_size),
         )
 
-    from .witness import witness_nonstandard
+    from .witness import _find
 
-    probe = witness_nonstandard(g, ring)
+    probe = _find(g, ring, every)
     if probe.found:
         return ClassificationOutcome(
             verdict=Verdict.NON_STANDARD_WITNESS,

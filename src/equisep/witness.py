@@ -7,6 +7,11 @@ maps become the diagonal D.  The comparison fiber is pi_0 of the pullback
 of that diagonal leg against itself, which is the set of double cosets
 D\\(S_2)^r/D; they are counted directly, and there are 2^(r-1) of them
 instead of one.
+
+The search is one step, `_find`, that reads a stage report for every
+subgroup class and builds none.  `witness_nonstandard` builds those
+reports itself and calls it; `classify` hands it the reports it built
+for its own verdict, so a failing classification builds each report once.
 """
 
 from __future__ import annotations
@@ -122,14 +127,10 @@ def _build_witness(g: Group, primes) -> WitnessRecord:
     )
 
 
-def witness_nonstandard(g: Group, ring: RingDescriptor) -> WitnessProbe:
-    """Search for the two-object non-standard witness.
-
-    Needs at least two prime divisors, passing stage checks at every
-    nontrivial subgroup, separably closed fixed points at the bottom, and
-    per-prime indecomposability of the coefficients.  Returns the record,
-    or the list of violated preconditions.
-    """
+def _find(g: Group, ring: RingDescriptor, reports: tuple) -> WitnessProbe:
+    """The witness step, shared by witness_nonstandard and classify: it
+    reads one stage report per subgroup class, in class order, builds
+    none, and keeps them as the probe's stage_reports."""
     primes = sorted(group_flags(g).prime_divisors)
     r = len(primes)
     failures = []
@@ -138,15 +139,12 @@ def witness_nonstandard(g: Group, ring: RingDescriptor) -> WitnessProbe:
             f"group order {g.order} has {r} prime divisor(s); need at least 2"
         )
 
-    reports = []
-    for cls in subgroup_conjugacy_classes(g):
-        rep = stage_report(cls, ring)
-        reports.append(rep)
-        if cls.order == 1 or rep.passed:
+    for rep in reports:
+        if rep.subgroup.order == 1 or rep.passed:
             continue
         which = "indecomposability" if not rep.ic.ok else "retraction"
         failures.append(
-            f"stage {cls.name}: {which} fails for Weyl group "
+            f"stage {rep.subgroup.name}: {which} fails for Weyl group "
             f"{_describe_group(rep.weyl)}"
         )
 
@@ -166,5 +164,19 @@ def witness_nonstandard(g: Group, ring: RingDescriptor) -> WitnessProbe:
             failures.append(f"{ring.name} decomposes mod {k}")
 
     if failures:
-        return WitnessProbe(None, tuple(failures), tuple(reports))
-    return WitnessProbe(_build_witness(g, primes), (), tuple(reports))
+        return WitnessProbe(None, tuple(failures), reports)
+    return WitnessProbe(_build_witness(g, primes), (), reports)
+
+
+def witness_nonstandard(g: Group, ring: RingDescriptor) -> WitnessProbe:
+    """Search for the two-object non-standard witness.
+
+    Needs at least two prime divisors, passing stage checks at every
+    nontrivial subgroup, separably closed fixed points at the bottom, and
+    per-prime indecomposability of the coefficients.  Returns the record,
+    or the list of violated preconditions.  It does not read
+    ring.burnside_unit, so over a non-solvable group it may find a
+    witness where classify answers UnitDecomposes first (A5 with sphere).
+    """
+    return _find(g, ring, tuple(stage_report(cls, ring)
+                                for cls in subgroup_conjugacy_classes(g)))

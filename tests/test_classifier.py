@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 
@@ -6,7 +7,7 @@ import pytest
 
 from equisep import classifier, group_core, pullback
 from equisep.classifier import Verdict, classify, standard_algebra
-from equisep.conditions import integers, prime_field, sphere
+from equisep.conditions import StageReport, integers, prime_field, sphere
 from equisep.families import all_family, closure_family, empty_family
 from equisep.group_core import (
     alternating_group,
@@ -21,7 +22,7 @@ from equisep.group_core import (
 from equisep.gset import GSetType, delete_orbits, orbit_type, realize_type
 from equisep.witness import witness_nonstandard
 
-from .oracles import count_orbit_multisets
+from .oracles import count_orbit_multisets, random_perm_specs
 
 
 @pytest.mark.parametrize(
@@ -361,6 +362,12 @@ def paper_table_specs():
 PAPER_TABLE_DIGEST = (
     "a24d325e6f46699aebaaaeffb1a00f80fdf75bbed46576ac7ecb781c14716d63"
 )
+# sha256 of the same runs' whole outcomes, one
+# json.dumps(outcome.to_json(), sort_keys=True) line each, so stage
+# reports, witness records and failure notes are pinned too
+PAPER_OUTCOME_DIGEST = (
+    "14a1d37e98064881d2e508d522371dec67951e7c99ae84fb5c2bdf0148935c1d"
+)
 
 
 def test_verdict_table_of_the_other_products():
@@ -374,13 +381,15 @@ def test_verdict_table_of_the_other_products():
     assert len(table) == 284
     p_groups = [s for s, n in table if len(prime_factors(n)) == 1]
     assert sorted(p_groups) == sorted(P_GROUP_SPECS)
-    lines = []
+    lines, outcomes = [], []
     for spec, order in table:
         if len(prime_factors(order)) == 1:
             continue
         g = make_group(spec)
         for name, ring in (("sphere", sphere()), ("Z", integers())):
-            lines.append(f"{spec} {name} {classify(g, ring, 0).verdict.value}")
+            out = classify(g, ring, 0)
+            lines.append(f"{spec} {name} {out.verdict.value}")
+            outcomes.append(json.dumps(out.to_json(), sort_keys=True))
     verdicts = Counter(line.split()[2] for line in lines)
     assert verdicts == {"ConditionsFailNoWitness": 364,
                         "NonStandardWitness": 65, "UnitDecomposes": 1}
@@ -389,6 +398,8 @@ def test_verdict_table_of_the_other_products():
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PAPER_TABLE_DIGEST
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == PAPER_OUTCOME_DIGEST
 
 
 @pytest.mark.parametrize(
@@ -408,3 +419,62 @@ def test_classify_reads_no_containment_count(spec, verdict, monkeypatch):
 
     monkeypatch.setattr(group_core._Lattice, "counts", refuse)
     assert classify(make_group(spec), sphere(), 2).verdict is verdict
+
+
+@pytest.mark.parametrize(
+    "spec, ring, family_order, verdict",
+    [("C6", integers(), None, Verdict.NON_STANDARD_WITNESS),
+     ("C30", integers(), None, Verdict.CONDITIONS_FAIL_NO_WITNESS),
+     ("S4", integers(), None, Verdict.CONDITIONS_FAIL_NO_WITNESS),
+     ("D4", sphere(), None, Verdict.ALL_STANDARD),
+     ("A5", sphere(), None, Verdict.UNIT_DECOMPOSES),
+     ("C6", sphere(), 1, Verdict.ALL_STANDARD)],
+    ids=["C6-Z", "C30-Z", "S4-Z", "D4-sphere", "A5-sphere", "C6-sphere-family"],
+)
+def test_classify_builds_each_stage_report_once(spec, ring, family_order,
+                                                verdict, monkeypatch):
+    """classify hands its own stage reports to the witness step, so no
+    class's report is built twice; the witness reads every class's, and
+    a decomposing unit is answered before any is built.  `family_order`
+    is the order of the class whose closure is the family, None for
+    empty."""
+    g = make_group(spec)
+    classes = subgroup_conjugacy_classes(g)
+    family = None
+    if family_order is not None:
+        family = closure_family(g, [class_of_order(g, family_order)])
+    built = Counter()
+    build = StageReport.__init__
+
+    def counting(self, *values, **named):
+        build(self, *values, **named)
+        built[self.subgroup] += 1
+
+    monkeypatch.setattr(StageReport, "__init__", counting)
+    out = classify(g, ring, 2, family=family)
+    assert out.verdict is verdict
+    assert all(n == 1 for n in built.values()), built
+    if verdict is Verdict.UNIT_DECOMPOSES:
+        assert not built
+    elif verdict is not Verdict.ALL_STANDARD:
+        assert set(built) == set(classes)
+
+
+def test_classify_witness_agrees_with_witness_nonstandard():
+    """On drawn permutation groups, wherever classify reaches the witness
+    step its witness and notes are witness_nonstandard's record and
+    failures, though classify hands the step reports it built itself."""
+    rng = random.Random(0)
+    reached = Counter()
+    for spec in random_perm_specs(rng, 20):
+        g = make_group(spec)
+        for ring in (sphere(), integers(), prime_field(rng.choice((2, 3, 5, 7)))):
+            out = classify(g, ring, 0)
+            if out.verdict in (Verdict.ALL_STANDARD, Verdict.UNIT_DECOMPOSES):
+                continue
+            probe = witness_nonstandard(g, ring)
+            assert out.witness == probe.record, (spec, ring.name)
+            assert out.notes == probe.failures, (spec, ring.name)
+            reached[out.verdict] += 1
+    assert reached[Verdict.NON_STANDARD_WITNESS] > 0
+    assert reached[Verdict.CONDITIONS_FAIL_NO_WITNESS] > 0
