@@ -7,8 +7,9 @@ Marks are counted, not read off G-sets (Pfeiffer, Experiment. Math. 6,
 gHg^-1, and each conjugate of H arises from |N(H)| elements g, so
 m(H, K) = |(G/H)^K| = |W(H)| * c[H][K], with c[H][K] the number of
 conjugates of H that contain K (`containment_counts`).  That count is 0
-unless K is subconjugate to H, so only the bits of the lattice's
-`below[H]` mask are scaled."""
+unless K is subconjugate to H, so the lattice counts only the cells at
+the bits of its `below[H]` mask, each scaled by |W(H)| as it is counted,
+in the one walk that `containment_counts` also makes with scale 1."""
 
 from __future__ import annotations
 
@@ -61,16 +62,11 @@ def marks_layout(names, marks) -> str:
 
 
 def table_of_marks(g: Group) -> TableOfMarks:
+    """The table of marks of g, m(H, K) = |W(H)| * c[H][K], counted in
+    one walk of the lattice's below masks; no count table is kept."""
     lattice = _subgroup_classes(g)
-    marks = []
-    for h, row, mask in zip(lattice.classes, lattice.counts(), lattice.below()):
-        row = list(row)
-        while mask:
-            pos = (mask & -mask).bit_length() - 1
-            row[pos] *= h.weyl_order
-            mask &= mask - 1
-        marks.append(tuple(row))
-    return TableOfMarks(g, lattice.classes, tuple(marks))
+    return TableOfMarks(g, lattice.classes,
+                        lattice.counts([h.weyl_order for h in lattice.classes]))
 
 
 class BurnsideElement(_Record):

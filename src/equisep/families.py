@@ -3,7 +3,7 @@ subconjugation) and exhaustive filtrations that grow one class at a time.
 
 A family is an int mask over class positions in subgroup_conjugacy_classes
 order.  It is closed when, for each member c, the mask below[c] of the
-classes subconjugate to c (see _Lattice.below) has no bit outside it."""
+classes subconjugate to c (see _Lattice) has no bit outside it."""
 
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ class Family(_Record):
         """The family itself, or a ValueError naming the least class below
         cls that it lacks."""
         lattice = _subgroup_classes(self.group)
-        missing = lattice.below()[lattice.position[cls]] & ~self.mask
+        missing = lattice.below[lattice.position[cls]] & ~self.mask
         if missing:
             other = lattice.classes[(missing & -missing).bit_length() - 1]
             raise ValueError(
@@ -100,7 +100,7 @@ def closure_family(g: Group, seed) -> Family:
     lattice = _subgroup_classes(g)
     mask = 0
     for s in seed:
-        mask |= lattice.below()[lattice.position[s]]
+        mask |= lattice.below[lattice.position[s]]
     return _family(g, mask)
 
 
@@ -114,7 +114,7 @@ def minimal_additions(g: Group, family: Family):
     lattice, mask = _subgroup_classes(g), family.mask
     return [
         cls
-        for pos, (cls, below) in enumerate(zip(lattice.classes, lattice.below()))
+        for pos, (cls, below) in enumerate(zip(lattice.classes, lattice.below))
         if below & ~mask == 1 << pos
     ]
 

@@ -21,7 +21,8 @@ picks a subgroup's generators and spans commutator subgroups,
 stabilizers and normalizers.  The table is also the one home of what is
 derived from the group: its lattice (with the Weyl groups built so far)
 and its flags are fields of the table, so they are computed once per
-group and freed with it.
+group and freed with it.  The lattice keeps no k x k table: containment
+counts and marks are made from its subconjugacy masks on each request.
 
 There is one orbit walk, `orbit_of`, which returns its breadth-first tree
 (each point with the map and the point it was first reached from).
@@ -41,7 +42,10 @@ subgroup, by induction on the order; the span of N(H) stops at
 |G| / |orbit of H| elements.  Once K = <H, c> has prime index over H,
 every cyclic subgroup inside K but not inside H gives K again, and each
 member of its N(H)-orbit a conjugate of K, so those orbits are skipped
-without losing a class.  The public API keeps perm tuples and frozensets.
+without losing a class.  The search returns its conjugation orbits, each
+with the orbits it was extended from; the classes and their
+subconjugacy masks are built from them in one pass.  The public API
+keeps perm tuples and frozensets.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from itertools import combinations, filterfalse
+from itertools import combinations, filterfalse, repeat
 from math import factorial, gcd
 
 from ._record import _Record
@@ -585,12 +589,13 @@ def _normalizer(t: _Table, gens, elems: list, order: int | None = None) -> tuple
     return ngens, elems
 
 
-def _all_subgroups(g: Group, lower: list | None = None) -> list:
-    """Every subgroup of g, as (frozenset of its element indices, number
-    of its conjugation orbit) pairs.  A list given as lower gets one entry
-    per orbit: lower[j] lists the orbit i of every extension <H, c> of
-    orbit i's subgroup H that lies in orbit j, whether or not it was new;
-    a skipped extension lies in an orbit already listed.
+def _all_subgroups(g: Group) -> list:
+    """Every subgroup of g, as one (conjugates, lower) pair per
+    conjugation orbit, in the order the orbits were found: conjugates
+    lists the orbit's subgroups, each the frozenset of its element
+    indices, and lower the number of the orbit of every subgroup H whose
+    extension <H, c> lies in this orbit, whether or not it was new; a
+    skipped extension lies in an orbit already listed.
 
     One subgroup H per orbit is extended by one prime-power cyclic
     subgroup from each N(H)-conjugation orbit of those it does not
@@ -599,10 +604,9 @@ def _all_subgroups(g: Group, lower: list | None = None) -> list:
     the argument that this is exhaustive.  Each todo entry keeps the size
     of H's conjugation orbit: the cyclics' orbits are walked with the
     generators of N(H) that _normalizer spans up to |G| / size elements,
-    or, once for every normal H (size 1), with g's generators.  The
-    search keys subgroups by frozensets of indices and returns them as
-    they are, the form the lattice keeps.  It stops with a
-    ResourceLimitError once it finds more than SUBGROUP_BOUND subgroups.
+    or, once for every normal H (size 1), with g's generators.  It stops
+    with a ResourceLimitError once it finds more than SUBGROUP_BOUND
+    subgroups.
     """
     t = _table(g)
     n, inv = len(t.perms), t.inverse
@@ -622,8 +626,7 @@ def _all_subgroups(g: Group, lower: list | None = None) -> list:
     ]
     found = {frozenset([0]): 0}
     todo = [((), [0], 1)]
-    lower = [] if lower is None else lower
-    lower.append([])
+    out = [([frozenset([0])], [])]
     for i, (gens, elems, size) in enumerate(todo):
         if size == 1:
             orbits = normal_orbits
@@ -652,78 +655,61 @@ def _all_subgroups(g: Group, lower: list | None = None) -> list:
                         "(layer group_core._all_subgroups)"
                     )
                 todo.append((gens + (c,), k, len(conjugates)))
-                lower.append([])
-            lower[found[key]].append(i)
-    return list(found.items())
+                out.append((list(conjugates), []))
+            out[found[key]][1].append(i)
+    return out
 
 
 class _Lattice:
     """A group's subgroup classes, in subgroup_conjugacy_classes order,
     with a subgroup -> class position index, a class -> position map, and
-    per class its (representative, conjugates) and the positions of the
-    classes the search extended into it (lower, see _all_subgroups).  A
+    per class its (representative, conjugates), its subconjugacy mask
+    below, and its (Weyl group, section) pair once requested (weyl).  A
     subgroup is the frozenset of element indices _all_subgroups found.
-    The containment counts and the subconjugacy masks are computed on
-    first read, and each class's (Weyl group, section) pair on first
-    request (weyl, by class position)."""
 
-    __slots__ = ("classes", "index", "position", "orbits", "lower", "weyl",
-                 "_counts", "_below")
+    below[H] is a mask over class positions with bit K set when K is
+    subconjugate to H, that is, when c[H][K] > 0; H's own bit is set.  It
+    is the closure, taken in class order, of the classes the search
+    extended into H's (lower, see _all_subgroups), and that closure is
+    exact.  If M is maximal in K, then K = <M, c> for some c of
+    prime-power order, and the search extends the representative H of
+    M's class by a cyclic from each N(H)-orbit, one of which gives a
+    conjugate of K; an orbit it skips gives the class of a join it made
+    (see the module docstring).  So each class lists the classes of its
+    maximal subgroups, all earlier in class order; no count is read."""
 
-    def __init__(self, classes, index, orbits, lower):
+    __slots__ = ("classes", "index", "position", "orbits", "below", "weyl")
+
+    def __init__(self, classes, index, orbits, below):
         self.classes = classes
         self.index = index
         self.position = {c: i for i, c in enumerate(classes)}
         self.orbits = orbits
-        self.lower = lower
+        self.below = below
         self.weyl = [None] * len(classes)
-        self._counts = None
-        self._below = None
 
-    def counts(self) -> tuple:
-        """c[H][K] (see containment_counts).  It is nonzero exactly at the
-        bits of below[H], so only those cells are counted, lowest bit
-        first; the rest are 0.  Refuses, before counting, a table of more
-        than COUNT_CELL_BOUND cells."""
-        if self._counts is None:
-            k = len(self.classes)
-            if k * k > COUNT_CELL_BOUND:
-                raise ResourceLimitError(
-                    f"containment-count table of {k} classes has {k * k} "
-                    f"cells, over the bound {COUNT_CELL_BOUND} "
-                    "(layer group_core._Lattice.counts)"
-                )
-            rows = []
-            for (_, orbit), mask in zip(self.orbits, self.below()):
-                row = [0] * k
-                while mask:
-                    pos = (mask & -mask).bit_length() - 1
-                    row[pos] = sum(map(self.orbits[pos][0].issubset, orbit))
-                    mask &= mask - 1
-                rows.append(tuple(row))
-            self._counts = tuple(rows)
-        return self._counts
-
-    def below(self) -> tuple:
-        """below[H], a mask over class positions with bit K set when K is
-        subconjugate to H, that is, when c[H][K] > 0; H's own bit is set.
-
-        It is the closure of lower, taken in class order.  If M is maximal
-        in K, then K = <M, c> for some c of prime-power order, and the
-        search extends the representative H of M's class by a cyclic from
-        each N(H)-orbit, one of which gives a conjugate of K; an orbit it
-        skips gives the class of a join it made (see the module
-        docstring).  So each class lists the classes of its
-        maximal subgroups, all earlier in class order; no count is read."""
-        if self._below is None:
-            below = []
-            for pos, lower in enumerate(self.lower):
-                mask = 1 << pos
-                for k in lower:
-                    mask |= below[k]
-                below.append(mask)
-            self._below = tuple(below)
-        return self._below
+    def counts(self, scales) -> tuple:
+        """scales[H] * c[H][K] (see containment_counts), a new table on
+        every call.  c[H][K] is nonzero exactly at the bits of below[H],
+        so only those cells are counted, lowest bit first; the rest are 0.
+        Refuses, before counting, a table of more than COUNT_CELL_BOUND
+        cells."""
+        k = len(self.classes)
+        if k * k > COUNT_CELL_BOUND:
+            raise ResourceLimitError(
+                f"containment-count table of {k} classes has {k * k} "
+                f"cells, over the bound {COUNT_CELL_BOUND} "
+                "(layer group_core._Lattice.counts)"
+            )
+        rows = []
+        for scale, (_, orbit), mask in zip(scales, self.orbits, self.below):
+            row = [0] * k
+            while mask:
+                pos = (mask & -mask).bit_length() - 1
+                row[pos] = scale * sum(map(self.orbits[pos][0].issubset, orbit))
+                mask &= mask - 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def _subgroup_classes(g: Group) -> _Lattice:
@@ -732,16 +718,13 @@ def _subgroup_classes(g: Group) -> _Lattice:
 
     Each class is one orbit of _all_subgroups; its representative is the
     member with the least encode_subgroup, compared as tuples of the
-    elements' ranks in encoding order.
+    elements' ranks in encoding order.  The below masks are closed in
+    class order as the classes are made.
     """
     t = _table(g)
     if t.lattice is not None:
         return t.lattice
-    orbits: dict[int, list] = {}
-    extended: list = []
-    found = _all_subgroups(g, extended)
-    for sub, orbit in found:
-        orbits.setdefault(orbit, []).append(sub)
+    found = _all_subgroups(g)
     rank = [0] * len(t.perms)
     encoded = sorted(range(len(t.perms)), key=lambda x: encode_subgroup([t.perms[x]]))
     for r, x in enumerate(encoded):
@@ -751,30 +734,32 @@ def _subgroup_classes(g: Group) -> _Lattice:
         return tuple(map(rank.__getitem__, sorted(sub)))
 
     raw = []
-    for number, orbit in orbits.items():
+    for number, (orbit, lower) in enumerate(found):
         rep = min(orbit, key=key)
-        raw.append((len(rep), key(rep), rep, orbit, number))
+        raw.append((len(rep), key(rep), rep, orbit, lower, number))
     raw.sort(key=lambda item: item[:2])
-    position = {item[4]: pos for pos, item in enumerate(raw)}
-    classes = []
+    position = {item[5]: pos for pos, item in enumerate(raw)}
+    classes, orbits, below, index = [], [], [], {}
     per_order: dict[int, int] = {}
-    for pos, (order, _, rep, orbit, _) in enumerate(raw):
+    for pos, (order, _, rep, orbit, lower, _) in enumerate(raw):
         idx = per_order.get(order, 0)
         per_order[order] = idx + 1
         suffix = chr(ord("a") + idx) if idx < 26 else f"_{idx}"
         elements = [t.perms[x] for x in sorted(rep)]
-        cls = SubgroupClass(
+        classes.append(SubgroupClass(
             parent=g,
             representative=g.subgroup(elements),
             class_size=len(orbit),
             canonical_key=encode_subgroup(elements),
             name=f"{order}{suffix}",
-        )
-        classes.append(cls)
-    index = {sub: position[orbit] for sub, orbit in found}
-    lower = [{position[i] for i in extended[item[4]]} for item in raw]
-    t.lattice = _Lattice(tuple(classes), index,
-                         [(rep, orbit) for _, _, rep, orbit, _ in raw], lower)
+        ))
+        orbits.append((rep, orbit))
+        index.update(dict.fromkeys(orbit, pos))
+        mask = 1 << pos
+        for i in lower:
+            mask |= below[position[i]]
+        below.append(mask)
+    t.lattice = _Lattice(tuple(classes), index, orbits, tuple(below))
     return t.lattice
 
 
@@ -802,8 +787,9 @@ def containment_counts(g: Group) -> tuple:
     """c[H][K], the number of conjugates of H that contain the
     representative of K, over the classes in subgroup_conjugacy_classes
     order.  Marks are m(H, K) = |W(H)| * c[H][K]; K is subconjugate to H
-    exactly when c[H][K] > 0, and only those cells are counted, once per g."""
-    return _subgroup_classes(g).counts()
+    exactly when c[H][K] > 0, and only those cells are counted, on every
+    call: the table is not kept."""
+    return _subgroup_classes(g).counts(repeat(1))
 
 
 def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> bool:
@@ -812,7 +798,7 @@ def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> boo
     `below`'s representative, is positive; the mark is |W(above)| times it."""
     lattice = _subgroup_classes(g)
     position = lattice.position
-    return lattice.below()[position[above]] >> position[below] & 1 == 1
+    return lattice.below[position[above]] >> position[below] & 1 == 1
 
 
 def normalizer(g: Group, sub: Group) -> Group:
@@ -837,21 +823,6 @@ def _cosets(t: _Table, members, h: list):
                 coset_of[row[k]] = len(reps)
             reps.append(x)
     return reps, coset_of
-
-
-def left_cosets(g: Group, h: Group):
-    """The left cosets xH of a subgroup h of g.
-
-    Returns (reps, coset_of): reps lists the least element of each coset,
-    in increasing order, and coset_of maps every element of g to the index
-    of its coset in reps.
-    """
-    t = _table(g)
-    reps, coset_of = _cosets(t, range(g.order), t.indices(h.elements))
-    assert len(reps) * h.order == g.order
-    return tuple(t.perms[x] for x in reps), {
-        t.perms[x]: c for x, c in coset_of.items()
-    }
 
 
 def weyl_group_with_section(g: Group, cls: SubgroupClass):

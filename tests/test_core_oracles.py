@@ -56,11 +56,11 @@ def _oracle(spec):
 
 
 def _library_subgroups(g):
-    """The lattice search's (subgroup, orbit) pairs, and its subgroups as
-    sets of perms, read off the index sets it returns."""
+    """The subgroups of the lattice search's orbits, as the index sets it
+    returns, and as sets of perms."""
     t = group_core._table(g)
-    found = group_core._all_subgroups(g)
-    return found, {frozenset(t.perms[x] for x in sub) for sub, _ in found}
+    found = [sub for orbit, _ in group_core._all_subgroups(g) for sub in orbit]
+    return found, {frozenset(t.perms[x] for x in sub) for sub in found}
 
 
 def _library_derived_series(g):

@@ -233,8 +233,8 @@ def test_one_below_test_per_added_class(spec, monkeypatch):
     g = make_group(spec)
     classes = subgroup_conjugacy_classes(g)
     lattice = group_core._subgroup_classes(g)
-    masks = CountingMasks(lattice.below())
-    monkeypatch.setattr(lattice, "_below", masks)
+    masks = CountingMasks(lattice.below)
+    monkeypatch.setattr(lattice, "below", masks)
 
     def refuse(*args):
         raise AssertionError("is_subconjugate called")

@@ -24,7 +24,6 @@ from equisep.group_core import (
     encode_subgroup,
     group_flags,
     is_subconjugate,
-    left_cosets,
     make_group,
     normalizer,
     perfect_subgroup_classes,
@@ -38,6 +37,11 @@ from equisep.group_core import (
 )
 
 from . import oracles
+
+
+def subgroup_count(g):
+    """The subgroups the lattice search finds, summed over its orbits."""
+    return sum(len(orbit) for orbit, _ in group_core._all_subgroups(g))
 
 
 @pytest.fixture(autouse=True)
@@ -171,12 +175,10 @@ def test_representative_is_lex_minimal_in_class():
 def test_subgroup_counts_against_power_set_scan(spec):
     g = make_group(spec)
     subs = oracles.brute_force_subgroups(g)
-    from equisep.group_core import _all_subgroups
-
-    assert len(_all_subgroups(g)) == len(subs)
-    assert len(subgroup_conjugacy_classes(g)) == oracles.conjugacy_class_count(
-        g, subs
-    )
+    assert subgroup_count(g) == len(subs)
+    count = oracles.conjugacy_class_count(g, subs)
+    assert len(group_core._all_subgroups(g)) == count
+    assert len(subgroup_conjugacy_classes(g)) == count
 
 
 def test_classes_isomorphism_invariant():
@@ -335,13 +337,19 @@ def test_subgroup_class_hash_follows_key():
 
 
 def test_left_cosets_partition():
+    """_cosets over all of g, read back as perms, agrees with the scan
+    over tuple permutations."""
     g = make_group("S4")
+    t = group_core._table(g)
     for cls in subgroup_conjugacy_classes(g):
         h = cls.representative
-        reps, coset_of = left_cosets(g, h)
-        assert list(reps) == sorted(reps) and len(reps) * h.order == g.order
+        reps, coset_of = group_core._cosets(t, range(g.order), t.indices(h.elements))
+        reps = [t.perms[x] for x in reps]
+        coset_of = {t.perms[x]: c for x, c in coset_of.items()}
+        assert reps == sorted(reps) and len(reps) * h.order == g.order
         for x in g:
             assert reps[coset_of[x]] == min(pmul(x, k) for k in h.elements)
+        assert (reps, coset_of) == oracles._left_cosets_by_scan(g.elements, h.elements)
 
 
 def test_subconjugacy_relation():
@@ -412,8 +420,8 @@ def test_lattice_search_joins_once_per_normalizer_orbit(monkeypatch, spec, most)
         return join(self, *args)
 
     monkeypatch.setattr(group_core._Table, "join", counting)
-    found = group_core._all_subgroups(make_group(spec))
-    assert len(found) == {"S5": 156, "S6": 1455, "C2xC2xC2xC2xC2": 374}[spec]
+    found = subgroup_count(make_group(spec))
+    assert found == {"S5": 156, "S6": 1455, "C2xC2xC2xC2xC2": 374}[spec]
     assert len(calls) <= most
 
 
@@ -425,7 +433,7 @@ def test_lattice_search_partitions_no_whole_group(monkeypatch):
 
     monkeypatch.setattr(group_core, "_cosets", refuse)
     for spec, count in [("S5", 156), ("D4xS3", 120), ("C2xC2xC2xC2", 67)]:
-        assert len(group_core._all_subgroups(make_group(spec))) == count
+        assert subgroup_count(make_group(spec)) == count
 
 
 def test_normalizers_and_weyl_groups_span_no_second_group(monkeypatch):
@@ -448,32 +456,60 @@ def test_lattice_bound_counts_subgroups_found(monkeypatch):
     """The search refuses once the subgroups found pass SUBGROUP_BOUND,
     and answers a lattice of exactly that many."""
     g = make_group("S4")
-    search = group_core._all_subgroups
     monkeypatch.setattr(group_core, "SUBGROUP_BOUND", 30)
-    assert len(search(g)) == 30
+    assert subgroup_count(g) == 30
     monkeypatch.setattr(group_core, "SUBGROUP_BOUND", 29)
     with pytest.raises(ResourceLimitError) as info:
-        search(g)
+        group_core._all_subgroups(g)
     assert str(info.value) == (
         "subgroup lattice has at least 30 subgroups, over the bound 29 "
         "(layer group_core._all_subgroups)"
     )
 
 
+class Unreadable:
+    """A sequence that fails on any read."""
+
+    def __iter__(self):
+        raise AssertionError("a cell was counted")
+
+    def __getitem__(self, i):
+        raise AssertionError("a cell was counted")
+
+
 def test_count_bound_refuses_the_table_before_counting(monkeypatch):
     """S4 has 11 classes: a bound of 120 cells refuses its 121-cell
-    containment-count table, with no count made, and 121 answers it."""
+    containment-count table, with no count made (the lattice's orbits and
+    masks, which every cell reads, are not read), and 121 answers it."""
     g = make_group("S4")
+    lattice = group_core._subgroup_classes(g)
     monkeypatch.setattr(group_core, "COUNT_CELL_BOUND", 120)
-    with pytest.raises(ResourceLimitError) as info:
-        group_core.containment_counts(g)
-    assert str(info.value) == (
-        "containment-count table of 11 classes has 121 cells, over the "
-        "bound 120 (layer group_core._Lattice.counts)"
-    )
-    assert group_core._subgroup_classes(g)._counts is None
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "orbits", Unreadable())
+        m.setattr(lattice, "below", Unreadable())
+        for build in (group_core.containment_counts, table_of_marks):
+            with pytest.raises(ResourceLimitError) as info:
+                build(g)
+            assert str(info.value) == (
+                "containment-count table of 11 classes has 121 cells, over the "
+                "bound 120 (layer group_core._Lattice.counts)"
+            )
     monkeypatch.setattr(group_core, "COUNT_CELL_BOUND", 121)
     assert len(group_core.containment_counts(g)) == 11
+
+
+def test_counts_and_marks_are_made_on_each_request():
+    """Neither the counts nor the marks are kept: each call makes a new
+    table, and nothing on the group's table or lattice holds one."""
+    g = make_group("S4")
+    counts, marks = group_core.containment_counts(g), table_of_marks(g).marks
+    assert counts == group_core.containment_counts(g)
+    assert counts is not group_core.containment_counts(g)
+    assert marks is not table_of_marks(g).marks
+    t = g._table
+    held = [getattr(o, s) for o in (t, t.lattice) for s in type(o).__slots__]
+    assert not any(v is counts or v is marks or v == counts or v == marks
+                   for v in held)
 
 
 def test_derived_data_dies_with_its_group():

@@ -139,7 +139,7 @@ def test_below_masks_match_pairwise_counts(spec):
     which read no mask (containment_counts itself reads them)."""
     g = make_group(spec)
     classes = subgroup_conjugacy_classes(g)
-    masks = group_core._subgroup_classes(g).below()
+    masks = group_core._subgroup_classes(g).below
     below = oracles.pairwise_subconjugacy(g)
     for i, h in enumerate(classes):
         assert [masks[i] >> j & 1 == 1 for j in range(len(classes))] == [
@@ -157,7 +157,7 @@ def test_counts_match_scan_on_random_groups():
         g = make_group(spec)
         counts = containment_counts(g)
         want = oracles.containment_counts_by_scan(g)
-        masks = group_core._subgroup_classes(g).below()
+        masks = group_core._subgroup_classes(g).below
         for i, (row, mask) in enumerate(zip(counts, masks)):
             for j, c in enumerate(row):
                 assert c == want[i][j], (spec, i, j)
