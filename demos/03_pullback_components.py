@@ -8,7 +8,6 @@ from equisep import (
     GroupHom,
     GroupoidComponent,
     GroupoidFunctor,
-    brute_force_pullback,
     cyclic_group,
     pullback_pi0,
     symmetric_group,
@@ -43,12 +42,6 @@ for p in comps:
         f"  base {p.base}, coset rep {p.eta_class}, "
         f"coset size {p.coset_size}, aut order {p.aut_order}"
     )
-
-# The brute-force model materializes objects and morphisms and finds the
-# same component structure.
-bf = brute_force_pullback(f, g)
-assert len(bf) == len(comps)
-print(f"brute force agrees: {len(bf)} components")
 
 # Automorphism orders multiply out to |Aut(b)| * |Aut(c)| / coset size.
 for p in comps:

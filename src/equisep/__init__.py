@@ -126,7 +126,6 @@ _SUBMODULE = {
             "GroupoidFunctor",
             "PullbackComponent",
             "all_homomorphisms",
-            "brute_force_pullback",
             "pullback_pi0",
         ),
         "witness": (

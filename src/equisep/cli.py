@@ -179,7 +179,7 @@ def _witness_text(payload, args) -> str:
 def _pullback_demo(args):
     import random
 
-    from .pullback import (brute_force_pullback, pullback_pi0, random_functor,
+    from .pullback import (_orbit_count, pullback_pi0, random_functor,
                            random_groupoid)
 
     rng = random.Random(args.seed)
@@ -193,7 +193,7 @@ def _pullback_demo(args):
     return {
         "seed": args.seed,
         "components": [p.to_json() for p in comps],
-        "brute_force_matches": len(comps) == len(brute_force_pullback(f, g)),
+        "brute_force_matches": len(comps) == _orbit_count(f, g),
     }
 
 

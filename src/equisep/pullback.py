@@ -8,12 +8,13 @@ automorphism order, and no group built.
 
 The components of a pullback over a fixed pair of source components
 biject with double cosets of the target automorphism group under the two
-images, so pullback_pi0 never materializes objects; brute_force_pullback
-does, as an independent check.  random_groupoid and random_functor draw
-the random instances that `equisep pullback-demo` compares the two on.
-The witness module counts the fiber of its comparison square, pi_0 of
-such a pullback, directly as double cosets; the tests check that count
-against both functions here.
+images, so pullback_pi0 never materializes objects.  _orbit_count counts
+the same components by Burnside's lemma, without double cosets, and
+random_groupoid and random_functor draw the random instances that
+`equisep pullback-demo` compares the two on; the materializing oracle
+is in the tests.  The witness module counts the fiber of its comparison
+square, pi_0 of such a pullback, directly as double cosets; the tests
+check that count against pullback_pi0 and the oracle.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from itertools import product
 from ._record import _Record
 from .group_core import (
     Group,
-    ResourceLimitError,
     _table,
-    direct_product,
     double_cosets,
     perm_order,
-    pinv,
     pmul,
 )
 
@@ -244,65 +242,24 @@ def pullback_pi0(f: GroupoidFunctor, g: GroupoidFunctor):
     return out
 
 
-BRUTE_FORCE_AUT_BOUND = 64
+def _orbit_count(f: GroupoidFunctor, g: GroupoidFunctor) -> int:
+    """The number of components of the pullback of f against g, counted by
+    Burnside's lemma, so that `equisep pullback-demo` can check
+    pullback_pi0 against a count that builds no double coset.
 
-
-def brute_force_pullback(f: GroupoidFunctor, g: GroupoidFunctor) -> FiniteGroupoid:
-    """Materialize the pullback groupoid and read off its components.
-
-    Objects over a base pair (b, c) are the elements eta of Aut(d);
-    morphisms (beta, gamma) carry eta to g(gamma) * eta * f(beta)^-1.
-    Component automorphism groups are realized as permutation pairs acting
-    on the disjoint union of the two underlying point sets.
+    Over a base pair (b, c) with common image d, the objects are the
+    elements eta of Aut(d), and (beta, gamma) in Aut(b) x Aut(c) carries
+    eta to g(gamma) * eta * f(beta)^-1; the components are the orbits of
+    this action.  By Burnside's lemma their number is the mean, over the
+    pairs (beta, gamma), of the number of eta they fix, and eta is fixed
+    exactly when g(gamma) * eta = eta * f(beta).
     """
-    for comp in (*f.source.components, *g.source.components,
-                 *f.target.components):
-        if comp.aut_order > BRUTE_FORCE_AUT_BOUND:
-            raise ResourceLimitError(
-                f"automorphism group of component {comp.label!r} has order "
-                f"{comp.aut_order}, over the bound BRUTE_FORCE_AUT_BOUND = "
-                f"{BRUTE_FORCE_AUT_BOUND}: too large to materialize "
-                "(layer pullback.brute_force_pullback)")
-    components = []
+    total = 0
     for b, c, d in _matching_pairs(f, g):
-        aut_d = f.target.component(d).aut
-        aut_b = f.source.component(b).aut
-        aut_c = g.source.component(c).aut
-        fb = f.aut_maps[b]
-        gc = g.aut_maps[c]
-        parent = {eta: eta for eta in aut_d.elements}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for beta in aut_b.elements:
-            fb_inv = pinv(fb(beta))
-            for gamma in aut_c.elements:
-                gg = gc(gamma)
-                for eta in aut_d.elements:
-                    moved = pmul(pmul(gg, eta), fb_inv)
-                    ra, rb = find(eta), find(moved)
-                    if ra != rb:
-                        parent[ra] = rb
-        blocks: dict = {}
-        for eta in aut_d.elements:
-            blocks.setdefault(find(eta), []).append(eta)
-        ordered = sorted(blocks.values(), key=min)
-        pair_group = direct_product(aut_b, aut_c)
-        db = aut_b.degree
-        for idx, block in enumerate(ordered):
-            rep = min(block)
-            pairs = []
-            for beta in aut_b.elements:
-                for gamma in aut_c.elements:
-                    if pmul(gc(gamma), rep) == pmul(rep, fb(beta)):
-                        pairs.append(beta + tuple(x + db for x in gamma))
-            aut = pair_group.subgroup(pairs)
-            components.append(
-                GroupoidComponent(label=f"{b}|{c}#{idx}", aut=aut)
-            )
-    return FiniteGroupoid(components)
-
+        images_b = f.aut_maps[b].mapping.values()
+        images_c = g.aut_maps[c].mapping.values()
+        aut_d = f.target.component(d).aut.elements
+        fixed = sum(pmul(y, eta) == pmul(eta, x)
+                    for x in images_b for y in images_c for eta in aut_d)
+        total += fixed // (len(images_b) * len(images_c))
+    return total

@@ -6,7 +6,8 @@ tuple permutations, double cosets and G-set action tables built element
 by element, containment counts scanned pair by pair over conjugation
 orbits for marks, subconjugacy and families, generator picks that close
 perm tuples after each pick, exhaustive map enumeration, union-find on
-materialized objects, and exact rational linear algebra.
+materialized objects (brute_force_pullback, the pullback groupoid built
+object by object), and exact rational linear algebra.
 """
 
 from __future__ import annotations
@@ -18,13 +19,21 @@ from fractions import Fraction
 
 from equisep.group_core import (
     Group,
+    ResourceLimitError,
     closure,
+    direct_product,
     encode_subgroup,
     identity_perm,
     pconj,
     pinv,
     pmul,
     subgroup_conjugacy_classes,
+)
+from equisep.pullback import (
+    FiniteGroupoid,
+    GroupoidComponent,
+    GroupoidFunctor,
+    _matching_pairs,
 )
 
 
@@ -293,6 +302,69 @@ def double_cosets_by_orbits(g: Group, h: Group, k: Group):
         reps.append(x)
         sizes.append(len(orbit))
     return tuple(reps), tuple(sizes)
+
+
+BRUTE_FORCE_AUT_BOUND = 64
+
+
+def brute_force_pullback(f: GroupoidFunctor, g: GroupoidFunctor) -> FiniteGroupoid:
+    """Materialize the pullback groupoid and read off its components.
+
+    Objects over a base pair (b, c) are the elements eta of Aut(d);
+    morphisms (beta, gamma) carry eta to g(gamma) * eta * f(beta)^-1.
+    Component automorphism groups are realized as permutation pairs acting
+    on the disjoint union of the two underlying point sets.
+    """
+    for comp in (*f.source.components, *g.source.components,
+                 *f.target.components):
+        if comp.aut_order > BRUTE_FORCE_AUT_BOUND:
+            raise ResourceLimitError(
+                f"automorphism group of component {comp.label!r} has order "
+                f"{comp.aut_order}, over the bound BRUTE_FORCE_AUT_BOUND = "
+                f"{BRUTE_FORCE_AUT_BOUND}: too large to materialize "
+                "(layer pullback.brute_force_pullback)")
+    components = []
+    for b, c, d in _matching_pairs(f, g):
+        aut_d = f.target.component(d).aut
+        aut_b = f.source.component(b).aut
+        aut_c = g.source.component(c).aut
+        fb = f.aut_maps[b]
+        gc = g.aut_maps[c]
+        parent = {eta: eta for eta in aut_d.elements}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for beta in aut_b.elements:
+            fb_inv = pinv(fb(beta))
+            for gamma in aut_c.elements:
+                gg = gc(gamma)
+                for eta in aut_d.elements:
+                    moved = pmul(pmul(gg, eta), fb_inv)
+                    ra, rb = find(eta), find(moved)
+                    if ra != rb:
+                        parent[ra] = rb
+        blocks: dict = {}
+        for eta in aut_d.elements:
+            blocks.setdefault(find(eta), []).append(eta)
+        ordered = sorted(blocks.values(), key=min)
+        pair_group = direct_product(aut_b, aut_c)
+        db = aut_b.degree
+        for idx, block in enumerate(ordered):
+            rep = min(block)
+            pairs = []
+            for beta in aut_b.elements:
+                for gamma in aut_c.elements:
+                    if pmul(gc(gamma), rep) == pmul(rep, fb(beta)):
+                        pairs.append(beta + tuple(x + db for x in gamma))
+            aut = pair_group.subgroup(pairs)
+            components.append(
+                GroupoidComponent(label=f"{b}|{c}#{idx}", aut=aut)
+            )
+    return FiniteGroupoid(components)
 
 
 def _left_cosets_by_scan(elements, sub):

@@ -40,12 +40,15 @@ from equisep.pullback import (
     GroupoidComponent,
     GroupoidFunctor,
     all_homomorphisms,
-    brute_force_pullback,
     pullback_pi0,
 )
 from equisep.witness import witness_nonstandard
 
-from .oracles import count_orbit_multisets, injective_equivariant_maps
+from .oracles import (
+    brute_force_pullback,
+    count_orbit_multisets,
+    injective_equivariant_maps,
+)
 
 CORPUS = [
     "C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3",

@@ -3,7 +3,8 @@ on each function and method defined at the top level of a module or in a
 class body.  The functions are found by parsing the sources, so a new one
 is checked without being listed here.  No module of the package, of the
 tests or of the demos imports a name at its top level that it never
-reads."""
+reads, and no module of the package binds a brute_force_* name: the
+brute-force oracles live in tests/oracles.py."""
 
 import ast
 import importlib
@@ -84,3 +85,30 @@ def test_no_unused_imports():
     paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) + demos
     assert len(paths) > 30
     assert [u for path in paths for u in _unused_imports(path)] == []
+
+
+def _names(tree):
+    """Every name the module binds or imports: defs, classes, assignment
+    targets, arguments, and the modules and names of its imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+
+
+def test_no_brute_force_name_in_the_package():
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _names(ast.parse(path.read_text(encoding="utf-8")))
+             if name.lower().startswith("brute_force")]
+    assert found == []
+    assert not hasattr(importlib.import_module("equisep.pullback"),
+                       "brute_force_pullback")

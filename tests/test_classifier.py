@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
-from equisep import classifier, group_core, pullback
+from equisep import group_core, pullback
 from equisep.classifier import Verdict, classify, standard_algebra
 from equisep.conditions import StageReport, integers, prime_field, sphere
 from equisep.families import all_family, closure_family, empty_family
@@ -22,7 +25,7 @@ from equisep.group_core import (
 from equisep.gset import GSetType, delete_orbits, orbit_type, realize_type
 from equisep.witness import witness_nonstandard
 
-from .oracles import count_orbit_multisets, random_perm_specs
+from .oracles import brute_force_pullback, count_orbit_multisets, random_perm_specs
 
 
 @pytest.mark.parametrize(
@@ -51,7 +54,7 @@ def test_witness_count_matches_pullback_calculus(spec, ring):
                                    {"2*[G/G]": hom})
     comps = pullback.pullback_pi0(leg, leg)
     assert (record.fiber_size == len(comps)
-            == len(pullback.brute_force_pullback(leg, leg)) == 2 ** (r - 1))
+            == len(brute_force_pullback(leg, leg)) == 2 ** (r - 1))
 
     def render(x):
         return "(" + ",".join("id" if x[2 * i] == 2 * i else "swap"
@@ -66,15 +69,27 @@ def test_witness_count_matches_pullback_calculus(spec, ring):
     assert frozenset().union(*orbits) == {render(x) for x in power.elements}
 
 
-def test_witness_runs_without_brute_force(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("brute_force_pullback on the witness path")
-
-    monkeypatch.setattr(pullback, "brute_force_pullback", boom)
-    monkeypatch.setattr(classifier, "brute_force_pullback", boom, raising=False)
-    probe = witness_nonstandard(make_group("C10"), integers())
-    assert probe.found
-    assert probe.record.fiber_size == 2
+def test_witness_path_loads_no_pullback():
+    """witness_nonstandard, and a classify that reaches the witness, count
+    the double cosets themselves: a child interpreter that runs both has
+    not imported equisep.pullback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(group_core.__file__)))
+    probe = (
+        "import sys\n"
+        "from equisep.classifier import classify\n"
+        "from equisep.conditions import integers\n"
+        "from equisep.group_core import make_group\n"
+        "from equisep.witness import witness_nonstandard\n"
+        "probe = witness_nonstandard(make_group('C10'), integers())\n"
+        "outcome = classify(make_group('C10'), integers(), 4)\n"
+        "print(probe.found, probe.record.fiber_size, outcome.verdict.value,\n"
+        "      'equisep.pullback' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "2", "NonStandardWitness", "False"]
 
 
 def class_of_order(g, order):

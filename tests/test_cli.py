@@ -234,7 +234,7 @@ FSplitting Family Filtration FiniteGroupoid GSet GSetType Group GroupFlags
 GroupHom GroupSpecError GroupoidComponent GroupoidFunctor PullbackComponent
 ResourceLimitError RingDescriptor StageReport SubgroupClass TableOfMarks
 Verdict WitnessProbe WitnessRecord all_family
-all_homomorphisms alternating_group aut_group brute_force_pullback burnside
+all_homomorphisms alternating_group aut_group burnside
 check_ic check_rc class_of_subgroup classifier classify closure_family
 conditions containment_counts coset_gset cyclic_group
 degree_is_constant delete_orbits dihedral_group direct_product
@@ -253,7 +253,7 @@ weyl_group_with_section witness_nonstandard
 
 class TestLazyExports:
     def test_all_lists_the_public_names(self):
-        assert len(PUBLIC_NAMES) == 89
+        assert len(PUBLIC_NAMES) == 88
         assert sorted(equisep.__all__) == PUBLIC_NAMES
 
     def test_each_name_is_the_object_its_module_defines(self):

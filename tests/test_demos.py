@@ -1,8 +1,11 @@
 import pathlib
+import runpy
 import subprocess
 import sys
 
 import pytest
+
+from . import oracles
 
 DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
@@ -16,3 +19,17 @@ def test_demo_runs_clean(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_demo_03_pullback_matches_the_oracle(capsys):
+    """On demo 03's own instance, the materialized pullback has pullback_pi0's
+    components, each with the automorphism order the demo prints."""
+    demo = runpy.run_path(str(DEMO_DIR / "03_pullback_components.py"))
+    assert capsys.readouterr().out.startswith("the pullback has 3 components:")
+    comps = demo["comps"]
+    slow = oracles.brute_force_pullback(demo["f"], demo["g"])
+    assert len(slow) == len(comps) == 3
+    for p in comps:
+        comp = slow.component(f"{p.base[0]}|{p.base[1]}#{p.fiber_index}")
+        assert comp.aut.order == p.aut_order
+        assert p.fiber_size == len(comps)

@@ -28,11 +28,11 @@ from equisep.pullback import (
     GroupoidComponent,
     GroupoidFunctor,
     all_homomorphisms,
-    brute_force_pullback,
     pullback_pi0,
 )
 
 from .oracles import (
+    brute_force_pullback,
     count_orbit_multisets,
     extend_hom,
     reduce_generators,

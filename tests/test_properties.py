@@ -1,7 +1,11 @@
-"""Properties of the subgroup lattice on drawn `perm:` groups: the search's
-orbits, the subconjugacy masks and the table of marks, each against a
-route that does not read them.  Drawn with hypothesis, derandomized, so
-every run checks the same groups."""
+"""Properties on drawn inputs, each against a route that does not read
+what it checks: the subgroup lattice of drawn `perm:` groups (the
+search's orbits, the subconjugacy masks and the table of marks), the
+components of pullbacks of drawn groupoid functors, and the size of the
+G-set census.  Drawn with hypothesis, derandomized, so every run checks
+the same inputs."""
+
+import functools
 
 import pytest
 
@@ -10,14 +14,29 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from equisep import group_core
+from equisep import group_core, pullback
 from equisep.burnside import table_of_marks
+from equisep.families import closure_family
 from equisep.group_core import (
     ResourceLimitError,
     containment_counts,
+    cyclic_group,
     make_group,
     pconj,
     subgroup_conjugacy_classes,
+    symmetric_group,
+)
+from equisep.groupoid_calc import (
+    CENSUS_COMPONENT_BOUND,
+    census_size,
+    truncated_gset_groupoid,
+)
+from equisep.pullback import (
+    FiniteGroupoid,
+    GroupoidComponent,
+    GroupoidFunctor,
+    all_homomorphisms,
+    pullback_pi0,
 )
 
 from . import oracles
@@ -112,3 +131,83 @@ def test_marks_are_weyl_scaled_counts(spec):
         assert marks[i][i] == h.weyl_order
         assert not any(marks[i][i + 1:])
         assert marks[i][0] == g.order // h.order
+
+
+# The automorphism groups `equisep pullback-demo` draws its groupoids from.
+POOL = [cyclic_group(n) for n in (1, 2, 3, 4)] + [symmetric_group(3)]
+
+
+@functools.cache
+def pool_homs(i, j):
+    return all_homomorphisms(POOL[i], POOL[j])
+
+
+@st.composite
+def functor_pairs(draw):
+    """Functors f: B -> D and g: C -> D, D of one or two components and B
+    and C of one to three, each automorphism group drawn from POOL."""
+
+    def groupoid(name, most):
+        picks = draw(st.lists(st.integers(0, len(POOL) - 1),
+                              min_size=1, max_size=most))
+        return picks, FiniteGroupoid(
+            [GroupoidComponent(f"{name}{i}", POOL[k]) for i, k in enumerate(picks)])
+
+    d_picks, d = groupoid("d", 2)
+
+    def functor(name):
+        picks, src = groupoid(name, 3)
+        cmap, amap = {}, {}
+        for comp, k in zip(src.components, picks):
+            j = draw(st.integers(0, len(d_picks) - 1))
+            cmap[comp.label] = d.components[j].label
+            amap[comp.label] = draw(st.sampled_from(pool_homs(k, d_picks[j])))
+        return GroupoidFunctor(src, d, cmap, amap)
+
+    return functor("b"), functor("c")
+
+
+@SETTINGS
+@given(functor_pairs())
+def test_pullback_components_three_ways(pair):
+    """pullback_pi0's double cosets, _orbit_count's fixed points and the
+    materialized pullback give the same components: as many in all, as
+    many over each base pair, and the same automorphism orders."""
+    f, g = pair
+    fast = pullback_pi0(f, g)
+    slow = oracles.brute_force_pullback(f, g)
+    assert len(fast) == pullback._orbit_count(f, g) == len(slow)
+    for p in fast:
+        over = f"{p.base[0]}|{p.base[1]}#"
+        assert p.fiber_size == sum(label.startswith(over) for label in slow.labels())
+        assert p.aut_order == slow.component(f"{over}{p.fiber_index}").aut.order
+
+
+# The p-groups whose census the benchmark's census workload lists.
+CENSUS_SPECS = ("C2", "C3", "C4", "C5", "C9", "C2xC2", "C2xC4", "D4", "Q8")
+census_group = functools.cache(make_group)
+
+
+@st.composite
+def census_inputs(draw):
+    """A census p-group, the family closed under a few of its classes, a
+    size bound N <= 8 and a limit."""
+    g = census_group(draw(st.sampled_from(CENSUS_SPECS)))
+    seed = draw(st.lists(st.sampled_from(subgroup_conjugacy_classes(g)),
+                         max_size=3, unique=True))
+    return g, closure_family(g, seed), draw(st.integers(0, 8)), draw(
+        st.integers(0, 200))
+
+
+@SETTINGS
+@given(census_inputs())
+def test_census_size_counts_the_listed_types(inputs):
+    """census_size is the number of types truncated_gset_groupoid lists
+    when that is at most the limit, and above the limit but no larger
+    otherwise."""
+    g, family, n, limit = inputs
+    sizes = [g.order // c.order for c in family.outside()]
+    listed = len(truncated_gset_groupoid(g, family, n))
+    assert census_size(sizes, n, CENSUS_COMPONENT_BOUND) == listed
+    got = census_size(sizes, n, limit)
+    assert got == listed if listed <= limit else limit < got <= listed
