@@ -249,7 +249,7 @@ VERBS = {
                  _classify, _classify_text),
     "witness": ("non-standard witness search", ("group", "coeff"),
                 _witness, _witness_text),
-    "pullback-demo": ("random pullback vs brute force", ("seed",),
+    "pullback-demo": ("random pullback vs a Burnside count", ("seed",),
                       _pullback_demo, _pullback_demo_text),
 }
 

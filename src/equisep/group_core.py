@@ -203,11 +203,13 @@ class Group:
     def subgroup(self, elements) -> "Group":
         """The subgroup with the given elements, sharing this degree."""
         els = frozenset(elements)
-        assert els <= self.elements
+        if not els <= self.elements:
+            raise ValueError("subgroup elements must lie in the group")
         t = _table(self)
         # generators picked greedily in index order
         gens, have = t.span(sorted(t.indices(els)), [], [0])
-        assert len(have) == len(els)
+        if len(have) != len(els):
+            raise ValueError("subgroup elements do not form a group")
         return Group(self.degree, [t.perms[x] for x in gens], els)
 
     def is_subgroup_of(self, other: "Group") -> bool:
@@ -712,6 +714,12 @@ class _Lattice:
         return tuple(rows)
 
 
+def _class(g: Group, elements: list, size: int, name: str) -> SubgroupClass:
+    """The subgroup class called name, with size conjugates, represented
+    by the subgroup of g with the given sorted elements."""
+    return SubgroupClass(g, g.subgroup(elements), size, encode_subgroup(elements), name)
+
+
 def _subgroup_classes(g: Group) -> _Lattice:
     """The conjugacy classes of subgroups, as a _Lattice, built on the
     first call and kept on g's table.
@@ -745,14 +753,8 @@ def _subgroup_classes(g: Group) -> _Lattice:
         idx = per_order.get(order, 0)
         per_order[order] = idx + 1
         suffix = chr(ord("a") + idx) if idx < 26 else f"_{idx}"
-        elements = [t.perms[x] for x in sorted(rep)]
-        classes.append(SubgroupClass(
-            parent=g,
-            representative=g.subgroup(elements),
-            class_size=len(orbit),
-            canonical_key=encode_subgroup(elements),
-            name=f"{order}{suffix}",
-        ))
+        classes.append(_class(g, [t.perms[x] for x in sorted(rep)], len(orbit),
+                              f"{order}{suffix}"))
         orbits.append((rep, orbit))
         index.update(dict.fromkeys(orbit, pos))
         mask = 1 << pos
@@ -958,16 +960,7 @@ def perfect_subgroup_classes(g: Group) -> tuple:
     if group_flags(g).is_solvable:
         if t.lattice is not None:
             return t.lattice.classes[:1]
-        identity = t.perms[0]
-        return (
-            SubgroupClass(
-                parent=g,
-                representative=g.subgroup([identity]),
-                class_size=1,
-                canonical_key=encode_subgroup([identity]),
-                name="1a",
-            ),
-        )
+        return (_class(g, t.perms[:1], 1, "1a"),)
     classes = subgroup_conjugacy_classes(g)
     return tuple(
         cls

@@ -26,6 +26,7 @@ from .group_core import (
     _table,
     class_of_subgroup,
     identity_perm,
+    pconj,
     pinv,
     pmul,
     weyl_group_with_section,
@@ -74,6 +75,17 @@ class GSet:
     def orbit_stabilizers(self):
         """Each orbit, as in `orbits`, with the elements fixing its least point."""
         return [(orbit, self._fixing(orbit[0])) for orbit in self.orbits()]
+
+    def _classified(self):
+        """Each orbit, as in `orbit_stabilizers`, with its stabilizer and
+        that stabilizer's subgroup class."""
+        return [(orbit, stab, class_of_subgroup(self.group, stab))
+                for orbit, stab in self.orbit_stabilizers()]
+
+    def _fixed_by(self, sub: Group) -> list:
+        """The points that every element of sub fixes, ascending."""
+        perms = [self.perm(t) for t in sub.generators]
+        return [p for p in range(self.size) if all(q[p] == p for q in perms)]
 
     def stabilizer(self, point: int) -> Group:
         return self.group.subgroup(self._fixing(point))
@@ -152,9 +164,11 @@ def coset_gset(g: Group, h: Group) -> GSet:
 
 
 def disjoint_union(*parts: GSet) -> GSet:
-    assert parts, "disjoint_union needs at least one part"
+    if not parts:
+        raise ValueError("disjoint_union needs at least one part")
     g = parts[0].group
-    assert all(p.group == g for p in parts)
+    if any(p.group != g for p in parts):
+        raise ValueError("disjoint_union needs G-sets over one group")
     images, offset = [[] for _ in g.generators], 0
     for p in parts:
         for img, s in zip(images, g.generators):
@@ -166,8 +180,7 @@ def disjoint_union(*parts: GSet) -> GSet:
 def orbit_type(x: GSet) -> GSetType:
     """The complete isomorphism invariant of a G-set."""
     counts: Counter = Counter()
-    for orbit, stab in x.orbit_stabilizers():
-        cls = class_of_subgroup(x.group, stab)
+    for orbit, _, cls in x._classified():
         assert len(orbit) * cls.order == x.group.order
         counts[cls] += 1
     t = GSetType.from_counts(x.group, counts)
@@ -186,12 +199,7 @@ def realize_type(t: GSetType) -> GSet:
 
 def delete_orbits(x: GSet, cls: SubgroupClass) -> GSet:
     """x with every orbit of isotropy class cls removed, points renumbered."""
-    keep = sorted(
-        p
-        for orbit, stab in x.orbit_stabilizers()
-        if class_of_subgroup(x.group, stab) != cls
-        for p in orbit
-    )
+    keep = sorted(p for orbit, _, c in x._classified() if c != cls for p in orbit)
     index = {p: i for i, p in enumerate(keep)}
     images = [[index[img[p]] for p in keep] for img in x.gen_images]
     return GSet(x.group, len(keep), images)
@@ -206,14 +214,10 @@ def fixed_points(x: GSet, k: SubgroupClass) -> GSet:
     is asserted.
     """
     g = x.group
-    assert k.parent == g
+    if k.parent != g:
+        raise ValueError("fixed_points needs a subgroup class of the acting group")
     w, section = weyl_group_with_section(g, k)
-    krep = k.representative
-    fixed = [
-        p
-        for p in range(x.size)
-        if all(x.act(t, p) == p for t in krep.generators)
-    ]
+    fixed = x._fixed_by(k.representative)
     index = {p: i for i, p in enumerate(fixed)}
     images = [[index[x.act(section[s], p)] for p in fixed] for s in w.generators]
     out = GSet(w, len(fixed), images)
@@ -260,15 +264,9 @@ def mackey_decompose(g: Group, h: Group, k: Group, y: GSet) -> GSet:
     dec = double_cosets(g, h, k)
     parts = []
     for r in dec.representatives:
-        ir = pinv(r)
-        conj_k = frozenset(pmul(pmul(r, t), ir) for t in k.elements)
-        cap = g.subgroup(h.elements & conj_k)
-        twisted = GSet(
-            cap,
-            y.size,
-            [y.perm(pmul(pmul(ir, l), r)) for l in cap.generators],
-        )
-        parts.append(induce(h, cap, twisted))
+        cap = g.subgroup(h.elements & {pconj(r, t) for t in k.elements})
+        twisted = [y.perm(pconj(pinv(r), l)) for l in cap.generators]
+        parts.append(induce(h, cap, GSet(cap, y.size, twisted)))
     return disjoint_union(*parts) if parts else empty_gset(h)
 
 
@@ -284,8 +282,7 @@ def aut_group(x: GSet) -> Group:
     if x.size == 0:
         return Group(0, ())
     by_class: dict = {}
-    for orbit, stab in x.orbit_stabilizers():
-        cls = class_of_subgroup(g, stab)
+    for orbit, stab, cls in x._classified():
         by_class.setdefault(cls, []).append((orbit, stab))
     counts = {cls: len(orbits) for cls, orbits in by_class.items()}
     t = GSetType.from_counts(g, counts)
@@ -300,14 +297,8 @@ def aut_group(x: GSet) -> Group:
         # One base point per orbit, all with the literal stabilizer s0: the
         # stabilizer of a point fixed by s0 is a conjugate containing s0, so
         # equals it.  The first orbit's base is its least point.
-        bases = [
-            next(
-                p
-                for p in orbit
-                if all(x.perm(t)[p] == p for t in s0.generators)
-            )
-            for orbit, _ in orbits
-        ]
+        fixed = set(x._fixed_by(s0))
+        bases = [min(fixed.intersection(orbit)) for orbit, _ in orbits]
         # words[b][p], some element moving b to p; any two differ by an
         # element of s0, which N(s0) normalizes, so any one will do
         words = {b: x.transversal(b) for b in bases}

@@ -20,13 +20,11 @@ from ._record import _Record
 from .conditions import RingDescriptor, stage_report
 from .group_core import (
     Group,
-    direct_product,
     double_cosets,
     group_flags,
     perm_order,
     pmul,
     subgroup_conjugacy_classes,
-    symmetric_group,
 )
 from .groupoid_calc import GSetType
 
@@ -96,13 +94,12 @@ def _build_witness(g: Group, primes) -> WitnessRecord:
     x1 = GSetType.from_counts(g, {subgroup_conjugacy_classes(g)[-1]: 2})
     # the per-prime indecomposability precondition was checked by the
     # caller, so each local corner is a two-fold unit power with
-    # automorphisms S_2, and both comparison legs are the diagonal
-    s2 = symmetric_group(2)
-    power = s2
-    for _ in range(r - 1):
-        power = direct_product(power, s2)
+    # automorphisms S_2, and both comparison legs are the diagonal.
+    # (S_2)^r on 2r points, generated by the swaps of 2i and 2i + 1
+    power = Group(2 * r, [tuple(j ^ 1 if j >> 1 == i else j for j in range(2 * r))
+                          for i in range(r)])
     ident = power.identity
-    all_swap = tuple(2 * (i // 2) + (1 - i % 2) for i in range(2 * r))
+    all_swap = tuple(j ^ 1 for j in range(2 * r))
     diag = (ident, all_swap)
     diagonal = power.subgroup(diag)
     dec = double_cosets(power, diagonal, diagonal)

@@ -1,7 +1,10 @@
 """G-set orbit typing, fixed points, induction, Mackey, automorphisms."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -115,6 +118,61 @@ def test_gset_from_action_validates():
 def test_gset_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# Calls with a bad argument, each answered by a ValueError that is an
+# argument check, not an assert, so that `python -O` keeps it; run both in
+# process and in an optimized child, which prints what each call raised.
+BAD_ARGUMENTS = """
+from equisep.group_core import make_group, subgroup_conjugacy_classes
+from equisep.gset import disjoint_union, fixed_points, trivial_gset
+
+def outcomes():
+    s3, c2, c3 = make_group("S3"), make_group("C2"), make_group("C3")
+    calls = [
+        lambda: s3.subgroup([(0, 1, 2), (1, 0, 2), (0, 2, 1)]),
+        lambda: s3.subgroup([]),
+        lambda: c3.subgroup([(0, 1, 2), (1, 0, 2)]),
+        lambda: disjoint_union(),
+        lambda: disjoint_union(trivial_gset(c2, 1), trivial_gset(c3, 1)),
+        lambda: fixed_points(trivial_gset(s3, 1), subgroup_conjugacy_classes(c2)[0]),
+    ]
+    out = []
+    for call in calls:
+        try:
+            call()
+            out.append("returned")
+        except Exception as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+"""
+
+BAD_ARGUMENT_ERRORS = [
+    "ValueError: subgroup elements do not form a group",
+    "ValueError: subgroup elements do not form a group",
+    "ValueError: subgroup elements must lie in the group",
+    "ValueError: disjoint_union needs at least one part",
+    "ValueError: disjoint_union needs G-sets over one group",
+    "ValueError: fixed_points needs a subgroup class of the acting group",
+]
+
+
+def test_argument_checks_raise_value_errors():
+    space = {}
+    exec(BAD_ARGUMENTS, space)
+    assert space["outcomes"]() == BAD_ARGUMENT_ERRORS
+
+
+def test_argument_checks_hold_under_optimize():
+    """Group.subgroup, disjoint_union and fixed_points check their
+    arguments with ValueErrors that `python -O` keeps."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(group_core.__file__)))
+    probe = BAD_ARGUMENTS + "print(__debug__)\nprint(*outcomes(), sep='\\n')\n"
+    proc = subprocess.run([sys.executable, "-O", "-c", probe],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"] + BAD_ARGUMENT_ERRORS
 
 
 def test_fixed_points_c6_example():

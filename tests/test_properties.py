@@ -1,6 +1,8 @@
 """Properties on drawn inputs, each against a route that does not read
 what it checks: the subgroup lattice of drawn `perm:` groups (the
 search's orbits, the subconjugacy masks and the table of marks), the
+orbit classification of G-sets of drawn orbit types (round trip,
+orbit deletion, automorphism groups and the Mackey decomposition), the
 components of pullbacks of drawn groupoid functors, and the size of the
 G-set census.  Drawn with hypothesis, derandomized, so every run checks
 the same inputs."""
@@ -23,6 +25,8 @@ from equisep.group_core import (
     cyclic_group,
     make_group,
     pconj,
+    pmul,
+    resolve_max_order,
     subgroup_conjugacy_classes,
     symmetric_group,
 )
@@ -30,6 +34,16 @@ from equisep.groupoid_calc import (
     CENSUS_COMPONENT_BOUND,
     census_size,
     truncated_gset_groupoid,
+)
+from equisep.gset import (
+    GSetType,
+    aut_group,
+    delete_orbits,
+    induce,
+    mackey_decompose,
+    orbit_type,
+    realize_type,
+    restrict,
 )
 from equisep.pullback import (
     FiniteGroupoid,
@@ -131,6 +145,82 @@ def test_marks_are_weyl_scaled_counts(spec):
         assert marks[i][i] == h.weyl_order
         assert not any(marks[i][i + 1:])
         assert marks[i][0] == g.order // h.order
+
+
+# G-sets are drawn as orbit types: a few classes with small multiplicities.
+GSET_SETTINGS = settings(SETTINGS, max_examples=60)
+
+
+def drawn_type(draw, g) -> GSetType:
+    """Up to three classes of g, each with multiplicity 1 to 3."""
+    picked = draw(st.lists(st.sampled_from(subgroup_conjugacy_classes(g)),
+                           max_size=3, unique=True))
+    return GSetType.from_counts(g, {c: draw(st.integers(1, 3)) for c in picked})
+
+
+@st.composite
+def orbit_types(draw):
+    """An orbit type over a drawn `perm:` group, and one of its classes."""
+    g = small_group(draw(perm_specs()))
+    return drawn_type(draw, g), draw(st.sampled_from(subgroup_conjugacy_classes(g)))
+
+
+@GSET_SETTINGS
+@given(orbit_types())
+def test_orbit_type_round_trip_and_deletion(drawn):
+    """orbit_type reads back the type realize_type built from cosets, and
+    deleting a class's orbits drops exactly that class from the type."""
+    t, cls = drawn
+    x = realize_type(t)
+    assert orbit_type(x) == t
+    assert orbit_type(delete_orbits(x, cls)) == t.drop(cls)
+
+
+@GSET_SETTINGS
+@given(orbit_types())
+def test_aut_group_has_the_wreath_order(drawn):
+    """aut_group commutes with the action and has order t.aut_order, the
+    product of |W(H)|^n * n!, or is refused when that is over the bound."""
+    t, _ = drawn
+    x = realize_type(t)
+    if t.aut_order > resolve_max_order():
+        with pytest.raises(ResourceLimitError, match="gset.aut_group"):
+            aut_group(x)
+        return
+    aut = aut_group(x)
+    assert aut.order == t.aut_order
+    for a in aut.generators:
+        assert all(pmul(a, p) == pmul(p, a) for p in x.gen_images)
+
+
+@st.composite
+def mackey_inputs(draw):
+    """A drawn `perm:` group g, two proper nontrivial subgroups h and k,
+    each a conjugate of a drawn class's representative, and a K-set of a
+    drawn orbit type."""
+    g = small_group(draw(perm_specs()))
+    classes, elements = subgroup_conjugacy_classes(g)[1:-1], g.sorted_elements()
+    assume(classes)
+
+    def subgroup():
+        rep = draw(st.sampled_from(classes)).representative
+        x = draw(st.sampled_from(elements))
+        return g.subgroup({pconj(x, e) for e in rep.elements})
+
+    h, k = subgroup(), subgroup()
+    return g, h, k, realize_type(drawn_type(draw, k))
+
+
+# 90 draws, not 60: with 60, a mackey_decompose that conjugates by r^-1
+# where it should by r (or the reverse) still passed.
+@settings(SETTINGS, max_examples=90)
+@given(mackey_inputs())
+def test_mackey_is_restriction_after_induction(inputs):
+    """The double-coset sum mackey_decompose builds has the orbit type of
+    the induced G-set restricted to H."""
+    g, h, k, y = inputs
+    assert orbit_type(mackey_decompose(g, h, k, y)) == orbit_type(
+        restrict(induce(g, k, y), h))
 
 
 # The automorphism groups `equisep pullback-demo` draws its groupoids from.
