@@ -76,7 +76,9 @@ class BurnsideElement(_Record):
 
     def __init__(self, *values, **named):
         super().__init__(*values, **named)
-        assert len(self.coefficients) == len(self.table.classes)
+        if len(self.coefficients) != len(self.table.classes):
+            raise ValueError(f"a BurnsideElement needs one coefficient per class: "
+                             f"{len(self.table.classes)}, not {len(self.coefficients)}")
 
     def marks_vector(self) -> tuple:
         """Ghost coordinates: the fixed-point count at every class."""
@@ -86,7 +88,9 @@ class BurnsideElement(_Record):
         )
 
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
-        assert self.table is other.table
+        if other.table != self.table:
+            raise ValueError("cannot add BurnsideElements over different "
+                             "tables of marks")
         return BurnsideElement(
             self.table,
             tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),

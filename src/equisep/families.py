@@ -18,9 +18,7 @@ class Family(_Record):
     __slots__ = ("group", "mask")
 
     def __init__(self, group: Group, classes: frozenset):
-        assert all(cls.parent == group for cls in classes)
-        position = _subgroup_classes(group).position
-        super().__init__(group, sum(1 << position[c] for c in classes))
+        super().__init__(group, sum(_bit(group, c) for c in classes))
         for cls in classes:
             self._checked(cls)
 
@@ -65,9 +63,7 @@ class Family(_Record):
 
     def with_class(self, cls: SubgroupClass) -> "Family":
         """The family with cls added; cls alone is checked."""
-        assert cls.parent == self.group
-        pos = _subgroup_classes(self.group).position[cls]
-        return _family(self.group, self.mask | 1 << pos)._checked(cls)
+        return _family(self.group, self.mask | _bit(self.group, cls))._checked(cls)
 
     def check_group(self, g: Group) -> None:
         if self.group != g:
@@ -78,6 +74,14 @@ class Family(_Record):
         # position order is (order, canonical key) order
         names = ",".join(c.name for c in self._members(1))
         return f"Family({{{names}}})"
+
+
+def _bit(group: Group, cls: SubgroupClass) -> int:
+    """The mask bit of cls among group's classes, or a ValueError when cls
+    is a class of another group."""
+    if cls.parent != group:
+        raise ValueError(f"class {cls.name} is a subgroup class of another group")
+    return 1 << _subgroup_classes(group).position[cls]
 
 
 def _family(group: Group, mask: int) -> Family:

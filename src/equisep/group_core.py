@@ -19,10 +19,12 @@ is a set test.  A join walks the generators' rows one left coset at a
 time (`_Table.join`); `_Table.span` joins candidates in greedily, which
 picks a subgroup's generators and spans commutator subgroups,
 stabilizers and normalizers.  The table is also the one home of what is
-derived from the group: its lattice (with the Weyl groups built so far)
-and its flags are fields of the table, so they are computed once per
-group and freed with it.  The lattice keeps no k x k table: containment
-counts and marks are made from its subconjugacy masks on each request.
+derived from the group: its sorted elements, its lattice (with the Weyl
+groups built so far) and its flags are fields of the table, so they are
+computed once per group and freed with it; a Group itself holds only its
+degree, generators and elements.  The lattice keeps no k x k table:
+containment counts and marks are made from its subconjugacy masks on
+each request.
 
 There is one orbit walk, `orbit_of`, which returns its breadth-first tree
 (each point with the map and the point it was first reached from).
@@ -151,8 +153,8 @@ def _orbits(size: int, maps) -> list:
 class Group:
     """An immutable permutation group on points 0..degree-1."""
 
-    __slots__ = ("degree", "generators", "elements", "order", "_hash", "_sorted",
-                 "_table", "__weakref__")
+    __slots__ = ("degree", "generators", "elements", "order", "_table",
+                 "__weakref__")
 
     def __init__(self, degree, generators, elements=None, max_order=None):
         generators = tuple(dict.fromkeys(tuple(g) for g in generators))
@@ -167,8 +169,6 @@ class Group:
         self.elements = frozenset(elements)
         self.order = len(self.elements)
         assert ident in self.elements
-        self._hash = hash((degree, self.elements))
-        self._sorted = None
         self._table = None
 
     @property
@@ -176,9 +176,7 @@ class Group:
         return identity_perm(self.degree)
 
     def sorted_elements(self):
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements))
-        return self._sorted
+        return _table(self).perms
 
     def __contains__(self, g):
         return g in self.elements
@@ -195,7 +193,8 @@ class Group:
         return self.degree == other.degree and self.elements == other.elements
 
     def __hash__(self):
-        return self._hash
+        # the frozenset keeps its own hash once computed
+        return hash((self.degree, self.elements))
 
     def __repr__(self):
         return f"Group(order={self.order}, degree={self.degree})"
@@ -226,7 +225,7 @@ class _Table:
                  "lattice", "flags")
 
     def __init__(self, g: Group):
-        self.perms = g.sorted_elements()
+        self.perms = tuple(sorted(g.elements))
         self.index = {p: i for i, p in enumerate(self.perms)}
         self.inverse = [self.index[pinv(p)] for p in self.perms]
         self.gens = tuple(self.index[s] for s in g.generators)

@@ -11,6 +11,11 @@ elements, so neither reads any other element's image.  The multiset of
 (stabilizer class, multiplicity) pairs is a complete isomorphism
 invariant, so G-sets are compared through it; that GSetType lives with
 the census in groupoid_calc.
+
+The G-set calculus is built from what group_core already makes: G/H is
+induction from a point, G x_H *, and Aut(X) is the product over classes
+H of W(H) wreath S_n, its translations read off the same Weyl sections
+(weyl_group_with_section) that fixed_points acts through.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .group_core import (
     pmul,
     weyl_group_with_section,
     is_subconjugate,
-    normalizer,
     orbit_of,
     closure,
     double_cosets,
@@ -77,9 +81,8 @@ class GSet:
         return [(orbit, self._fixing(orbit[0])) for orbit in self.orbits()]
 
     def _classified(self):
-        """Each orbit, as in `orbit_stabilizers`, with its stabilizer and
-        that stabilizer's subgroup class."""
-        return [(orbit, stab, class_of_subgroup(self.group, stab))
+        """Each orbit, as in `orbits`, with its stabilizers' subgroup class."""
+        return [(orbit, class_of_subgroup(self.group, stab))
                 for orbit, stab in self.orbit_stabilizers()]
 
     def _fixed_by(self, sub: Group) -> list:
@@ -154,13 +157,10 @@ def gset_from_action(g: Group, size: int, maps: dict) -> GSet:
 
 
 def coset_gset(g: Group, h: Group) -> GSet:
-    """The left coset action of g on g/h."""
+    """The left coset action of g on g/h, induced from a point: G x_H *."""
     if not h.is_subgroup_of(g):
         raise ValueError("coset_gset needs a subgroup of g")
-    t = _table(g)
-    reps, coset_of = _cosets(t, range(g.order), t.indices(h.elements))
-    images = [[coset_of[row[r]] for r in reps] for row in map(t.row, t.gens)]
-    return GSet(g, len(reps), images)
+    return induce(g, h, trivial_gset(h, 1))
 
 
 def disjoint_union(*parts: GSet) -> GSet:
@@ -180,7 +180,7 @@ def disjoint_union(*parts: GSet) -> GSet:
 def orbit_type(x: GSet) -> GSetType:
     """The complete isomorphism invariant of a G-set."""
     counts: Counter = Counter()
-    for orbit, _, cls in x._classified():
+    for orbit, cls in x._classified():
         assert len(orbit) * cls.order == x.group.order
         counts[cls] += 1
     t = GSetType.from_counts(x.group, counts)
@@ -199,7 +199,7 @@ def realize_type(t: GSetType) -> GSet:
 
 def delete_orbits(x: GSet, cls: SubgroupClass) -> GSet:
     """x with every orbit of isotropy class cls removed, points renumbered."""
-    keep = sorted(p for orbit, _, c in x._classified() if c != cls for p in orbit)
+    keep = sorted(p for orbit, c in x._classified() if c != cls for p in orbit)
     index = {p: i for i, p in enumerate(keep)}
     images = [[index[img[p]] for p in keep] for img in x.gen_images]
     return GSet(x.group, len(keep), images)
@@ -267,23 +267,25 @@ def mackey_decompose(g: Group, h: Group, k: Group, y: GSet) -> GSet:
         cap = g.subgroup(h.elements & {pconj(r, t) for t in k.elements})
         twisted = [y.perm(pconj(pinv(r), l)) for l in cap.generators]
         parts.append(induce(h, cap, GSet(cap, y.size, twisted)))
-    return disjoint_union(*parts) if parts else empty_gset(h)
+    return disjoint_union(*parts)
 
 
 def aut_group(x: GSet) -> Group:
     """The group of equivariant self-bijections, as permutations of points.
 
-    Generated by Weyl translations on one orbit per class together with
-    swaps of isomorphic orbits; the order is the product over classes of
-    |W|^n * n! for n orbits of that class.  An order over the bound
-    resolve_max_order() is refused before any generator is built.
+    The product over classes H of W(H) wreath S_n for n orbits of class
+    H: generated by the translations of one orbit by the section of
+    weyl_group_with_section(H)'s generators, together with swaps of
+    isomorphic orbits; the order is the product of |W(H)|^n * n!.  An
+    order over the bound resolve_max_order() is refused before any
+    generator is built.
     """
     g = x.group
     if x.size == 0:
         return Group(0, ())
     by_class: dict = {}
-    for orbit, stab, cls in x._classified():
-        by_class.setdefault(cls, []).append((orbit, stab))
+    for orbit, cls in x._classified():
+        by_class.setdefault(cls, []).append(orbit)
     counts = {cls: len(orbits) for cls, orbits in by_class.items()}
     t = GSetType.from_counts(g, counts)
     bound = resolve_max_order()
@@ -292,29 +294,25 @@ def aut_group(x: GSet) -> Group:
                                  f"exceeds the bound {bound} (layer gset.aut_group)")
     gens = []
     for cls, _ in t.entries:  # in (order, canonical key) order
-        orbits = by_class[cls]
-        s0 = g.subgroup(orbits[0][1])
-        # One base point per orbit, all with the literal stabilizer s0: the
-        # stabilizer of a point fixed by s0 is a conjugate containing s0, so
-        # equals it.  The first orbit's base is its least point.
-        fixed = set(x._fixed_by(s0))
-        bases = [min(fixed.intersection(orbit)) for orbit, _ in orbits]
-        # words[b][p], some element moving b to p; any two differ by an
-        # element of s0, which N(s0) normalizes, so any one will do
+        w, section = weyl_group_with_section(g, cls)
+        # One base point per orbit, each with stabilizer exactly H, the
+        # class's representative: the stabilizer of a point H fixes is a
+        # conjugate of H containing H, so equals it.
+        fixed = set(x._fixed_by(cls.representative))
+        bases = [min(fixed.intersection(orbit)) for orbit in by_class[cls]]
+        # Each generator sends u b to u c for some pairs (b, c) of points
+        # with stabilizer H, u running over words[b], the elements moving b
+        # to each point of its orbit; they differ by elements of H, which
+        # fix c, so the map is well defined.  A Weyl translation moves the
+        # first base b to n b for n in N(H), a swap exchanges two orbits.
         words = {b: x.transversal(b) for b in bases}
-        # N(s0)'s generators begin with s0's, which fix the first base
-        n_group = normalizer(g, s0)
-        for t in n_group.generators[len(s0.generators):]:
+        moves = [[(bases[0], x.act(section[s], bases[0]))] for s in w.generators]
+        moves += [[(b, c), (c, b)] for b, c in zip(bases, bases[1:])]
+        for pairs in moves:
             perm = list(range(x.size))
-            for p, word in words[bases[0]].items():
-                perm[p] = x.perm(pmul(word, t))[bases[0]]
-            gens.append(tuple(perm))
-        for i in range(len(bases) - 1):
-            perm = list(range(x.size))
-            for p, word in words[bases[i]].items():
-                perm[p] = x.perm(word)[bases[i + 1]]
-            for p, word in words[bases[i + 1]].items():
-                perm[p] = x.perm(word)[bases[i]]
+            for b, c in pairs:
+                for p, word in words[b].items():
+                    perm[p] = x.perm(word)[c]
             gens.append(tuple(perm))
     els = closure(gens, x.size)
     return Group(x.size, gens, els).subgroup(els)

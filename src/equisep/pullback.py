@@ -123,8 +123,6 @@ class GroupHom:
 def all_homomorphisms(src: Group, dst: Group):
     """Every homomorphism src -> dst, over all tuples of generator images."""
     gens = src.generators
-    if not gens:
-        return [GroupHom.trivial(src, dst)]
     gen_orders = [perm_order(g) for g in gens]
     candidates = [
         [y for y in dst.sorted_elements() if gen_orders[i] % perm_order(y) == 0]

@@ -69,6 +69,8 @@ def test_burnside_element_marks_vector():
     assert e.marks_vector() == (3, 1, 0, 0)
     s = e + BurnsideElement(tom, (1, 0, 0, 0))
     assert s.marks_vector() == (9, 1, 0, 0)
+    # a table built again is equal, so its elements add
+    assert e + BurnsideElement(table_of_marks(g), (1, 0, 0, 0)) == s
 
 
 def _marks(tom, x):

@@ -21,6 +21,21 @@ def test_demo_runs_clean(script):
     assert proc.stdout.strip()
 
 
+@pytest.mark.parametrize(
+    "script", sorted(DEMO_DIR.glob("*.py")), ids=lambda p: p.name
+)
+def test_demo_output_holds_under_optimize(script):
+    """python -O strips every assert; a demo prints the same without them,
+    so none of its results depends on one."""
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, str(script)],
+                       capture_output=True, text=True)
+        for flags in ([], ["-O"])
+    )
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+
+
 def test_demo_03_pullback_matches_the_oracle(capsys):
     """On demo 03's own instance, the materialized pullback has pullback_pi0's
     components, each with the automorphism order the demo prints."""

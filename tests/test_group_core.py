@@ -153,15 +153,30 @@ def test_subgroup_classes_q8():
     assert all(c.class_size == 1 for c in classes)
 
 
-def test_class_names_and_sort_order():
-    classes = subgroup_conjugacy_classes(make_group("S3"))
-    assert [c.name for c in classes] == ["1a", "2a", "3a", "6a"]
+# From degree 11 on, a point's decimal string sorts apart from its value
+# ("10" < "2"), and canonical keys are compared as those strings.
+@pytest.mark.parametrize(
+    "spec,names",
+    [
+        ("S3", "1a 2a 3a 6a"),
+        ("C12", "1a 2a 3a 4a 6a 12a"),
+        ("D12", "1a 2a 2b 2c 3a 4a 4b 4c 6a 6b 6c 8a 12a 12b 12c 24a"),
+        ("Q8xS3", "1a 2a 2b 2c 3a 4a 4b 4c 4d 4e 4f 4g 6a 6b 6c 8a 8b 8c 8d "
+                  "8e 8f 8g 12a 12b 12c 12d 12e 12f 12g 16a 24a 24b 24c 24d "
+                  "24e 24f 24g 48a"),
+    ],
+    ids=["S3", "C12", "D12", "Q8xS3"],
+)
+def test_class_names_and_sort_order(spec, names):
+    classes = subgroup_conjugacy_classes(make_group(spec))
+    assert [c.name for c in classes] == names.split()
     keys = [(c.order, c.canonical_key) for c in classes]
     assert keys == sorted(keys)
 
 
-def test_representative_is_lex_minimal_in_class():
-    g = make_group("S4")
+@pytest.mark.parametrize("spec", ["S4", "C12", "D12", "Q8xS3"])
+def test_representative_is_lex_minimal_in_class(spec):
+    g = make_group(spec)
     for cls in subgroup_conjugacy_classes(g):
         rep = cls.representative.elements
         best = min(

@@ -18,6 +18,7 @@ from equisep.group_core import (
 from equisep.families import all_family, closure_family, empty_family
 from equisep.groupoid_calc import (
     CENSUS_COMPONENT_BOUND,
+    GSetType,
     census_size,
     truncated_gset_groupoid,
 )
@@ -404,6 +405,16 @@ class TestTruncatedGroupoid:
             assert len(gpd) == count_orbit_multisets(sizes, bound)
             assert census_size(sizes, bound, 10**9) == len(gpd)
 
+    def test_census_entries_are_in_class_order(self):
+        """The census lays entries out in family.outside() order, which must
+        be the (order, canonical key) order from_counts sorts by; C12 acts
+        on 12 points, where string and numeric point order differ."""
+        g = cyclic_group(12)
+        census = truncated_gset_groupoid(g, empty_family(g), 12)
+        assert len(census) > 1
+        for t in census:
+            assert t == GSetType.from_counts(g, dict(t.entries))
+
     def test_count_vectors_match_resumming_oracle(self):
         import equisep.groupoid_calc as gc
 
@@ -456,7 +467,7 @@ class TestTruncatedGroupoid:
 
         monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
         monkeypatch.setattr(gs, "closure", no_closure)
-        monkeypatch.setattr(gs, "normalizer", no_closure)
+        monkeypatch.setattr(gs, "weyl_group_with_section", no_closure)
         g = cyclic_group(4)
         census = {t.label(): t for t in truncated_gset_groupoid(g, empty_family(g), 12)}
         top = census["12*G/4a"]

@@ -1,5 +1,6 @@
 """G-set orbit typing, fixed points, induction, Mackey, automorphisms."""
 
+import hashlib
 import os
 import random
 import re
@@ -38,6 +39,7 @@ from equisep.gset import (
     trivial_gset,
 )
 from equisep.families import all_family, closure_family, empty_family
+from equisep.groupoid_calc import truncated_gset_groupoid
 
 from . import oracles
 
@@ -124,11 +126,17 @@ def test_gset_refusals(call, message):
 # argument check, not an assert, so that `python -O` keeps it; run both in
 # process and in an optimized child, which prints what each call raised.
 BAD_ARGUMENTS = """
+from equisep.burnside import BurnsideElement, table_of_marks
+from equisep.families import Family, empty_family
 from equisep.group_core import make_group, subgroup_conjugacy_classes
 from equisep.gset import disjoint_union, fixed_points, trivial_gset
 
 def outcomes():
     s3, c2, c3 = make_group("S3"), make_group("C2"), make_group("C3")
+    c6 = make_group("C6")
+    s3_unit = BurnsideElement(table_of_marks(s3), (1, 0, 0, 0))
+    c6_unit = BurnsideElement(table_of_marks(c6), (1, 0, 0, 0))
+    c6_order_2 = subgroup_conjugacy_classes(c6)[1]
     calls = [
         lambda: s3.subgroup([(0, 1, 2), (1, 0, 2), (0, 2, 1)]),
         lambda: s3.subgroup([]),
@@ -136,6 +144,10 @@ def outcomes():
         lambda: disjoint_union(),
         lambda: disjoint_union(trivial_gset(c2, 1), trivial_gset(c3, 1)),
         lambda: fixed_points(trivial_gset(s3, 1), subgroup_conjugacy_classes(c2)[0]),
+        lambda: BurnsideElement(table_of_marks(s3), (1,)).marks_vector(),
+        lambda: (s3_unit + c6_unit).marks_vector(),
+        lambda: Family(s3, frozenset([c6_order_2])),
+        lambda: empty_family(s3).with_class(c6_order_2),
     ]
     out = []
     for call in calls:
@@ -154,6 +166,10 @@ BAD_ARGUMENT_ERRORS = [
     "ValueError: disjoint_union needs at least one part",
     "ValueError: disjoint_union needs G-sets over one group",
     "ValueError: fixed_points needs a subgroup class of the acting group",
+    "ValueError: a BurnsideElement needs one coefficient per class: 4, not 1",
+    "ValueError: cannot add BurnsideElements over different tables of marks",
+    "ValueError: class 2a is a subgroup class of another group",
+    "ValueError: class 2a is a subgroup class of another group",
 ]
 
 
@@ -164,8 +180,8 @@ def test_argument_checks_raise_value_errors():
 
 
 def test_argument_checks_hold_under_optimize():
-    """Group.subgroup, disjoint_union and fixed_points check their
-    arguments with ValueErrors that `python -O` keeps."""
+    """Group.subgroup, disjoint_union, fixed_points, BurnsideElement and
+    Family check their arguments with ValueErrors that `python -O` keeps."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(group_core.__file__)))
     probe = BAD_ARGUMENTS + "print(__debug__)\nprint(*outcomes(), sep='\\n')\n"
     proc = subprocess.run([sys.executable, "-O", "-c", probe],
@@ -393,6 +409,31 @@ def test_aut_group_order_formula():
         expected *= w**n * fact
     assert aut_group(x).order == expected
     assert t.aut_order == expected
+
+
+# SHA-256 over the automorphism groups (sorted elements and generators) of
+# the census types of size <= 8 with order within the default bound, and
+# the coset G-sets' generator images, of eight small groups: 588
+# automorphism groups.
+AUT_AND_COSET_DIGEST = (
+    "25aa84fb2c96c07e5785df5e8eefe4b09c5df3fc8203478f66943c1bc785ce09"
+)
+
+
+def test_aut_groups_and_coset_gsets_are_pinned(monkeypatch):
+    monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
+    digest, built = hashlib.sha256(), 0
+    for spec in ["C2", "C4", "S3", "D4", "C2xC2", "Q8", "A4", "C6"]:
+        g = make_group(spec)
+        for t in truncated_gset_groupoid(g, empty_family(g), 8):
+            if t.aut_order <= group_core.DEFAULT_MAX_ORDER:
+                a = aut_group(realize_type(t))
+                digest.update(repr((sorted(a.elements), a.generators)).encode())
+                built += 1
+        for c in subgroup_conjugacy_classes(g):
+            digest.update(repr(coset_gset(g, c.representative).gen_images).encode())
+    assert built == 588
+    assert digest.hexdigest() == AUT_AND_COSET_DIGEST
 
 
 def test_empty_gset_is_first_class():
