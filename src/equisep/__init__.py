@@ -1,8 +1,8 @@
 """Separable-algebra classification over finite group actions.
 
 The library is organized bottom-up: permutation groups and their
-subgroup lattice (group_core), the table of marks (burnside), families and
-filtrations (families), per-stage checks (conditions), G-set types and the
+subgroup lattice (group_core), the table of marks (burnside), families of
+subgroups (families), per-stage checks (conditions), G-set types and the
 census, a tuple of GSetTypes (groupoid_calc), and the classifier
 (classifier).  Beside them sit finite G-sets with the Mackey calculus and
 automorphism groups (gset), skeletal groupoids with their functors and
@@ -42,7 +42,6 @@ _SUBMODULE = {
             "ClassificationOutcome",
             "Verdict",
             "classify",
-            "standard_algebra",
         ),
         "conditions": (
             "conditions",
@@ -59,12 +58,8 @@ _SUBMODULE = {
         "families": (
             "families",
             "Family",
-            "Filtration",
-            "all_family",
             "closure_family",
             "empty_family",
-            "exhaustive_filtration",
-            "minimal_additions",
         ),
         "group_core": (
             "group_core",
@@ -110,7 +105,6 @@ _SUBMODULE = {
             "f_assemble",
             "f_split",
             "fixed_points",
-            "gset_from_action",
             "induce",
             "mackey_decompose",
             "orbit_type",

@@ -72,7 +72,7 @@ def classify(g: Group, ring: RingDescriptor, max_size: int,
         )
 
     # one report per class, each built once: the witness step reads them
-    # all, the verdict those an exhaustive filtration from the family adds
+    # all, the verdict those of the classes outside the family
     every = tuple(stage_report(cls, ring) for cls in subgroup_conjugacy_classes(g))
     reports = tuple(rep for rep in every if rep.subgroup not in family)
     if all(rep.passed for rep in reports):
@@ -96,21 +96,3 @@ def classify(g: Group, ring: RingDescriptor, max_size: int,
         stage_reports=reports,
         notes=probe.failures,
     )
-
-
-def standard_algebra(g: Group, family: Family, x) -> str:
-    """The component label of the GSet x in the classification groupoid.
-
-    x must have isotropy outside the family; deleting the orbits of a
-    newly added class commutes with this labeling.
-    """
-    from .gset import orbit_type
-
-    family.check_group(g)
-    t = orbit_type(x)
-    offenders = [cls.name for cls, _ in t.entries if cls in family]
-    if offenders:
-        raise ValueError(
-            f"isotropy classes {offenders} lie inside the family"
-        )
-    return t.label()

@@ -29,7 +29,7 @@ class RingDescriptor(_Record):
     """
 
     __slots__ = ("name", "kind",  # kind: sphere | integers | prime_field | custom
-                 "char", "indecomposable", "indecomposable_mod", "torsion_free",
+                 "indecomposable", "indecomposable_mod", "torsion_free",
                  "prime_invertible", "separably_closed", "burnside_unit",
                  "rc_witness_map_to")  # a RingDescriptor or None
     _defaults = {"burnside_unit": False, "rc_witness_map_to": None}
@@ -42,7 +42,6 @@ def sphere() -> RingDescriptor:
     return RingDescriptor(
         name="sphere",
         kind="sphere",
-        char=0,
         indecomposable=True,
         indecomposable_mod=lambda n: True,
         torsion_free=lambda n: True,
@@ -57,7 +56,6 @@ def integers() -> RingDescriptor:
     return RingDescriptor(
         name="Z",
         kind="integers",
-        char=0,
         indecomposable=True,
         indecomposable_mod=is_indecomposable_mod,
         torsion_free=lambda n: True,
@@ -107,7 +105,6 @@ def prime_field(p: int) -> RingDescriptor:
     return RingDescriptor(
         name=f"F{p}",
         kind="prime_field",
-        char=p,
         indecomposable=True,
         # mod-n reduction of F_p collapses to zero unless p divides n
         indecomposable_mod=lambda n, p=p: n == 0 or n % p == 0,

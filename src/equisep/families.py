@@ -1,5 +1,5 @@
-"""Families of subgroups (sets of conjugacy classes closed under
-subconjugation) and exhaustive filtrations that grow one class at a time.
+"""Families of subgroups: sets of conjugacy classes closed under
+subconjugation, grown one class at a time with Family.with_class.
 
 A family is an int mask over class positions in subgroup_conjugacy_classes
 order.  It is closed when, for each member c, the mask below[c] of the
@@ -58,9 +58,6 @@ class Family(_Record):
         """The classes not in the family, sorted by (order, canonical key)."""
         return self._members(0)
 
-    def is_all(self) -> bool:
-        return len(self) == len(_subgroup_classes(self.group).classes)
-
     def with_class(self, cls: SubgroupClass) -> "Family":
         """The family with cls added; cls alone is checked."""
         return _family(self.group, self.mask | _bit(self.group, cls))._checked(cls)
@@ -95,10 +92,6 @@ def empty_family(g: Group) -> Family:
     return _family(g, 0)
 
 
-def all_family(g: Group) -> Family:
-    return _family(g, (1 << len(_subgroup_classes(g).classes)) - 1)
-
-
 def closure_family(g: Group, seed) -> Family:
     """The smallest family containing the seed classes."""
     lattice = _subgroup_classes(g)
@@ -106,46 +99,3 @@ def closure_family(g: Group, seed) -> Family:
     for s in seed:
         mask |= lattice.below[lattice.position[s]]
     return _family(g, mask)
-
-
-def minimal_additions(g: Group, family: Family):
-    """Classes not in the family all of whose proper subgroups already are.
-
-    These are exactly the classes that can extend the family by a single
-    conjugacy class, sorted by (order, canonical key).
-    """
-    family.check_group(g)
-    lattice, mask = _subgroup_classes(g), family.mask
-    return [
-        cls
-        for pos, (cls, below) in enumerate(zip(lattice.classes, lattice.below))
-        if below & ~mask == 1 << pos
-    ]
-
-
-class Filtration(_Record):
-    """A chain of families each adding one conjugacy class, ending at all."""
-
-    __slots__ = ("stages",  # Family, one more class each step
-                 "added")  # SubgroupClass added at each step
-
-    def __len__(self):
-        return len(self.added)
-
-
-def exhaustive_filtration(g: Group, start: Family | None = None) -> Filtration:
-    """Grow a family one class at a time until every class is present.
-
-    The classes outside the start are added in (order, canonical key)
-    order.  Every proper subconjugate of a class has a smaller order, so
-    each added class is the least one `minimal_additions` offers at its
-    step, and the filtration is deterministic.
-    """
-    fam = start if start is not None else empty_family(g)
-    fam.check_group(g)
-    stages = [fam]
-    added = tuple(fam.outside())
-    for cls in added:
-        fam = fam.with_class(cls)
-        stages.append(fam)
-    return Filtration(tuple(stages), added)

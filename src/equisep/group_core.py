@@ -5,7 +5,11 @@ flags (p-group, solvable, perfect subgroups).
 A permutation on points 0..degree-1 is a tuple of images; composition
 applies the right factor first, so (a*b)(x) = a[b[x]].  Groups are
 immutable and compare by their element sets, which lets subgroups of a
-common parent be used as dictionary keys.
+common parent be used as dictionary keys.  A group's elements are always
+the closure of its generators: `Group` takes that closure, and the
+builders that already hold it (subgroups, direct products, normalizers,
+Weyl groups and gset's automorphism groups) pass it to `_group`, which
+does not close again.
 
 Inside this module a group's elements are also numbered 0..n-1 in
 `sorted_elements()` order (`_Table`), so the identity is 0 and index order
@@ -156,19 +160,18 @@ class Group:
     __slots__ = ("degree", "generators", "elements", "order", "_table",
                  "__weakref__")
 
-    def __init__(self, degree, generators, elements=None, max_order=None):
+    def __init__(self, degree, generators, *, max_order=None):
         generators = tuple(dict.fromkeys(tuple(g) for g in generators))
-        ident = identity_perm(degree)
         for g in generators:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of degree {degree}: {g!r}")
-        if elements is None:
-            elements = closure(generators, degree, max_size=max_order)
+        self._set(degree, generators, closure(generators, degree, max_size=max_order))
+
+    def _set(self, degree, generators, elements):
         self.degree = degree
         self.generators = generators
         self.elements = frozenset(elements)
         self.order = len(self.elements)
-        assert ident in self.elements
         self._table = None
 
     @property
@@ -209,10 +212,18 @@ class Group:
         gens, have = t.span(sorted(t.indices(els)), [], [0])
         if len(have) != len(els):
             raise ValueError("subgroup elements do not form a group")
-        return Group(self.degree, [t.perms[x] for x in gens], els)
+        return _group(self.degree, [t.perms[x] for x in gens], els)
 
     def is_subgroup_of(self, other: "Group") -> bool:
         return self.degree == other.degree and self.elements <= other.elements
+
+
+def _group(degree: int, generators, elements) -> Group:
+    """The group on these generators whose elements, their closure, the
+    caller already holds, built without closing them again."""
+    g = object.__new__(Group)
+    g._set(degree, tuple(dict.fromkeys(generators)), elements)
+    return g
 
 
 class _Table:
@@ -378,7 +389,7 @@ def direct_product(a: Group, b: Group) -> Group:
     els = frozenset(
         ga + tuple(x + da for x in gb) for ga in a.elements for gb in b.elements
     )
-    return Group(da + db, gens, els)
+    return _group(da + db, gens, els)
 
 
 _ATOM_RE = re.compile(r"^([CDSA])([0-9]+)$")
@@ -808,8 +819,8 @@ def normalizer(g: Group, sub: Group) -> Group:
     t = _table(g)
     h = sorted(t.indices(sub.elements))
     gens, elems = _normalizer(t, t.indices(sub.generators), h)
-    return Group(g.degree, map(t.perms.__getitem__, gens),
-                 map(t.perms.__getitem__, elems))
+    return _group(g.degree, map(t.perms.__getitem__, gens),
+                  map(t.perms.__getitem__, elems))
 
 
 def _cosets(t: _Table, members, h: list):
@@ -852,8 +863,8 @@ def weyl_group_with_section(g: Group, cls: SubgroupClass):
         return tuple(coset_of[row[r]] for r in reps)
 
     section = {image(r): t.perms[r] for r in reps}
-    lattice.weyl[pos] = (Group(len(reps), map(image, ngens[len(hgens):]),
-                               section), section)
+    lattice.weyl[pos] = (_group(len(reps), map(image, ngens[len(hgens):]),
+                                section), section)
     return lattice.weyl[pos]
 
 

@@ -27,6 +27,7 @@ from .group_core import (
     Group,
     SubgroupClass,
     _cosets,
+    _group,
     _orbits,
     _table,
     class_of_subgroup,
@@ -135,25 +136,6 @@ def empty_gset(g: Group) -> GSet:
 
 def trivial_gset(g: Group, n: int) -> GSet:
     return GSet(g, n, [identity_perm(n)] * len(g.generators))
-
-
-def gset_from_action(g: Group, size: int, maps: dict) -> GSet:
-    """Build a GSet from an explicit table over every element, checking
-    that it is an action: every entry a permutation, the identity acting
-    trivially and f(s*x) = f(s) o f(x) for each generator s."""
-    maps = {tuple(k): tuple(v) for k, v in maps.items()}
-    if maps.keys() != g.elements:
-        raise ValueError("action table must cover every group element")
-    ident = identity_perm(size)
-    for x, p in maps.items():
-        if len(p) != size or sorted(p) != list(ident):
-            raise ValueError(f"image of {x} is not a permutation")
-    if maps[g.identity] != ident:
-        raise ValueError("identity must act trivially")
-    if not all(maps[pmul(s, x)] == pmul(maps[s], fx)
-               for s in g.generators for x, fx in maps.items()):
-        raise ValueError("action table is not multiplicative")
-    return GSet(g, size, [maps[s] for s in g.generators])
 
 
 def coset_gset(g: Group, h: Group) -> GSet:
@@ -315,7 +297,7 @@ def aut_group(x: GSet) -> Group:
                     perm[p] = x.perm(word)[c]
             gens.append(tuple(perm))
     els = closure(gens, x.size)
-    return Group(x.size, gens, els).subgroup(els)
+    return _group(x.size, gens, els).subgroup(els)
 
 
 class FSplitting(_Record):

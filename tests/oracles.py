@@ -21,14 +21,19 @@ from equisep.group_core import (
     Group,
     ResourceLimitError,
     closure,
+    cyclic_group,
     direct_product,
     encode_subgroup,
     identity_perm,
+    normalizer,
     pconj,
     pinv,
     pmul,
+    resolve_max_order,
     subgroup_conjugacy_classes,
+    weyl_group_with_section,
 )
+from equisep.gset import aut_group, coset_gset, disjoint_union
 from equisep.pullback import (
     FiniteGroupoid,
     GroupoidComponent,
@@ -235,6 +240,32 @@ def minimal_additions_by_scan(g: Group, classes) -> list:
         if cls not in classes
         and all(c in classes or c == cls or not below(c, cls) for c in every)
     ]
+
+
+def class_order_chain(start):
+    """The exhaustive filtration from the family start: (stages, added),
+    the families made by Family.with_class adding the classes outside
+    start one at a time in class order, and those classes."""
+    stages, added = [start], tuple(start.outside())
+    for cls in added:
+        stages.append(stages[-1].with_class(cls))
+    return stages, added
+
+
+def groups_built_from_elements(g: Group):
+    """The groups the library builds from an element set it already holds,
+    without closing their generators: g x C2, and for each class of g its
+    representative's elements as a subgroup, its normalizer and Weyl group,
+    and the automorphisms of two copies of its coset G-set when their order
+    is within the bound."""
+    yield direct_product(g, cyclic_group(2))
+    for cls in subgroup_conjugacy_classes(g):
+        h = cls.representative
+        w = weyl_group_with_section(g, cls)[0]
+        yield from (g.subgroup(h.elements), normalizer(g, h), w)
+        if 2 * w.order ** 2 <= resolve_max_order():
+            x = coset_gset(g, h)
+            yield aut_group(disjoint_union(x, x))
 
 
 def reduce_generators(elements, degree: int):

@@ -9,9 +9,9 @@ from collections import Counter
 import pytest
 
 from equisep import group_core, pullback
-from equisep.classifier import Verdict, classify, standard_algebra
+from equisep.classifier import Verdict, classify
 from equisep.conditions import StageReport, integers, prime_field, sphere
-from equisep.families import all_family, closure_family, empty_family
+from equisep.families import closure_family, empty_family
 from equisep.group_core import (
     alternating_group,
     cyclic_group,
@@ -244,7 +244,7 @@ class TestClassify:
     def test_family_over_another_group_rejected(self):
         with pytest.raises(ValueError, match="order 2, not 4"):
             classify(cyclic_group(4), sphere(), 4,
-                     family=all_family(cyclic_group(2)))
+                     family=empty_family(cyclic_group(2)))
 
     def test_json_schema(self):
         out = classify(cyclic_group(4), sphere(), 4).to_json()
@@ -257,27 +257,17 @@ class TestClassify:
 
 
 class TestStandardAlgebra:
+    """A standard algebra is named by the orbit type of its G-set, all of
+    whose isotropy lies outside the family; deleting the orbits of a class
+    the family gains commutes with that name."""
+
     def test_empty_and_unit(self):
         g = cyclic_group(6)
-        fam = empty_family(g)
         top = class_of_order(g, 6)
         empty = realize_type(GSetType.from_counts(g, {}))
         unit = realize_type(GSetType.from_counts(g, {top: 1}))
-        assert standard_algebra(g, fam, empty) == "empty"
-        assert standard_algebra(g, fam, unit) == "G/6a"
-
-    def test_family_over_another_group_rejected(self):
-        g = cyclic_group(4)
-        x = realize_type(GSetType.from_counts(g, {}))
-        with pytest.raises(ValueError, match="order 2, not 4"):
-            standard_algebra(g, all_family(cyclic_group(2)), x)
-
-    def test_family_violation_rejected(self):
-        g = cyclic_group(6)
-        fam = closure_family(g, [class_of_order(g, 2)])
-        x = realize_type(GSetType.from_counts(g, {class_of_order(g, 2): 1}))
-        with pytest.raises(ValueError):
-            standard_algebra(g, fam, x)
+        assert orbit_type(empty).label() == "empty"
+        assert orbit_type(unit).label() == "G/6a"
 
     def test_c6_orbit_deletion_example(self):
         g = cyclic_group(6)
@@ -285,7 +275,9 @@ class TestStandardAlgebra:
         top = class_of_order(g, 6)
         x = realize_type(GSetType.from_counts(g, {e: 1, top: 1}))
         bigger = closure_family(g, [e])
-        assert standard_algebra(g, bigger, delete_orbits(x, e)) == "G/6a"
+        y = orbit_type(delete_orbits(x, e))
+        assert y.label() == "G/6a"
+        assert all(c not in bigger for c, _ in y.entries)
 
     def test_localization_commutes_randomized(self):
         rng = random.Random(409)
@@ -303,10 +295,9 @@ class TestStandardAlgebra:
                 if c == k or c not in fam
             }
             x = realize_type(GSetType.from_counts(g, counts))
-            y = delete_orbits(x, k)
-            expected = orbit_type(x).drop(k).label()
-            assert standard_algebra(g, fam, y) == expected
-            assert orbit_type(y).label() == expected
+            y = orbit_type(delete_orbits(x, k))
+            assert y.label() == orbit_type(x).drop(k).label()
+            assert all(c not in fam for c, _ in y.entries)
 
 
 def p_group_specs():

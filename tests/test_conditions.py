@@ -30,11 +30,11 @@ class TestDescriptors:
             prime_field(4)
         with pytest.raises(ValueError):
             prime_field(1)
-        assert prime_field(2).char == 2
+        assert prime_field(2).name == "F2"
 
     def test_prime_field_large_inputs(self):
-        assert prime_field(1000000007).char == 1000000007
-        assert prime_field(2**61 - 1).char == 2**61 - 1
+        assert prime_field(1000000007).name == "F1000000007"
+        assert prime_field(2**61 - 1).name == f"F{2**61 - 1}"
         # strong pseudoprimes to every prime base up to 31, and up to 37
         for composite in (3825123056546413051, 318665857834031151167461,
                           1000000007 * 998244353):
@@ -63,7 +63,7 @@ class TestCustomDescriptors:
     def test_custom_copy_of_integers_reaches_every_check(self):
         z = integers()
         ring = RingDescriptor(
-            name="Z", kind="custom", char=z.char,
+            name="Z", kind="custom",
             indecomposable=z.indecomposable,
             indecomposable_mod=z.indecomposable_mod,
             torsion_free=z.torsion_free,
@@ -106,7 +106,7 @@ class TestIndecomposabilityCheck:
 
     def test_decomposable_ring_fails_outright(self):
         ring = RingDescriptor(
-            name="split", kind="custom", char=0, indecomposable=False,
+            name="split", kind="custom", indecomposable=False,
             indecomposable_mod=lambda n: True,
             torsion_free=lambda n: True,
             prime_invertible=lambda q: False,
@@ -137,7 +137,7 @@ class TestRetractionCheck:
 
     def test_torsion_failure_reported(self):
         ring = RingDescriptor(
-            name="torn", kind="custom", char=0, indecomposable=True,
+            name="torn", kind="custom", indecomposable=True,
             indecomposable_mod=lambda n: True,
             torsion_free=lambda n: n % 3 != 0,
             prime_invertible=lambda q: False,

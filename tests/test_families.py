@@ -1,4 +1,5 @@
-"""Families of subgroups and exhaustive filtrations."""
+"""Families of subgroups, and the exhaustive filtrations that
+Family.with_class grows from them one class at a time."""
 
 import copy
 import pickle
@@ -7,15 +8,12 @@ import random
 import pytest
 
 from equisep import families, group_core
-from equisep.families import (
-    Family,
-    all_family,
-    closure_family,
-    empty_family,
-    exhaustive_filtration,
-    minimal_additions,
+from equisep.families import Family, closure_family, empty_family
+from equisep.group_core import (
+    is_subconjugate,
+    make_group,
+    subgroup_conjugacy_classes,
 )
-from equisep.group_core import make_group, subgroup_conjugacy_classes
 
 from . import oracles
 
@@ -24,6 +22,23 @@ def by_order(g):
     out = {}
     for c in subgroup_conjugacy_classes(g):
         out.setdefault(c.order, []).append(c)
+    return out
+
+
+def every_class(g):
+    return closure_family(g, subgroup_conjugacy_classes(g))
+
+
+def accepted(fam):
+    """The classes outside fam that Family.with_class takes: the minimal
+    additions, all of whose proper subconjugates are already in fam."""
+    out = []
+    for cls in fam.outside():
+        try:
+            fam.with_class(cls)
+        except ValueError:
+            continue
+        out.append(cls)
     return out
 
 
@@ -47,15 +62,14 @@ def test_with_class_checks_the_added_class():
 
 def test_family_over_another_group_rejected():
     g, other = make_group("C4"), make_group("C2")
-    with pytest.raises(ValueError, match="order 2, not 4"):
-        minimal_additions(g, all_family(other))
-    with pytest.raises(ValueError, match="order 2, not 4"):
-        exhaustive_filtration(g, all_family(other))
+    for fam in (empty_family(other), every_class(other)):
+        with pytest.raises(ValueError, match="order 2, not 4"):
+            fam.check_group(g)
 
 
 def test_class_of_another_group_is_not_a_member():
     g = make_group("C4")
-    fam = all_family(g)
+    fam = every_class(g)
     for spec in ("C2", "S3", "C4xC2"):
         for cls in subgroup_conjugacy_classes(make_group(spec)):
             assert (cls in fam) is False
@@ -66,7 +80,7 @@ def test_copy_and_pickle_keep_a_nonempty_family():
     g = make_group("S4")
     order_four = by_order(g)[4][0]
     fam = closure_family(g, [order_four])
-    assert fam.mask not in (0, all_family(g).mask)
+    assert fam.mask not in (0, every_class(g).mask)
     for twin in (copy.deepcopy(fam), copy.copy(fam),
                  pickle.loads(pickle.dumps(fam))):
         assert twin == fam and type(twin) is Family
@@ -79,46 +93,47 @@ def test_minimal_additions_c6_example():
     g = make_group("C6")
     classes = by_order(g)
     fam = closure_family(g, [classes[1][0]])
-    adds = minimal_additions(g, fam)
-    assert [c.order for c in adds] == [2, 3]
+    assert [c.order for c in accepted(fam)] == [2, 3]
 
 
 def test_minimal_additions_from_empty():
     g = make_group("S3")
-    adds = minimal_additions(g, empty_family(g))
-    assert [c.order for c in adds] == [1]
+    assert [c.order for c in accepted(empty_family(g))] == [1]
 
 
 def test_exhaustive_filtration_c6():
     g = make_group("C6")
-    filt = exhaustive_filtration(g)
-    assert [c.order for c in filt.added] == [1, 2, 3, 6]
-    assert filt.stages[0].classes == frozenset()
-    assert filt.stages[-1].is_all()
-    for i, fam in enumerate(filt.stages):
+    stages, added = oracles.class_order_chain(empty_family(g))
+    assert [c.order for c in added] == [1, 2, 3, 6]
+    assert stages[0].classes == frozenset()
+    assert stages[-1] == every_class(g)
+    for i, fam in enumerate(stages):
         assert len(fam) == i
 
 
 def test_exhaustive_filtration_single_class_steps():
+    """The class-order chain from the empty family adds one class a step,
+    each step is closed, and the last step holds every class."""
     g = make_group("S4")
-    filt = exhaustive_filtration(g)
-    assert len(filt.added) == len(subgroup_conjugacy_classes(g))
-    for prev, nxt, cls in zip(filt.stages, filt.stages[1:], filt.added):
+    classes = subgroup_conjugacy_classes(g)
+    stages, added = oracles.class_order_chain(empty_family(g))
+    assert len(added) == len(classes)
+    for prev, nxt, cls in zip(stages, stages[1:], added):
         assert nxt.classes - prev.classes == {cls}
         # Everything strictly below the new class is already present.
-        from equisep.group_core import is_subconjugate
-
-        for other in subgroup_conjugacy_classes(g):
+        for other in classes:
             if other != cls and is_subconjugate(g, other, cls):
                 assert other in prev.classes
+    assert stages[-1].classes == frozenset(classes)
 
 
 def test_exhaustive_filtration_deterministic():
-    g = make_group("D4")
-    a = exhaustive_filtration(g)
-    b = exhaustive_filtration(g)
-    assert [c.canonical_key for c in a.added] == [c.canonical_key for c in b.added]
-    orders = [c.order for c in a.added]
+    """Two separately built copies of a group grow their chains through the
+    same canonical keys, in ascending order."""
+    a = oracles.class_order_chain(empty_family(make_group("D4")))[1]
+    b = oracles.class_order_chain(empty_family(make_group("D4")))[1]
+    assert [c.canonical_key for c in a] == [c.canonical_key for c in b]
+    orders = [c.order for c in a]
     assert orders == sorted(orders)
 
 
@@ -128,19 +143,19 @@ def test_filtration_adds_the_least_minimal_addition(spec):
     starts = [empty_family(g)]
     starts += [closure_family(g, [c]) for c in subgroup_conjugacy_classes(g)]
     for start in starts:
-        filt = exhaustive_filtration(g, start)
-        assert filt.stages[0] == start and filt.stages[-1].is_all()
-        for prev, cls in zip(filt.stages, filt.added):
-            assert cls == minimal_additions(g, prev)[0]
+        stages, added = oracles.class_order_chain(start)
+        assert stages[0] == start and stages[-1] == every_class(g)
+        for prev, cls in zip(stages, added):
+            assert cls == oracles.minimal_additions_by_scan(g, prev.classes)[0]
 
 
 def test_filtration_from_partial_family():
     g = make_group("C6")
     classes = by_order(g)
     start = closure_family(g, [classes[2][0]])
-    filt = exhaustive_filtration(g, start)
-    assert [c.order for c in filt.added] == [3, 6]
-    assert filt.stages[-1] == all_family(g)
+    stages, added = oracles.class_order_chain(start)
+    assert [c.order for c in added] == [3, 6]
+    assert stages[-1] == every_class(g)
 
 
 ORACLE_SPECS = ["S4", "D4xD4", "A5xC2", "Q8xS3", "C2xC2xC2xC2", "C2xC2xC2xC2xC2"]
@@ -191,9 +206,7 @@ def test_closure_and_minimal_additions_match_pairwise_scan(spec):
         assert fam.classes == expected
         assert fam == Family(g, expected)
         assert hash(fam) == hash((g, fam.mask))
-        assert minimal_additions(g, fam) == oracles.minimal_additions_by_scan(
-            g, expected
-        )
+        assert accepted(fam) == oracles.minimal_additions_by_scan(g, expected)
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
@@ -204,14 +217,14 @@ def test_every_filtration_stage_is_closed(spec):
     rng = random.Random(1103)
     for seed in random_seeds(rng, classes, 3):
         start = closure_family(g, seed)
-        filt = exhaustive_filtration(g, start)
+        stages, added = oracles.class_order_chain(start)
         # stage i is the start plus the first i added classes
         step = dict.fromkeys(start.classes, -1)
-        for i, cls in enumerate(filt.added):
+        for i, cls in enumerate(added):
             step[cls] = i
         assert len(step) == len(classes)
-        for i, fam in enumerate(filt.stages):
-            assert fam.classes == start.classes | set(filt.added[:i])
+        for i, fam in enumerate(stages):
+            assert fam.classes == start.classes | set(added[:i])
         # so every stage is closed when no class is added after a class
         # above it
         for k in classes:
@@ -246,8 +259,8 @@ def test_one_below_test_per_added_class(spec, monkeypatch):
     start = closure_family(g, seed)
     assert masks.reads == len(seed)
     masks.reads = 0
-    filt = exhaustive_filtration(g, start)
-    assert masks.reads == len(filt.added) == len(classes) - len(start)
+    added = oracles.class_order_chain(start)[1]
+    assert masks.reads == len(added) == len(classes) - len(start)
     masks.reads = 0
-    filt = exhaustive_filtration(g)
-    assert masks.reads == len(filt.added) == len(classes)
+    added = oracles.class_order_chain(empty_family(g))[1]
+    assert masks.reads == len(added) == len(classes)

@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import inspect
 import pkgutil
 import re
 import weakref
@@ -18,6 +19,7 @@ from equisep.group_core import (
     ResourceLimitError,
     alternating_group,
     class_of_subgroup,
+    closure,
     cyclic_group,
     dihedral_group,
     double_cosets,
@@ -37,6 +39,7 @@ from equisep.group_core import (
 )
 
 from . import oracles
+from .test_acceptance import CORPUS
 
 
 def subgroup_count(g):
@@ -388,6 +391,24 @@ def test_group_equality_and_determinism():
     ca = subgroup_conjugacy_classes(a)
     cb = subgroup_conjugacy_classes(b)
     assert [c.canonical_key for c in ca] == [c.canonical_key for c in cb]
+
+
+def test_group_signature_takes_no_element_set():
+    """Group always closes its generators; the bad calls that pass an
+    element set are in tests/test_gset.py's BAD_ARGUMENTS."""
+    assert str(inspect.signature(Group)) == "(degree, generators, *, max_order=None)"
+    assert Group(3, [(1, 0, 2)]).elements == {(0, 1, 2), (1, 0, 2)}
+
+
+@pytest.mark.parametrize("spec", CORPUS)
+def test_built_groups_are_their_generators_closures(spec):
+    """Subgroups, direct products, normalizers, Weyl groups and
+    automorphism groups are built from an element set without a closure;
+    that set is the closure of their generators."""
+    built = list(oracles.groups_built_from_elements(make_group(spec)))
+    assert len(built) > 1
+    for h in built:
+        assert closure(h.generators, h.degree) == h.elements
 
 
 def test_inverse_and_conjugation_helpers():

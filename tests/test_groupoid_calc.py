@@ -12,10 +12,11 @@ from equisep.group_core import (
     pinv,
     pmul,
     ResourceLimitError,
+    subgroup_conjugacy_classes,
     symmetric_group,
     trivial_group,
 )
-from equisep.families import all_family, closure_family, empty_family
+from equisep.families import closure_family, empty_family
 from equisep.groupoid_calc import (
     CENSUS_COMPONENT_BOUND,
     GSetType,
@@ -393,7 +394,7 @@ class TestTruncatedGroupoid:
 
     def test_family_over_another_group_rejected(self):
         with pytest.raises(ValueError, match="order 2, not 4"):
-            truncated_gset_groupoid(cyclic_group(4), all_family(cyclic_group(2)), 4)
+            truncated_gset_groupoid(cyclic_group(4), empty_family(cyclic_group(2)), 4)
 
     def test_counts_match_multiset_oracle(self):
         for spec, bound in [("C4", 6), ("C2xC2", 5), ("S3", 6), ("D4", 4)]:
@@ -429,10 +430,11 @@ class TestTruncatedGroupoid:
 
     def test_all_family_leaves_only_empty(self):
         g = cyclic_group(4)
-        gpd = truncated_gset_groupoid(g, all_family(g), 5)
+        every = closure_family(g, subgroup_conjugacy_classes(g))
+        gpd = truncated_gset_groupoid(g, every, 5)
         assert [t.label() for t in gpd] == ["empty"]
         assert aut_group(realize_type(gpd[0])).order == 1
-        huge = truncated_gset_groupoid(g, all_family(g), 10**12)
+        huge = truncated_gset_groupoid(g, every, 10**12)
         assert [t.label() for t in huge] == ["empty"]
 
     def test_aut_orders_follow_wreath_formula(self):

@@ -21,6 +21,7 @@ from equisep.burnside import table_of_marks
 from equisep.families import closure_family
 from equisep.group_core import (
     ResourceLimitError,
+    closure,
     containment_counts,
     cyclic_group,
     make_group,
@@ -145,6 +146,15 @@ def test_marks_are_weyl_scaled_counts(spec):
         assert marks[i][i] == h.weyl_order
         assert not any(marks[i][i + 1:])
         assert marks[i][0] == g.order // h.order
+
+
+@SETTINGS
+@given(perm_specs())
+def test_built_groups_are_their_generators_closures(spec):
+    """Each group the library builds from an element set it holds, without
+    closing its generators, has the closure of its generators as that set."""
+    for h in oracles.groups_built_from_elements(small_group(spec)):
+        assert closure(h.generators, h.degree) == h.elements
 
 
 # G-sets are drawn as orbit types: a few classes with small multiplicities.

@@ -23,7 +23,7 @@ from equisep.conditions import (
     prime_field,
     sphere,
 )
-from equisep.families import Family, Filtration, closure_family, empty_family
+from equisep.families import Family, closure_family, empty_family
 from equisep.group_core import (
     DoubleCosetDecomposition,
     GroupFlags,
@@ -43,12 +43,11 @@ FIELDS = {
     WitnessRecord: ("x1", "x2", "primes", "eta", "fiber_size",
                     "double_coset_certificate", "note"),
     WitnessProbe: ("record", "failures", "stage_reports"),
-    RingDescriptor: ("name", "kind", "char", "indecomposable",
-                     "indecomposable_mod", "torsion_free", "prime_invertible",
-                     "separably_closed", "burnside_unit", "rc_witness_map_to"),
+    RingDescriptor: ("name", "kind", "indecomposable", "indecomposable_mod",
+                     "torsion_free", "prime_invertible", "separably_closed",
+                     "burnside_unit", "rc_witness_map_to"),
     CheckResult: ("ok", "rule", "convention"),
     StageReport: ("subgroup", "ic", "rc", "sep_closed"),
-    Filtration: ("stages", "added"),
     SubgroupClass: ("parent", "representative", "class_size", "canonical_key",
                     "name"),
     DoubleCosetDecomposition: ("group", "left", "right", "representatives",
@@ -95,10 +94,10 @@ SAMPLE_IDS = [cls.__name__ for cls in FIELDS] + list(CHECKED)
 def test_every_record_is_covered():
     covered = {cls for cls, _, _ in _samples()}
     assert covered == set(_Record.__subclasses__())
-    assert len(covered) == 17
+    assert len(covered) == 16
 
 
-@pytest.mark.parametrize("index", range(17), ids=SAMPLE_IDS)
+@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
 def test_positional_and_keyword_construction(index):
     cls, fields, args = _samples()[index]
     by_position = cls(*args)
@@ -109,7 +108,7 @@ def test_positional_and_keyword_construction(index):
     assert hash(by_position) == hash(by_keyword)
 
 
-@pytest.mark.parametrize("index", range(17), ids=SAMPLE_IDS)
+@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
 def test_equality_and_hash_follow_the_values(index):
     cls, fields, args = _samples()[index]
     a, b = cls(*args), cls(*args)
@@ -125,7 +124,7 @@ def test_equality_and_hash_follow_the_values(index):
         assert hash(a) == hash(args)
 
 
-@pytest.mark.parametrize("index", range(17), ids=SAMPLE_IDS)
+@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
 def test_never_equal_to_another_class(index):
     cls, _, args = _samples()[index]
     rec = cls(*args)
@@ -133,10 +132,10 @@ def test_never_equal_to_another_class(index):
     assert rec != twin and twin != rec
     assert rec != args
     if cls is GSetType:
-        assert rec != Filtration(*args)
+        assert rec != GroupoidComponent(*args)
 
 
-@pytest.mark.parametrize("index", range(17), ids=SAMPLE_IDS)
+@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
 def test_assignment_is_refused(index):
     cls, fields, args = _samples()[index]
     rec = cls(*args)
@@ -196,9 +195,9 @@ def test_defaults():
     outcome = ClassificationOutcome(Verdict.UNIT_DECOMPOSES, ())
     assert (outcome.groupoid, outcome.witness, outcome.notes) == (None, None, ())
     assert CheckResult(False, "r").convention is False
-    ring = RingDescriptor("R", "custom", 0, True, abs, abs, abs, True, False)
+    ring = RingDescriptor("R", "custom", True, abs, abs, abs, True, False)
     assert ring.rc_witness_map_to is None
-    named = RingDescriptor(name="R", kind="custom", char=0,
+    named = RingDescriptor(name="R", kind="custom",
                            indecomposable=True, indecomposable_mod=abs,
                            torsion_free=abs, prime_invertible=abs,
                            separably_closed=True)
@@ -234,7 +233,7 @@ def test_ring_callables_take_no_part_in_equality():
     assert sphere() != integers() and prime_field(5) != prime_field(7)
     args = list(_plain_args(RingDescriptor))
     changed = list(args)
-    changed[4:7] = [abs, len, repr]
+    changed[3:6] = [abs, len, repr]
     assert RingDescriptor(*args) == RingDescriptor(*changed)
     assert hash(RingDescriptor(*args)) == hash(RingDescriptor(*changed))
     changed[0] = "other"
@@ -255,7 +254,7 @@ def test_copy_of_a_checked_record():
     assert copy.deepcopy(fam) == fam
 
 
-@pytest.mark.parametrize("index", range(17), ids=SAMPLE_IDS)
+@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
 def test_wrong_arguments_raise_type_error(index):
     """A missing field, an unknown keyword, a field given twice and one
     positional argument too many are refused as an explicit signature
