@@ -5,10 +5,10 @@ and takes its constructor from ``_Record``: values bind by position or
 keyword, a field left out takes its value from the class's ``_defaults``,
 and a missing, unknown or repeated field raises ``TypeError``.  A record
 that checks its values calls that constructor first.  ``==`` and
-``hash`` compare ``_key``, the tuple of the fields not named in
-``_uncompared``.  Records compare equal only to instances of the same
-class, print as ``Name(field=value, ...)`` and refuse assignment; a
-subclass that declares ``__slots__ = ()`` keeps its parent's fields.
+``hash`` compare ``_key``, the tuple of the field values.  Records
+compare equal only to instances of the same class, print as
+``Name(field=value, ...)`` and refuse assignment; a subclass that
+declares ``__slots__ = ()`` keeps its parent's fields.
 
 They are plain classes, not frozen dataclasses, because the dataclass
 decorator imports ``inspect`` and compiles its methods when the module
@@ -19,23 +19,18 @@ loads, a cost every command-line call would pay.
 class _Record:
     __slots__ = ("_key",)
     _defaults = {}
-    _uncompared = ()
 
     def __init_subclass__(cls):
         if cls.__dict__.get("__slots__"):
             cls._fields = fields = cls.__slots__
             # each slot's own setter skips the attribute lookup of setattr
             cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)
-            cls._compared = [i for i, f in enumerate(fields)
-                             if f not in cls._uncompared]
 
     def __init__(self, *values, **named):
         if named or len(values) != len(self._fields):
             values = self._bind(values, named)
         for put, value in zip(self._setters, values):
             put(self, value)
-        if self._uncompared:
-            values = tuple([values[i] for i in self._compared])
         _set_key(self, values)
 
     @classmethod

@@ -35,7 +35,8 @@ class ClassificationOutcome(_Record):
 
     def __init__(self, *values, **named):
         super().__init__(*values, **named)
-        assert (self.groupoid is not None) == (self.verdict is Verdict.ALL_STANDARD)
+        if (self.groupoid is not None) != (self.verdict is Verdict.ALL_STANDARD):
+            raise ValueError("an outcome has a groupoid iff it is AllStandard")
 
     def to_json(self):
         out = {

@@ -1,11 +1,11 @@
 """Coefficient ring descriptors and the per-stage standardness checks.
 
-A descriptor is plain data: it records what the checks need to know
-about the coefficients at every subgroup stage, as predicates of the
-Weyl order, so no per-stage descriptor is computed and each check reads
-the same descriptor unchanged.  The checks decide whether the induction
-step applies: an indecomposability check tied to the Weyl group order
-and a retraction check tied to torsion and invertible primes.
+A descriptor is plain data: the ring's name, its kind (sphere, integers
+or prime field) and its characteristic.  The checks read it together
+with the Weyl order |W(H)| of a stage, so one descriptor serves every
+stage unchanged.  They decide whether the induction step applies: an
+indecomposability check tied to the Weyl group order and a retraction
+check tied to the primes of that order that the ring inverts.
 """
 
 from __future__ import annotations
@@ -16,52 +16,35 @@ from .group_core import Group, SubgroupClass, prime_factors, weyl_group
 
 
 class RingDescriptor(_Record):
-    """What the checks need to know about a coefficient ring, at every
-    subgroup stage.
+    """A coefficient ring the checks know: the sphere (kind "sphere"), the
+    integers ("integers") or the prime field F_p ("prime_field"), with
+    characteristic char, 0 but for F_p.  Build one with sphere(),
+    integers() or prime_field(p)."""
 
-    The callables take integers: indecomposable_mod(n) asks whether the
-    mod-n reduction stays indecomposable, torsion_free(n) whether there is
-    no n-torsion, prime_invertible(q) whether the prime q is a unit.  The
-    stage checks pass them the Weyl order |W(H)| or its prime divisors, so
-    one descriptor serves every stage.  The callables take no part in ==
-    and hash.  A ring other than the three below is built directly, with
-    kind="custom"; burnside_unit defaults to False.
-    """
+    __slots__ = ("name", "kind", "char")
 
-    __slots__ = ("name", "kind",  # kind: sphere | integers | prime_field | custom
-                 "indecomposable", "indecomposable_mod", "torsion_free",
-                 "prime_invertible", "separably_closed", "burnside_unit",
-                 "rc_witness_map_to")  # a RingDescriptor or None
-    _defaults = {"burnside_unit": False, "rc_witness_map_to": None}
-    _uncompared = ("indecomposable_mod", "torsion_free", "prime_invertible")
+    @property
+    def separably_closed(self) -> bool:
+        return self.kind != "prime_field"
+
+    @property
+    def burnside_unit(self) -> bool:
+        return self.kind == "sphere"
+
+    def indecomposable_mod(self, n: int) -> bool:
+        """Whether the mod-n reduction stays indecomposable: over F_p it
+        collapses to zero unless p divides n."""
+        return n % self.char == 0 if self.char else is_indecomposable_mod(n)
 
 
 def sphere() -> RingDescriptor:
     """The initial ring.  Retraction questions are settled on its integral
     shadow, so they delegate to the integers."""
-    return RingDescriptor(
-        name="sphere",
-        kind="sphere",
-        indecomposable=True,
-        indecomposable_mod=lambda n: True,
-        torsion_free=lambda n: True,
-        prime_invertible=lambda q: False,
-        separably_closed=True,
-        burnside_unit=True,
-        rc_witness_map_to=integers(),
-    )
+    return RingDescriptor("sphere", "sphere", 0)
 
 
 def integers() -> RingDescriptor:
-    return RingDescriptor(
-        name="Z",
-        kind="integers",
-        indecomposable=True,
-        indecomposable_mod=is_indecomposable_mod,
-        torsion_free=lambda n: True,
-        prime_invertible=lambda q: False,
-        separably_closed=True,
-    )
+    return RingDescriptor("Z", "integers", 0)
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound, the
@@ -102,18 +85,7 @@ def prime_field(p: int) -> RingDescriptor:
         )
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return RingDescriptor(
-        name=f"F{p}",
-        kind="prime_field",
-        indecomposable=True,
-        # mod-n reduction of F_p collapses to zero unless p divides n
-        indecomposable_mod=lambda n, p=p: n == 0 or n % p == 0,
-        # the retraction obstruction is char-p multiplication, which the
-        # invertible-prime leg already screens; nothing is left to block
-        torsion_free=lambda n: True,
-        prime_invertible=lambda q, p=p: q != p,
-        separably_closed=False,
-    )
+    return RingDescriptor(f"F{p}", "prime_field", p)
 
 
 class CheckResult(_Record):
@@ -132,8 +104,6 @@ def check_ic(ring: RingDescriptor, weyl_order: int) -> CheckResult:
                                      "nontrivial p-group")
         return CheckResult(False, f"Weyl group of order {weyl_order} is not a "
                                   "nontrivial p-group")
-    if not ring.indecomposable:
-        return CheckResult(False, f"{ring.name} is decomposable")
     if ring.indecomposable_mod(weyl_order):
         return CheckResult(True, f"{ring.name} stays indecomposable "
                                  f"mod {weyl_order}")
@@ -145,15 +115,10 @@ def check_rc(ring: RingDescriptor, weyl_order: int) -> CheckResult:
     if weyl_order == 1:
         return CheckResult(True, "trivial Weyl group, holds by convention",
                            convention=True)
-    if ring.rc_witness_map_to is not None:
-        target = ring.rc_witness_map_to
-        inner = check_rc(target, weyl_order)
-        return CheckResult(inner.ok,
-                           f"delegated to {target.name}: {inner.rule}",
-                           convention=inner.convention)
-    if not ring.torsion_free(weyl_order):
-        return CheckResult(False, f"{ring.name} has {weyl_order}-torsion")
-    bad = [q for q in prime_factors(weyl_order) if ring.prime_invertible(q)]
+    if ring.kind == "sphere":
+        inner = check_rc(integers(), weyl_order)
+        return CheckResult(inner.ok, f"delegated to Z: {inner.rule}")
+    bad = [q for q in prime_factors(weyl_order) if ring.char not in (0, q)]
     if bad:
         return CheckResult(False, f"prime {bad[0]} divides {weyl_order} and is "
                                   f"invertible in {ring.name}")

@@ -4,7 +4,8 @@ and splitting over a family of subgroups.
 
 A GSet holds one point permutation per generator of its group; any other
 element's is composed on first read (group_core's _Table.compose), so a
-G-set costs its generators to build, not its group.  Orbits and
+G-set that the builders below make costs its generators, not its group.
+The public constructor checks a caller's images against every element.  Orbits and
 transversals are read off group_core's one orbit walk (orbit_of) over the
 generators' images, and a point's stabilizer is spanned by its Schreier
 elements, so neither reads any other element's image.  The multiset of
@@ -49,16 +50,30 @@ from .groupoid_calc import GSetType
 class GSet:
     """A finite left action of a Group on points 0..size-1, given by
     gen_images, the point permutations of group.generators in order; the
-    permutation of any other element is composed on first read."""
+    permutation of any other element is composed on first read.  The
+    constructor checks that the images are permutations that define an
+    action, image(s*x) = image(s) o image(x) for each generator s."""
 
     __slots__ = ("group", "size", "gen_images", "_images")
 
     def __init__(self, group: Group, size: int, gen_images):
+        self._set(group, size, gen_images)
+        if len(self.gen_images) != len(group.generators):
+            raise ValueError("a GSet needs one image per generator")
+        for p in self.gen_images:
+            if sorted(p) != list(range(size)):
+                raise ValueError(f"not a permutation of {size} points: {p!r}")
+        t = _table(group)
+        images = [self.perm(x) for x in t.perms]
+        for s, image in zip(t.gens, self.gen_images):
+            if any(images[y] != tuple([image[q] for q in images[x]])
+                   for x, y in enumerate(t.row(s))):
+                raise ValueError("the images are not an action of the group")
+
+    def _set(self, group, size, gen_images):
         self.group = group
         self.size = size
         self.gen_images = tuple(map(tuple, gen_images))
-        if len(self.gen_images) != len(group.generators):
-            raise ValueError("a GSet needs one image per generator")
         self._images = None  # over the group's numbering, once one is read
 
     def act(self, g, point: int) -> int:
@@ -130,12 +145,20 @@ class GSet:
         return f"GSet(group_order={self.group.order}, size={self.size})"
 
 
+def _gset(group: Group, size: int, gen_images) -> GSet:
+    """The G-set of these images, which the caller built as an action,
+    made without checking them again."""
+    x = object.__new__(GSet)
+    x._set(group, size, gen_images)
+    return x
+
+
 def empty_gset(g: Group) -> GSet:
     return trivial_gset(g, 0)
 
 
 def trivial_gset(g: Group, n: int) -> GSet:
-    return GSet(g, n, [identity_perm(n)] * len(g.generators))
+    return _gset(g, n, [identity_perm(n)] * len(g.generators))
 
 
 def coset_gset(g: Group, h: Group) -> GSet:
@@ -156,7 +179,7 @@ def disjoint_union(*parts: GSet) -> GSet:
         for img, s in zip(images, g.generators):
             img.extend(q + offset for q in p.perm(s))
         offset += p.size
-    return GSet(g, offset, images)
+    return _gset(g, offset, images)
 
 
 def orbit_type(x: GSet) -> GSetType:
@@ -184,7 +207,7 @@ def delete_orbits(x: GSet, cls: SubgroupClass) -> GSet:
     keep = sorted(p for orbit, c in x._classified() if c != cls for p in orbit)
     index = {p: i for i, p in enumerate(keep)}
     images = [[index[img[p]] for p in keep] for img in x.gen_images]
-    return GSet(x.group, len(keep), images)
+    return _gset(x.group, len(keep), images)
 
 
 def fixed_points(x: GSet, k: SubgroupClass) -> GSet:
@@ -202,7 +225,7 @@ def fixed_points(x: GSet, k: SubgroupClass) -> GSet:
     fixed = x._fixed_by(k.representative)
     index = {p: i for i, p in enumerate(fixed)}
     images = [[index[x.act(section[s], p)] for p in fixed] for s in w.generators]
-    out = GSet(w, len(fixed), images)
+    out = _gset(w, len(fixed), images)
     entries = orbit_type(x).entries
     if all(c == k or not is_subconjugate(g, k, c) for c, _ in entries):
         free = all(len(orbit) == w.order for orbit in out.orbits())
@@ -214,7 +237,7 @@ def restrict(x: GSet, h: Group) -> GSet:
     """The same points viewed as an H-set for a subgroup H."""
     if not h.is_subgroup_of(x.group):
         raise ValueError("restrict needs a subgroup of the acting group")
-    return GSet(h, x.size, [x.perm(s) for s in h.generators])
+    return _gset(h, x.size, [x.perm(s) for s in h.generators])
 
 
 def induce(g: Group, k: Group, y: GSet) -> GSet:
@@ -232,7 +255,7 @@ def induce(g: Group, k: Group, y: GSet) -> GSet:
         for x in map(t.row(s).__getitem__, reps):
             j = coset_of[x]
             img.extend(j * n + q for q in y.perm(pmul(back[j], t.perms[x])))
-    return GSet(g, len(reps) * n, images)
+    return _gset(g, len(reps) * n, images)
 
 
 def mackey_decompose(g: Group, h: Group, k: Group, y: GSet) -> GSet:
@@ -248,7 +271,7 @@ def mackey_decompose(g: Group, h: Group, k: Group, y: GSet) -> GSet:
     for r in dec.representatives:
         cap = g.subgroup(h.elements & {pconj(r, t) for t in k.elements})
         twisted = [y.perm(pconj(pinv(r), l)) for l in cap.generators]
-        parts.append(induce(h, cap, GSet(cap, y.size, twisted)))
+        parts.append(induce(h, cap, _gset(cap, y.size, twisted)))
     return disjoint_union(*parts)
 
 

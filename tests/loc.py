@@ -10,6 +10,10 @@ each module of ``src/equisep`` and in total, two counts:
   each line it spans.
 - non-blank lines: every line with a character other than white space,
   comments and docstrings included.
+
+It then prints each value record, a class that derives from ``_Record``
+and names its fields in ``__slots__``, with its field count, and the
+total of those counts: the values a caller can set on the records.
 """
 
 import ast
@@ -46,14 +50,39 @@ def count(source: str) -> tuple:
     return len(code), sum(1 for line in source.splitlines() if line.strip())
 
 
+def record_fields(source: str) -> list:
+    """(class name, field count) of each class in source that derives from
+    _Record and names its fields in a __slots__ tuple."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "_Record"
+                for b in node.bases)):
+            continue
+        for stmt in node.body:
+            if (isinstance(stmt, ast.Assign)
+                    and isinstance(stmt.value, ast.Tuple) and stmt.value.elts
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in stmt.targets)):
+                out.append((node.name, len(stmt.value.elts)))
+    return out
+
+
 def main(package: pathlib.Path = PACKAGE) -> tuple:
     total_code = total_lines = 0
+    records = []
     for path in sorted(package.glob("*.py")):
-        code, lines = count(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        code, lines = count(source)
         total_code += code
         total_lines += lines
+        records += record_fields(source)
         print(f"{path.name:<20} {code:>6} {lines:>6}")
     print(f"{'total':<20} {total_code:>6} {total_lines:>6}")
+    print()
+    for name, fields in records:
+        print(f"{name:<27} {fields:>6}")
+    print(f"{'total fields':<27} {sum(n for _, n in records):>6}")
     return total_code, total_lines
 
 

@@ -112,7 +112,8 @@ BAD_ARGUMENTS = """
 from equisep.burnside import BurnsideElement, table_of_marks
 from equisep.families import Family, empty_family
 from equisep.group_core import Group, make_group, subgroup_conjugacy_classes
-from equisep.gset import disjoint_union, fixed_points, trivial_gset
+from equisep.classifier import ClassificationOutcome, Verdict
+from equisep.gset import GSet, disjoint_union, fixed_points, trivial_gset
 
 def outcomes():
     s3, c2, c3 = make_group("S3"), make_group("C2"), make_group("C3")
@@ -134,6 +135,12 @@ def outcomes():
         # a generator outside the given elements, and no identity in them
         lambda: Group(3, [(1, 2, 0)], [(0, 1, 2), (1, 0, 2)]),
         lambda: Group(3, [(1, 0, 2)], [(1, 0, 2)]),
+        # images that are not permutations of the points, and a C3 acting
+        # on two points by a transposition, which is no action
+        lambda: GSet(c2, 2, [(0, 0)]),
+        lambda: GSet(c2, 2, [(0, 5)]),
+        lambda: GSet(c3, 2, [(1, 0)]),
+        lambda: ClassificationOutcome(Verdict.ALL_STANDARD, ()),
     ]
     out = []
     for call in calls:
@@ -161,6 +168,10 @@ BAD_ARGUMENT_ERRORS = [
     "ValueError: class 2a is a subgroup class of another group",
     "TypeError",
     "TypeError",
+    "ValueError: not a permutation of 2 points: (0, 0)",
+    "ValueError: not a permutation of 2 points: (0, 5)",
+    "ValueError: the images are not an action of the group",
+    "ValueError: an outcome has a groupoid iff it is AllStandard",
 ]
 
 
@@ -171,9 +182,10 @@ def test_argument_checks_raise_value_errors():
 
 
 def test_argument_checks_hold_under_optimize():
-    """Group.subgroup, disjoint_union, fixed_points, BurnsideElement and
-    Family check their arguments with ValueErrors that `python -O` keeps,
-    and Group refuses an element set under it too."""
+    """Group.subgroup, disjoint_union, fixed_points, BurnsideElement,
+    Family, GSet and ClassificationOutcome check their arguments with
+    ValueErrors that `python -O` keeps, and Group refuses an element set
+    under it too."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(group_core.__file__)))
     probe = BAD_ARGUMENTS + "print(__debug__)\nprint(*outcomes(), sep='\\n')\n"
     proc = subprocess.run([sys.executable, "-O", "-c", probe],

@@ -38,11 +38,48 @@ def test_docstrings_only_at_the_top_of_a_body():
     assert loc.count('"""only a docstring"""\n') == (0, 1)
 
 
+RECORDS = '''class Ring(_Record):
+    __slots__ = ("name", "kind", "char")
+
+
+class Report(_Record):
+    __slots__ = ("ok",)  # one field
+
+    class Inner(_Record):
+        __slots__ = ("a", "b")
+
+
+class Narrowed(Ring):
+    __slots__ = ()
+
+
+class Plain:
+    __slots__ = ("x", "y")
+
+
+class Empty(_Record):
+    __slots__ = ()
+'''
+
+
+def test_record_fields_counts_the_slots_of_records():
+    # Narrowed derives from a record but not from _Record by name, and
+    # Plain and Empty name no fields of a record
+    assert sorted(loc.record_fields(RECORDS)) == [
+        ("Inner", 2), ("Report", 1), ("Ring", 3),
+    ]
+    assert loc.record_fields(FIXTURE) == []
+
+
 def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "a.py").write_text(FIXTURE)
     (tmp_path / "b.py").write_text("\n# nothing\n")
-    assert loc.main(tmp_path) == (9, 16)
+    (tmp_path / "c.py").write_text(RECORDS)
+    assert loc.main(tmp_path) == (9 + 12, 16 + 12)
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines] == [
-        ["a.py", "9", "15"], ["b.py", "0", "1"], ["total", "9", "16"],
+        ["a.py", "9", "15"], ["b.py", "0", "1"], ["c.py", "12", "12"],
+        ["total", "21", "28"], [],
+        ["Ring", "3"], ["Report", "1"], ["Inner", "2"],
+        ["total", "fields", "6"],
     ]
