@@ -24,7 +24,9 @@ from .group_core import (
 
 
 class TableOfMarks(_Record):
-    """Fixed-point counts m[H][K] = |(G/H)^K| over ordered classes.
+    """Fixed-point counts m[H][K] = |(G/H)^K| over ordered classes: the
+    subgroup classes, each holding G as its parent, and one tuple of
+    marks per class.
 
     Each mark is counted as |W(H)| * c[H][K], where c[H][K] is the number
     of conjugates of H containing K.  Classes are sorted ascending by
@@ -32,7 +34,7 @@ class TableOfMarks(_Record):
     Weyl group orders on the diagonal (only H itself contains H).
     """
 
-    __slots__ = ("group", "classes", "marks")  # marks: one tuple of ints per row
+    __slots__ = ("classes", "marks")  # marks: one tuple of ints per row
 
     def to_text(self) -> str:
         return marks_layout([c.name for c in self.classes], self.marks)
@@ -65,7 +67,7 @@ def table_of_marks(g: Group) -> TableOfMarks:
     """The table of marks of g, m(H, K) = |W(H)| * c[H][K], counted in
     one walk of the lattice's below masks; no count table is kept."""
     lattice = _subgroup_classes(g)
-    return TableOfMarks(g, lattice.classes,
+    return TableOfMarks(lattice.classes,
                         lattice.counts([h.weyl_order for h in lattice.classes]))
 
 

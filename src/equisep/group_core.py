@@ -874,10 +874,10 @@ def weyl_group(g: Group, cls: SubgroupClass) -> Group:
 
 
 class DoubleCosetDecomposition(_Record):
-    """The partition of a group into H-g-K double cosets."""
+    """The partition of a group into H-g-K double cosets: one minimal
+    representative and one size per double coset."""
 
-    # left and right are Groups; one representative and size per double coset
-    __slots__ = ("group", "left", "right", "representatives", "sizes")
+    __slots__ = ("representatives", "sizes")
 
     def __len__(self):
         return len(self.representatives)
@@ -896,7 +896,7 @@ def double_cosets(g: Group, h: Group, k: Group) -> DoubleCosetDecomposition:
     sizes = tuple(len(orbit) * k.order for orbit in orbits)
     assert sum(sizes) == g.order
     first = tuple(t.perms[reps[orbit[0]]] for orbit in orbits)
-    return DoubleCosetDecomposition(g, h, k, first, sizes)
+    return DoubleCosetDecomposition(first, sizes)
 
 
 def prime_factors(n: int) -> tuple:
@@ -926,33 +926,34 @@ def _derived_subgroup(t: _Table, gens):
 
 
 class GroupFlags(_Record):
-    __slots__ = ("is_trivial", "is_p_group",
-                 "p_prime",  # the prime of a p-group, else None
-                 "is_solvable", "prime_divisors")
+    """Whether a group is solvable, and the primes dividing its order;
+    triviality and being a p-group are read off the primes."""
+
+    __slots__ = ("is_solvable", "prime_divisors")
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.prime_divisors
+
+    @property
+    def is_p_group(self) -> bool:
+        return len(self.prime_divisors) == 1
 
 
 def group_flags(g: Group) -> GroupFlags:
-    """Structural flags: triviality, p-group, solvability, prime divisors;
-    computed on the first call and kept on g's table."""
+    """Solvability and the prime divisors of the order, from which
+    triviality and being a p-group follow; computed on the first call and
+    kept on g's table."""
     t = _table(g)
     if t.flags is not None:
         return t.flags
-    primes = prime_factors(g.order)
-    is_p = len(primes) == 1
     gens, size = t.gens, g.order
     while True:
         dgens, elems = _derived_subgroup(t, gens)
         if len(elems) == size:
             break
         gens, size = dgens, len(elems)
-    solvable = size == 1
-    t.flags = GroupFlags(
-        is_trivial=g.order == 1,
-        is_p_group=is_p,
-        p_prime=primes[0] if is_p else None,
-        is_solvable=solvable,
-        prime_divisors=frozenset(primes),
-    )
+    t.flags = GroupFlags(size == 1, frozenset(prime_factors(g.order)))
     return t.flags
 
 

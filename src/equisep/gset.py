@@ -51,12 +51,15 @@ class GSet:
     """A finite left action of a Group on points 0..size-1, given by
     gen_images, the point permutations of group.generators in order; the
     permutation of any other element is composed on first read.  The
-    constructor checks that the images are permutations that define an
-    action, image(s*x) = image(s) o image(x) for each generator s."""
+    constructor checks that the size is not negative and that the images
+    are permutations that define an action, image(s*x) = image(s) o
+    image(x) for each generator s."""
 
     __slots__ = ("group", "size", "gen_images", "_images")
 
     def __init__(self, group: Group, size: int, gen_images):
+        if size < 0:
+            raise ValueError(f"a GSet needs a size of at least 0, not {size}")
         self._set(group, size, gen_images)
         if len(self.gen_images) != len(group.generators):
             raise ValueError("a GSet needs one image per generator")
@@ -324,13 +327,11 @@ def aut_group(x: GSet) -> Group:
 
 
 class FSplitting(_Record):
-    """Free Weyl-set ranks of a G-set over the classes outside a family."""
+    """Free Weyl-set ranks of a G-set over the classes outside a family:
+    the acting group, and one (class, rank) pair per class outside it."""
 
-    __slots__ = ("group", "family",
+    __slots__ = ("group",
                  "ranks")  # ((SubgroupClass, int), ...) over all classes outside F
-
-    def rank(self, cls: SubgroupClass) -> int:
-        return dict(self.ranks)[cls]
 
 
 def f_split(x: GSet, family) -> FSplitting:
@@ -348,7 +349,7 @@ def f_split(x: GSet, family) -> FSplitting:
             f"G-set has isotropy inside the family: {', '.join(offending)}"
         )
     ranks = tuple((c, t.multiplicity(c)) for c in family.outside())
-    return FSplitting(g, family, ranks)
+    return FSplitting(g, ranks)
 
 
 def f_assemble(split: FSplitting) -> GSetType:

@@ -39,17 +39,19 @@ MODELING_NOTE = (
 class WitnessRecord(_Record):
     """An explicit two-object comparison square whose fiber is too big.
 
-    eta records one automorphism tuple per prime divisor; the certificate
-    lists every double-coset orbit, and eta's orbit differs from the
-    identity's.
+    x1 is the two-object G-set type 2*[G/G], which serves as both
+    corners (the JSON writes it under both "x1" and "x2").  eta records
+    one automorphism tuple per prime divisor; the certificate lists every
+    double-coset orbit, and eta's orbit differs from the identity's.
+    Every record carries the same modeling note, a class attribute.
     """
 
-    __slots__ = ("x1", "x2", "primes",  # x1 and x2 are GSetTypes
+    __slots__ = ("x1",  # a GSetType
+                 "primes",
                  "eta",  # one of "id" / "swap" per prime
                  "fiber_size",
-                 "double_coset_certificate",  # orbits, tuples of rendered tuples
-                 "note")
-    _defaults = {"note": MODELING_NOTE}
+                 "double_coset_certificate")  # orbits, tuples of rendered tuples
+    note = MODELING_NOTE
 
     @property
     def eta_text(self) -> str:
@@ -58,7 +60,7 @@ class WitnessRecord(_Record):
     def to_json(self):
         return {
             "x1": self.x1.label(),
-            "x2": self.x2.label(),
+            "x2": self.x1.label(),
             "eta": self.eta_text,
             "fiber_size": self.fiber_size,
             "certificate": [list(orbit) for orbit in self.double_coset_certificate],
@@ -116,7 +118,6 @@ def _build_witness(g: Group, primes) -> WitnessRecord:
 
     return WitnessRecord(
         x1=x1,
-        x2=x1,
         primes=tuple(primes),
         eta=("id",) * (r - 1) + ("swap",),
         fiber_size=len(dec),

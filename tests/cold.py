@@ -9,17 +9,32 @@ OPTIONS...`` with ``TREE/src`` on ``PYTHONPATH``, forked from this
 process, which imports neither equisep nor sympy, so the child's max-RSS
 from ``os.wait4`` is its own and not a large parent's.  The trees
 alternate run by run.  Stdout is hashed as it arrives and never held;
-stderr is discarded.  For each tree this prints the median wall, the
-median child max-RSS, and the exit codes and stdout sha256 digests seen
-(one of each when every run agrees).
+stderr is discarded.  For each tree this prints how many of
+``src/equisep/*.py`` had a ``.pyc`` for this interpreter when the runs
+started, the median wall, the median child max-RSS, and the exit codes
+and stdout sha256 digests seen (one of each when every run agrees).
+
+Compiling the package costs every cold child more than many changes
+save, so trees whose bytecode state differs are not compared: the tool
+then prints one ``error:`` line and exits 2 before any run.
 """
 
 import hashlib
+import importlib.util
 import os
 import pathlib
 import statistics
 import sys
 import time
+
+
+def bytecode_state(tree: pathlib.Path) -> str:
+    """How many of the modules of tree/src/equisep have a .pyc for this
+    interpreter, as "compiled/modules"."""
+    sources = sorted((tree / "src" / "equisep").glob("*.py"))
+    compiled = sum(os.path.exists(importlib.util.cache_from_source(str(p)))
+                   for p in sources)
+    return f"{compiled}/{len(sources)}"
 
 
 def run_once(tree: pathlib.Path, argv: list) -> tuple:
@@ -54,13 +69,20 @@ def main(argv: list) -> int:
         return 2
     trees = [pathlib.Path(t).resolve() for t in argv[0].split(",")]
     runs, query = int(argv[1]), argv[2:]
+    states = {tree: bytecode_state(tree) for tree in trees}
+    if len(set(states.values())) > 1:
+        print("error: the trees' bytecode differs (.pyc per module: "
+              + ", ".join(f"{tree} {state}" for tree, state in states.items())
+              + "); compile or clear them alike", file=sys.stderr)
+        return 2
     seen = {tree: [] for tree in trees}
     for _ in range(runs):
         for tree in trees:
             seen[tree].append(run_once(tree, query))
     for tree, results in seen.items():
         walls, rss, codes, digests = zip(*results)
-        print(f"{tree}: wall {statistics.median(walls):.3f} s, "
+        print(f"{tree}: pyc {states[tree]}, "
+              f"wall {statistics.median(walls):.3f} s, "
               f"max-RSS {statistics.median(rss):.1f} MB, "
               f"exit {','.join(map(str, sorted(set(codes))))}, "
               f"sha256 {','.join(sorted(set(digests)))}")

@@ -2,12 +2,13 @@
 
 Everything here recomputes results by a different route than the library:
 power-set scans, the layered subgroup search and conjugation scans on
-tuple permutations, double cosets and G-set action tables built element
-by element, containment counts scanned pair by pair over conjugation
-orbits for marks, subconjugacy and families, generator picks that close
-perm tuples after each pick, exhaustive map enumeration, union-find on
-materialized objects (brute_force_pullback, the pullback groupoid built
-object by object), and exact rational linear algebra.
+tuple permutations, the subgroups of a direct product by Goursat's
+lemma, double cosets and G-set action tables built element by element,
+containment counts scanned pair by pair over conjugation orbits for
+marks, subconjugacy and families, generator picks that close perm tuples
+after each pick, exhaustive map enumeration, union-find on materialized
+objects (brute_force_pullback, the pullback groupoid built object by
+object), and exact rational linear algebra.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from equisep.group_core import (
     encode_subgroup,
     identity_perm,
     normalizer,
+    orbit_of,
     pconj,
     pinv,
     pmul,
@@ -91,6 +93,83 @@ def layered_subgroups(g: Group):
                     fresh.append(tkey)
         frontier = fresh
     return sorted(subs, key=encode_subgroup)
+
+
+def _quotients(g: Group, subs):
+    """For each pair A0 <= A1 of the subgroups subs of g with A0 normal
+    in A1, A1/A0 as (cosets, table): the cosets of A0 as element sets,
+    the trivial one first, and table[i][j] the coset of the product of
+    cosets i and j.  A0 is normal in A1 when its orbit of conjugates
+    under A1's generators, walked by orbit_of, is A0 alone."""
+    for a1 in subs:
+        movers = [lambda h, x=x: frozenset(pconj(x, y) for y in h)
+                  for x in reduce_generators(a1, g.degree)]
+        for a0 in subs:
+            if not a0 <= a1 or len(orbit_of(a0, movers, 1)) > 1:
+                continue
+            cosets, coset_of = [a0], dict.fromkeys(a0, 0)
+            for x in sorted(a1):
+                if x not in coset_of:
+                    coset = frozenset(pmul(x, y) for y in a0)
+                    coset_of.update(dict.fromkeys(coset, len(cosets)))
+                    cosets.append(coset)
+            reps = [min(c) for c in cosets]
+            table = [[coset_of[pmul(x, y)] for y in reps] for x in reps]
+            yield cosets, table
+
+
+def _element_orders(table) -> list:
+    """The order of each element of a group given by its table, the
+    identity being element 0."""
+    out = []
+    for row in table:
+        k, y = 1, row[0]
+        while y:
+            k, y = k + 1, row[y]
+        out.append(k)
+    return out
+
+
+def goursat_subgroups(a: Group, a_subs, b: Group, b_subs) -> list:
+    """All subgroups of direct_product(a, b), as frozensets of its perms,
+    from the factors' lattices a_subs and b_subs of layered_subgroups, by
+    Goursat's lemma (Ann. Sci. ENS 6, 1889; Petrillo, College Math. J.
+    40, 2009): one subgroup for each tuple (A0 normal in A1 <= a, B0
+    normal in B1 <= b, theta: A1/A0 -> B1/B0 an isomorphism), the pairs
+    (x, y) with x in A1, y in B1 and theta(x A0) = y B0.  Theta is
+    fixed by the images of generators of A1/A0, picked greedily, so each
+    choice of images of the same orders is walked with orbit_of over
+    pairs of cosets: it is an isomorphism when the walk meets each coset
+    of A1/A0 once and each of B1/B0 once."""
+    shift = a.degree
+    by_shape = {}
+    for cosets, table in _quotients(b, b_subs):
+        orders = _element_orders(table)
+        by_shape.setdefault((len(table), tuple(sorted(orders))), []).append(
+            (cosets, table, orders))
+    out = []
+    for a_cosets, a_table in _quotients(a, a_subs):
+        a_orders = _element_orders(a_table)
+        key = (len(a_table), tuple(sorted(a_orders)))
+        gens, reached = [], {0}
+        for i in sorted(range(len(a_table)), key=lambda i: -a_orders[i]):
+            if i not in reached:
+                gens.append(i)
+                reached = orbit_of(0, [a_table[g].__getitem__ for g in gens])
+        for b_cosets, b_table, b_orders in by_shape.get(key, ()):
+            options = [[j for j, o in enumerate(b_orders) if o == a_orders[g]]
+                       for g in gens]
+            for images in itertools.product(*options):
+                moves = [lambda p, u=a_table[g], v=b_table[h]: (u[p[0]], v[p[1]])
+                         for g, h in zip(gens, images)]
+                graph = orbit_of((0, 0), moves, len(a_table))
+                if (len(graph) == len(a_table)
+                        and len({y for _, y in graph}) == len(b_table)):
+                    out.append(frozenset(
+                        x + tuple(i + shift for i in y)
+                        for p, q in graph for x in a_cosets[p]
+                        for y in b_cosets[q]))
+    return out
 
 
 def conjugacy_classes_by_scan(g: Group, subgroups):

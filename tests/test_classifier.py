@@ -108,7 +108,6 @@ class TestWitness:
         assert rec.eta == ("id", "swap")
         assert rec.eta_text == "(id,swap)"
         assert rec.primes == (2, 3)
-        assert rec.x1 == rec.x2
         assert rec.x1.label() == "2*G/6a"
         assert rec.double_coset_certificate == (
             ("(id,id)", "(swap,swap)"),

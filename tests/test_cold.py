@@ -1,9 +1,11 @@
 """The cold-query tool of tests/cold.py on one small query."""
 
+import compileall
 import hashlib
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -19,16 +21,41 @@ def test_two_cold_runs_agree():
     ).stdout
     (line,) = out.splitlines()
     m = re.fullmatch(
-        r"(.+): wall (\d+\.\d{3}) s, max-RSS (\d+\.\d) MB, exit (\S+), sha256 (\S+)",
+        r"(.+): pyc (\d+)/(\d+), wall (\d+\.\d{3}) s, max-RSS (\d+\.\d) MB, "
+        r"exit (\S+), sha256 (\S+)",
         line,
     )
     assert m, line
     assert m.group(1) == str(ROOT)
-    assert 0 < float(m.group(2)) and 0 < float(m.group(3))
-    assert m.group(4) == "0"
+    modules = len(list((ROOT / "src" / "equisep").glob("*.py")))
+    assert int(m.group(2)) <= int(m.group(3)) == modules
+    assert 0 < float(m.group(4)) and 0 < float(m.group(5))
+    assert m.group(6) == "0"
     direct = subprocess.run(
         [sys.executable, "-m", "equisep", "subgroups", "--group", "C2"],
         cwd=ROOT, capture_output=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     ).stdout
-    assert m.group(5) == hashlib.sha256(direct).hexdigest()
+    assert m.group(7) == hashlib.sha256(direct).hexdigest()
+
+
+def test_trees_with_different_bytecode_are_refused(tmp_path):
+    """Two copies of the package, one compiled, are not compared: one
+    error line and exit 2, before any run."""
+    trees = [tmp_path / "plain", tmp_path / "compiled"]
+    for tree in trees:
+        shutil.copytree(ROOT / "src" / "equisep", tree / "src" / "equisep",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(trees[1] / "src", quiet=1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tests.cold", ",".join(map(str, trees)), "1",
+         "subgroups", "--group", "C2"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    modules = len(list((ROOT / "src" / "equisep").glob("*.py")))
+    assert line.startswith("error: ")
+    assert f"{trees[0]} 0/{modules}" in line
+    assert f"{trees[1]} {modules}/{modules}" in line

@@ -6,7 +6,9 @@ perfect subgroups are recomputed on tuple permutations by
 `tests/oracles.py` and compared with the library, on the acceptance
 corpus, S5, A5xC2, C2xC2xC2xC2xC2, Q8xQ8, D4xD4 and random `perm:` specs
 of order at most 48.  On the specs of order at most 48, normalizers are
-also checked on subgroups that are not class representatives.
+also checked on subgroups that are not class representatives.  The
+lattices of seven direct products, S5xD4 the largest, are also checked
+against Goursat's lemma over their factors' layered lattices.
 """
 
 import functools
@@ -49,9 +51,14 @@ SPECS = _specs()
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle(spec):
+def _lattice(spec):
     g = make_group(spec, max_order=2000)
-    subs = oracles.layered_subgroups(g)
+    return g, oracles.layered_subgroups(g)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(spec):
+    g, subs = _lattice(spec)
     return g, subs, oracles.conjugacy_classes_by_scan(g, subs)
 
 
@@ -81,6 +88,23 @@ def test_subgroups_match_layered_search(spec):
     assert found == set(subs)
     if g.order <= 12:
         assert found == set(oracles.brute_force_subgroups(g))
+
+
+@pytest.mark.parametrize("left, right", [
+    ("S3", "S3"), ("D4", "D4"), ("Q8", "Q8"), ("S4", "C3"), ("A5", "C2"),
+    ("S4", "S4"), ("S5", "D4"),
+])
+def test_product_subgroups_match_goursat(left, right):
+    """The subgroups of a direct product, as element sets, are those that
+    Goursat's lemma builds from the factors' layered lattices, each once."""
+    (a, a_subs), (b, b_subs) = _lattice(left), _lattice(right)
+    g = make_group(f"{left}x{right}")
+    assert g.elements == {x + tuple(i + a.degree for i in y)
+                          for x in a.elements for y in b.elements}
+    subs = oracles.goursat_subgroups(a, a_subs, b, b_subs)
+    pairs, found = _library_subgroups(g)
+    assert len(subs) == len(set(subs)) == len(pairs)
+    assert set(subs) == found
 
 
 @pytest.mark.parametrize("spec", SPECS)

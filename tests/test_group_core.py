@@ -281,7 +281,7 @@ def test_group_flags():
     assert f.prime_divisors == {2, 3, 5}
 
     q8 = group_flags(make_group("Q8"))
-    assert q8.is_p_group and q8.p_prime == 2 and q8.is_solvable
+    assert q8.is_p_group and q8.prime_divisors == {2} and q8.is_solvable
 
     triv = group_flags(make_group("C1"))
     assert triv.is_trivial and not triv.is_p_group and triv.is_solvable

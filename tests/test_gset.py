@@ -140,6 +140,8 @@ def outcomes():
         lambda: GSet(c2, 2, [(0, 0)]),
         lambda: GSet(c2, 2, [(0, 5)]),
         lambda: GSet(c3, 2, [(1, 0)]),
+        # a negative size, which no generator's image would catch
+        lambda: GSet(make_group("C1"), -3, []),
         lambda: ClassificationOutcome(Verdict.ALL_STANDARD, ()),
     ]
     out = []
@@ -171,6 +173,7 @@ BAD_ARGUMENT_ERRORS = [
     "ValueError: not a permutation of 2 points: (0, 0)",
     "ValueError: not a permutation of 2 points: (0, 5)",
     "ValueError: the images are not an action of the group",
+    "ValueError: a GSet needs a size of at least 0, not -3",
     "ValueError: an outcome has a groupoid iff it is AllStandard",
 ]
 
@@ -471,7 +474,7 @@ def test_f_split_rank_counts_injective_maps():
         maps = oracles.injective_equivariant_maps(g, cls, x)
         w = weyl_group(g, cls).order
         assert len(maps) == n * w
-    assert split.rank(by[3][0]) == 3
+    assert dict(split.ranks)[by[3][0]] == 3
 
 
 def test_f_split_rejects_isotropy_in_family():

@@ -39,24 +39,22 @@ from equisep.witness import MODELING_NOTE, WitnessProbe, WitnessRecord
 # Each record with its fields in constructor order.  Records that check
 # nothing in their constructor are filled with plain strings.
 FIELDS = {
-    TableOfMarks: ("group", "classes", "marks"),
-    WitnessRecord: ("x1", "x2", "primes", "eta", "fiber_size",
-                    "double_coset_certificate", "note"),
+    TableOfMarks: ("classes", "marks"),
+    WitnessRecord: ("x1", "primes", "eta", "fiber_size",
+                    "double_coset_certificate"),
     WitnessProbe: ("record", "failures", "stage_reports"),
     RingDescriptor: ("name", "kind", "char"),
     CheckResult: ("ok", "rule", "convention"),
     StageReport: ("subgroup", "ic", "rc", "sep_closed"),
     SubgroupClass: ("parent", "representative", "class_size", "canonical_key",
                     "name"),
-    DoubleCosetDecomposition: ("group", "left", "right", "representatives",
-                               "sizes"),
-    GroupFlags: ("is_trivial", "is_p_group", "p_prime", "is_solvable",
-                 "prime_divisors"),
+    DoubleCosetDecomposition: ("representatives", "sizes"),
+    GroupFlags: ("is_solvable", "prime_divisors"),
     PullbackComponent: ("base", "eta_class", "fiber_size", "fiber_index",
                         "coset_size", "aut_order"),
     GroupoidComponent: ("label", "aut"),
     GSetType: ("group", "entries"),
-    FSplitting: ("group", "family", "ranks"),
+    FSplitting: ("group", "ranks"),
 }
 CHECKED = ("BurnsideElement", "Family", "ClassificationOutcome")
 CUSTOM_REPR = (SubgroupClass, GSetType)
@@ -167,11 +165,10 @@ def test_reprs_of_real_records():
         "CheckResult(ok=True, rule='x', convention=False)"
     )
     assert repr(group_flags(g)) == (
-        "GroupFlags(is_trivial=False, is_p_group=False, p_prime=None, "
-        "is_solvable=True, prime_divisors=frozenset({2, 3}))"
+        "GroupFlags(is_solvable=True, prime_divisors=frozenset({2, 3}))"
     )
     assert repr(BurnsideElement(table_of_marks(g), (1, 0, 0, 0))) == (
-        "BurnsideElement(table=TableOfMarks(group=Group(order=6, degree=3), "
+        "BurnsideElement(table=TableOfMarks("
         "classes=(SubgroupClass(1a, size=1), SubgroupClass(2a, size=3), "
         "SubgroupClass(3a, size=1), SubgroupClass(6a, size=1)), "
         "marks=((6, 0, 0, 0), (3, 1, 0, 0), (2, 0, 2, 0), (1, 1, 1, 1))), "
@@ -193,7 +190,7 @@ def test_defaults():
     outcome = ClassificationOutcome(Verdict.UNIT_DECOMPOSES, ())
     assert (outcome.groupoid, outcome.witness, outcome.notes) == (None, None, ())
     assert CheckResult(False, "r").convention is False
-    record = WitnessRecord(*_plain_args(WitnessRecord)[:6])
+    record = WitnessRecord(*_plain_args(WitnessRecord))
     assert record.note == MODELING_NOTE
 
 
