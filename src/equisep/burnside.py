@@ -39,12 +39,6 @@ class TableOfMarks(_Record):
     def to_text(self) -> str:
         return marks_layout([c.name for c in self.classes], self.marks)
 
-    def to_json(self):
-        return {
-            "classes": [c.name for c in self.classes],
-            "marks": [list(row) for row in self.marks],
-        }
-
 
 def marks_layout(names, marks) -> str:
     """The table of marks as right-aligned text: a header of class names,

@@ -38,20 +38,6 @@ class ClassificationOutcome(_Record):
         if (self.groupoid is not None) != (self.verdict is Verdict.ALL_STANDARD):
             raise ValueError("an outcome has a groupoid iff it is AllStandard")
 
-    def to_json(self):
-        out = {
-            "verdict": self.verdict.value,
-            "stages": [rep.to_json() for rep in self.stage_reports],
-        }
-        if self.groupoid is not None:
-            out["groupoid"] = [{"label": t.label(), "aut_order": t.aut_order}
-                               for t in self.groupoid]
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
-
 
 def classify(g: Group, ring: RingDescriptor, max_size: int,
              family: Family | None = None) -> ClassificationOutcome:

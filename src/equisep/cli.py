@@ -3,9 +3,11 @@
 VERBS lists each verb once: its help, its options, the builder of its
 JSON payload and the renderer of its text, which reads that payload alone,
 so both formats report the same numbers by construction; only the
-requested format is made.  _OPTIONS gives each option its default and
-the reader of its text.  The command line is read from these two tables
-alone: the first word is the verb, the rest are its options, each
+requested format is made.  The builders write every payload key from the
+library's plain records, so the output format has this one home.
+_OPTIONS gives each option its default and the reader of its text.  The
+command line is read from these two tables alone: the first word is the
+verb, the rest are its options, each
 --option value or --option=value in any order, the last one given
 counting, and -h or --help anywhere prints the help built from them.
 Each builder imports the library modules it runs, after its input is
@@ -76,6 +78,23 @@ def _table(rows, keys) -> str:
     )
 
 
+def _stage(rep) -> dict:
+    """The payload row of a stage report."""
+    checks = (("ic", rep.ic), ("rc", rep.rc))
+    return {"subgroup": rep.subgroup.name, "weyl_order": rep.weyl_order,
+            **{k: c.ok for k, c in checks}, "sep_closed": rep.sep_closed,
+            "reasons": [f"{k}: {c.rule}" for k, c in checks],
+            "convention_flags": [f"{k}-convention"
+                                 for k, c in checks if c.convention]}
+
+
+def _witness_record(w) -> dict:
+    """The payload of a witness record; x1 serves as both corners."""
+    return {"x1": w.x1.label(), "x2": w.x1.label(), "eta": w.eta_text,
+            "fiber_size": w.fiber_size, "primes": list(w.primes), "note": w.note,
+            "certificate": [list(orbit) for orbit in w.double_coset_certificate]}
+
+
 def _witness_lines(w) -> list:
     return [
         f"x1 = x2 = {w['x1']}",
@@ -100,7 +119,9 @@ def _subgroups_text(payload, args) -> str:
 def _marks(args):
     from .burnside import table_of_marks
 
-    return table_of_marks(args.g).to_json()
+    tom = table_of_marks(args.g)
+    return {"classes": [c.name for c in tom.classes],
+            "marks": [list(row) for row in tom.marks]}
 
 
 def _marks_text(payload, args) -> str:
@@ -128,10 +149,8 @@ def _burnside_text(payload, args) -> str:
 def _conditions(args):
     from .conditions import stage_report
 
-    return [
-        stage_report(cls, args.ring).to_json()
-        for cls in subgroup_conjugacy_classes(args.g)
-    ]
+    return [_stage(stage_report(cls, args.ring))
+            for cls in subgroup_conjugacy_classes(args.g)]
 
 
 def _conditions_text(payload, args) -> str:
@@ -144,7 +163,17 @@ def _conditions_text(payload, args) -> str:
 def _classify(args):
     from .classifier import classify
 
-    return classify(args.g, args.ring, args.max_size).to_json()
+    out = classify(args.g, args.ring, args.max_size)
+    payload = {"verdict": out.verdict.value,
+               "stages": [_stage(rep) for rep in out.stage_reports]}
+    if out.groupoid is not None:
+        payload["groupoid"] = [{"label": t.label(), "aut_order": t.aut_order}
+                               for t in out.groupoid]
+    if out.witness is not None:
+        payload["witness"] = _witness_record(out.witness)
+    if out.notes:
+        payload["notes"] = list(out.notes)
+    return payload
 
 
 def _classify_text(payload, args) -> str:
@@ -165,7 +194,7 @@ def _witness(args):
 
     probe = witness_nonstandard(args.g, args.ring)
     if probe.found:
-        return {"found": True, "witness": probe.record.to_json()}
+        return {"found": True, "witness": _witness_record(probe.record)}
     return {"found": False, "failures": list(probe.failures)}
 
 
@@ -192,7 +221,10 @@ def _pullback_demo(args):
     comps = pullback_pi0(f, g)
     return {
         "seed": args.seed,
-        "components": [p.to_json() for p in comps],
+        "components": [{"base": list(p.base),
+                        "eta_rep": ",".join(map(str, p.eta_class)),
+                        "fiber_index": p.fiber_index, "aut_order": p.aut_order}
+                       for p in comps],
         "brute_force_matches": len(comps) == _orbit_count(f, g),
     }
 

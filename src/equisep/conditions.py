@@ -147,22 +147,6 @@ class StageReport(_Record):
     def passed(self) -> bool:
         return self.ic.ok and self.rc.ok
 
-    def to_json(self):
-        flags = []
-        if self.ic.convention:
-            flags.append("ic-convention")
-        if self.rc.convention:
-            flags.append("rc-convention")
-        return {
-            "subgroup": self.subgroup.name,
-            "weyl_order": self.weyl_order,
-            "ic": self.ic.ok,
-            "rc": self.rc.ok,
-            "sep_closed": self.sep_closed,
-            "reasons": [f"ic: {self.ic.rule}", f"rc: {self.rc.rule}"],
-            "convention_flags": flags,
-        }
-
 
 def stage_report(cls: SubgroupClass, ring: RingDescriptor) -> StageReport:
     """Run both checks at one subgroup stage."""

@@ -10,7 +10,7 @@ pullback.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, lgamma, log
 
 from ._record import _Record
 from .group_core import (
@@ -73,6 +73,10 @@ class GSetType(_Record):
 # Largest G-set census truncated_gset_groupoid enumerates; the cost of a
 # census grows with its number of components.
 CENSUS_COMPONENT_BOUND = 200_000
+# Most decimal digits of an automorphism order the census may list: the
+# interpreter's default limit on printing an int, fixed here so that lifting
+# that limit cannot admit a census of ever larger factorials.
+CENSUS_DIGIT_BOUND = 4300
 
 
 def _count_vectors(sizes, bound):
@@ -125,7 +129,11 @@ def truncated_gset_groupoid(g: Group, family,
 
     One GSetType per isomorphism class, the empty G-set included, sorted
     by (size, label).  Refuses, before enumerating, a census of more than
-    CENSUS_COMPONENT_BOUND types.
+    CENSUS_COMPONENT_BOUND types, and one whose largest automorphism order
+    has more than CENSUS_DIGIT_BOUND digits.  That order is estimated as
+    the largest |W(H)|^n * n! of one class H, n = N // |G:H|: log n! is
+    convex, so one class beats a mix up to rounding, and with G/G outside
+    the family the estimate is N!, exact.
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
@@ -137,6 +145,15 @@ def truncated_gset_groupoid(g: Group, family,
         raise ResourceLimitError(
             f"G-set census up to size {max_size} has at least {estimate} "
             f"components, over the bound {CENSUS_COMPONENT_BOUND} "
+            "(layer groupoid_calc.truncated_gset_groupoid)"
+        )
+    digits = max([(lgamma(n + 1) + n * log(c.weyl_order)) / log(10)
+                  for c, n in zip(outside, [max_size // s for s in sizes])],
+                 default=0)
+    if digits >= CENSUS_DIGIT_BOUND:
+        raise ResourceLimitError(
+            f"G-set census up to size {max_size} has an automorphism order of "
+            f"about 10^{digits:.1f}, over {CENSUS_DIGIT_BOUND} digits "
             "(layer groupoid_calc.truncated_gset_groupoid)"
         )
     # outside is in (order, canonical key) order, as GSetType entries are

@@ -192,14 +192,6 @@ class PullbackComponent(_Record):
                  "eta_class",  # minimal double-coset rep in Aut_D
                  "fiber_size", "fiber_index", "coset_size", "aut_order")
 
-    def to_json(self):
-        return {
-            "base": list(self.base),
-            "eta_rep": ",".join(str(i) for i in self.eta_class),
-            "fiber_index": self.fiber_index,
-            "aut_order": self.aut_order,
-        }
-
 
 def _matching_pairs(f: GroupoidFunctor, g: GroupoidFunctor):
     if f.target != g.target:

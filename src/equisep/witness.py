@@ -57,17 +57,6 @@ class WitnessRecord(_Record):
     def eta_text(self) -> str:
         return "(" + ",".join(self.eta) + ")"
 
-    def to_json(self):
-        return {
-            "x1": self.x1.label(),
-            "x2": self.x1.label(),
-            "eta": self.eta_text,
-            "fiber_size": self.fiber_size,
-            "certificate": [list(orbit) for orbit in self.double_coset_certificate],
-            "primes": list(self.primes),
-            "note": self.note,
-        }
-
 
 class WitnessProbe(_Record):
     """Outcome of the witness search: a record, or the reasons there is none."""

@@ -11,8 +11,10 @@ from ``os.wait4`` is its own and not a large parent's.  The trees
 alternate run by run.  Stdout is hashed as it arrives and never held;
 stderr is discarded.  For each tree this prints how many of
 ``src/equisep/*.py`` had a ``.pyc`` for this interpreter when the runs
-started, the median wall, the median child max-RSS, and the exit codes
-and stdout sha256 digests seen (one of each when every run agrees).
+started, the median wall, the median child CPU time (user plus system,
+from ``os.wait4``, steadier than the wall on a busy host), the median
+child max-RSS, and the exit codes and stdout sha256 digests seen (one of
+each when every run agrees).
 
 Compiling the package costs every cold child more than many changes
 save, so trees whose bytecode state differs are not compared: the tool
@@ -38,8 +40,8 @@ def bytecode_state(tree: pathlib.Path) -> str:
 
 
 def run_once(tree: pathlib.Path, argv: list) -> tuple:
-    """(wall seconds, max-RSS MB, exit code, stdout sha256) of one cold
-    child."""
+    """(wall seconds, CPU seconds, max-RSS MB, exit code, stdout sha256)
+    of one cold child."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     read, write = os.pipe()
     start = time.perf_counter()
@@ -60,7 +62,8 @@ def run_once(tree: pathlib.Path, argv: list) -> tuple:
             digest.update(chunk)
     _, status, usage = os.wait4(pid, 0)
     wall = time.perf_counter() - start
-    return wall, usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status), digest.hexdigest()
+    return (wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024,
+            os.waitstatus_to_exitcode(status), digest.hexdigest())
 
 
 def main(argv: list) -> int:
@@ -80,9 +83,10 @@ def main(argv: list) -> int:
         for tree in trees:
             seen[tree].append(run_once(tree, query))
     for tree, results in seen.items():
-        walls, rss, codes, digests = zip(*results)
+        walls, cpus, rss, codes, digests = zip(*results)
         print(f"{tree}: pyc {states[tree]}, "
               f"wall {statistics.median(walls):.3f} s, "
+              f"cpu {statistics.median(cpus):.3f} s, "
               f"max-RSS {statistics.median(rss):.1f} MB, "
               f"exit {','.join(map(str, sorted(set(codes))))}, "
               f"sha256 {','.join(sorted(set(digests)))}")

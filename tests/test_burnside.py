@@ -10,7 +10,7 @@ from equisep.burnside import (
     sphere_ic,
     table_of_marks,
 )
-from equisep import group_core
+from equisep import cli, group_core
 from equisep.group_core import (
     encode_subgroup,
     is_subconjugate,
@@ -209,6 +209,6 @@ def test_marks_text_round_trip():
     assert [[int(v) for v in row] for row in rows] == [
         list(row) for row in tom.marks
     ]
-    blob = tom.to_json()
+    blob = cli._marks(cli._parse(["marks", "--group", "S3"]))
     assert blob["marks"] == [list(row) for row in tom.marks]
     assert blob["classes"] == [c.name for c in tom.classes]

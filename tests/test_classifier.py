@@ -5,10 +5,11 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from equisep import group_core, pullback
+from equisep import cli, group_core, pullback
 from equisep.classifier import Verdict, classify
 from equisep.conditions import StageReport, integers, prime_field, sphere
 from equisep.families import closure_family, empty_family
@@ -154,7 +155,7 @@ class TestWitness:
     def test_witness_note_flags_modeling_assumption(self):
         probe = witness_nonstandard(cyclic_group(6), sphere())
         assert "modul" in probe.record.note  # modulus / moduli wording
-        payload = probe.record.to_json()
+        payload = cli._witness_record(probe.record)
         assert set(payload) >= {"x1", "x2", "eta", "fiber_size", "certificate"}
         assert payload["eta"] == "(id,swap)"
         assert payload["certificate"] == [
@@ -185,7 +186,8 @@ class TestClassify:
         sizes = [g.order // c.order for c in subgroup_conjugacy_classes(g)]
         assert len(out.groupoid) == count_orbit_multisets(sizes, 12) == 84
         assert all(type(t) is GSetType for t in out.groupoid)
-        payload = out.to_json()["groupoid"]
+        payload = cli._classify(SimpleNamespace(g=g, ring=sphere(), max_size=12))
+        payload = payload["groupoid"]
         assert payload[-1] == {"label": out.groupoid[-1].label(),
                                "aut_order": out.groupoid[-1].aut_order}
         with pytest.raises(AssertionError, match="aut_group"):
@@ -246,11 +248,13 @@ class TestClassify:
                      family=empty_family(cyclic_group(2)))
 
     def test_json_schema(self):
-        out = classify(cyclic_group(4), sphere(), 4).to_json()
+        out = cli._classify(cli._parse(["classify", "--group", "C4",
+                                        "--max-size", "4"]))
         assert out["verdict"] == "AllStandard"
         assert {"subgroup", "weyl_order", "ic", "rc"} <= set(out["stages"][0])
         assert all("label" in c and "aut_order" in c for c in out["groupoid"])
-        wit = classify(cyclic_group(6), sphere(), 4).to_json()
+        wit = cli._classify(cli._parse(["classify", "--group", "C6",
+                                        "--max-size", "4"]))
         assert wit["verdict"] == "NonStandardWitness"
         assert wit["witness"]["fiber_size"] == 2
 
@@ -367,9 +371,9 @@ def paper_table_specs():
 PAPER_TABLE_DIGEST = (
     "a24d325e6f46699aebaaaeffb1a00f80fdf75bbed46576ac7ecb781c14716d63"
 )
-# sha256 of the same runs' whole outcomes, one
-# json.dumps(outcome.to_json(), sort_keys=True) line each, so stage
-# reports, witness records and failure notes are pinned too
+# sha256 of the same runs' whole outcomes, one json.dumps(payload,
+# sort_keys=True) line each, the payload that `classify --format json`
+# prints, so stage reports, witness records and failure notes are pinned too
 PAPER_OUTCOME_DIGEST = (
     "14a1d37e98064881d2e508d522371dec67951e7c99ae84fb5c2bdf0148935c1d"
 )
@@ -392,9 +396,9 @@ def test_verdict_table_of_the_other_products():
             continue
         g = make_group(spec)
         for name, ring in (("sphere", sphere()), ("Z", integers())):
-            out = classify(g, ring, 0)
-            lines.append(f"{spec} {name} {out.verdict.value}")
-            outcomes.append(json.dumps(out.to_json(), sort_keys=True))
+            payload = cli._classify(SimpleNamespace(g=g, ring=ring, max_size=0))
+            lines.append(f"{spec} {name} {payload['verdict']}")
+            outcomes.append(json.dumps(payload, sort_keys=True))
     verdicts = Counter(line.split()[2] for line in lines)
     assert verdicts == {"ConditionsFailNoWitness": 364,
                         "NonStandardWitness": 65, "UnitDecomposes": 1}

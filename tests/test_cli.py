@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -253,9 +254,9 @@ weyl_group_with_section witness_nonstandard
 # Public names that no library module, demo or acceptance criterion reads,
 # each kept for its reason.
 KEPT = {
-    "normalizer": "bench/run.py counts its calls; oracle-tested",
-    "fixed_points": "bench/run.py counts its calls; the G-set form of the "
-                    "paper's geometric fixed points",
+    "normalizer": "N_G(H) of any subgroup, checked against the brute-force "
+                  "oracle",
+    "fixed_points": "the G-set form of the paper's geometric fixed points",
     "BurnsideElement": "Dress idempotents are to be written in the class "
                        "basis with it",
     "containment_counts": "the scale-1 reading of the marks walk, checked "
@@ -584,6 +585,41 @@ class TestExitCodes:
             "error: group of order at least 10^4300 exceeds the bound 2000 "
             "(layer group_core.make_group)\n"
         )
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "71388fc2e92ce65ddf89d984ec9eae628e771c1ac870f297c723cea42e50b667"),
+        ("json", "d5a6047d3e68dcc53eba50e3c12a65ab7feadaccc40a30ceb718ac9fc6141d07"),
+    ], ids=["text", "json"])
+    def test_census_past_digit_limit_refused_before_enumerating(
+        self, monkeypatch, capsys, fmt, digest
+    ):
+        """The census of C1 up to N lists N + 1 types, the largest of
+        automorphism order N!.  1558! has 4,300 digits, and that census
+        prints the bytes it always has; 1559! has 4,301, and that census
+        is refused before a type is drawn, with the estimate named."""
+        from equisep import groupoid_calc
+
+        argv = ["classify", "--group", "C1", "--format", fmt, "--max-size"]
+        code, out, err = _main_output(argv + ["1558"], capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+
+        def boom(*args):
+            raise AssertionError("the census was enumerated")
+
+        monkeypatch.setattr(groupoid_calc, "_count_vectors", boom)
+        for size, estimate in (("1559", "4302.6"), ("199999", "973344.9")):
+            assert _main_output(argv + [size], capsys) == (3, "", (
+                f"error: G-set census up to size {size} has an automorphism "
+                f"order of about 10^{estimate}, over 4300 digits "
+                "(layer groupoid_calc.truncated_gset_groupoid)\n"))
+
+    def test_census_digit_bound_ignores_the_interpreter_limit(self):
+        """The bound is fixed: lifting the interpreter's limit on printing
+        an int does not admit the census."""
+        proc = run_cli("classify", "--group", "C1", "--max-size", "199999",
+                       env_extra={"PYTHONINTMAXSTRDIGITS": "0"})
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.count("\n") == 1 and "over 4300 digits" in proc.stderr
 
     def test_perm_degree_over_bound_refused_before_building(
         self, monkeypatch, capsys

@@ -21,22 +21,22 @@ def test_two_cold_runs_agree():
     ).stdout
     (line,) = out.splitlines()
     m = re.fullmatch(
-        r"(.+): pyc (\d+)/(\d+), wall (\d+\.\d{3}) s, max-RSS (\d+\.\d) MB, "
-        r"exit (\S+), sha256 (\S+)",
+        r"(.+): pyc (\d+)/(\d+), wall (\d+\.\d{3}) s, cpu (\d+\.\d{3}) s, "
+        r"max-RSS (\d+\.\d) MB, exit (\S+), sha256 (\S+)",
         line,
     )
     assert m, line
     assert m.group(1) == str(ROOT)
     modules = len(list((ROOT / "src" / "equisep").glob("*.py")))
     assert int(m.group(2)) <= int(m.group(3)) == modules
-    assert 0 < float(m.group(4)) and 0 < float(m.group(5))
-    assert m.group(6) == "0"
+    assert all(0 < float(m.group(i)) for i in (4, 5, 6))  # wall, cpu, RSS
+    assert m.group(7) == "0"
     direct = subprocess.run(
         [sys.executable, "-m", "equisep", "subgroups", "--group", "C2"],
         cwd=ROOT, capture_output=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     ).stdout
-    assert m.group(7) == hashlib.sha256(direct).hexdigest()
+    assert m.group(8) == hashlib.sha256(direct).hexdigest()
 
 
 def test_trees_with_different_bytecode_are_refused(tmp_path):

@@ -1,5 +1,6 @@
 import pytest
 
+from equisep import cli
 from equisep.conditions import (
     check_ic,
     check_rc,
@@ -126,12 +127,12 @@ class TestStageReports:
         rep = stage_report(class_of_order(g, 6), sphere())
         assert rep.passed
         assert rep.ic.convention and rep.rc.convention
-        flags = rep.to_json()["convention_flags"]
+        flags = cli._stage(rep)["convention_flags"]
         assert flags == ["ic-convention", "rc-convention"]
 
     def test_json_schema(self):
         g = cyclic_group(6)
-        payload = stage_report(class_of_order(g, 1), sphere()).to_json()
+        payload = cli._stage(stage_report(class_of_order(g, 1), sphere()))
         assert set(payload) == {
             "subgroup", "weyl_order", "ic", "rc", "sep_closed",
             "reasons", "convention_flags",

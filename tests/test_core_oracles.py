@@ -5,10 +5,13 @@ counts), normalizers, Weyl groups with their sections, solvability and
 perfect subgroups are recomputed on tuple permutations by
 `tests/oracles.py` and compared with the library, on the acceptance
 corpus, S5, A5xC2, C2xC2xC2xC2xC2, Q8xQ8, D4xD4 and random `perm:` specs
-of order at most 48.  On the specs of order at most 48, normalizers are
-also checked on subgroups that are not class representatives.  The
-lattices of seven direct products, S5xD4 the largest, are also checked
-against Goursat's lemma over their factors' layered lattices.
+of order at most 48.  The subgroups of a product of two factors (C2xC2,
+A5xC2, Q8xQ8, D4xD4) come from Goursat's lemma over the factors' layered
+lattices, those of every other spec from the layered search.  On the
+specs of order at most 48, normalizers are also checked on subgroups
+that are not class representatives.  The lattices of seven direct
+products, S5xD4 the largest, are also checked against Goursat's lemma
+over their factors' layered lattices.
 """
 
 import functools
@@ -52,7 +55,15 @@ SPECS = _specs()
 
 @functools.lru_cache(maxsize=None)
 def _lattice(spec):
+    """The group of spec and its subgroups as element sets: for a product
+    of two factors, by Goursat's lemma over the factors' lattices, which
+    test_product_subgroups_match_goursat checks on A5xC2 and D4xD4 too;
+    for any other spec, by the layered search."""
     g = make_group(spec, max_order=2000)
+    factors = spec.split("x")
+    if len(factors) == 2:
+        (a, a_subs), (b, b_subs) = map(_lattice, factors)
+        return g, oracles.goursat_subgroups(a, a_subs, b, b_subs)
     return g, oracles.layered_subgroups(g)
 
 

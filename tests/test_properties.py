@@ -1,6 +1,7 @@
 """Properties on drawn inputs, each against a route that does not read
 what it checks: the subgroup lattice of drawn `perm:` groups (the
-search's orbits, the subconjugacy masks and the table of marks), the
+search's orbits, the lattice of a product against Goursat's lemma, the
+subconjugacy masks and the table of marks), the
 orbit classification of G-sets of drawn orbit types (round trip,
 orbit deletion, automorphism groups and the Mackey decomposition), the
 components of pullbacks of drawn groupoid functors, and the size of the
@@ -24,6 +25,7 @@ from equisep.group_core import (
     closure,
     containment_counts,
     cyclic_group,
+    direct_product,
     make_group,
     pconj,
     pmul,
@@ -85,9 +87,10 @@ def cycles(images) -> str:
 
 
 @st.composite
-def perm_specs(draw):
-    """`perm:` specs of degree at most 6 with one to three generators."""
-    degree = draw(st.integers(1, 6))
+def perm_specs(draw, max_degree=6):
+    """`perm:` specs of degree at most max_degree with one to three
+    generators."""
+    degree = draw(st.integers(1, max_degree))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
     return f"perm:{degree}:" + ";".join(cycles(p) for p in gens)
 
@@ -117,6 +120,32 @@ def test_search_orbits_partition_the_subgroups(spec):
     for orbit in orbits:
         first = next(iter(orbit))
         assert orbit == {frozenset(pconj(x, h) for h in first) for x in g}
+
+
+@st.composite
+def product_factors(draw):
+    """Two drawn `perm:` groups of degree at most 4 whose direct product
+    has order at most MAX_ORDER."""
+    a, b = (small_group(draw(perm_specs(max_degree=4))) for _ in range(2))
+    assume(a.order * b.order <= MAX_ORDER)
+    return a, b
+
+
+@SETTINGS
+@given(product_factors())
+def test_product_lattice_matches_goursat(factors):
+    """_all_subgroups of a drawn direct product finds each subgroup once,
+    and they are those that Goursat's lemma builds from the factors'
+    layered lattices."""
+    a, b = factors
+    g = direct_product(a, b)
+    t = group_core._table(g)
+    found = [frozenset(map(t.perms.__getitem__, sub))
+             for orbit, _ in group_core._all_subgroups(g) for sub in orbit]
+    want = oracles.goursat_subgroups(a, oracles.layered_subgroups(a),
+                                     b, oracles.layered_subgroups(b))
+    assert len(found) == len(set(found)) == len(want)
+    assert set(found) == set(want)
 
 
 @SETTINGS
