@@ -29,7 +29,6 @@ _SUBMODULE = {
     for module, names in {
         "burnside": (
             "burnside",
-            "BurnsideElement",
             "TableOfMarks",
             "degree_is_constant",
             "idempotent_block_count",
@@ -71,7 +70,6 @@ _SUBMODULE = {
             "SubgroupClass",
             "alternating_group",
             "class_of_subgroup",
-            "containment_counts",
             "cyclic_group",
             "dihedral_group",
             "direct_product",
@@ -79,7 +77,6 @@ _SUBMODULE = {
             "group_flags",
             "is_subconjugate",
             "make_group",
-            "normalizer",
             "perfect_subgroup_classes",
             "quaternion_group",
             "subgroup_conjugacy_classes",

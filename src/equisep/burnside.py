@@ -6,10 +6,10 @@ Marks are counted, not read off G-sets (Pfeiffer, Experiment. Math. 6,
 1997): a coset gH is fixed by K exactly when K lies in the conjugate
 gHg^-1, and each conjugate of H arises from |N(H)| elements g, so
 m(H, K) = |(G/H)^K| = |W(H)| * c[H][K], with c[H][K] the number of
-conjugates of H that contain K (`containment_counts`).  That count is 0
-unless K is subconjugate to H, so the lattice counts only the cells at
-the bits of its `below[H]` mask, each scaled by |W(H)| as it is counted,
-in the one walk that `containment_counts` also makes with scale 1."""
+conjugates of H that contain K.  That count is 0 unless K is
+subconjugate to H, so the lattice counts only the cells at the bits of
+its `below[H]` mask, each scaled by |W(H)| as it is counted, in one walk
+(`group_core._Lattice.counts`)."""
 
 from __future__ import annotations
 
@@ -61,36 +61,7 @@ def table_of_marks(g: Group) -> TableOfMarks:
     """The table of marks of g, m(H, K) = |W(H)| * c[H][K], counted in
     one walk of the lattice's below masks; no count table is kept."""
     lattice = _subgroup_classes(g)
-    return TableOfMarks(lattice.classes,
-                        lattice.counts([h.weyl_order for h in lattice.classes]))
-
-
-class BurnsideElement(_Record):
-    """An integer combination of coset classes [G/H] in the class basis."""
-
-    __slots__ = ("table", "coefficients")
-
-    def __init__(self, *values, **named):
-        super().__init__(*values, **named)
-        if len(self.coefficients) != len(self.table.classes):
-            raise ValueError(f"a BurnsideElement needs one coefficient per class: "
-                             f"{len(self.table.classes)}, not {len(self.coefficients)}")
-
-    def marks_vector(self) -> tuple:
-        """Ghost coordinates: the fixed-point count at every class."""
-        return tuple(
-            sum(c * m for c, m in zip(self.coefficients, column))
-            for column in zip(*self.table.marks)
-        )
-
-    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
-        if other.table != self.table:
-            raise ValueError("cannot add BurnsideElements over different "
-                             "tables of marks")
-        return BurnsideElement(
-            self.table,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
+    return TableOfMarks(lattice.classes, lattice.counts())
 
 
 def idempotent_block_count(g: Group) -> int:

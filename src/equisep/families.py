@@ -1,5 +1,5 @@
 """Families of subgroups: sets of conjugacy classes closed under
-subconjugation, grown one class at a time with Family.with_class.
+subconjugation.
 
 A family is an int mask over class positions in subgroup_conjugacy_classes
 order.  It is closed when, for each member c, the mask below[c] of the
@@ -18,9 +18,18 @@ class Family(_Record):
     __slots__ = ("group", "mask")
 
     def __init__(self, group: Group, classes: frozenset):
+        """Refuses classes of another group, and names the least class
+        missing below a given one when the classes are not closed."""
         super().__init__(group, sum(_bit(group, c) for c in classes))
+        lattice = _subgroup_classes(group)
         for cls in classes:
-            self._checked(cls)
+            missing = lattice.below[lattice.position[cls]] & ~self.mask
+            if missing:
+                other = lattice.classes[(missing & -missing).bit_length() - 1]
+                raise ValueError(
+                    f"family not closed under subconjugation: "
+                    f"{other.name} below {cls.name} is missing"
+                )
 
     @property
     def classes(self) -> frozenset:
@@ -41,26 +50,9 @@ class Family(_Record):
     def __reduce__(self):
         return _family, (self.group, self.mask)
 
-    def _checked(self, cls: SubgroupClass) -> "Family":
-        """The family itself, or a ValueError naming the least class below
-        cls that it lacks."""
-        lattice = _subgroup_classes(self.group)
-        missing = lattice.below[lattice.position[cls]] & ~self.mask
-        if missing:
-            other = lattice.classes[(missing & -missing).bit_length() - 1]
-            raise ValueError(
-                f"family not closed under subconjugation: "
-                f"{other.name} below {cls.name} is missing"
-            )
-        return self
-
     def outside(self) -> list:
         """The classes not in the family, sorted by (order, canonical key)."""
         return self._members(0)
-
-    def with_class(self, cls: SubgroupClass) -> "Family":
-        """The family with cls added; cls alone is checked."""
-        return _family(self.group, self.mask | _bit(self.group, cls))._checked(cls)
 
     def check_group(self, g: Group) -> None:
         if self.group != g:

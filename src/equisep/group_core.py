@@ -7,9 +7,9 @@ applies the right factor first, so (a*b)(x) = a[b[x]].  Groups are
 immutable and compare by their element sets, which lets subgroups of a
 common parent be used as dictionary keys.  A group's elements are always
 the closure of its generators: `Group` takes that closure, and the
-builders that already hold it (subgroups, direct products, normalizers,
-Weyl groups and gset's automorphism groups) pass it to `_group`, which
-does not close again.
+builders that already hold it (subgroups, direct products, Weyl groups
+and gset's automorphism groups) pass it to `_group`, which does not close
+again.
 
 Inside this module a group's elements are also numbered 0..n-1 in
 `sorted_elements()` order (`_Table`), so the identity is 0 and index order
@@ -21,14 +21,14 @@ are the regular action.  A subgroup is then a frozenset of indices, the
 one form the lattice search finds it in and the lattice keeps, so K <= H
 is a set test.  A join walks the generators' rows one left coset at a
 time (`_Table.join`); `_Table.span` joins candidates in greedily, which
-picks a subgroup's generators and spans commutator subgroups,
-stabilizers and normalizers.  The table is also the one home of what is
-derived from the group: its sorted elements, its lattice (with the Weyl
-groups built so far) and its flags are fields of the table, so they are
-computed once per group and freed with it; a Group itself holds only its
-degree, generators and elements.  The lattice keeps no k x k table:
-containment counts and marks are made from its subconjugacy masks on
-each request.
+picks a subgroup's generators and spans commutator subgroups and
+stabilizers (`_normalizer` is a scan of its own).  The table is also the
+one home of what is derived from the group: its sorted elements, its
+lattice (with the Weyl groups built so far) and its flags are fields of
+the table, so they are computed once per group and freed with it; a
+Group itself holds only its degree, generators and elements.  The
+lattice keeps no k x k table: the marks are counted from its
+subconjugacy masks on each request.
 
 There is one orbit walk, `orbit_of`, which returns its breadth-first tree
 (each point with the map and the point it was first reached from).
@@ -59,7 +59,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from itertools import combinations, filterfalse, repeat
+from itertools import combinations, filterfalse
 from math import factorial, gcd
 
 from ._record import _Record
@@ -583,11 +583,11 @@ def _prime_power_cyclics(t: _Table):
     return out, cyclic_of
 
 
-def _normalizer(t: _Table, gens, elems: list, order: int | None = None) -> tuple:
+def _normalizer(t: _Table, gens, elems: list, order: int) -> tuple:
     """(gens, elems) of N(H), where elems lists H = <gens>, identity first:
     a greedy span over the indices in order, which joins in each x that
     normalizes H and passes the left coset xH of each other x, stopping
-    at order elements (|N(H)|, when the caller knows it)."""
+    at order elements, |N(H)|.  An order of |G| makes it a full scan."""
     inside, passed, ngens = set(elems), set(elems), list(gens)
     for x in filterfalse(passed.__contains__, range(len(t.perms))):
         if len(elems) == order:
@@ -700,12 +700,13 @@ class _Lattice:
         self.below = below
         self.weyl = [None] * len(classes)
 
-    def counts(self, scales) -> tuple:
-        """scales[H] * c[H][K] (see containment_counts), a new table on
-        every call.  c[H][K] is nonzero exactly at the bits of below[H],
-        so only those cells are counted, lowest bit first; the rest are 0.
-        Refuses, before counting, a table of more than COUNT_CELL_BOUND
-        cells."""
+    def counts(self) -> tuple:
+        """The marks |W(H)| * c[H][K], a new table on every call, with
+        c[H][K] the number of conjugates of H that contain the
+        representative of K.  c[H][K] is nonzero exactly at the bits of
+        below[H], so only those cells are counted, lowest bit first; the
+        rest are 0.  Refuses, before counting, a table of more than
+        COUNT_CELL_BOUND cells."""
         k = len(self.classes)
         if k * k > COUNT_CELL_BOUND:
             raise ResourceLimitError(
@@ -714,6 +715,7 @@ class _Lattice:
                 "(layer group_core._Lattice.counts)"
             )
         rows = []
+        scales = (h.weyl_order for h in self.classes)
         for scale, (_, orbit), mask in zip(scales, self.orbits, self.below):
             row = [0] * k
             while mask:
@@ -795,15 +797,6 @@ def class_of_subgroup(g: Group, elements: frozenset) -> SubgroupClass:
     return lattice.classes[pos]
 
 
-def containment_counts(g: Group) -> tuple:
-    """c[H][K], the number of conjugates of H that contain the
-    representative of K, over the classes in subgroup_conjugacy_classes
-    order.  Marks are m(H, K) = |W(H)| * c[H][K]; K is subconjugate to H
-    exactly when c[H][K] > 0, and only those cells are counted, on every
-    call: the table is not kept."""
-    return _subgroup_classes(g).counts(repeat(1))
-
-
 def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> bool:
     """True when some conjugate of `below` sits inside `above`, that is,
     when c[above][below], the number of conjugates of `above` containing
@@ -811,16 +804,6 @@ def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> boo
     lattice = _subgroup_classes(g)
     position = lattice.position
     return lattice.below[position[above]] >> position[below] & 1 == 1
-
-
-def normalizer(g: Group, sub: Group) -> Group:
-    """N_g(sub) as a subgroup of g, generated by sub's generators followed
-    by the elements _normalizer's span joined onto sub."""
-    t = _table(g)
-    h = sorted(t.indices(sub.elements))
-    gens, elems = _normalizer(t, t.indices(sub.generators), h)
-    return _group(g.degree, map(t.perms.__getitem__, gens),
-                  map(t.perms.__getitem__, elems))
 
 
 def _cosets(t: _Table, members, h: list):

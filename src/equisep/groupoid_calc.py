@@ -60,12 +60,6 @@ class GSetType(_Record):
         return " + ".join([f"G/{c.name}" if n == 1 else f"{n}*G/{c.name}"
                            for c, n in self.entries]) or "empty"
 
-    def drop(self, cls: SubgroupClass) -> "GSetType":
-        """The type with every orbit of the given class deleted."""
-        return GSetType(
-            self.group, tuple((c, n) for c, n in self.entries if c != cls)
-        )
-
     def __repr__(self):
         return f"GSetType({self.label()})"
 

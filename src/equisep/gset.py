@@ -109,9 +109,6 @@ class GSet:
         perms = [self.perm(t) for t in sub.generators]
         return [p for p in range(self.size) if all(q[p] == p for q in perms)]
 
-    def stabilizer(self, point: int) -> Group:
-        return self.group.subgroup(self._fixing(point))
-
     def transversal(self, point: int) -> dict:
         """Each point q of point's orbit mapped to an element moving point
         to q."""

@@ -105,10 +105,6 @@ class GroupHom:
     def trivial(cls, src: Group, dst: Group) -> "GroupHom":
         return cls(src, dst, {x: dst.identity for x in src.elements})
 
-    @classmethod
-    def identity(cls, g: Group) -> "GroupHom":
-        return cls(g, g, {x: x for x in g.elements})
-
     def __call__(self, x):
         return self.mapping[x]
 

@@ -2,10 +2,13 @@
 wall and peak-RSS figures that ROADMAP.md and CHANGES.md quote.
 
 Run ``python3 -m tests.cold TREE[,TREE] RUNS VERB [OPTIONS...]``, e.g.
-``python3 -m tests.cold .,../parent 3 marks --group S4xS4``.
+``python3 -m tests.cold .,../parent 3 marks --group S4xS4``, or
+``python3 -m tests.cold TREE[,TREE] RUNS import`` for the import floor.
 
 Each run of each tree is one cold child, ``python3 -m equisep VERB
-OPTIONS...`` with ``TREE/src`` on ``PYTHONPATH``, forked from this
+OPTIONS...``, or for ``import`` a bare ``python3 -c "import equisep.cli"``
+(how the benchmark's ``setup_s`` is taken), with ``TREE/src`` on
+``PYTHONPATH``, forked from this
 process, which imports neither equisep nor sympy, so the child's max-RSS
 from ``os.wait4`` is its own and not a large parent's.  The trees
 alternate run by run.  Stdout is hashed as it arrives and never held;
@@ -43,6 +46,10 @@ def run_once(tree: pathlib.Path, argv: list) -> tuple:
     """(wall seconds, CPU seconds, max-RSS MB, exit code, stdout sha256)
     of one cold child."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    if argv == ["import"]:
+        child = [sys.executable, "-c", "import equisep.cli"]
+    else:
+        child = [sys.executable, "-m", "equisep", *argv]
     read, write = os.pipe()
     start = time.perf_counter()
     pid = os.fork()
@@ -52,7 +59,7 @@ def run_once(tree: pathlib.Path, argv: list) -> tuple:
             os.dup2(write, 1)
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, 2)
-            os.execve(sys.executable, [sys.executable, "-m", "equisep", *argv], env)
+            os.execve(sys.executable, child, env)
         finally:
             os._exit(127)
     os.close(write)

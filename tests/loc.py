@@ -14,9 +14,12 @@ each module of ``src/equisep`` and in total, two counts:
 It then prints each value record, a class that derives from ``_Record``
 and names its fields in ``__slots__``, with its field count, and the
 total of those counts: the values a caller can set on the records.
+Last, when the package has an ``__init__.py``, it prints the number of
+public names, ``len(__all__)`` of the package as that file defines it.
 """
 
 import ast
+import importlib.util
 import io
 import pathlib
 import tokenize
@@ -68,6 +71,19 @@ def record_fields(source: str) -> list:
     return out
 
 
+def public_names(package: pathlib.Path) -> int | None:
+    """len(__all__) of the package, from running its __init__.py on its
+    own (equisep's loads no submodule), or None when it has none."""
+    init = package / "__init__.py"
+    if not init.exists():
+        return None
+    spec = importlib.util.spec_from_file_location(
+        package.name, init, submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return len(module.__all__)
+
+
 def main(package: pathlib.Path = PACKAGE) -> tuple:
     total_code = total_lines = 0
     records = []
@@ -83,6 +99,9 @@ def main(package: pathlib.Path = PACKAGE) -> tuple:
     for name, fields in records:
         print(f"{name:<27} {fields:>6}")
     print(f"{'total fields':<27} {sum(n for _, n in records):>6}")
+    names = public_names(package)
+    if names is not None:
+        print(f"{'public names':<27} {names:>6}")
     return total_code, total_lines
 
 

@@ -26,7 +26,6 @@ from equisep.group_core import (
     direct_product,
     encode_subgroup,
     identity_perm,
-    normalizer,
     orbit_of,
     pconj,
     pinv,
@@ -35,6 +34,7 @@ from equisep.group_core import (
     subgroup_conjugacy_classes,
     weyl_group_with_section,
 )
+from equisep.families import Family
 from equisep.gset import aut_group, coset_gset, disjoint_union
 from equisep.pullback import (
     FiniteGroupoid,
@@ -323,25 +323,26 @@ def minimal_additions_by_scan(g: Group, classes) -> list:
 
 def class_order_chain(start):
     """The exhaustive filtration from the family start: (stages, added),
-    the families made by Family.with_class adding the classes outside
-    start one at a time in class order, and those classes."""
-    stages, added = [start], tuple(start.outside())
-    for cls in added:
-        stages.append(stages[-1].with_class(cls))
+    the families made by adding the classes outside start one at a time
+    in class order, and those classes.  Each stage is built by the
+    checking Family constructor; a prefix in class order is closed."""
+    added = tuple(start.outside())
+    stages = [Family(start.group, start.classes | set(added[:i]))
+              for i in range(len(added) + 1)]
     return stages, added
 
 
 def groups_built_from_elements(g: Group):
     """The groups the library builds from an element set it already holds,
     without closing their generators: g x C2, and for each class of g its
-    representative's elements as a subgroup, its normalizer and Weyl group,
-    and the automorphisms of two copies of its coset G-set when their order
+    representative's elements as a subgroup, its Weyl group, and the
+    automorphisms of two copies of its coset G-set when their order
     is within the bound."""
     yield direct_product(g, cyclic_group(2))
     for cls in subgroup_conjugacy_classes(g):
         h = cls.representative
         w = weyl_group_with_section(g, cls)[0]
-        yield from (g.subgroup(h.elements), normalizer(g, h), w)
+        yield from (g.subgroup(h.elements), w)
         if 2 * w.order ** 2 <= resolve_max_order():
             x = coset_gset(g, h)
             yield aut_group(disjoint_union(x, x))

@@ -3,7 +3,6 @@
 import random
 
 from equisep.burnside import (
-    BurnsideElement,
     degree_is_constant,
     idempotent_block_count,
     is_indecomposable_mod,
@@ -62,22 +61,13 @@ def test_marks_structure():
                 )
 
 
-def test_burnside_element_marks_vector():
-    g = make_group("S3")
-    tom = table_of_marks(g)
-    e = BurnsideElement(tom, (0, 1, 0, 0))
-    assert e.marks_vector() == (3, 1, 0, 0)
-    s = e + BurnsideElement(tom, (1, 0, 0, 0))
-    assert s.marks_vector() == (9, 1, 0, 0)
-    # a table built again is equal, so its elements add
-    assert e + BurnsideElement(table_of_marks(g), (1, 0, 0, 0)) == s
-
-
 def _marks(tom, x):
-    """The mark vector of the G-set x, read from its orbit type."""
+    """The mark vector of the G-set x, read from its orbit type: the
+    combination of the table's rows with the type's multiplicities."""
     t = orbit_type(x)
-    coefficients = tuple(t.multiplicity(cls) for cls in tom.classes)
-    return BurnsideElement(tom, coefficients).marks_vector()
+    coefficients = [t.multiplicity(cls) for cls in tom.classes]
+    return tuple(sum(c * m for c, m in zip(coefficients, column))
+                 for column in zip(*tom.marks))
 
 
 def test_marks_are_a_ring_homomorphism():

@@ -232,19 +232,18 @@ def test_verb_loads_only_its_modules(argv, library):
 
 # The package's public names.
 PUBLIC_NAMES = """
-BurnsideElement CheckResult ClassificationOutcome DoubleCosetDecomposition
-FSplitting Family FiniteGroupoid GSet GSetType Group GroupFlags GroupHom
+CheckResult ClassificationOutcome DoubleCosetDecomposition FSplitting
+Family FiniteGroupoid GSet GSetType Group GroupFlags GroupHom
 GroupSpecError GroupoidComponent GroupoidFunctor PullbackComponent
 ResourceLimitError RingDescriptor StageReport SubgroupClass TableOfMarks
 Verdict WitnessProbe WitnessRecord all_homomorphisms alternating_group
 aut_group burnside check_ic check_rc class_of_subgroup classifier classify
-closure_family conditions containment_counts coset_gset cyclic_group
-degree_is_constant delete_orbits dihedral_group direct_product
-disjoint_union double_cosets empty_family empty_gset f_assemble f_split
-families fixed_points group_core group_flags groupoid_calc gset
-idempotent_block_count induce integers is_indecomposable_mod is_subconjugate
-mackey_decompose make_group normalizer orbit_type perfect_subgroup_classes
-prime_field pullback pullback_pi0 quaternion_group realize_type restrict
+closure_family conditions coset_gset cyclic_group degree_is_constant
+delete_orbits dihedral_group direct_product disjoint_union double_cosets
+empty_family empty_gset f_assemble f_split families fixed_points
+group_core group_flags groupoid_calc gset idempotent_block_count induce
+integers is_indecomposable_mod is_subconjugate mackey_decompose make_group
+orbit_type perfect_subgroup_classes prime_field pullback pullback_pi0 quaternion_group realize_type restrict
 sphere sphere_ic stage_report subgroup_conjugacy_classes symmetric_group
 table_of_marks trivial_group trivial_gset truncated_gset_groupoid weyl_group
 weyl_group_with_section witness_nonstandard
@@ -254,29 +253,13 @@ weyl_group_with_section witness_nonstandard
 # Public names that no library module, demo or acceptance criterion reads,
 # each kept for its reason.
 KEPT = {
-    "normalizer": "N_G(H) of any subgroup, checked against the brute-force "
-                  "oracle",
     "fixed_points": "the G-set form of the paper's geometric fixed points",
-    "BurnsideElement": "Dress idempotents are to be written in the class "
-                       "basis with it",
-    "containment_counts": "the scale-1 reading of the marks walk, checked "
-                          "against the scan oracle",
     "delete_orbits": "the paper's orbit-deletion step",
 }
 # Class members (record fields, public methods and properties) that no
 # library module, demo or acceptance criterion reads, each kept for its
 # reason.
-KEPT_MEMBERS = {
-    "GSetType.drop": "the expected value of delete_orbits in test_classifier "
-                     "and test_properties",
-    "Family.with_class": "tests/oracles.class_order_chain builds the "
-                         "class-order filtrations with it",
-    "BurnsideElement.marks_vector": "BurnsideElement is kept for the Dress "
-                                    "idempotents, whose ghost coordinates "
-                                    "these are",
-    "GSet.stabilizer": "checked against the orbit-stabilizer oracle in "
-                       "test_gset and test_core_oracles",
-}
+KEPT_MEMBERS: dict = {}
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = pathlib.Path(equisep.__file__).parent
 
@@ -345,7 +328,7 @@ def _class_members() -> list:
 
 class TestLazyExports:
     def test_all_lists_the_public_names(self):
-        assert len(PUBLIC_NAMES) == 82
+        assert len(PUBLIC_NAMES) == 79
         assert sorted(equisep.__all__) == PUBLIC_NAMES
 
     def test_every_public_name_is_read(self):

@@ -39,6 +39,18 @@ def test_two_cold_runs_agree():
     assert m.group(8) == hashlib.sha256(direct).hexdigest()
 
 
+def test_import_runs_a_bare_import():
+    """`import` times a child that only imports equisep.cli: exit 0 and
+    the digest of an empty stdout."""
+    out = subprocess.run(
+        [sys.executable, "-m", "tests.cold", str(ROOT), "1", "import"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    (line,) = out.splitlines()
+    assert line.startswith(f"{ROOT}: pyc ")
+    assert line.endswith(f", exit 0, sha256 {hashlib.sha256(b'').hexdigest()}")
+
+
 def test_trees_with_different_bytecode_are_refused(tmp_path):
     """Two copies of the package, one compiled, are not compared: one
     error line and exit 2, before any run."""

@@ -23,16 +23,15 @@ from equisep import group_core
 from equisep.group_core import (
     ResourceLimitError,
     closure,
-    containment_counts,
     group_flags,
     make_group,
-    normalizer,
     pconj,
     perfect_subgroup_classes,
     prime_factors,
     subgroup_conjugacy_classes,
     weyl_group_with_section,
 )
+from equisep.burnside import table_of_marks
 from equisep.gset import coset_gset
 
 from . import oracles
@@ -127,20 +126,26 @@ def test_classes_and_counts_match_scan(spec):
         for c in classes
     ]
     assert got == want
-    assert [list(row) for row in containment_counts(g)] == counts
+    # the marks are |W(H)| times the scanned counts, cell by cell
+    assert [list(row) for row in table_of_marks(g).marks] == [
+        [c.weyl_order * n for n in row] for c, row in zip(classes, counts)
+    ]
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_normalizers_and_weyl_sections(spec):
     g, _, _ = _oracle(spec)
+    t = group_core._table(g)
     for cls in subgroup_conjugacy_classes(g):
         h = cls.representative
         n = oracles.brute_force_normalizer(g, h.elements)
-        got = normalizer(g, h)
-        assert got.elements == n
-        assert closure(got.generators, g.degree) == n
-        # aut_group skips this prefix, which acts trivially
-        assert got.generators[:len(h.generators)] == h.generators
+        # a stop at |G| makes the span a full scan
+        gens, elems = group_core._normalizer(
+            t, t.indices(h.generators), sorted(t.indices(h.elements)), g.order)
+        assert {t.perms[x] for x in elems} == n
+        assert closure([t.perms[x] for x in gens], g.degree) == n
+        # weyl_group_with_section skips this prefix, which acts trivially
+        assert gens[:len(h.generators)] == t.indices(h.generators)
         w, section = weyl_group_with_section(g, cls)
         assert section == oracles.brute_force_weyl_section(h.elements, n)
         assert w.elements == frozenset(section)
@@ -150,10 +155,11 @@ def test_normalizers_and_weyl_sections(spec):
 
 @pytest.mark.parametrize("spec", [s for s in SPECS if make_group(s).order <= 48])
 def test_normalizers_of_other_subgroups(spec):
-    """normalizer on each representative conjugated by a seeded random
-    element, and on the point stabilizers of the coset G-set of the
-    class with the most members."""
+    """The normalizer span, run to |G|, on each representative conjugated
+    by a seeded random element, and on the point stabilizers of the coset
+    G-set of the class with the most members."""
     g, _, _ = _oracle(spec)
+    t = group_core._table(g)
     rng = random.Random(18)
     perms = g.sorted_elements()
     classes = subgroup_conjugacy_classes(g)
@@ -163,13 +169,14 @@ def test_normalizers_of_other_subgroups(spec):
         subs.append(g.subgroup(pconj(x, y) for y in cls.representative.elements))
     widest = max(classes, key=lambda c: c.class_size)
     x = coset_gset(g, widest.representative)
-    subs += [x.stabilizer(p) for p in range(x.size)]
+    subs += [x.group.subgroup(x._fixing(p)) for p in range(x.size)]
     for sub in subs:
         want = oracles.brute_force_normalizer(g, sub.elements)
-        got = normalizer(g, sub)
-        assert got.elements == want
-        assert closure(got.generators, g.degree) == want
-        assert got.generators[:len(sub.generators)] == sub.generators
+        gens, elems = group_core._normalizer(
+            t, t.indices(sub.generators), sorted(t.indices(sub.elements)), g.order)
+        assert {t.perms[x] for x in elems} == want
+        assert closure([t.perms[x] for x in gens], g.degree) == want
+        assert gens[:len(sub.generators)] == t.indices(sub.generators)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -209,6 +216,7 @@ def test_against_sympy(spec):
     assert sg.order() == g.order
     assert sg.is_solvable == group_flags(g).is_solvable
     assert [s.order() for s in sg.derived_series()] == _library_derived_series(g)
+    t = group_core._table(g)
     for cls in subgroup_conjugacy_classes(g):
         # |N(H)| = |G| / |orbit of H under conjugation|, the orbit walked
         # with sympy's own products.
@@ -223,4 +231,7 @@ def test_against_sympy(spec):
                 if image not in orbit:
                     orbit.add(image)
                     frontier.append(image)
-        assert normalizer(g, cls.representative).order == g.order // len(orbit)
+        h = cls.representative
+        _, elems = group_core._normalizer(
+            t, t.indices(h.generators), sorted(t.indices(h.elements)), g.order)
+        assert len(elems) == g.order // len(orbit)

@@ -27,7 +27,6 @@ from equisep.group_core import (
     group_flags,
     is_subconjugate,
     make_group,
-    normalizer,
     perfect_subgroup_classes,
     pconj,
     pinv,
@@ -210,9 +209,13 @@ def test_classes_isomorphism_invariant():
 
 def test_orbit_stabilizer_for_classes():
     g = make_group("S4")
+    t = group_core._table(g)
     for cls in subgroup_conjugacy_classes(g):
-        n = normalizer(g, cls.representative)
-        assert cls.class_size * n.order == g.order
+        h = cls.representative
+        # a stop at |G| makes the normalizer span a full scan
+        _, n = group_core._normalizer(
+            t, t.indices(h.generators), sorted(t.indices(h.elements)), g.order)
+        assert cls.class_size * len(n) == g.order
 
 
 def test_weyl_group_examples():
@@ -228,19 +231,24 @@ def test_weyl_group_examples():
 
 def test_weyl_order_matches_normalizer_quotient():
     g = make_group("A4")
+    t = group_core._table(g)
     for cls in subgroup_conjugacy_classes(g):
-        n = normalizer(g, cls.representative)
-        assert weyl_group(g, cls).order * cls.order == n.order
+        h = cls.representative
+        _, n = group_core._normalizer(
+            t, t.indices(h.generators), sorted(t.indices(h.elements)), g.order)
+        assert weyl_group(g, cls).order * cls.order == len(n)
 
 
 def test_weyl_section_induces_quotient():
     g = make_group("D4")
+    t = group_core._table(g)
     for cls in subgroup_conjugacy_classes(g):
         w, section = weyl_group_with_section(g, cls)
         h = cls.representative
-        n = normalizer(g, h)
+        _, n = group_core._normalizer(
+            t, t.indices(h.generators), sorted(t.indices(h.elements)), g.order)
         for wp, rep in section.items():
-            assert rep in n.elements
+            assert t.index[rep] in n
         assert len(section) == w.order
 
 
@@ -402,8 +410,8 @@ def test_group_signature_takes_no_element_set():
 
 @pytest.mark.parametrize("spec", CORPUS)
 def test_built_groups_are_their_generators_closures(spec):
-    """Subgroups, direct products, normalizers, Weyl groups and
-    automorphism groups are built from an element set without a closure;
+    """Subgroups, direct products, Weyl groups and automorphism groups
+    are built from an element set without a closure;
     that set is the closure of their generators."""
     built = list(oracles.groups_built_from_elements(make_group(spec)))
     assert len(built) > 1
@@ -473,8 +481,8 @@ def test_lattice_search_partitions_no_whole_group(monkeypatch):
 
 
 def test_normalizers_and_weyl_groups_span_no_second_group(monkeypatch):
-    """normalizer and weyl_group_with_section keep the generators of the
-    one N(H) span and never respan a subgroup from its elements."""
+    """weyl_group_with_section keeps the generators of the one N(H) span
+    and never respans a subgroup from its elements."""
     g = make_group("S5")
     classes = subgroup_conjugacy_classes(g)
 
@@ -483,7 +491,6 @@ def test_normalizers_and_weyl_groups_span_no_second_group(monkeypatch):
 
     monkeypatch.setattr(group_core.Group, "subgroup", refuse)
     for cls in classes:
-        assert normalizer(g, cls.representative).order == g.order // cls.class_size
         w, section = weyl_group_with_section(g, cls)
         assert w.order == len(section) == cls.weyl_order
 
@@ -523,34 +530,32 @@ def test_count_bound_refuses_the_table_before_counting(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(lattice, "orbits", Unreadable())
         m.setattr(lattice, "below", Unreadable())
-        for build in (group_core.containment_counts, table_of_marks):
-            with pytest.raises(ResourceLimitError) as info:
-                build(g)
-            assert str(info.value) == (
-                "containment-count table of 11 classes has 121 cells, over the "
-                "bound 120 (layer group_core._Lattice.counts)"
-            )
+        with pytest.raises(ResourceLimitError) as info:
+            table_of_marks(g)
+        assert str(info.value) == (
+            "containment-count table of 11 classes has 121 cells, over the "
+            "bound 120 (layer group_core._Lattice.counts)"
+        )
     monkeypatch.setattr(group_core, "COUNT_CELL_BOUND", 121)
-    assert len(group_core.containment_counts(g)) == 11
+    assert len(table_of_marks(g).marks) == 11
 
 
 def test_counts_and_marks_are_made_on_each_request():
-    """Neither the counts nor the marks are kept: each call makes a new
-    table, and nothing on the group's table or lattice holds one."""
+    """The marks, counted from the containment counts, are not kept: each
+    call makes a new table, and nothing on the group's table or lattice
+    holds one."""
     g = make_group("S4")
-    counts, marks = group_core.containment_counts(g), table_of_marks(g).marks
-    assert counts == group_core.containment_counts(g)
-    assert counts is not group_core.containment_counts(g)
+    marks = table_of_marks(g).marks
+    assert marks == table_of_marks(g).marks
     assert marks is not table_of_marks(g).marks
     t = g._table
     held = [getattr(o, s) for o in (t, t.lattice) for s in type(o).__slots__]
-    assert not any(v is counts or v is marks or v == counts or v == marks
-                   for v in held)
+    assert not any(v is marks or v == marks for v in held)
 
 
 def test_derived_data_dies_with_its_group():
-    """Lattice, marks, flags, Weyl groups, normalizers and automorphism
-    groups are kept on the group or recomputed, never in a module-level
+    """Lattice, marks, flags, Weyl groups and automorphism groups are
+    kept on the group or recomputed, never in a module-level
     memo, so a group nothing refers to is freed."""
     g = make_group("S4")
     ref = weakref.ref(g)
@@ -558,11 +563,9 @@ def test_derived_data_dies_with_its_group():
     assert table_of_marks(g).marks[0][0] == g.order
     assert group_flags(g).is_solvable
     assert weyl_group(g, classes[1]).order == classes[1].weyl_order
-    n = normalizer(g, classes[1].representative)
-    assert n.order == g.order // classes[1].class_size
     x = realize_type(GSetType.from_counts(g, {classes[-1]: 2}))
     assert aut_group(x).order == 2
-    del g, classes, n, x
+    del g, classes, x
     gc.collect()
     assert ref() is None
 

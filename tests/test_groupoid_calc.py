@@ -111,7 +111,7 @@ class TestGroupHom:
 
     def test_identity_and_image(self):
         s3 = symmetric_group(3)
-        ident = GroupHom.identity(s3)
+        ident = GroupHom(s3, s3, {x: x for x in s3.elements})
         assert ident.image_group() == s3
         triv = GroupHom.trivial(s3, cyclic_group(2))
         assert triv.image_group().order == 1
@@ -163,15 +163,18 @@ class TestGroupoidBasics:
         assert a != FiniteGroupoid([component("a", cyclic_group(3))])
 
     def test_functor_validation(self):
-        b = FiniteGroupoid([component("x", cyclic_group(2))])
-        d = FiniteGroupoid([component("d", cyclic_group(2))])
+        c2, c3 = cyclic_group(2), cyclic_group(3)
+        b = FiniteGroupoid([component("x", c2)])
+        d = FiniteGroupoid([component("d", c2)])
         with pytest.raises(ValueError):
-            GroupoidFunctor(b, d, {"x": "nope"}, {"x": GroupHom.identity(cyclic_group(2))})
+            GroupoidFunctor(b, d, {"x": "nope"},
+                            {"x": GroupHom(c2, c2, {x: x for x in c2.elements})})
         with pytest.raises(ValueError):
             GroupoidFunctor(b, d, {"x": "d"}, {})
         with pytest.raises(ValueError):
             # endpoints of the hom must be the actual automorphism groups
-            GroupoidFunctor(b, d, {"x": "d"}, {"x": GroupHom.identity(cyclic_group(3))})
+            GroupoidFunctor(b, d, {"x": "d"},
+                            {"x": GroupHom(c3, c3, {x: x for x in c3.elements})})
 
 
 class TestPullbackSmall:
@@ -202,11 +205,13 @@ class TestPullbackSmall:
         f = GroupoidFunctor(
             b, d,
             {f"b{i}": f"d{i}" for i in range(2)},
-            {f"b{i}": GroupHom.identity(g) for i, g in enumerate(groups)},
+            {f"b{i}": GroupHom(g, g, {x: x for x in g.elements})
+             for i, g in enumerate(groups)},
         )
-        c = FiniteGroupoid([component("c0", cyclic_group(2))])
+        c2 = groups[0]
+        c = FiniteGroupoid([component("c0", c2)])
         g_func = GroupoidFunctor(
-            c, d, {"c0": "d0"}, {"c0": GroupHom.identity(cyclic_group(2))}
+            c, d, {"c0": "d0"}, {"c0": GroupHom(c2, c2, {x: x for x in c2.elements})}
         )
         comps = pullback_pi0(f, g_func)
         # pulling back along an equivalence reproduces the other source

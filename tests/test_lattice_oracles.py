@@ -10,10 +10,8 @@ from equisep import cli, group_core, gset
 from equisep.burnside import table_of_marks
 from equisep.group_core import (
     ResourceLimitError,
-    containment_counts,
     is_subconjugate,
     make_group,
-    normalizer,
     subgroup_conjugacy_classes,
     weyl_group,
 )
@@ -58,16 +56,20 @@ def test_marks_match_fixed_points_of_coset_gsets():
 
 def test_weyl_order_matches_built_weyl_group():
     for g in oracle_groups():
+        t = group_core._table(g)
         for cls in subgroup_conjugacy_classes(g):
-            n = normalizer(g, cls.representative)
+            h = cls.representative
+            # a stop at |G| makes the normalizer span a full scan
+            _, n = group_core._normalizer(
+                t, t.indices(h.generators), sorted(t.indices(h.elements)), g.order)
             assert cls.weyl_order == weyl_group(g, cls).order
-            assert cls.weyl_order * cls.order == n.order
+            assert cls.weyl_order * cls.order == len(n)
 
 
 def test_containment_counts_count_conjugates():
     g = make_group("S4")
     classes = subgroup_conjugacy_classes(g)
-    counts = containment_counts(g)
+    marks = table_of_marks(g).marks
     for i, h in enumerate(classes):
         conjugates = {
             frozenset(group_core.pconj(x, t) for t in h.representative.elements)
@@ -76,7 +78,7 @@ def test_containment_counts_count_conjugates():
         assert len(conjugates) == h.class_size
         for j, k in enumerate(classes):
             want = sum(k.representative.elements <= c for c in conjugates)
-            assert counts[i][j] == want
+            assert marks[i][j] == h.weyl_order * want
 
 
 def test_lattice_readers_build_no_gset_or_weyl_group(monkeypatch, capsys):
@@ -136,7 +138,7 @@ def test_subconjugacy_is_read_without_a_scan(monkeypatch, spec):
 def test_below_masks_match_pairwise_counts(spec):
     """The subconjugacy masks, closed over the lattice search's
     extensions, agree pair by pair with the scanned containment counts,
-    which read no mask (containment_counts itself reads them)."""
+    which read no mask (the marks walk itself reads them)."""
     g = make_group(spec)
     classes = subgroup_conjugacy_classes(g)
     masks = group_core._subgroup_classes(g).below
@@ -148,17 +150,17 @@ def test_below_masks_match_pairwise_counts(spec):
 
 
 def test_counts_match_scan_on_random_groups():
-    """containment_counts against the pair-by-pair scan, cell by cell, on
-    30 seeded random `perm:` specs of degree at most 6 and on C2 to the
-    5th; a cell is nonzero exactly where the subconjugacy masks have a
-    bit, so every cell outside them is 0."""
+    """The marks against |W(H)| times the pair-by-pair scanned counts,
+    cell by cell, on 30 seeded random `perm:` specs of degree at most 6
+    and on C2 to the 5th; a cell is nonzero exactly where the
+    subconjugacy masks have a bit, so every cell outside them is 0."""
     specs = oracles.random_perm_specs(random.Random(2025), 30)
     for spec in specs + ["C2xC2xC2xC2xC2"]:
         g = make_group(spec)
-        counts = containment_counts(g)
+        tom = table_of_marks(g)
         want = oracles.containment_counts_by_scan(g)
         masks = group_core._subgroup_classes(g).below
-        for i, (row, mask) in enumerate(zip(counts, masks)):
-            for j, c in enumerate(row):
-                assert c == want[i][j], (spec, i, j)
-                assert (c > 0) == (mask >> j & 1 == 1), (spec, i, j)
+        for i, (h, row, mask) in enumerate(zip(tom.classes, tom.marks, masks)):
+            for j, m in enumerate(row):
+                assert m == h.weyl_order * want[i][j], (spec, i, j)
+                assert (m > 0) == (mask >> j & 1 == 1), (spec, i, j)

@@ -1,4 +1,10 @@
-"""The line counter of tests/loc.py on a fixture whose counts are known."""
+"""The line counter of tests/loc.py on a fixture whose counts are known,
+and its public-name count on a fixture and on the package."""
+
+import subprocess
+import sys
+
+import equisep
 
 from . import loc
 
@@ -83,3 +89,21 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
         ["Ring", "3"], ["Report", "1"], ["Inner", "2"],
         ["total", "fields", "6"],
     ]
+
+
+def test_main_counts_the_public_names_of_a_package(tmp_path, capsys):
+    (tmp_path / "__init__.py").write_text('__all__ = sorted({"b": 1, "a": 2})\n')
+    assert loc.main(tmp_path) == (1, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["__init__.py", "1", "1"], ["total", "1", "1"], [],
+        ["total", "fields", "0"], ["public", "names", "2"],
+    ]
+
+
+def test_the_package_line_is_the_length_of_all():
+    """`python3 -m tests.loc` ends with the number of equisep's public
+    names, run from the repository root as the ROADMAP quotes it."""
+    out = subprocess.run([sys.executable, "-m", "tests.loc"], cwd=loc.PACKAGE.parents[1],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1].split() == ["public", "names", str(len(equisep.__all__))]

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from equisep._record import _Record
-from equisep.burnside import BurnsideElement, TableOfMarks, table_of_marks
+from equisep.burnside import TableOfMarks, table_of_marks
 from equisep.classifier import ClassificationOutcome, Verdict
 from equisep.conditions import (
     CheckResult,
@@ -56,7 +56,7 @@ FIELDS = {
     GSetType: ("group", "entries"),
     FSplitting: ("group", "ranks"),
 }
-CHECKED = ("BurnsideElement", "Family", "ClassificationOutcome")
+CHECKED = ("Family", "ClassificationOutcome")
 CUSTOM_REPR = (SubgroupClass, GSetType)
 
 
@@ -69,8 +69,6 @@ def _checked_samples():
     g = make_group("S3")
     classes = subgroup_conjugacy_classes(g)
     return [
-        (BurnsideElement, ("table", "coefficients"),
-         (table_of_marks(g), (1, 0, 2, 0))),
         (Family, ("group", "classes"),
          (g, closure_family(g, [classes[1]]).classes)),
         (ClassificationOutcome,
@@ -90,10 +88,10 @@ SAMPLE_IDS = [cls.__name__ for cls in FIELDS] + list(CHECKED)
 def test_every_record_is_covered():
     covered = {cls for cls, _, _ in _samples()}
     assert covered == set(_Record.__subclasses__())
-    assert len(covered) == 16
+    assert len(covered) == 15
 
 
-@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
+@pytest.mark.parametrize("index", range(15), ids=SAMPLE_IDS)
 def test_positional_and_keyword_construction(index):
     cls, fields, args = _samples()[index]
     by_position = cls(*args)
@@ -104,7 +102,7 @@ def test_positional_and_keyword_construction(index):
     assert hash(by_position) == hash(by_keyword)
 
 
-@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
+@pytest.mark.parametrize("index", range(15), ids=SAMPLE_IDS)
 def test_equality_and_hash_follow_the_values(index):
     cls, fields, args = _samples()[index]
     a, b = cls(*args), cls(*args)
@@ -120,7 +118,7 @@ def test_equality_and_hash_follow_the_values(index):
         assert hash(a) == hash(args)
 
 
-@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
+@pytest.mark.parametrize("index", range(15), ids=SAMPLE_IDS)
 def test_never_equal_to_another_class(index):
     cls, _, args = _samples()[index]
     rec = cls(*args)
@@ -131,7 +129,7 @@ def test_never_equal_to_another_class(index):
         assert rec != GroupoidComponent(*args)
 
 
-@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
+@pytest.mark.parametrize("index", range(15), ids=SAMPLE_IDS)
 def test_assignment_is_refused(index):
     cls, fields, args = _samples()[index]
     rec = cls(*args)
@@ -167,12 +165,11 @@ def test_reprs_of_real_records():
     assert repr(group_flags(g)) == (
         "GroupFlags(is_solvable=True, prime_divisors=frozenset({2, 3}))"
     )
-    assert repr(BurnsideElement(table_of_marks(g), (1, 0, 0, 0))) == (
-        "BurnsideElement(table=TableOfMarks("
+    assert repr(table_of_marks(g)) == (
+        "TableOfMarks("
         "classes=(SubgroupClass(1a, size=1), SubgroupClass(2a, size=3), "
         "SubgroupClass(3a, size=1), SubgroupClass(6a, size=1)), "
-        "marks=((6, 0, 0, 0), (3, 1, 0, 0), (2, 0, 2, 0), (1, 1, 1, 1))), "
-        "coefficients=(1, 0, 0, 0))"
+        "marks=((6, 0, 0, 0), (3, 1, 0, 0), (2, 0, 2, 0), (1, 1, 1, 1)))"
     )
     assert repr(ClassificationOutcome(Verdict.UNIT_DECOMPOSES, ())) == (
         "ClassificationOutcome(verdict=<Verdict.UNIT_DECOMPOSES: "
@@ -197,8 +194,6 @@ def test_defaults():
 def test_constructor_checks_still_run():
     g = make_group("S3")
     classes = subgroup_conjugacy_classes(g)
-    with pytest.raises(ValueError, match="one coefficient per class: 4, not 2"):
-        BurnsideElement(table_of_marks(g), (1, 0))
     with pytest.raises(ValueError, match="1a below 2a is missing"):
         Family(g, frozenset([classes[1]]))
     other = subgroup_conjugacy_classes(make_group("C2"))
@@ -232,7 +227,7 @@ def test_copy_of_a_checked_record():
     assert copy.deepcopy(fam) == fam
 
 
-@pytest.mark.parametrize("index", range(16), ids=SAMPLE_IDS)
+@pytest.mark.parametrize("index", range(15), ids=SAMPLE_IDS)
 def test_wrong_arguments_raise_type_error(index):
     """A missing field, an unknown keyword, a field given twice and one
     positional argument too many are refused as an explicit signature
