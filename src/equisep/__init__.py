@@ -75,7 +75,6 @@ _SUBMODULE = {
             "direct_product",
             "double_cosets",
             "group_flags",
-            "is_subconjugate",
             "make_group",
             "perfect_subgroup_classes",
             "quaternion_group",
@@ -96,12 +95,10 @@ _SUBMODULE = {
             "GSet",
             "aut_group",
             "coset_gset",
-            "delete_orbits",
             "disjoint_union",
             "empty_gset",
             "f_assemble",
             "f_split",
-            "fixed_points",
             "induce",
             "mackey_decompose",
             "orbit_type",

@@ -13,7 +13,7 @@ from .group_core import Group, SubgroupClass, _subgroup_classes
 
 class Family(_Record):
     """A subconjugation-closed set of subgroup conjugacy classes, held as
-    a mask over their positions; `classes` is read from the mask."""
+    a mask over their positions."""
 
     __slots__ = ("group", "mask")
 
@@ -31,10 +31,6 @@ class Family(_Record):
                     f"{other.name} below {cls.name} is missing"
                 )
 
-    @property
-    def classes(self) -> frozenset:
-        return frozenset(self._members(1))
-
     def _members(self, bit: int) -> list:
         """The classes whose mask bit is `bit`, in position order."""
         every = _subgroup_classes(self.group).classes
@@ -43,9 +39,6 @@ class Family(_Record):
     def __contains__(self, cls: SubgroupClass) -> bool:
         pos = _subgroup_classes(self.group).position.get(cls)
         return pos is not None and self.mask >> pos & 1 == 1
-
-    def __len__(self):
-        return self.mask.bit_count()
 
     def __reduce__(self):
         return _family, (self.group, self.mask)

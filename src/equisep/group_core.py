@@ -181,15 +181,6 @@ class Group:
     def sorted_elements(self):
         return _table(self).perms
 
-    def __contains__(self, g):
-        return g in self.elements
-
-    def __iter__(self):
-        return iter(self.sorted_elements())
-
-    def __len__(self):
-        return self.order
-
     def __eq__(self, other):
         if not isinstance(other, Group):
             return NotImplemented
@@ -339,8 +330,6 @@ def cyclic_group(n: int) -> Group:
 def symmetric_group(n: int) -> Group:
     if n < 0:
         raise GroupSpecError(f"symmetric group needs n >= 0, got {n}")
-    if n == 0:
-        return Group(0, ())
     gens = []
     for i in range(n - 1):
         t = list(range(n))
@@ -441,8 +430,6 @@ def _named_atom(token: str):
 
 def _parse_cycles(text: str, degree: int) -> Perm:
     text = text.strip()
-    if not text:
-        raise GroupSpecError("empty generator in perm spec")
     covered = _CYCLE_RE.sub("", text).strip()
     if covered:
         raise GroupSpecError(f"stray characters in cycles: {text!r}")
@@ -464,9 +451,9 @@ def _parse_cycles(text: str, degree: int) -> Perm:
     return tuple(images)
 
 
-def resolve_max_order(max_order: int | None = None) -> int:
-    if max_order is not None:
-        return max_order
+def resolve_max_order() -> int:
+    """The order bound: EQUISEP_MAX_ORDER when it is set, else
+    DEFAULT_MAX_ORDER."""
     env = os.environ.get(MAX_ORDER_ENV)
     if env is not None:
         return _spec_int(env, MAX_ORDER_ENV)
@@ -482,14 +469,15 @@ def _decimal(n: int) -> str:
     return str(n)
 
 
-def make_group(spec: str, max_order: int | None = None) -> Group:
+def make_group(spec: str) -> Group:
     """Build a group from a spec string.
 
     Grammar: C<n>, D<n> (order 2n), S<n>, A<n>, Q8, products of those
     joined with "x", or "perm:<degree>:<gen>;<gen>..." with generators in
     cycle notation on 1-based points, e.g. "perm:5:(1 2 3)(4 5);(1 2)".
+    A group of order over resolve_max_order() is refused.
     """
-    bound = resolve_max_order(max_order)
+    bound = resolve_max_order()
     spec = spec.strip()
     if not spec:
         raise GroupSpecError("empty group spec")
@@ -797,15 +785,6 @@ def class_of_subgroup(g: Group, elements: frozenset) -> SubgroupClass:
     return lattice.classes[pos]
 
 
-def is_subconjugate(g: Group, below: SubgroupClass, above: SubgroupClass) -> bool:
-    """True when some conjugate of `below` sits inside `above`, that is,
-    when c[above][below], the number of conjugates of `above` containing
-    `below`'s representative, is positive; the mark is |W(above)| times it."""
-    lattice = _subgroup_classes(g)
-    position = lattice.position
-    return lattice.below[position[above]] >> position[below] & 1 == 1
-
-
 def _cosets(t: _Table, members, h: list):
     """The left cosets xH, over t's numbering, of the subgroup with index
     list h among the ascending indices members: (reps, coset_of), reps
@@ -944,16 +923,13 @@ def perfect_subgroup_classes(g: Group) -> tuple:
     """Classes whose representative equals its own commutator subgroup.
 
     Only the trivial subgroup of a solvable group is perfect, so its
-    class is returned without building the lattice (or read from the
-    lattice if that is built already).  By Burnside's p^a q^b theorem a
-    group whose order has at most two prime divisors is solvable, so
-    otherwise only classes of order 1 or with at least three prime
-    divisors need a derived subgroup.
+    class is returned without building the lattice.  By Burnside's
+    p^a q^b theorem a group whose order has at most two prime divisors is
+    solvable, so otherwise only classes of order 1 or with at least three
+    prime divisors need a derived subgroup.
     """
     t = _table(g)
     if group_flags(g).is_solvable:
-        if t.lattice is not None:
-            return t.lattice.classes[:1]
         return (_class(g, t.perms[:1], 1, "1a"),)
     classes = subgroup_conjugacy_classes(g)
     return tuple(

@@ -1,6 +1,6 @@
-"""Finite G-sets: orbit typing, fixed points with their Weyl action,
-induction and restriction, the Mackey decomposition, automorphism groups,
-and splitting over a family of subgroups.
+"""Finite G-sets: orbit typing, induction and restriction, the Mackey
+decomposition, automorphism groups, and splitting over a family of
+subgroups.
 
 A GSet holds one point permutation per generator of its group; any other
 element's is composed on first read (group_core's _Table.compose), so a
@@ -15,8 +15,8 @@ the census in groupoid_calc.
 
 The G-set calculus is built from what group_core already makes: G/H is
 induction from a point, G x_H *, and Aut(X) is the product over classes
-H of W(H) wreath S_n, its translations read off the same Weyl sections
-(weyl_group_with_section) that fixed_points acts through.
+H of W(H) wreath S_n, its translations read off the Weyl sections of
+weyl_group_with_section.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from collections import Counter
 from ._record import _Record
 from .group_core import (
     Group,
-    SubgroupClass,
     _cosets,
     _group,
     _orbits,
@@ -37,7 +36,6 @@ from .group_core import (
     pinv,
     pmul,
     weyl_group_with_section,
-    is_subconjugate,
     orbit_of,
     closure,
     double_cosets,
@@ -202,37 +200,6 @@ def realize_type(t: GSetType) -> GSet:
     return disjoint_union(*parts)
 
 
-def delete_orbits(x: GSet, cls: SubgroupClass) -> GSet:
-    """x with every orbit of isotropy class cls removed, points renumbered."""
-    keep = sorted(p for orbit, c in x._classified() if c != cls for p in orbit)
-    index = {p: i for i, p in enumerate(keep)}
-    images = [[index[img[p]] for p in keep] for img in x.gen_images]
-    return _gset(x.group, len(keep), images)
-
-
-def fixed_points(x: GSet, k: SubgroupClass) -> GSet:
-    """The K-fixed points of x as a Weyl-group set.
-
-    The Weyl group N(K)/K acts through the coset-representative section.
-    When every orbit class of x is either the class of K itself or does not
-    contain K subconjugately, the result is a free Weyl set; that freeness
-    is asserted.
-    """
-    g = x.group
-    if k.parent != g:
-        raise ValueError("fixed_points needs a subgroup class of the acting group")
-    w, section = weyl_group_with_section(g, k)
-    fixed = x._fixed_by(k.representative)
-    index = {p: i for i, p in enumerate(fixed)}
-    images = [[index[x.act(section[s], p)] for p in fixed] for s in w.generators]
-    out = _gset(w, len(fixed), images)
-    entries = orbit_type(x).entries
-    if all(c == k or not is_subconjugate(g, k, c) for c, _ in entries):
-        free = all(len(orbit) == w.order for orbit in out.orbits())
-        assert free, "fixed points failed to be a free Weyl set"
-    return out
-
-
 def restrict(x: GSet, h: Group) -> GSet:
     """The same points viewed as an H-set for a subgroup H."""
     if not h.is_subgroup_of(x.group):
@@ -286,8 +253,6 @@ def aut_group(x: GSet) -> Group:
     generator is built.
     """
     g = x.group
-    if x.size == 0:
-        return Group(0, ())
     by_class: dict = {}
     for orbit, cls in x._classified():
         by_class.setdefault(cls, []).append(orbit)

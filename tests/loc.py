@@ -16,12 +16,18 @@ and names its fields in ``__slots__``, with its field count, and the
 total of those counts: the values a caller can set on the records.
 Last, when the package has an ``__init__.py``, it prints the number of
 public names, ``len(__all__)`` of the package as that file defines it.
+When its reader closes stdout early, as ``| head -1`` does, it exits 141
+with nothing on stderr (quiet_when_stdout_closes, which tests.reach
+shares).
 """
 
 import ast
+import contextlib
 import importlib.util
 import io
+import os
 import pathlib
+import sys
 import tokenize
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "equisep"
@@ -84,6 +90,19 @@ def public_names(package: pathlib.Path) -> int | None:
     return len(module.__all__)
 
 
+@contextlib.contextmanager
+def quiet_when_stdout_closes():
+    """Run the block and flush stdout; when the reader of stdout has gone,
+    as under `| head -1`, send what is left to devnull and exit 141 with
+    nothing on stderr, as `equisep.cli.main` does."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+
+
 def main(package: pathlib.Path = PACKAGE) -> tuple:
     total_code = total_lines = 0
     records = []
@@ -106,4 +125,5 @@ def main(package: pathlib.Path = PACKAGE) -> tuple:
 
 
 if __name__ == "__main__":
-    main()
+    with quiet_when_stdout_closes():
+        main()

@@ -8,24 +8,31 @@ containment counts scanned pair by pair over conjugation orbits for
 marks, subconjugacy and families, generator picks that close perm tuples
 after each pick, exhaustive map enumeration, union-find on materialized
 objects (brute_force_pullback, the pullback groupoid built object by
-object), and exact rational linear algebra.
+object), and exact rational linear algebra.  Three helpers read the
+library instead, for the tests that hold it against the oracles:
+below_bit (a subconjugacy bit), members (a family's classes) and
+bounded_group (make_group under a smaller order bound).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
 import string
 from fractions import Fraction
 
 from equisep.group_core import (
+    MAX_ORDER_ENV,
     Group,
     ResourceLimitError,
+    _subgroup_classes,
     closure,
     cyclic_group,
     direct_product,
     encode_subgroup,
     identity_perm,
+    make_group,
     orbit_of,
     pconj,
     pinv,
@@ -252,6 +259,36 @@ def brute_force_subconjugate(g: Group, below, above) -> bool:
     )
 
 
+def below_bit(g: Group, below, above) -> bool:
+    """The library's answer to whether below is subconjugate to above:
+    below's bit in the lattice's mask below[above], for the tests that
+    hold it against an oracle."""
+    lattice = _subgroup_classes(g)
+    return lattice.below[lattice.position[above]] >> lattice.position[below] & 1 == 1
+
+
+def members(family) -> frozenset:
+    """The classes of the family's group that the family holds."""
+    return frozenset(c for c in subgroup_conjugacy_classes(family.group)
+                     if c in family)
+
+
+def bounded_group(spec: str, bound: int):
+    """make_group(spec) with EQUISEP_MAX_ORDER set to bound for the call,
+    or None when the group is over that bound."""
+    saved = os.environ.get(MAX_ORDER_ENV)
+    os.environ[MAX_ORDER_ENV] = str(bound)
+    try:
+        return make_group(spec)
+    except ResourceLimitError:
+        return None
+    finally:
+        if saved is None:
+            del os.environ[MAX_ORDER_ENV]
+        else:
+            os.environ[MAX_ORDER_ENV] = saved
+
+
 @functools.cache
 def containment_counts_by_scan(g: Group) -> tuple:
     """c[H][K] over the classes in subgroup_conjugacy_classes order, the
@@ -327,7 +364,7 @@ def class_order_chain(start):
     in class order, and those classes.  Each stage is built by the
     checking Family constructor; a prefix in class order is closed."""
     added = tuple(start.outside())
-    stages = [Family(start.group, start.classes | set(added[:i]))
+    stages = [Family(start.group, members(start) | set(added[:i]))
               for i in range(len(added) + 1)]
     return stages, added
 

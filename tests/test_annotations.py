@@ -49,7 +49,7 @@ def _functions(stem):
 
 def test_every_module_is_checked():
     assert {"__init__", "_record", "cli", "classifier", "gset"} <= set(MODULES)
-    assert sum(len(_functions(stem)) for stem in MODULES) > 200
+    assert sum(len(_functions(stem)) for stem in MODULES) > 190
 
 
 @pytest.mark.parametrize("stem", MODULES)

@@ -13,6 +13,8 @@ import pytest
 import equisep
 from equisep import cli, group_core
 
+from .reach import REFUSALS
+
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
@@ -239,10 +241,10 @@ ResourceLimitError RingDescriptor StageReport SubgroupClass TableOfMarks
 Verdict WitnessProbe WitnessRecord all_homomorphisms alternating_group
 aut_group burnside check_ic check_rc class_of_subgroup classifier classify
 closure_family conditions coset_gset cyclic_group degree_is_constant
-delete_orbits dihedral_group direct_product disjoint_union double_cosets
-empty_family empty_gset f_assemble f_split families fixed_points
+dihedral_group direct_product disjoint_union double_cosets
+empty_family empty_gset f_assemble f_split families
 group_core group_flags groupoid_calc gset idempotent_block_count induce
-integers is_indecomposable_mod is_subconjugate mackey_decompose make_group
+integers is_indecomposable_mod mackey_decompose make_group
 orbit_type perfect_subgroup_classes prime_field pullback pullback_pi0 quaternion_group realize_type restrict
 sphere sphere_ic stage_report subgroup_conjugacy_classes symmetric_group
 table_of_marks trivial_group trivial_gset truncated_gset_groupoid weyl_group
@@ -252,10 +254,7 @@ weyl_group_with_section witness_nonstandard
 
 # Public names that no library module, demo or acceptance criterion reads,
 # each kept for its reason.
-KEPT = {
-    "fixed_points": "the G-set form of the paper's geometric fixed points",
-    "delete_orbits": "the paper's orbit-deletion step",
-}
+KEPT: dict = {}
 # Class members (record fields, public methods and properties) that no
 # library module, demo or acceptance criterion reads, each kept for its
 # reason.
@@ -328,7 +327,7 @@ def _class_members() -> list:
 
 class TestLazyExports:
     def test_all_lists_the_public_names(self):
-        assert len(PUBLIC_NAMES) == 79
+        assert len(PUBLIC_NAMES) == 76
         assert sorted(equisep.__all__) == PUBLIC_NAMES
 
     def test_every_public_name_is_read(self):
@@ -612,9 +611,10 @@ class TestExitCodes:
 
         for name in ("closure", "identity_perm", "_parse_cycles"):
             monkeypatch.setattr(group_core, name, boom)
-        monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
+        monkeypatch.setenv("EQUISEP_MAX_ORDER", "50")
         with pytest.raises(group_core.ResourceLimitError, match="bound 50"):
-            group_core.make_group("perm:51:(1 2)", max_order=50)
+            group_core.make_group("perm:51:(1 2)")
+        monkeypatch.delenv("EQUISEP_MAX_ORDER")
         code = cli.main(["subgroups", "--group", "perm:300000000:(1 2)"])
         assert code == 3
         assert capsys.readouterr().err == (
@@ -639,6 +639,25 @@ class TestExitCodes:
         denied = run_cli("subgroups", "--group", "C12",
                          env_extra={"EQUISEP_MAX_ORDER": "10"})
         assert denied.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "argv, env, code", REFUSALS,
+    ids=[" ".join([*(f"{k}={v}" for k, v in env.items()), *argv])[:40] or "no-words"
+         for argv, env, _ in REFUSALS],
+)
+def test_each_refusal_site_exits_with_one_line(argv, env, code, monkeypatch,
+                                               capsys):
+    """Each command line of the reach corpus's refusals, at least one per
+    site where the CLI refuses its input, leaves with its exit code and
+    one `error:` line, and prints nothing on stdout."""
+    monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(list(argv)) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err[-1] == "\n"
 
 
 def _main_output(argv, capsys):

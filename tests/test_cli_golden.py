@@ -22,6 +22,11 @@ witnesses both), and PULLBACK_GOLDEN for `pullback-demo` with seeds 0-9.
 They were generated from commit 73f8eed, before each verb's text was
 rendered from its JSON payload.
 
+The `subgroups` digests of D1 and D2, which make_group spells as C2 and
+C2xC2, and the `witness` digests of S4 with Fp:3, whose failures name a
+Weyl group that is not cyclic, were generated from commit ac50390, so
+that each of those paths runs under a golden.
+
 A change that alters any of these bytes must say why and regenerate them.
 """
 
@@ -142,6 +147,10 @@ GOLDEN = {
     ('conditions', 'perm:7:(1 2 3 4 5 6 7);(2 4 3 7 5 6)', 'json', 'Fp:3'): (0, "045eeac2d61cb224ac701b24aacf8c67e535f2d4e5f254cbabdfc0a7d276393c"),
     ('marks', 'S4xS4', 'text', None): (0, "09aa345d060b3d972ae3721be950e29815684a8fd2fcb5166283d4aca85bc7cc"),
     ('marks', 'S4xS4', 'json', None): (0, "e91dc26aae14304e5e8f7bf64673ec4e7cb31da3ff7161fca9ba32fad23bbf30"),
+    ('subgroups', 'D1', 'text', None): (0, "054ddc35fa8004319d935cb2818bb49b2ed3a1ef2a8c776bcd036ce7b625b34b"),
+    ('subgroups', 'D1', 'json', None): (0, "3fa69c1eb68db9c2f8c594923266e0c073119bb3762531e00763f3d2b9f5a464"),
+    ('subgroups', 'D2', 'text', None): (0, "6d0a5a9eb7e015829c9031dae7a05b9bba9fda334df500627f18d1e4695eb89d"),
+    ('subgroups', 'D2', 'json', None): (0, "da164bb2a3c03d727755a4b067a852b8197f2e8a1b5fa9d7ef0e5985d9a840a8"),
 }
 
 # (group, coefficients, --max-size, format) -> (exit code, digest)
@@ -180,6 +189,8 @@ WITNESS_GOLDEN = {
     ('C12', 'Z', 'json'): (0, "e857ff2ad4617b3da83178d1d523a055623afd0b26ffbf86a1adf0ae37cf6bbc"),
     ('C6', 'sphere', 'text'): (0, "31f26bdf52b96b130042b9144705f18df9385f270eb3bdf9d617a402bcf96c00"),
     ('C6', 'sphere', 'json'): (0, "60aad5768e4dc3ba970ce9df09623e24c27857f10f0f14b0359a670694f6d559"),
+    ('S4', 'Fp:3', 'text'): (0, "aa3598554508be7f62677509685ee2d8b209267caa6ba0eaf0bab9d6ed7c5043"),
+    ('S4', 'Fp:3', 'json'): (0, "18942e6aa512ee39ffee6da3fcb1976f880868f19b6c8e54258518b98aea1dfc"),
 }
 
 # (seed, format) -> (exit code, digest)

@@ -42,6 +42,19 @@ from .oracles import (
 )
 
 
+def _point(label="p"):
+    """A one-component groupoid whose component has automorphisms C2."""
+    return FiniteGroupoid([GroupoidComponent(label, cyclic_group(2))])
+
+
+def _functor(target, component_map, aut_maps):
+    return GroupoidFunctor(_point(), target, component_map, aut_maps)
+
+
+def _identity(g):
+    return GroupHom(g, g, {x: x for x in g.elements})
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -51,8 +64,24 @@ from .oracles import (
         (lambda: GroupHom(cyclic_group(2), cyclic_group(3),
                           {x: x for x in cyclic_group(2).elements}),
          "homomorphism image leaves the target group"),
+        (lambda: GroupHom(cyclic_group(2), cyclic_group(2), {}),
+         "homomorphism must be defined on every element"),
+        (lambda: FiniteGroupoid([GroupoidComponent("p", cyclic_group(2))] * 2),
+         "component labels must be unique"),
+        (lambda: _functor(_point(), {}, {}), "component 'p' has no image"),
+        (lambda: _functor(_point(), {"p": "q"}, {}),
+         "image component 'q' missing in target"),
+        (lambda: _functor(_point(), {"p": "p"}, {}), "component 'p' has no hom"),
+        (lambda: _functor(_point(), {"p": "p"},
+                          {"p": GroupHom.trivial(cyclic_group(2), cyclic_group(3))}),
+         "hom at 'p' has wrong endpoints"),
+        (lambda: pullback_pi0(
+            _functor(_point(), {"p": "p"}, {"p": _identity(cyclic_group(2))}),
+            _functor(_point("q"), {"p": "q"}, {"p": _identity(cyclic_group(2))})),
+         "pullback needs functors into the same groupoid"),
     ],
-    ids=["census-size", "hom-target"],
+    ids=["census-size", "hom-target", "hom-domain", "labels", "no-image",
+         "missing-image", "no-hom", "hom-endpoints", "pullback-targets"],
 )
 def test_groupoid_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,4 +1,4 @@
-"""G-set orbit typing, fixed points, induction, Mackey, automorphisms."""
+"""G-set orbit typing, induction, Mackey, automorphisms."""
 
 import hashlib
 import os
@@ -11,7 +11,6 @@ import pytest
 
 from equisep import group_core
 from equisep.group_core import (
-    ResourceLimitError,
     cyclic_group,
     double_cosets,
     make_group,
@@ -24,12 +23,10 @@ from equisep.gset import (
     GSetType,
     aut_group,
     coset_gset,
-    delete_orbits,
     disjoint_union,
     empty_gset,
     f_assemble,
     f_split,
-    fixed_points,
     induce,
     mackey_decompose,
     orbit_type,
@@ -95,9 +92,13 @@ def test_gset_type_label_and_size():
         (lambda: mackey_decompose(make_group("S3"), cyclic_group(3),
                                   cyclic_group(3), trivial_gset(make_group("S3"), 1)),
          "mackey_decompose needs a K-set"),
+        (lambda: f_split(trivial_gset(make_group("S3"), 1),
+                         closure_family(make_group("S3"),
+                                        subgroup_conjugacy_classes(make_group("S3")))),
+         "G-set has isotropy inside the family: 6a"),
     ],
     ids=["images", "coset", "restrict", "induce-subgroup",
-         "induce-kset", "mackey"],
+         "induce-kset", "mackey", "f-split"],
 )
 def test_gset_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -112,7 +113,7 @@ BAD_ARGUMENTS = """
 from equisep.families import Family
 from equisep.group_core import Group, make_group, subgroup_conjugacy_classes
 from equisep.classifier import ClassificationOutcome, Verdict
-from equisep.gset import GSet, disjoint_union, fixed_points, trivial_gset
+from equisep.gset import GSet, disjoint_union, trivial_gset
 
 def outcomes():
     s3, c2, c3 = make_group("S3"), make_group("C2"), make_group("C3")
@@ -124,7 +125,6 @@ def outcomes():
         lambda: c3.subgroup([(0, 1, 2), (1, 0, 2)]),
         lambda: disjoint_union(),
         lambda: disjoint_union(trivial_gset(c2, 1), trivial_gset(c3, 1)),
-        lambda: fixed_points(trivial_gset(s3, 1), subgroup_conjugacy_classes(c2)[0]),
         lambda: Family(s3, frozenset([c6_order_2])),
         # a generator outside the given elements, and no identity in them
         lambda: Group(3, [(1, 2, 0)], [(0, 1, 2), (1, 0, 2)]),
@@ -134,6 +134,7 @@ def outcomes():
         lambda: GSet(c2, 2, [(0, 0)]),
         lambda: GSet(c2, 2, [(0, 5)]),
         lambda: GSet(c3, 2, [(1, 0)]),
+        lambda: GSet(c2, 2, []),
         # a negative size, which no generator's image would catch
         lambda: GSet(make_group("C1"), -3, []),
         lambda: ClassificationOutcome(Verdict.ALL_STANDARD, ()),
@@ -157,13 +158,13 @@ BAD_ARGUMENT_ERRORS = [
     "ValueError: subgroup elements must lie in the group",
     "ValueError: disjoint_union needs at least one part",
     "ValueError: disjoint_union needs G-sets over one group",
-    "ValueError: fixed_points needs a subgroup class of the acting group",
     "ValueError: class 2a is a subgroup class of another group",
     "TypeError",
     "TypeError",
     "ValueError: not a permutation of 2 points: (0, 0)",
     "ValueError: not a permutation of 2 points: (0, 5)",
     "ValueError: the images are not an action of the group",
+    "ValueError: a GSet needs one image per generator",
     "ValueError: a GSet needs a size of at least 0, not -3",
     "ValueError: an outcome has a groupoid iff it is AllStandard",
 ]
@@ -176,7 +177,7 @@ def test_argument_checks_raise_value_errors():
 
 
 def test_argument_checks_hold_under_optimize():
-    """Group.subgroup, disjoint_union, fixed_points, Family, GSet and
+    """Group.subgroup, disjoint_union, Family, GSet and
     ClassificationOutcome check their arguments with
     ValueErrors that `python -O` keeps, and Group refuses an element set
     under it too."""
@@ -187,29 +188,6 @@ def test_argument_checks_hold_under_optimize():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["False"] + BAD_ARGUMENT_ERRORS
-
-
-def test_fixed_points_c6_example():
-    g = make_group("C6")
-    by = classes_by_order(g)
-    x = coset_gset(g, by[2][0].representative)
-    fp = fixed_points(x, by[2][0])
-    assert fp.size == 3
-    assert fp.group.order == 3
-    assert len(fp.orbits()) == 1
-    assert fp.group.subgroup(fp._fixing(0)).order == 1
-
-
-def test_fixed_points_counts_detect_subconjugacy():
-    g = make_group("S4")
-    classes = subgroup_conjugacy_classes(g)
-    from equisep.group_core import is_subconjugate
-
-    for h in classes:
-        x = coset_gset(g, h.representative)
-        for k in classes:
-            nonempty = fixed_points(x, k).size > 0
-            assert nonempty == is_subconjugate(g, k, h)
 
 
 def test_restrict_coset_to_complement():
@@ -338,7 +316,8 @@ def test_aut_group_with_conjugate_stabilizers(spec):
         if cls.class_size == 1:
             continue
         h = cls.representative
-        conjugates = (frozenset(pconj(t, k) for k in h.elements) for t in g)
+        conjugates = (frozenset(pconj(t, k) for k in h.elements)
+                      for t in g.sorted_elements())
         other = g.subgroup(next(c for c in conjugates if c != h.elements))
         x = disjoint_union(coset_gset(g, other), coset_gset(g, h))
         assert x.orbit_stabilizers()[0][1] == other.elements
@@ -367,9 +346,8 @@ def test_stabilizers_and_transversals_on_random_unions(monkeypatch):
     rng = random.Random(1601)
     checked = 0
     for spec in oracles.random_perm_specs(random.Random(1602), 24):
-        try:
-            g = make_group(spec, max_order=120)
-        except ResourceLimitError:
+        g = oracles.bounded_group(spec, 120)
+        if g is None:
             continue
         classes = subgroup_conjugacy_classes(g)
         x = disjoint_union(*(coset_gset(g, rng.choice(classes).representative)
@@ -511,9 +489,8 @@ def random_triples(seed: int, count: int):
     out = []
     while len(out) < count:
         (spec,) = oracles.random_perm_specs(rng, 1)
-        try:
-            g = make_group(spec, max_order=120)
-        except ResourceLimitError:
+        g = oracles.bounded_group(spec, 120)
+        if g is None:
             continue
         classes = subgroup_conjugacy_classes(g)
         h = rng.choice(classes).representative
@@ -579,8 +556,6 @@ def test_building_gsets_composes_no_image_until_read(monkeypatch):
     assert composed == []
     # these read their inputs' images, but compose none of their own
     built += [restrict(x, k),
-              delete_orbits(disjoint_union(x, x), classes[-1]),
-              fixed_points(x, classes[1]),
               mackey_decompose(g, h, k, coset_gset(k, k))]
     assert all(b._images is None for b in built)
     fresh = built[0]

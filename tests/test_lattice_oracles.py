@@ -9,13 +9,11 @@ import pytest
 from equisep import cli, group_core, gset
 from equisep.burnside import table_of_marks
 from equisep.group_core import (
-    ResourceLimitError,
-    is_subconjugate,
     make_group,
     subgroup_conjugacy_classes,
     weyl_group,
 )
-from equisep.gset import GSetType, coset_gset, fixed_points
+from equisep.gset import GSetType, coset_gset
 
 from . import oracles
 from .test_acceptance import CORPUS
@@ -26,19 +24,18 @@ def oracle_groups():
     specs of order at most 48."""
     groups = [make_group(s) for s in CORPUS + ["C30", "A5", "C2xC2xC2xC2"]]
     for spec in oracles.random_perm_specs(random.Random(2024), 40):
-        try:
-            groups.append(make_group(spec, max_order=48))
-        except ResourceLimitError:
-            continue
+        g = oracles.bounded_group(spec, 48)
+        if g is not None:
+            groups.append(g)
     return groups
 
 
-def test_is_subconjugate_matches_scan_over_group():
+def test_below_bits_match_scan_over_group():
     for g in oracle_groups():
         classes = subgroup_conjugacy_classes(g)
         for below in classes:
             for above in classes:
-                assert is_subconjugate(g, below, above) == (
+                assert oracles.below_bit(g, below, above) == (
                     oracles.brute_force_subconjugate(g, below, above)
                 ), (g, below.name, above.name)
 
@@ -49,7 +46,7 @@ def test_marks_match_fixed_points_of_coset_gsets():
         for i, h in enumerate(tom.classes):
             x = coset_gset(g, h.representative)
             for j, k in enumerate(tom.classes):
-                assert tom.marks[i][j] == fixed_points(x, k).size, (
+                assert tom.marks[i][j] == len(x._fixed_by(k.representative)), (
                     g, h.name, k.name
                 )
 
@@ -90,7 +87,6 @@ def test_lattice_readers_build_no_gset_or_weyl_group(monkeypatch, capsys):
         raise AssertionError("built a G-set or a Weyl group")
 
     monkeypatch.setattr(gset, "coset_gset", boom)
-    monkeypatch.setattr(gset, "fixed_points", boom)
     monkeypatch.setattr(gset, "weyl_group_with_section", boom)
     monkeypatch.setattr(group_core, "weyl_group_with_section", boom)
     monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
@@ -118,8 +114,8 @@ def test_lattice_readers_build_no_gset_or_weyl_group(monkeypatch, capsys):
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "A4"])
 def test_subconjugacy_is_read_without_a_scan(monkeypatch, spec):
-    """is_subconjugate reads the counts: with conjugation disabled after
-    the classes exist, it still answers."""
+    """The below bits are read off the lattice: with conjugation disabled
+    after the classes exist, they still answer."""
     g = make_group(spec)
     classes = subgroup_conjugacy_classes(g)
 
@@ -128,8 +124,8 @@ def test_subconjugacy_is_read_without_a_scan(monkeypatch, spec):
 
     monkeypatch.setattr(group_core, "pconj", boom)
     top = classes[-1]
-    assert all(is_subconjugate(g, c, top) for c in classes)
-    assert [is_subconjugate(g, top, c) for c in classes] == [
+    assert all(oracles.below_bit(g, c, top) for c in classes)
+    assert [oracles.below_bit(g, top, c) for c in classes] == [
         c is top for c in classes
     ]
 

@@ -1,6 +1,7 @@
 """The line counter of tests/loc.py on a fixture whose counts are known,
 and its public-name count on a fixture and on the package."""
 
+import os
 import subprocess
 import sys
 
@@ -107,3 +108,18 @@ def test_the_package_line_is_the_length_of_all():
     out = subprocess.run([sys.executable, "-m", "tests.loc"], cwd=loc.PACKAGE.parents[1],
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1].split() == ["public", "names", str(len(equisep.__all__))]
+
+
+def test_a_closed_stdout_exits_quietly():
+    """`python3 -m tests.loc | head -1`: when the reader of stdout is gone
+    before the report is written, the tool exits 141 with nothing on
+    stderr, as the CLI does, and not with a BrokenPipeError traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tests.loc"],
+                              cwd=loc.PACKAGE.parents[1], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")

@@ -32,9 +32,17 @@ from equisep.group_core import (
     make_group,
     subgroup_conjugacy_classes,
 )
-from equisep.gset import FSplitting, GSetType
-from equisep.pullback import GroupoidComponent, PullbackComponent
+from equisep.gset import FSplitting, GSetType, trivial_gset
+from equisep.pullback import (
+    FiniteGroupoid,
+    GroupHom,
+    GroupoidComponent,
+    GroupoidFunctor,
+    PullbackComponent,
+)
 from equisep.witness import MODELING_NOTE, WitnessProbe, WitnessRecord
+
+from . import oracles
 
 # Each record with its fields in constructor order.  Records that check
 # nothing in their constructor are filled with plain strings.
@@ -70,11 +78,19 @@ def _checked_samples():
     classes = subgroup_conjugacy_classes(g)
     return [
         (Family, ("group", "classes"),
-         (g, closure_family(g, [classes[1]]).classes)),
+         (g, oracles.members(closure_family(g, [classes[1]])))),
         (ClassificationOutcome,
          ("verdict", "stage_reports", "groupoid", "witness", "notes"),
          (Verdict.UNIT_DECOMPOSES, (), None, None, ("a note",))),
     ]
+
+
+def _field(rec, f):
+    """The value rec was built with for its constructor argument f: a
+    Family, built from classes, holds their mask."""
+    if (type(rec), f) == (Family, "classes"):
+        return oracles.members(rec)
+    return getattr(rec, f)
 
 
 def _samples():
@@ -97,7 +113,7 @@ def test_positional_and_keyword_construction(index):
     by_position = cls(*args)
     by_keyword = cls(**dict(zip(fields, args)))
     for rec in (by_position, by_keyword):
-        assert tuple(getattr(rec, f) for f in fields) == args
+        assert tuple(_field(rec, f) for f in fields) == args
     assert by_position == by_keyword
     assert hash(by_position) == hash(by_keyword)
 
@@ -139,7 +155,7 @@ def test_assignment_is_refused(index):
         with pytest.raises(AttributeError):
             delattr(rec, f)
         if (cls, f) == (Family, "classes"):
-            assert rec.classes == args[1]
+            assert oracles.members(rec) == args[1]
         else:
             assert getattr(rec, f) is args[fields.index(f)]
     with pytest.raises(AttributeError):
@@ -181,6 +197,26 @@ def test_reprs_of_real_records():
     assert repr(GSetType(g, ((classes[0], 2), (classes[1], 1)))) == (
         "GSetType(2*G/1a + G/2a)"
     )
+
+
+def test_protocol_of_the_public_types_that_are_not_records():
+    """Group, GSet and the groupoid types print as what they are; a Group
+    hashes by its elements, and a Group or a FiniteGroupoid is never equal
+    to a value of another type."""
+    g, c2 = make_group("S3"), make_group("C2")
+    point = FiniteGroupoid([GroupoidComponent("p", c2)])
+    hom = GroupHom.trivial(c2, c2)
+    assert repr(g) == "Group(order=6, degree=3)"
+    assert repr(trivial_gset(g, 4)) == "GSet(group_order=6, size=4)"
+    assert repr(point) == "FiniteGroupoid(1 components)"
+    assert repr(hom) == (
+        "GroupHom(Group(order=2, degree=2) -> Group(order=2, degree=2))"
+    )
+    assert repr(GroupoidFunctor(point, point, {"p": "p"}, {"p": hom})) == (
+        "GroupoidFunctor(1 -> 1)"
+    )
+    assert hash(g) == hash(make_group("S3"))
+    assert g != "S3" and point != point.components
 
 
 def test_defaults():
