@@ -22,8 +22,7 @@ only the modules it uses.
 __version__ = "0.1.0"
 
 # Each public name -> the submodule that defines it.  A submodule's own
-# name maps to itself and reads as the module; witness, split from
-# pullback after the names were fixed, is left out of that list.
+# name maps to itself and reads as the module.
 _SUBMODULE = {
     name: module
     for module, names in {
@@ -117,6 +116,7 @@ _SUBMODULE = {
             "pullback_pi0",
         ),
         "witness": (
+            "witness",
             "WitnessProbe",
             "WitnessRecord",
             "witness_nonstandard",

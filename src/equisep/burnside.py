@@ -29,8 +29,8 @@ class TableOfMarks(_Record):
     marks per class.
 
     Each mark is counted as |W(H)| * c[H][K], where c[H][K] is the number
-    of conjugates of H containing K.  Classes are sorted ascending by
-    (order, canonical key), which makes the matrix lower triangular with
+    of conjugates of H containing K.  Classes are in class order
+    (ascending order first), which makes the matrix lower triangular with
     Weyl group orders on the diagonal (only H itself contains H).
     """
 

@@ -1,5 +1,5 @@
 """Top-level classification: build one stage report per subgroup class,
-in (order, canonical key) order, and judge the classes outside the
+in class order, and judge the classes outside the
 family.  When they all pass, present the census of G-sets up to the size
 bound, a tuple of GSetTypes (groupoid_calc.truncated_gset_groupoid);
 when one fails, hand every report to the witness step (witness._find,

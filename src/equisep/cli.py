@@ -121,7 +121,7 @@ def _marks(args):
 
     tom = table_of_marks(args.g)
     return {"classes": [c.name for c in tom.classes],
-            "marks": [list(row) for row in tom.marks]}
+            "marks": tom.marks}
 
 
 def _marks_text(payload, args) -> str:

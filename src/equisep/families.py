@@ -8,7 +8,7 @@ classes subconjugate to c (see _Lattice) has no bit outside it."""
 from __future__ import annotations
 
 from ._record import _Record
-from .group_core import Group, SubgroupClass, _subgroup_classes
+from .group_core import Group, SubgroupClass, _position, _subgroup_classes
 
 
 class Family(_Record):
@@ -20,10 +20,11 @@ class Family(_Record):
     def __init__(self, group: Group, classes: frozenset):
         """Refuses classes of another group, and names the least class
         missing below a given one when the classes are not closed."""
-        super().__init__(group, sum(_bit(group, c) for c in classes))
+        positions = {cls: _position(group, cls) for cls in classes}
+        super().__init__(group, sum(1 << pos for pos in positions.values()))
         lattice = _subgroup_classes(group)
-        for cls in classes:
-            missing = lattice.below[lattice.position[cls]] & ~self.mask
+        for cls, pos in positions.items():
+            missing = lattice.below[pos] & ~self.mask
             if missing:
                 other = lattice.classes[(missing & -missing).bit_length() - 1]
                 raise ValueError(
@@ -44,7 +45,7 @@ class Family(_Record):
         return _family, (self.group, self.mask)
 
     def outside(self) -> list:
-        """The classes not in the family, sorted by (order, canonical key)."""
+        """The classes not in the family, in class order."""
         return self._members(0)
 
     def check_group(self, g: Group) -> None:
@@ -53,17 +54,8 @@ class Family(_Record):
                              f"{self.group.order}, not {g.order}")
 
     def __repr__(self):
-        # position order is (order, canonical key) order
         names = ",".join(c.name for c in self._members(1))
         return f"Family({{{names}}})"
-
-
-def _bit(group: Group, cls: SubgroupClass) -> int:
-    """The mask bit of cls among group's classes, or a ValueError when cls
-    is a class of another group."""
-    if cls.parent != group:
-        raise ValueError(f"class {cls.name} is a subgroup class of another group")
-    return 1 << _subgroup_classes(group).position[cls]
 
 
 def _family(group: Group, mask: int) -> Family:
@@ -79,8 +71,8 @@ def empty_family(g: Group) -> Family:
 
 def closure_family(g: Group, seed) -> Family:
     """The smallest family containing the seed classes."""
-    lattice = _subgroup_classes(g)
+    below = _subgroup_classes(g).below
     mask = 0
     for s in seed:
-        mask |= lattice.below[lattice.position[s]]
+        mask |= below[_position(g, s)]
     return _family(g, mask)

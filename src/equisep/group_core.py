@@ -7,9 +7,9 @@ applies the right factor first, so (a*b)(x) = a[b[x]].  Groups are
 immutable and compare by their element sets, which lets subgroups of a
 common parent be used as dictionary keys.  A group's elements are always
 the closure of its generators: `Group` takes that closure, and the
-builders that already hold it (subgroups, direct products, Weyl groups
-and gset's automorphism groups) pass it to `_group`, which does not close
-again.
+builders that already hold it (subgroups, direct products, perm specs
+closed under the order bound, Weyl groups and gset's automorphism
+groups) pass it to `_group`, which does not close again.
 
 Inside this module a group's elements are also numbered 0..n-1 in
 `sorted_elements()` order (`_Table`), so the identity is 0 and index order
@@ -160,12 +160,12 @@ class Group:
     __slots__ = ("degree", "generators", "elements", "order", "_table",
                  "__weakref__")
 
-    def __init__(self, degree, generators, *, max_order=None):
+    def __init__(self, degree, generators):
         generators = tuple(dict.fromkeys(tuple(g) for g in generators))
         for g in generators:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of degree {degree}: {g!r}")
-        self._set(degree, generators, closure(generators, degree, max_size=max_order))
+        self._set(degree, generators, closure(generators, degree))
 
     def _set(self, degree, generators, elements):
         self.degree = degree
@@ -497,7 +497,7 @@ def make_group(spec: str) -> Group:
             for chunk in parts[2].split(";")
             if chunk.strip()
         ]
-        return Group(degree, gens, max_order=bound)
+        return _group(degree, gens, closure(gens, degree, max_size=bound))
     builders = []
     expected = 1
     for token in spec.split("x"):
@@ -516,18 +516,11 @@ def make_group(spec: str) -> Group:
     return group
 
 
-def encode_subgroup(elements) -> bytes:
-    """Deterministic byte encoding of a subgroup's sorted element list."""
-    return b"|".join(
-        ",".join(str(i) for i in p).encode("ascii") for p in sorted(elements)
-    )
-
-
 class SubgroupClass(_Record):
     """A conjugacy class of subgroups, with its canonical representative."""
 
-    # parent and representative are Groups; canonical_key is bytes
-    __slots__ = ("parent", "representative", "class_size", "canonical_key", "name")
+    # parent and representative are Groups
+    __slots__ = ("parent", "representative", "class_size", "name")
 
     @property
     def order(self) -> int:
@@ -539,9 +532,10 @@ class SubgroupClass(_Record):
         return self.parent.order // (self.order * self.class_size)
 
     def __hash__(self):
-        # Equal classes share their key, so this agrees with __eq__ and
-        # avoids rehashing the parent group and representative.
-        return hash(self.canonical_key)
+        # Equal classes share their name, which agrees with __eq__; the
+        # classes of one group have distinct names, so hashing the name
+        # spreads them without rehashing the parent and representative.
+        return hash(self.name)
 
     def __repr__(self):
         return f"SubgroupClass({self.name}, size={self.class_size})"
@@ -717,24 +711,26 @@ class _Lattice:
 def _class(g: Group, elements: list, size: int, name: str) -> SubgroupClass:
     """The subgroup class called name, with size conjugates, represented
     by the subgroup of g with the given sorted elements."""
-    return SubgroupClass(g, g.subgroup(elements), size, encode_subgroup(elements), name)
+    return SubgroupClass(g, g.subgroup(elements), size, name)
 
 
 def _subgroup_classes(g: Group) -> _Lattice:
     """The conjugacy classes of subgroups, as a _Lattice, built on the
     first call and kept on g's table.
 
-    Each class is one orbit of _all_subgroups; its representative is the
-    member with the least encode_subgroup, compared as tuples of the
-    elements' ranks in encoding order.  The below masks are closed in
-    class order as the classes are made.
+    Each class is one orbit of _all_subgroups.  The classes are sorted
+    by order, then by their representatives' sorted elements compared
+    as tuples of the elements' ranks, an element ranked by its images
+    written as comma-joined decimals; the representative is the least
+    member of its orbit under that key.  This is the class order.  The
+    below masks are closed in class order as the classes are made.
     """
     t = _table(g)
     if t.lattice is not None:
         return t.lattice
     found = _all_subgroups(g)
     rank = [0] * len(t.perms)
-    encoded = sorted(range(len(t.perms)), key=lambda x: encode_subgroup([t.perms[x]]))
+    encoded = sorted(range(len(t.perms)), key=lambda x: ",".join(map(str, t.perms[x])))
     for r, x in enumerate(encoded):
         rank[x] = r
 
@@ -766,11 +762,20 @@ def _subgroup_classes(g: Group) -> _Lattice:
 
 
 def subgroup_conjugacy_classes(g: Group) -> tuple:
-    """Conjugacy classes of subgroups, sorted by (order, canonical key).
+    """Conjugacy classes of subgroups, in class order (_subgroup_classes).
 
     Names follow the order-plus-letter convention: 1a, 2a, 2b, ...
     """
     return _subgroup_classes(g).classes
+
+
+def _position(g: Group, cls: SubgroupClass) -> int:
+    """The position of cls in g's class order, or a ValueError when cls
+    is a class of another group."""
+    pos = _subgroup_classes(g).position.get(cls)
+    if pos is None:
+        raise ValueError(f"class {cls.name} is a subgroup class of another group")
+    return pos
 
 
 def class_of_subgroup(g: Group, elements: frozenset) -> SubgroupClass:
@@ -809,7 +814,7 @@ def weyl_group_with_section(g: Group, cls: SubgroupClass):
     Built once per class and kept on g's lattice.
     """
     lattice = _subgroup_classes(g)
-    pos = lattice.position[cls]
+    pos = _position(g, cls)
     if lattice.weyl[pos] is not None:
         return lattice.weyl[pos]
     t = _table(g)

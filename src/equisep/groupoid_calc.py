@@ -13,24 +13,22 @@ from __future__ import annotations
 from math import factorial, lgamma, log
 
 from ._record import _Record
-from .group_core import (
-    Group,
-    ResourceLimitError,
-    SubgroupClass,
-)
+from .group_core import Group, ResourceLimitError, SubgroupClass, _position
 
 
 class GSetType(_Record):
     """Multiset of (stabilizer class, multiplicity): the isomorphism type."""
 
     __slots__ = ("group",
-                 "entries")  # ((SubgroupClass, int), ...) sorted by (order, key)
+                 "entries")  # ((SubgroupClass, int), ...) in class order
 
     @classmethod
     def from_counts(cls, group: Group, counts: dict) -> "GSetType":
+        """The type with counts[c] orbits of each class c of group;
+        refuses a class of another group."""
         entries = tuple(
             (c, counts[c])
-            for c in sorted(counts, key=lambda c: (c.order, c.canonical_key))
+            for c in sorted(counts, key=lambda c: _position(group, c))
             if counts[c] > 0
         )
         return cls(group, entries)
@@ -150,7 +148,7 @@ def truncated_gset_groupoid(g: Group, family,
             f"about 10^{digits:.1f}, over {CENSUS_DIGIT_BOUND} digits "
             "(layer groupoid_calc.truncated_gset_groupoid)"
         )
-    # outside is in (order, canonical key) order, as GSetType entries are
+    # outside is in class order, as GSetType entries are
     census = [GSetType(g, tuple((c, n) for c, n in zip(outside, v) if n))
               for v in _count_vectors(sizes, max_size)]
     return tuple(sorted(census, key=lambda t: (t.size, t.label())))

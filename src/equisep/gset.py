@@ -263,7 +263,7 @@ def aut_group(x: GSet) -> Group:
         raise ResourceLimitError(f"automorphism group of order {t.aut_order} "
                                  f"exceeds the bound {bound} (layer gset.aut_group)")
     gens = []
-    for cls, _ in t.entries:  # in (order, canonical key) order
+    for cls, _ in t.entries:  # in class order
         w, section = weyl_group_with_section(g, cls)
         # One base point per orbit, each with stabilizer exactly H, the
         # class's representative: the stabilizer of a point H fixes is a

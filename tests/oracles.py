@@ -30,7 +30,6 @@ from equisep.group_core import (
     closure,
     cyclic_group,
     direct_product,
-    encode_subgroup,
     identity_perm,
     make_group,
     orbit_of,
@@ -49,6 +48,16 @@ from equisep.pullback import (
     GroupoidFunctor,
     _matching_pairs,
 )
+
+
+def encode_subgroup(elements) -> bytes:
+    """A subgroup's sorted elements as bytes, each element's images
+    written as comma-joined decimals and the elements joined by "|": the
+    reference the tests check the library's class order against, which
+    is (order, encode_subgroup of the representative)."""
+    return b"|".join(
+        ",".join(str(i) for i in p).encode("ascii") for p in sorted(elements)
+    )
 
 
 def brute_force_subgroups(g: Group):
@@ -184,10 +193,10 @@ def conjugacy_classes_by_scan(g: Group, subgroups):
     by conjugating with every element of g, sorted by (order, key).
 
     Returns (classes, counts): classes lists (representative, class size,
-    canonical key, name), the representative being the member with the
-    least encode_subgroup and the name its order plus a letter; counts[i][j]
-    is the number of conjugates of class i's representative that contain
-    class j's representative."""
+    key, name), the key being the representative's encode_subgroup, the
+    representative the member with the least key and the name its order
+    plus a letter; counts[i][j] is the number of conjugates of class i's
+    representative that contain class j's representative."""
     seen, orbits = set(), []
     for sub in sorted(subgroups, key=encode_subgroup):
         if sub not in seen:
@@ -726,28 +735,6 @@ def injective_equivariant_maps(g: Group, cls, x):
         if stabilizer_elements(x, p) == h.elements:
             maps.append(p)
     return maps
-
-
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def blocks(self):
-        out = {}
-        for i in self.parent:
-            out.setdefault(self.find(i), []).append(i)
-        return list(out.values())
 
 
 def solve_upper_triangular(matrix, rhs):

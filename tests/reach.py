@@ -134,7 +134,6 @@ TABLE = (
      'raise ValueError("an outcome has a groupoid iff it is AllStandard")',
      "input", _CHECKED),
     ("families.py", "Family.__init__", "", "input", _CHECKED),
-    ("families.py", "_bit", "", "input", _CHECKED),
     ("families.py", "Family.__reduce__", "", "protocol",
      "tests/test_families.py::test_copy_and_pickle_keep_a_nonempty_family"),
     ("families.py", "Family.check_group",
@@ -167,6 +166,9 @@ TABLE = (
      'raise GroupSpecError(f"dihedral group needs n >= 3, got {n}")', "input",
      _LIBRARY),
     ("group_core.py", "SubgroupClass.__repr__", "", "protocol", _REAL_RECORDS),
+    ("group_core.py", "_position",
+     'raise ValueError(f"class {cls.name} is a subgroup class of another group")',
+     "input", "tests/test_group_core.py::test_class_of_another_group_refused"),
     ("group_core.py", "class_of_subgroup", "except KeyError:", "input", _LIBRARY),
     ("group_core.py", "class_of_subgroup", "pos = None", "input", _LIBRARY),
     ("group_core.py", "class_of_subgroup",

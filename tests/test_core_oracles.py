@@ -1,7 +1,7 @@
 """The integer-indexed group core against tuple-permutation oracles.
 
-Every subgroup, every class (size, canonical key, name, containment
-counts), normalizers, Weyl groups with their sections, solvability and
+Every subgroup, every class (size, place in class order, name,
+containment counts), normalizers, Weyl groups with their sections, solvability and
 perfect subgroups are recomputed on tuple permutations by
 `tests/oracles.py` and compared with the library, on the acceptance
 corpus, S5, A5xC2, C2xC2xC2xC2xC2, Q8xQ8, D4xD4 and random `perm:` specs
@@ -118,7 +118,8 @@ def test_classes_and_counts_match_scan(spec):
     g, _, (want, counts) = _oracle(spec)
     classes = subgroup_conjugacy_classes(g)
     got = [
-        (c.representative.elements, c.class_size, c.canonical_key, c.name)
+        (c.representative.elements, c.class_size,
+         oracles.encode_subgroup(c.representative.elements), c.name)
         for c in classes
     ]
     assert got == want

@@ -12,6 +12,7 @@ import pytest
 import equisep
 from equisep import group_core
 from equisep.burnside import table_of_marks
+from equisep.families import Family, closure_family
 from equisep.gset import GSetType, aut_group, realize_type
 from equisep.group_core import (
     Group,
@@ -23,7 +24,6 @@ from equisep.group_core import (
     cyclic_group,
     dihedral_group,
     double_cosets,
-    encode_subgroup,
     group_flags,
     make_group,
     perfect_subgroup_classes,
@@ -124,6 +124,27 @@ def test_library_refusals(call, error, message):
         call()
 
 
+def test_class_of_another_group_refused():
+    """Every reader of a class's place in the class order refuses a class
+    of another group with the same error, here the classes of C6, whose
+    names are also those of S3's classes."""
+    g = make_group("S3")
+    calls = [
+        lambda cls: weyl_group(g, cls),
+        lambda cls: weyl_group_with_section(g, cls),
+        lambda cls: closure_family(g, [cls]),
+        lambda cls: Family(g, frozenset([cls])),
+        lambda cls: GSetType.from_counts(g, {cls: 1}),
+    ]
+    foreign = subgroup_conjugacy_classes(make_group("C6"))
+    assert [c.name for c in foreign] == [c.name for c in subgroup_conjugacy_classes(g)]
+    for cls in foreign:
+        for call in calls:
+            with pytest.raises(ValueError, match=(
+                    f"^class {cls.name} is a subgroup class of another group$")):
+                call(cls)
+
+
 @pytest.mark.parametrize(
     "bad",
     ["", "C0", "C6x", "B5", "perm:3:(1 4)", "perm:0:(1)", "perm:3:(1 1 2)",
@@ -157,7 +178,8 @@ def test_subgroup_classes_q8():
 
 
 # From degree 11 on, a point's decimal string sorts apart from its value
-# ("10" < "2"), and canonical keys are compared as those strings.
+# ("10" < "2"), and the class order compares those strings
+# (oracles.encode_subgroup).
 @pytest.mark.parametrize(
     "spec,names",
     [
@@ -173,7 +195,8 @@ def test_subgroup_classes_q8():
 def test_class_names_and_sort_order(spec, names):
     classes = subgroup_conjugacy_classes(make_group(spec))
     assert [c.name for c in classes] == names.split()
-    keys = [(c.order, c.canonical_key) for c in classes]
+    keys = [(c.order, oracles.encode_subgroup(c.representative.elements))
+            for c in classes]
     assert keys == sorted(keys)
 
 
@@ -184,9 +207,9 @@ def test_representative_is_lex_minimal_in_class(spec):
         rep = cls.representative.elements
         best = min(
             (frozenset(pconj(x, h) for h in rep) for x in g.elements),
-            key=encode_subgroup,
+            key=oracles.encode_subgroup,
         )
-        assert encode_subgroup(best) == cls.canonical_key == encode_subgroup(rep)
+        assert best == rep
 
 
 @pytest.mark.parametrize("spec", ["C6", "S3", "D4", "A4", "C2xC2"])
@@ -355,11 +378,11 @@ def test_class_of_subgroup_indexes_every_subgroup(spec):
         class_of_subgroup(g, frozenset([g.identity, g.generators[0]]))
 
 
-def test_subgroup_class_hash_follows_key():
+def test_subgroup_class_hash_follows_name():
     classes = subgroup_conjugacy_classes(make_group("D4"))
     again = subgroup_conjugacy_classes(make_group("D4"))
     for c, d in zip(classes, again):
-        assert c == d and hash(c) == hash(d) == hash(c.canonical_key)
+        assert c == d and hash(c) == hash(d) == hash(c.name)
 
 
 def test_left_cosets_partition():
@@ -398,13 +421,14 @@ def test_group_equality_and_determinism():
     assert a == b and hash(a) == hash(b)
     ca = subgroup_conjugacy_classes(a)
     cb = subgroup_conjugacy_classes(b)
-    assert [c.canonical_key for c in ca] == [c.canonical_key for c in cb]
+    assert [(c.name, c.representative) for c in ca] == [
+        (c.name, c.representative) for c in cb]
 
 
 def test_group_signature_takes_no_element_set():
     """Group always closes its generators; the bad calls that pass an
     element set are in tests/test_gset.py's BAD_ARGUMENTS."""
-    assert str(inspect.signature(Group)) == "(degree, generators, *, max_order=None)"
+    assert str(inspect.signature(Group)) == "(degree, generators)"
     assert Group(3, [(1, 0, 2)]).elements == {(0, 1, 2), (1, 0, 2)}
 
 

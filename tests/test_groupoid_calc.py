@@ -442,7 +442,7 @@ class TestTruncatedGroupoid:
 
     def test_census_entries_are_in_class_order(self):
         """The census lays entries out in family.outside() order, which must
-        be the (order, canonical key) order from_counts sorts by; C12 acts
+        be the class order from_counts sorts by; C12 acts
         on 12 points, where string and numeric point order differ."""
         g = cyclic_group(12)
         census = truncated_gset_groupoid(g, empty_family(g), 12)
