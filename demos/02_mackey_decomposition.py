@@ -33,7 +33,7 @@ print(f"restricted to H it reads {orbit_type(down).label()}")
 # The same answer arrives orbit by orbit through H\G/K double cosets,
 # without ever forming the induced G-set.
 dec = double_cosets(g, h, k)
-print(f"H\\G/K has {len(dec)} double cosets of sizes {list(dec.sizes)}")
+print(f"H\\G/K has {len(dec)} double cosets of sizes {[size for _, size in dec]}")
 formula = mackey_decompose(g, h, k, point)
 print(f"the decomposition gives {orbit_type(formula).label()}")
 assert orbit_type(formula) == orbit_type(down)

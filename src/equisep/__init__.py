@@ -61,7 +61,6 @@ _SUBMODULE = {
         ),
         "group_core": (
             "group_core",
-            "DoubleCosetDecomposition",
             "Group",
             "GroupFlags",
             "GroupSpecError",
@@ -95,7 +94,6 @@ _SUBMODULE = {
             "aut_group",
             "coset_gset",
             "disjoint_union",
-            "empty_gset",
             "f_assemble",
             "f_split",
             "induce",

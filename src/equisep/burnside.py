@@ -11,8 +11,6 @@ subconjugate to H, so the lattice counts only the cells at the bits of
 its `below[H]` mask, each scaled by |W(H)| as it is counted, in one walk
 (`group_core._Lattice.counts`)."""
 
-from __future__ import annotations
-
 from ._record import _Record
 from .group_core import (
     Group,

@@ -7,8 +7,6 @@ the step witness_nonstandard also calls), so no report is built twice.
 Skeletal groupoids with built automorphism groups are in pullback.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 
 from ._record import _Record

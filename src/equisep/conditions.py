@@ -8,8 +8,6 @@ indecomposability check tied to the Weyl group order and a retraction
 check tied to the primes of that order that the ring inverts.
 """
 
-from __future__ import annotations
-
 from ._record import _Record
 from .burnside import is_indecomposable_mod, sphere_ic
 from .group_core import Group, SubgroupClass, prime_factors, weyl_group

@@ -5,8 +5,6 @@ A family is an int mask over class positions in subgroup_conjugacy_classes
 order.  It is closed when, for each member c, the mask below[c] of the
 classes subconjugate to c (see _Lattice) has no bit outside it."""
 
-from __future__ import annotations
-
 from ._record import _Record
 from .group_core import Group, SubgroupClass, _position, _subgroup_classes
 

@@ -54,8 +54,6 @@ subconjugacy masks are built from them in one pass.  The public API
 keeps perm tuples and frozensets.
 """
 
-from __future__ import annotations
-
 import os
 import re
 import sys
@@ -314,8 +312,8 @@ def _table(g: Group) -> _Table:
     return g._table
 
 
-def trivial_group(degree: int = 1) -> Group:
-    return Group(degree, ())
+def trivial_group() -> Group:
+    return Group(1, ())
 
 
 def cyclic_group(n: int) -> Group:
@@ -840,19 +838,10 @@ def weyl_group(g: Group, cls: SubgroupClass) -> Group:
     return weyl_group_with_section(g, cls)[0]
 
 
-class DoubleCosetDecomposition(_Record):
-    """The partition of a group into H-g-K double cosets: one minimal
-    representative and one size per double coset."""
-
-    __slots__ = ("representatives", "sizes")
-
-    def __len__(self):
-        return len(self.representatives)
-
-
-def double_cosets(g: Group, h: Group, k: Group) -> DoubleCosetDecomposition:
-    """Decompose g into double cosets HxK, sorted by minimal representative:
-    the H-orbits on the left cosets of K, each led by its least coset."""
+def double_cosets(g: Group, h: Group, k: Group) -> tuple:
+    """Decompose g into double cosets HxK: one (minimal representative,
+    size) pair per double coset, sorted by representative.  They are the
+    H-orbits on the left cosets of K, each led by its least coset."""
     if not (h.is_subgroup_of(g) and k.is_subgroup_of(g)):
         raise ValueError("double_cosets needs subgroups of g")
     t = _table(g)
@@ -860,10 +849,9 @@ def double_cosets(g: Group, h: Group, k: Group) -> DoubleCosetDecomposition:
     moves = [[coset_of[row[x]] for x in reps].__getitem__
              for row in map(t.row, t.indices(h.generators))]
     orbits = _orbits(len(reps), moves)
-    sizes = tuple(len(orbit) * k.order for orbit in orbits)
-    assert sum(sizes) == g.order
-    first = tuple(t.perms[reps[orbit[0]]] for orbit in orbits)
-    return DoubleCosetDecomposition(first, sizes)
+    pairs = tuple((t.perms[reps[orbit[0]]], len(orbit) * k.order) for orbit in orbits)
+    assert sum(size for _, size in pairs) == g.order
+    return pairs
 
 
 def prime_factors(n: int) -> tuple:

@@ -8,8 +8,6 @@ automorphism groups, and the functors and pullbacks between them, are in
 pullback.
 """
 
-from __future__ import annotations
-
 from math import factorial, lgamma, log
 
 from ._record import _Record

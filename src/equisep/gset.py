@@ -19,8 +19,6 @@ H of W(H) wreath S_n, its translations read off the Weyl sections of
 weyl_group_with_section.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 
 from ._record import _Record
@@ -76,9 +74,6 @@ class GSet:
         self.size = size
         self.gen_images = tuple(map(tuple, gen_images))
         self._images = None  # over the group's numbering, once one is read
-
-    def act(self, g, point: int) -> int:
-        return self.perm(g)[point]
 
     def perm(self, g):
         t = _table(self.group)
@@ -151,10 +146,6 @@ def _gset(group: Group, size: int, gen_images) -> GSet:
     return x
 
 
-def empty_gset(g: Group) -> GSet:
-    return trivial_gset(g, 0)
-
-
 def trivial_gset(g: Group, n: int) -> GSet:
     return _gset(g, n, [identity_perm(n)] * len(g.generators))
 
@@ -193,7 +184,7 @@ def orbit_type(x: GSet) -> GSetType:
 
 def realize_type(t: GSetType) -> GSet:
     """A concrete G-set with the given orbit type."""
-    parts = [empty_gset(t.group)]
+    parts = [trivial_gset(t.group, 0)]
     for cls, n in t.entries:
         block = coset_gset(t.group, cls.representative)
         parts.extend([block] * n)
@@ -233,9 +224,8 @@ def mackey_decompose(g: Group, h: Group, k: Group, y: GSet) -> GSet:
     """
     if y.group != k:
         raise ValueError("mackey_decompose needs a K-set")
-    dec = double_cosets(g, h, k)
     parts = []
-    for r in dec.representatives:
+    for r, _ in double_cosets(g, h, k):
         cap = g.subgroup(h.elements & {pconj(r, t) for t in k.elements})
         twisted = [y.perm(pconj(pinv(r), l)) for l in cap.generators]
         parts.append(induce(h, cap, _gset(cap, y.size, twisted)))
@@ -276,7 +266,7 @@ def aut_group(x: GSet) -> Group:
         # fix c, so the map is well defined.  A Weyl translation moves the
         # first base b to n b for n in N(H), a swap exchanges two orbits.
         words = {b: x.transversal(b) for b in bases}
-        moves = [[(bases[0], x.act(section[s], bases[0]))] for s in w.generators]
+        moves = [[(bases[0], x.perm(section[s])[bases[0]])] for s in w.generators]
         moves += [[(b, c), (c, b)] for b, c in zip(bases, bases[1:])]
         for pairs in moves:
             perm = list(range(x.size))

@@ -17,8 +17,6 @@ square, pi_0 of such a pullback, directly as double cosets; the tests
 check that count against pullback_pi0 and the oracle.
 """
 
-from __future__ import annotations
-
 from itertools import product
 
 from ._record import _Record
@@ -211,10 +209,10 @@ def pullback_pi0(f: GroupoidFunctor, g: GroupoidFunctor):
         u = g.aut_maps[c].image_group()
         v = f.aut_maps[b].image_group()
         dec = double_cosets(aut_d, u, v)
-        fiber = len(dec.representatives)
+        fiber = len(dec)
         order_b = f.source.component(b).aut_order
         order_c = g.source.component(c).aut_order
-        for idx, (rep, size) in enumerate(zip(dec.representatives, dec.sizes)):
+        for idx, (rep, size) in enumerate(dec):
             out.append(
                 PullbackComponent(
                     base=(b, c),

@@ -14,16 +14,14 @@ reports itself and calls it; `classify` hands it the reports it built
 for its own verdict, so a failing classification builds each report once.
 """
 
-from __future__ import annotations
-
 from ._record import _Record
 from .conditions import RingDescriptor, stage_report
 from .group_core import (
     Group,
     double_cosets,
-    group_flags,
     perm_order,
     pmul,
+    prime_factors,
     subgroup_conjugacy_classes,
 )
 from .groupoid_calc import GSetType
@@ -97,7 +95,7 @@ def _build_witness(g: Group, primes) -> WitnessRecord:
 
     orbits = []
     rep_of: dict = {}
-    for rep in dec.representatives:
+    for rep, _ in dec:
         members = sorted({pmul(pmul(u, rep), v) for u in diag for v in diag})
         orbits.append(tuple(_render_blocks(m, r) for m in members))
         for m in members:
@@ -118,7 +116,7 @@ def _find(g: Group, ring: RingDescriptor, reports: tuple) -> WitnessProbe:
     """The witness step, shared by witness_nonstandard and classify: it
     reads one stage report per subgroup class, in class order, builds
     none, and keeps them as the probe's stage_reports."""
-    primes = sorted(group_flags(g).prime_divisors)
+    primes = prime_factors(g.order)
     r = len(primes)
     failures = []
     if r < 2:

@@ -11,9 +11,13 @@ each module of ``src/equisep`` and in total, two counts:
 - non-blank lines: every line with a character other than white space,
   comments and docstrings included.
 
-It then prints each value record, a class that derives from ``_Record``
-and names its fields in ``__slots__``, with its field count, and the
-total of those counts: the values a caller can set on the records.
+It then prints, for each command-line call of CALLS, the code lines of
+the modules that call loads: ``__init__``, ``_record``, ``cli`` and the
+library modules of its row, all compiled from source when a CLI call
+starts.  It then prints each value record, a class that derives from
+``_Record`` and names its fields in ``__slots__``, with its field count,
+and the total of those counts: the values a caller can set on the
+records.
 Last, when the package has an ``__init__.py``, it prints the number of
 public names, ``len(__all__)`` of the package as that file defines it.
 When its reader closes stdout early, as ``| head -1`` does, it exits 141
@@ -31,6 +35,28 @@ import sys
 import tokenize
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "equisep"
+# Each command-line call by name, with its arguments and the library
+# modules it loads besides __init__, _record and cli;
+# tests/test_cli.py::test_verb_loads_only_its_modules checks each row in
+# a child interpreter.
+_CENSUS = ["group_core", "burnside", "conditions", "families", "groupoid_calc",
+           "classifier"]  # what a classify answered by the census loads
+CALLS = {
+    "subgroups": (["subgroups", "--group", "S3", "--format", "text"], ["group_core"]),
+    "burnside": (["burnside", "--group", "S3"], ["group_core"]),
+    "marks": (["marks", "--group", "S3"], ["group_core", "burnside"]),
+    "marks-json": (["marks", "--group", "S3", "--format", "json"],
+                   ["group_core", "burnside"]),
+    "conditions": (["conditions", "--group", "S3"],
+                   ["group_core", "burnside", "conditions"]),
+    "classify": (["classify", "--group", "C4", "--max-size", "4"], _CENSUS),
+    # a failing stage: classify hands its stage reports to the witness step
+    "classify-witness": (["classify", "--group", "S3", "--coeff", "Z"],
+                         _CENSUS + ["witness"]),
+    "witness": (["witness", "--group", "C6", "--coeff", "Z"],
+                ["group_core", "burnside", "conditions", "groupoid_calc", "witness"]),
+    "pullback-demo": (["pullback-demo", "--seed", "3"], ["group_core", "pullback"]),
+}
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -103,18 +129,28 @@ def quiet_when_stdout_closes():
         sys.exit(141)
 
 
-def main(package: pathlib.Path = PACKAGE) -> tuple:
+def main(package: pathlib.Path = PACKAGE, calls: dict = CALLS) -> tuple:
+    """Print the report for package, with a row for each of calls; return
+    (code lines, non-blank lines) of the package."""
+    code_of = {}
     total_code = total_lines = 0
     records = []
     for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         code, lines = count(source)
+        code_of[path.stem] = code
         total_code += code
         total_lines += lines
         records += record_fields(source)
         print(f"{path.name:<20} {code:>6} {lines:>6}")
     print(f"{'total':<20} {total_code:>6} {total_lines:>6}")
     print()
+    if calls:
+        print("code lines a CLI call loads")
+        for name, (_, library) in calls.items():
+            loaded = ["__init__", "_record", "cli", *library]
+            print(f"{name:<20} {sum(code_of[m] for m in loaded):>6}")
+        print()
     for name, fields in records:
         print(f"{name:<27} {fields:>6}")
     print(f"{'total fields':<27} {sum(n for _, n in records):>6}")

@@ -437,13 +437,13 @@ def random_perm_specs(rng, count: int, max_degree: int = 6):
 
 
 def double_cosets_by_orbits(g: Group, h: Group, k: Group):
-    """(representatives, sizes) of the double cosets HxK in order of their
+    """(representative, size) of each double coset HxK in order of their
     least elements, each walked on tuple permutations from that element
     by left multiplication with H's generators and right multiplication
     with K's."""
     moves = [lambda y, a=a: pmul(a, y) for a in h.generators]
     moves += [lambda y, b=b: pmul(y, b) for b in k.generators]
-    seen, reps, sizes = set(), [], []
+    seen, out = set(), []
     for x in g.sorted_elements():
         if x in seen:
             continue
@@ -456,9 +456,8 @@ def double_cosets_by_orbits(g: Group, h: Group, k: Group):
                     orbit.add(z)
                     frontier.append(z)
         seen |= orbit
-        reps.append(x)
-        sizes.append(len(orbit))
-    return tuple(reps), tuple(sizes)
+        out.append((x, len(orbit)))
+    return tuple(out)
 
 
 BRUTE_FORCE_AUT_BOUND = 64
@@ -565,7 +564,7 @@ def mackey_table(g: Group, h: Group, k: Group, y_table: dict, size: int) -> dict
     concatenation, one summand per double coset HrK in order, of the set
     induced from H meet rKr^-1 acting on Y through conjugation by r."""
     out = dict.fromkeys(h.elements, ())
-    for r in double_cosets_by_orbits(g, h, k)[0]:
+    for r, _ in double_cosets_by_orbits(g, h, k):
         ir = pinv(r)
         cap = h.elements & {pmul(pmul(r, t), ir) for t in k.elements}
         twisted = {l: y_table[pmul(pmul(ir, l), r)] for l in cap}
@@ -679,7 +678,7 @@ def resummed_count_vectors(sizes, bound):
 
 def stabilizer_elements(x, point):
     """Elements of the acting group fixing one point of a GSet."""
-    return frozenset(g for g in x.group.elements if x.act(g, point) == point)
+    return frozenset(g for g in x.group.elements if x.perm(g)[point] == point)
 
 
 def all_equivariant_bijections(x):
@@ -697,7 +696,7 @@ def all_equivariant_bijections(x):
         perm = [None] * x.size
         for base, img in zip(bases, images):
             for p, w in words[base].items():
-                perm[p] = x.act(w, img)
+                perm[p] = x.perm(w)[img]
         if len(set(perm)) == x.size:
             out.append(tuple(perm))
     return out
@@ -713,7 +712,7 @@ def transversal_words(x):
         while frontier:
             p = frontier.pop()
             for g in x.group.generators:
-                q = x.act(g, p)
+                q = x.perm(g)[p]
                 if q not in words:
                     words[q] = pmul(g, words[p])
                     frontier.append(q)
@@ -730,7 +729,7 @@ def injective_equivariant_maps(g: Group, cls, x):
     h = cls.representative
     maps = []
     for p in range(x.size):
-        if not all(x.act(k, p) == p for k in h.generators):
+        if not all(x.perm(k)[p] == p for k in h.generators):
             continue
         if stabilizer_elements(x, p) == h.elements:
             maps.append(p)

@@ -22,7 +22,8 @@ it.  A line that is neither goes from the library.  The tool then runs
 each test the table names, traced on its own, and checks that it runs
 the lines of its row.
 
-It prints, per module, the unlisted lines the corpus never runs, then
+It prints how many lines TABLE lists, per module and per fate, with
+totals; then, per module, the unlisted lines the corpus never runs, then
 the problems: a corpus run that failed, a row that names no code, a row
 whose test does not run it.  It exits 1 when there is any of these.
 """
@@ -456,6 +457,20 @@ def unreached(package: pathlib.Path, hits: set, rows: dict) -> dict:
     return out
 
 
+def print_listed(rows: dict) -> None:
+    """Print how many lines the rows list in each module, as input checks,
+    as protocol and both, then the same totals over the modules."""
+    listed = {}
+    for (module, _, _, fate, _), lines in rows.items():
+        listed.setdefault(module, {"input": set(), "protocol": set()})[fate].update(lines)
+    counts = [(module, len(f["input"]), len(f["protocol"]))
+              for module, f in sorted(listed.items())]
+    counts.append(("total", sum(c[1] for c in counts), sum(c[2] for c in counts)))
+    print(f"{'listed lines':<20} {'input':>8} {'protocol':>8} {'total':>8}")
+    for module, inputs, protocol in counts:
+        print(f"{module:<20} {inputs:>8} {protocol:>8} {inputs + protocol:>8}")
+
+
 def report(package: pathlib.Path, missed: dict, problems: list) -> int:
     """Print the unlisted unreached lines, module by module, then the
     problems; return how many there are of both."""
@@ -478,6 +493,7 @@ def main() -> int:
         problems = run_corpus()
         hits = trace.hits
         problems += check_table(trace, rows)
+    print_listed(rows)
     return 1 if report(PACKAGE, unreached(PACKAGE, hits, rows), problems) else 0
 
 

@@ -93,6 +93,17 @@ def test_witness_path_loads_no_pullback():
     assert proc.stdout.split() == ["True", "2", "NonStandardWitness", "False"]
 
 
+def test_witness_runs_no_derived_series(monkeypatch):
+    """The witness step reads the primes off the group order: it never
+    asks whether the group is solvable, so it builds no derived subgroup."""
+    def refuse(*_):
+        pytest.fail("a derived subgroup was built")
+
+    monkeypatch.setattr(group_core, "_derived_subgroup", refuse)
+    probe = witness_nonstandard(make_group("C6"), integers())
+    assert probe.found and probe.record.primes == (2, 3)
+
+
 def class_of_order(g, order):
     matches = [c for c in subgroup_conjugacy_classes(g) if c.order == order]
     assert len(matches) == 1

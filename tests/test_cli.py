@@ -13,6 +13,7 @@ import pytest
 import equisep
 from equisep import cli, group_core
 
+from . import loc
 from .reach import REFUSALS
 
 
@@ -177,10 +178,6 @@ def test_cli_child_loads_no_heavy_modules(run):
 
 LIBRARY = ("burnside", "classifier", "conditions", "families", "group_core",
            "groupoid_calc", "gset", "pullback", "witness")
-# what a classify answered from the stage checks and the census loads
-CENSUS = ["group_core", "burnside", "conditions", "families", "groupoid_calc",
-          "classifier"]
-WITNESS = ["group_core", "burnside", "conditions", "groupoid_calc", "witness"]
 
 
 def _loaded_by(code):
@@ -214,36 +211,25 @@ def test_submodule_reads_as_attribute_of_a_fresh_package(module):
     assert f"equisep.{module}" in loaded
 
 
-@pytest.mark.parametrize(
-    "argv, library",
-    [
-        (["subgroups", "--group", "S3", "--format", "text"], ["group_core"]),
-        (["burnside", "--group", "S3"], ["group_core"]),
-        (["marks", "--group", "S3"], ["group_core", "burnside"]),
-        (["conditions", "--group", "S3"],
-         ["group_core", "burnside", "conditions"]),
-        (["classify", "--group", "C4", "--max-size", "4"], CENSUS),
-        (["classify", "--group", "S3", "--coeff", "Z"],
-         CENSUS + ["witness"]),
-        (["witness", "--group", "C6", "--coeff", "Z"], WITNESS),
-        (["pullback-demo", "--seed", "3"], ["group_core", "pullback"]),
-    ],
-    ids=["subgroups", "burnside", "marks", "conditions", "classify",
-         "classify-witness", "witness", "pullback-demo"],
-)
+@pytest.mark.parametrize("argv, library", list(loc.CALLS.values()), ids=list(loc.CALLS))
 def test_verb_loads_only_its_modules(argv, library):
+    """Each call of tests.loc's CALLS loads equisep, _record, cli and the
+    library modules of its row, and no __future__; only a JSON call loads
+    json."""
     loaded = _loaded_by(f"from equisep.cli import main\nmain({argv!r})")
     ours = {m for m in loaded if m == "equisep" or m.startswith("equisep.")}
     assert ours == {"equisep", "equisep._record", "equisep.cli"} | {
         f"equisep.{m}" for m in library
     }
+    assert "__future__" not in loaded
+    assert ("json" in loaded) == ("json" in argv)
     if argv[0] in ("subgroups", "burnside"):
-        assert loaded.isdisjoint({"json", "typing", "random"})
+        assert loaded.isdisjoint({"typing", "random"})
 
 
 # The package's public names.
 PUBLIC_NAMES = """
-CheckResult ClassificationOutcome DoubleCosetDecomposition FSplitting
+CheckResult ClassificationOutcome FSplitting
 Family FiniteGroupoid GSet GSetType Group GroupFlags GroupHom
 GroupSpecError GroupoidComponent GroupoidFunctor PullbackComponent
 ResourceLimitError RingDescriptor StageReport SubgroupClass TableOfMarks
@@ -251,7 +237,7 @@ Verdict WitnessProbe WitnessRecord all_homomorphisms alternating_group
 aut_group burnside check_ic check_rc class_of_subgroup classifier classify
 closure_family conditions coset_gset cyclic_group degree_is_constant
 dihedral_group direct_product disjoint_union double_cosets
-empty_family empty_gset f_assemble f_split families
+empty_family f_assemble f_split families
 group_core group_flags groupoid_calc gset idempotent_block_count induce
 integers is_indecomposable_mod mackey_decompose make_group
 orbit_type perfect_subgroup_classes prime_field pullback pullback_pi0 quaternion_group realize_type restrict
@@ -336,7 +322,7 @@ def _class_members() -> list:
 
 class TestLazyExports:
     def test_all_lists_the_public_names(self):
-        assert len(PUBLIC_NAMES) == 77
+        assert len(PUBLIC_NAMES) == 75
         assert sorted(equisep.__all__) == PUBLIC_NAMES
 
     def test_every_public_name_is_read(self):

@@ -24,7 +24,6 @@ from equisep.gset import (
     aut_group,
     coset_gset,
     disjoint_union,
-    empty_gset,
     f_assemble,
     f_split,
     induce,
@@ -280,7 +279,7 @@ def test_aut_group_matches_brute_force():
     for _ in range(25):
         g = make_group(rng.choice(pool))
         classes = subgroup_conjugacy_classes(g)
-        parts = [empty_gset(g)]
+        parts = [trivial_gset(g, 0)]
         size = 0
         while size < 10:
             cls = rng.choice(classes)
@@ -355,7 +354,7 @@ def test_stabilizers_and_transversals_on_random_unions(monkeypatch):
         for orbit in x.orbits():
             words = x.transversal(orbit[0])
             assert sorted(words) == list(orbit)
-            assert all(x.act(u, orbit[0]) == q for q, u in words.items())
+            assert all(x.perm(u)[orbit[0]] == q for q, u in words.items())
         fresh = disjoint_union(x)
         with monkeypatch.context() as m:
             m.setattr(type(x), "perm", lambda *_: pytest.fail("perm was read"))
@@ -414,7 +413,7 @@ def test_aut_groups_and_coset_gsets_are_pinned(monkeypatch):
 
 def test_empty_gset_is_first_class():
     g = make_group("S3")
-    e = empty_gset(g)
+    e = trivial_gset(g, 0)
     assert orbit_type(e).entries == ()
     assert aut_group(e).order == 1
     assert orbit_type(e).label() == "empty"
@@ -469,7 +468,7 @@ def test_f_split_roundtrip_randomized():
         g = make_group(rng.choice(pool))
         fam = empty_family(g)
         classes = subgroup_conjugacy_classes(g)
-        parts = [empty_gset(g)]
+        parts = [trivial_gset(g, 0)]
         size = 0
         for _ in range(rng.randint(0, 4)):
             cls = rng.choice(classes)
@@ -503,10 +502,7 @@ def test_double_cosets_match_element_orbits():
     """Representatives and sizes agree with H-by-K orbits walked on tuple
     permutations, on 200 random triples."""
     for g, h, k in random_triples(1301, 200):
-        dec = double_cosets(g, h, k)
-        assert (dec.representatives, dec.sizes) == oracles.double_cosets_by_orbits(
-            g, h, k
-        )
+        assert double_cosets(g, h, k) == oracles.double_cosets_by_orbits(g, h, k)
 
 
 def test_actions_match_per_element_tables():
@@ -550,7 +546,7 @@ def test_building_gsets_composes_no_image_until_read(monkeypatch):
     classes = subgroup_conjugacy_classes(g)
     h, k = classes[2].representative, classes[-3].representative
     x = coset_gset(g, h)  # the input the others read
-    built = [coset_gset(g, h), trivial_gset(g, 2), empty_gset(g),
+    built = [coset_gset(g, h), trivial_gset(g, 2), trivial_gset(g, 0),
              disjoint_union(x, trivial_gset(g, 1), x),
              induce(g, k, trivial_gset(k, 2))]
     assert composed == []

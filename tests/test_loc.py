@@ -1,5 +1,6 @@
 """The line counter of tests/loc.py on a fixture whose counts are known,
-and its public-name count on a fixture and on the package."""
+its public-name count on a fixture and on the package, and its rows of
+the code lines each CLI call loads."""
 
 import os
 import subprocess
@@ -82,7 +83,7 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "a.py").write_text(FIXTURE)
     (tmp_path / "b.py").write_text("\n# nothing\n")
     (tmp_path / "c.py").write_text(RECORDS)
-    assert loc.main(tmp_path) == (9 + 12, 16 + 12)
+    assert loc.main(tmp_path, {}) == (9 + 12, 16 + 12)
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines] == [
         ["a.py", "9", "15"], ["b.py", "0", "1"], ["c.py", "12", "12"],
@@ -94,12 +95,35 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
 
 def test_main_counts_the_public_names_of_a_package(tmp_path, capsys):
     (tmp_path / "__init__.py").write_text('__all__ = sorted({"b": 1, "a": 2})\n')
-    assert loc.main(tmp_path) == (1, 1)
+    assert loc.main(tmp_path, {}) == (1, 1)
     lines = capsys.readouterr().out.splitlines()
     assert [line.split() for line in lines] == [
         ["__init__.py", "1", "1"], ["total", "1", "1"], [],
         ["total", "fields", "0"], ["public", "names", "2"],
     ]
+
+
+def test_a_call_row_sums_the_modules_it_loads():
+    """The `subgroups` row of `python3 -m tests.loc` is the code lines of
+    __init__, _record, cli and group_core, the modules that call loads."""
+    out = subprocess.run([sys.executable, "-m", "tests.loc"], cwd=loc.PACKAGE.parents[1],
+                         capture_output=True, text=True, check=True).stdout
+    rows = [line.split() for line in out.splitlines()]
+    assert loc.CALLS["subgroups"][1] == ["group_core"]
+    expected = sum(loc.count((loc.PACKAGE / f"{m}.py").read_text(encoding="utf-8"))[0]
+                   for m in ("__init__", "_record", "cli", "group_core"))
+    assert ["subgroups", str(expected)] in rows
+
+
+def test_call_rows_follow_the_table(tmp_path, capsys):
+    for name, code in (("__init__", "__all__ = ()\n"), ("_record", "y = 2\nz = 3\n"),
+                       ("cli", ""), ("lib", "w = 4\n")):
+        (tmp_path / f"{name}.py").write_text(code)
+    loc.main(tmp_path, {"bare": ([], []), "with-lib": (["verb"], ["lib"])})
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("code lines a CLI call loads")
+    assert [line.split() for line in lines[at + 1:at + 4]] == [
+        ["bare", "3"], ["with-lib", "4"], []]
 
 
 def test_the_package_line_is_the_length_of_all():

@@ -93,6 +93,23 @@ def test_report_prints_each_unlisted_line(tmp_path, capsys):
     assert lines[-2:] == ["a problem", "7 unlisted unreached lines, 1 problems"]
 
 
+def test_listed_counts_follow_the_table(tmp_path, capsys):
+    package, _ = _run_fixture(tmp_path, lambda m: None)
+    table = [("shapes.py", "area", "raise ValueError(", "input", "t"),
+             ("shapes.py", "unused", "", "input", "t"),
+             ("shapes.py", "Box.__repr__", "", "protocol", "t")]
+    rows = reach.table_lines(package, table)
+    reach.print_listed(rows)
+    inputs = len(rows[table[0]]) + len(rows[table[1]])
+    protocol = len(rows[table[2]])
+    assert (inputs, protocol) == (4, 1)
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["listed", "lines", "input", "protocol", "total"],
+        ["shapes.py", "4", "1", "5"],
+        ["total", "4", "1", "5"],
+    ]
+
+
 def test_the_traced_run_sees_a_refused_input(tmp_path):
     def refused(module):
         with pytest.raises(ValueError):
