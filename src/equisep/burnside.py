@@ -41,16 +41,16 @@ class TableOfMarks(_Record):
 def marks_layout(names, marks) -> str:
     """The table of marks as right-aligned text: a header of class names,
     then one row per class, its name and its marks.  Every mark is at most
-    |G:H| <= |G| = m(G/1, 1), the first mark, so that one sets the width."""
+    |G:H| <= |G|, and the last class, G, is named |G| and a letter, so the
+    longest name sets the width of every cell."""
     width = max(len(n) for n in names)
-    cell = max(width, len(str(marks[0][0])))
-    head = " " * (width + 1) + " ".join(n.rjust(cell) for n in names)
+    head = " " * (width + 1) + " ".join(n.rjust(width) for n in names)
     lines = [head]
     for name, row in zip(names, marks):
         lines.append(
             name.rjust(width)
             + " "
-            + " ".join(str(v).rjust(cell) for v in row)
+            + " ".join(str(v).rjust(width) for v in row)
         )
     return "\n".join(lines)
 

@@ -16,10 +16,14 @@ from .group_core import Group, SubgroupClass, prime_factors, weyl_group
 class RingDescriptor(_Record):
     """A coefficient ring the checks know: the sphere (kind "sphere"), the
     integers ("integers") or the prime field F_p ("prime_field"), with
-    characteristic char, 0 but for F_p.  Build one with sphere(),
-    integers() or prime_field(p)."""
+    characteristic char, 0 but for F_p.  Its name is read off both.  Build
+    one with sphere(), integers() or prime_field(p)."""
 
-    __slots__ = ("name", "kind", "char")
+    __slots__ = ("kind", "char")
+
+    @property
+    def name(self) -> str:
+        return {"sphere": "sphere", "integers": "Z"}.get(self.kind, f"F{self.char}")
 
     @property
     def separably_closed(self) -> bool:
@@ -38,11 +42,11 @@ class RingDescriptor(_Record):
 def sphere() -> RingDescriptor:
     """The initial ring.  Retraction questions are settled on its integral
     shadow, so they delegate to the integers."""
-    return RingDescriptor("sphere", "sphere", 0)
+    return RingDescriptor("sphere", 0)
 
 
 def integers() -> RingDescriptor:
-    return RingDescriptor("Z", "integers", 0)
+    return RingDescriptor("integers", 0)
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound, the
@@ -83,7 +87,7 @@ def prime_field(p: int) -> RingDescriptor:
         )
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return RingDescriptor(f"F{p}", "prime_field", p)
+    return RingDescriptor("prime_field", p)
 
 
 class CheckResult(_Record):

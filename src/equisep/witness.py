@@ -5,8 +5,11 @@ category at each of the r prime divisors turns its automorphisms into the
 power (S_2)^r of the symmetric group on two letters, and both comparison
 maps become the diagonal D.  The comparison fiber is pi_0 of the pullback
 of that diagonal leg against itself, which is the set of double cosets
-D\\(S_2)^r/D; they are counted directly, and there are 2^(r-1) of them
-instead of one.
+D\\(S_2)^r/D.  An element of the abelian group (S_2)^r is an r-bit mask,
+with bit i set where it swaps at the i-th prime, and D = {0, full}; so
+the double coset of m is {m, m ^ full}, and there are 2^(r-1) of them
+instead of one.  The record reads all of this off its primes and builds
+no group.
 
 The search is one step, `_find`, that reads a stage report for every
 subgroup class and builds none.  `witness_nonstandard` builds those
@@ -16,14 +19,7 @@ for its own verdict, so a failing classification builds each report once.
 
 from ._record import _Record
 from .conditions import RingDescriptor, stage_report
-from .group_core import (
-    Group,
-    double_cosets,
-    perm_order,
-    pmul,
-    prime_factors,
-    subgroup_conjugacy_classes,
-)
+from .group_core import Group, perm_order, prime_factors, subgroup_conjugacy_classes
 from .groupoid_calc import GSetType
 
 
@@ -34,26 +30,56 @@ MODELING_NOTE = (
 )
 
 
+def _blocks(m: int, r: int) -> tuple:
+    """The element of (S_2)^r with mask m, one "id" / "swap" per prime."""
+    return tuple("swap" if m >> i & 1 else "id" for i in range(r))
+
+
+def _text(blocks: tuple) -> str:
+    return "(" + ",".join(blocks) + ")"
+
+
 class WitnessRecord(_Record):
     """An explicit two-object comparison square whose fiber is too big.
 
     x1 is the two-object G-set type 2*[G/G], which serves as both
-    corners (the JSON writes it under both "x1" and "x2").  eta records
-    one automorphism tuple per prime divisor; the certificate lists every
-    double-coset orbit, and eta's orbit differs from the identity's.
-    Every record carries the same modeling note, a class attribute.
+    corners (the JSON writes it under both "x1" and "x2"); primes are
+    the r >= 2 prime divisors it splits at.  eta swaps at the last prime
+    only; the certificate lists every double-coset orbit, and eta's orbit
+    differs from the identity's.  Every record carries the same modeling
+    note, a class attribute.
     """
 
     __slots__ = ("x1",  # a GSetType
-                 "primes",
-                 "eta",  # one of "id" / "swap" per prime
-                 "fiber_size",
-                 "double_coset_certificate")  # orbits, tuples of rendered tuples
+                 "primes")
     note = MODELING_NOTE
+
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
+        if len(self.primes) < 2:
+            raise ValueError("a witness needs at least two primes")
+
+    @property
+    def eta(self) -> tuple:
+        r = len(self.primes)
+        return _blocks(1 << r - 1, r)
 
     @property
     def eta_text(self) -> str:
-        return "(" + ",".join(self.eta) + ")"
+        return _text(self.eta)
+
+    @property
+    def fiber_size(self) -> int:
+        return 2 ** (len(self.primes) - 1)
+
+    @property
+    def double_coset_certificate(self) -> tuple:
+        """The orbits {m, m ^ full}, one per mask m without the last bit,
+        each as its two rendered members sorted, and sorted."""
+        r = len(self.primes)
+        full = (1 << r) - 1
+        return tuple(sorted(tuple(sorted(_text(_blocks(x, r)) for x in (m, m ^ full)))
+                            for m in range(self.fiber_size)))
 
 
 class WitnessProbe(_Record):
@@ -71,45 +97,6 @@ def _describe_group(w: Group) -> str:
     if any(perm_order(x) == w.order for x in w.elements):
         return f"C{w.order}"
     return f"of order {w.order}"
-
-
-def _render_blocks(eta, r: int) -> str:
-    parts = ["id" if eta[2 * i] == 2 * i else "swap" for i in range(r)]
-    return "(" + ",".join(parts) + ")"
-
-
-def _build_witness(g: Group, primes) -> WitnessRecord:
-    r = len(primes)
-    x1 = GSetType.from_counts(g, {subgroup_conjugacy_classes(g)[-1]: 2})
-    # the per-prime indecomposability precondition was checked by the
-    # caller, so each local corner is a two-fold unit power with
-    # automorphisms S_2, and both comparison legs are the diagonal.
-    # (S_2)^r on 2r points, generated by the swaps of 2i and 2i + 1
-    power = Group(2 * r, [tuple(j ^ 1 if j >> 1 == i else j for j in range(2 * r))
-                          for i in range(r)])
-    ident = power.identity
-    all_swap = tuple(j ^ 1 for j in range(2 * r))
-    diag = (ident, all_swap)
-    diagonal = power.subgroup(diag)
-    dec = double_cosets(power, diagonal, diagonal)
-
-    orbits = []
-    rep_of: dict = {}
-    for rep, _ in dec:
-        members = sorted({pmul(pmul(u, rep), v) for u in diag for v in diag})
-        orbits.append(tuple(_render_blocks(m, r) for m in members))
-        for m in members:
-            rep_of[m] = rep
-    eta_perm = tuple(range(2 * r - 2)) + (2 * r - 1, 2 * r - 2)
-    assert rep_of[eta_perm] != rep_of[ident], "witness class collapsed"
-
-    return WitnessRecord(
-        x1=x1,
-        primes=tuple(primes),
-        eta=("id",) * (r - 1) + ("swap",),
-        fiber_size=len(dec),
-        double_coset_certificate=tuple(sorted(orbits)),
-    )
 
 
 def _find(g: Group, ring: RingDescriptor, reports: tuple) -> WitnessProbe:
@@ -150,7 +137,11 @@ def _find(g: Group, ring: RingDescriptor, reports: tuple) -> WitnessProbe:
 
     if failures:
         return WitnessProbe(None, tuple(failures), reports)
-    return WitnessProbe(_build_witness(g, primes), (), reports)
+    # the per-prime indecomposability checked above makes each local
+    # corner a two-fold unit power with automorphisms S_2
+    top = subgroup_conjugacy_classes(g)[-1]
+    return WitnessProbe(WitnessRecord(GSetType.from_counts(g, {top: 2}), primes),
+                        (), reports)
 
 
 def witness_nonstandard(g: Group, ring: RingDescriptor) -> WitnessProbe:

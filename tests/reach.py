@@ -234,6 +234,8 @@ TABLE = (
     ("pullback.py", "_matching_pairs",
      'raise ValueError("pullback needs functors into the same groupoid")',
      "input", _GROUPOID),
+    ("witness.py", "WitnessRecord.__init__",
+     'raise ValueError("a witness needs at least two primes")', "input", _CHECKED),
 )
 
 

@@ -41,8 +41,10 @@ def test_marks_structure():
         g = make_group(spec)
         tom = table_of_marks(g)
         n = len(tom.classes)
-        # marks_layout sizes every cell from the first mark
+        # marks_layout sizes every cell by the longest name, G's included,
+        # which is longer than the largest mark, the first
         assert max(map(max, tom.marks)) == tom.marks[0][0] == g.order
+        assert tom.classes[-1].name == f"{g.order}a"
         for i in range(n):
             # First column is the index, the diagonal is the Weyl order.
             assert tom.marks[i][0] == g.order // tom.classes[i].order

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from equisep import cli, group_core, pullback
+from equisep import cli, group_core, pullback, witness
 from equisep.classifier import Verdict, classify
 from equisep.conditions import StageReport, integers, prime_field, sphere
 from equisep.families import closure_family, empty_family
@@ -24,22 +24,32 @@ from equisep.group_core import (
     symmetric_group,
 )
 from equisep.gset import GSetType, orbit_type, realize_type
-from equisep.witness import witness_nonstandard
+from equisep.witness import WitnessRecord, witness_nonstandard
 
 from .oracles import brute_force_pullback, count_orbit_multisets, random_perm_specs
 
 
 @pytest.mark.parametrize(
     "spec, ring",
-    [("C6", sphere()), ("C10", integers()), ("A5", integers())],
-    ids=["C6-sphere", "C10-Z", "A5-Z"],
+    [("C6", sphere()), ("C10", integers()), ("A5", integers()), ("C210", None)],
+    ids=["C6-sphere", "C10-Z", "A5-Z", "C210-four-primes"],
 )
 def test_witness_count_matches_pullback_calculus(spec, ring):
-    """The witness counts the double cosets of the diagonal in (S_2)^r
-    itself.  The pullback of the diagonal leg against itself, through
-    pullback_pi0 and materialized, has as many components, and the
-    witness's certificate orbits are that pullback's double cosets."""
-    record = witness_nonstandard(make_group(spec), ring).record
+    """The witness reads the double cosets of the diagonal in (S_2)^r off
+    bit masks.  The pullback of the diagonal leg against itself, through
+    pullback_pi0 and materialized, has as many components, the witness's
+    certificate orbits are that pullback's double cosets in the same
+    order, and eta is the element that swaps at the last prime only.
+    C210 passes no stage check, so its four-prime record is built on its
+    primes directly."""
+    g = make_group(spec)
+    if ring is None:
+        top = subgroup_conjugacy_classes(g)[-1]
+        record = WitnessRecord(GSetType.from_counts(g, {top: 2}),
+                               prime_factors(g.order))
+        assert record.primes == (2, 3, 5, 7)
+    else:
+        record = witness_nonstandard(g, ring).record
     r = len(record.primes)
     s2 = symmetric_group(2)
     power = s2
@@ -62,12 +72,33 @@ def test_witness_count_matches_pullback_calculus(spec, ring):
                               for i in range(r)) + ")"
 
     diag = (power.identity, all_swap)
-    cosets = {frozenset(render(pmul(pmul(u, p.eta_class), v))
-                        for u in diag for v in diag) for p in comps}
-    orbits = [frozenset(orbit) for orbit in record.double_coset_certificate]
-    assert set(orbits) == cosets
+    cosets = {tuple(sorted({render(pmul(pmul(u, p.eta_class), v))
+                            for u in diag for v in diag})) for p in comps}
+    assert record.double_coset_certificate == tuple(sorted(cosets))
     assert sum(map(len, record.double_coset_certificate)) == 2 ** r
-    assert frozenset().union(*orbits) == {render(x) for x in power.elements}
+    members = {m for orbit in record.double_coset_certificate for m in orbit}
+    assert members == {render(x) for x in power.elements}
+    eta = tuple(range(2 * r - 2)) + (2 * r - 1, 2 * r - 2)
+    assert record.eta_text == render(eta)
+    assert not any(render(power.identity) in orbit and record.eta_text in orbit
+                   for orbit in record.double_coset_certificate)
+
+
+def test_witness_builds_no_group(monkeypatch):
+    """The witness record is read off the primes: once the group is made,
+    neither witness_nonstandard nor classify builds a group or counts
+    double cosets, and both return the record on 2*[G/G] at (2, 3)."""
+    def refuse(*_, **__):
+        pytest.fail("the witness step built a group or counted double cosets")
+
+    assert not {"double_cosets", "pmul"} & set(vars(witness))
+    g = make_group("C6")
+    monkeypatch.setattr(group_core, "double_cosets", refuse)
+    monkeypatch.setattr(group_core.Group, "__init__", refuse)
+    probe = witness_nonstandard(g, integers())
+    outcome = classify(g, integers(), 4)
+    assert probe.record == outcome.witness
+    assert (probe.record.x1.label(), probe.record.primes) == ("2*G/6a", (2, 3))
 
 
 def test_witness_path_loads_no_pullback():

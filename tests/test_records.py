@@ -47,10 +47,8 @@ from . import oracles
 # nothing in their constructor are filled with plain strings.
 FIELDS = {
     TableOfMarks: ("classes", "marks"),
-    WitnessRecord: ("x1", "primes", "eta", "fiber_size",
-                    "double_coset_certificate"),
     WitnessProbe: ("record", "failures", "stage_reports"),
-    RingDescriptor: ("name", "kind", "char"),
+    RingDescriptor: ("kind", "char"),
     CheckResult: ("ok", "rule", "convention"),
     StageReport: ("subgroup", "ic", "rc", "sep_closed"),
     SubgroupClass: ("parent", "representative", "class_size", "name"),
@@ -61,8 +59,8 @@ FIELDS = {
     GSetType: ("group", "entries"),
     FSplitting: ("group", "ranks"),
 }
-CHECKED = ("Family", "ClassificationOutcome")
-CUSTOM_REPR = (SubgroupClass, GSetType)
+CHECKED = (WitnessRecord, Family, ClassificationOutcome)
+CUSTOM_REPR = (SubgroupClass, GSetType, Family)
 
 
 def _plain_args(cls):
@@ -74,6 +72,8 @@ def _checked_samples():
     g = make_group("S3")
     classes = subgroup_conjugacy_classes(g)
     return [
+        (WitnessRecord, ("x1", "primes"),
+         (GSetType.from_counts(g, {classes[-1]: 2}), (2, 3))),
         (Family, ("group", "classes"),
          (g, oracles.members(closure_family(g, [classes[1]])))),
         (ClassificationOutcome,
@@ -95,7 +95,13 @@ def _samples():
     return out + _checked_samples()
 
 
-SAMPLE_IDS = [cls.__name__ for cls in FIELDS] + list(CHECKED)
+def _sample(cls):
+    """(fields, args) of the sample of cls."""
+    return next((fields, args) for c, fields, args in _samples() if c is cls)
+
+
+RECORDS = (*FIELDS, *CHECKED)
+SAMPLE_IDS = [cls.__name__ for cls in RECORDS]
 
 
 def test_every_record_is_covered():
@@ -160,12 +166,12 @@ def test_assignment_is_refused(index):
 
 
 @pytest.mark.parametrize(
-    "cls", [c for c in FIELDS if c not in CUSTOM_REPR],
+    "cls", [c for c in RECORDS if c not in CUSTOM_REPR],
     ids=lambda c: c.__name__,
 )
 def test_repr_lists_fields(cls):
-    args = _plain_args(cls)
-    inner = ", ".join(f"{f}={v!r}" for f, v in zip(FIELDS[cls], args))
+    fields, args = _sample(cls)
+    inner = ", ".join(f"{f}={v!r}" for f, v in zip(fields, args))
     assert repr(cls(*args)) == f"{cls.__name__}({inner})"
 
 
@@ -220,8 +226,13 @@ def test_defaults():
     outcome = ClassificationOutcome(Verdict.UNIT_DECOMPOSES, ())
     assert (outcome.groupoid, outcome.witness, outcome.notes) == (None, None, ())
     assert CheckResult(False, "r").convention is False
-    record = WitnessRecord(*_plain_args(WitnessRecord))
+    record = WitnessRecord(*_sample(WitnessRecord)[1])
     assert record.note == MODELING_NOTE
+    c6 = make_group("C6")
+    x1 = GSetType.from_counts(c6, {subgroup_conjugacy_classes(c6)[-1]: 2})
+    record = WitnessRecord(x1, (2, 3, 5))
+    assert (record.eta, record.fiber_size) == (("id", "id", "swap"), 4)
+    assert len(record.double_coset_certificate) == 4
 
 
 def test_constructor_checks_still_run():
@@ -237,18 +248,23 @@ def test_constructor_checks_still_run():
     with pytest.raises(ValueError, match="groupoid iff it is AllStandard"):
         ClassificationOutcome(Verdict.UNIT_DECOMPOSES, (),
                               groupoid=())
+    x1 = GSetType.from_counts(g, {classes[-1]: 2})
+    with pytest.raises(ValueError, match="at least two primes"):
+        WitnessRecord(x1, (2,))
 
 
 def test_ring_descriptors_compare_by_char_and_pickle():
-    assert (RingDescriptor("F5", "prime_field", 5)
-            != RingDescriptor("F5", "prime_field", 7))
+    assert RingDescriptor("prime_field", 5) != RingDescriptor("prime_field", 7)
+    assert [ring.name for ring in (sphere(), integers(), prime_field(7))] == [
+        "sphere", "Z", "F7"]
     for ring in (sphere(), integers(), prime_field(5)):
         assert pickle.loads(pickle.dumps(ring)) == ring
 
 
-@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [*FIELDS, WitnessRecord],
+                         ids=lambda c: c.__name__)
 def test_copy_and_pickle_round_trip(cls):
-    rec = cls(*_plain_args(cls))
+    rec = cls(*_sample(cls)[1])
     assert copy.copy(rec) == rec
     assert copy.deepcopy(rec) == rec
     assert pickle.loads(pickle.dumps(rec)) == rec
