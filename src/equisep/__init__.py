@@ -80,7 +80,6 @@ _SUBMODULE = {
             "symmetric_group",
             "trivial_group",
             "weyl_group",
-            "weyl_group_with_section",
         ),
         "groupoid_calc": (
             "groupoid_calc",

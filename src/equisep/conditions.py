@@ -132,7 +132,7 @@ class StageReport(_Record):
     """The verdict for one subgroup stage of the induction.
 
     The checks read only the Weyl order |W(H)|; the Weyl group itself is
-    built when `weyl` is first read.
+    built on each read of `weyl`, and not kept.
     """
 
     __slots__ = ("subgroup", "ic", "rc", "sep_closed")  # ic, rc: CheckResult

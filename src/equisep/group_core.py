@@ -24,11 +24,12 @@ time (`_Table.join`); `_Table.span` joins candidates in greedily, which
 picks a subgroup's generators and spans commutator subgroups and
 stabilizers (`_normalizer` is a scan of its own).  The table is also the
 one home of what is derived from the group: its sorted elements, its
-lattice (with the Weyl groups built so far) and its flags are fields of
-the table, so they are computed once per group and freed with it; a
-Group itself holds only its degree, generators and elements.  The
-lattice keeps no k x k table: the marks are counted from its
-subconjugacy masks on each request.
+lattice and its flags are fields of the table, so they are computed
+once per group and freed with it; a Group itself holds only its degree,
+generators and elements.  The lattice keeps no k x k table: the marks
+are counted from its subconjugacy masks on each request.  Nor does it
+keep Weyl groups: `weyl_group` spans N(H) on each call, and whether one
+is cyclic is read off its generators (`_is_cyclic`).
 
 There is one orbit walk, `orbit_of`, which returns its breadth-first tree
 (each point with the map and the point it was first reached from).
@@ -58,7 +59,7 @@ import os
 import re
 import sys
 from itertools import combinations, filterfalse
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from ._record import _Record
 
@@ -655,8 +656,8 @@ def _all_subgroups(g: Group) -> list:
 class _Lattice:
     """A group's subgroup classes, in subgroup_conjugacy_classes order,
     with a subgroup -> class position index, a class -> position map, and
-    per class its (representative, conjugates), its subconjugacy mask
-    below, and its (Weyl group, section) pair once requested (weyl).  A
+    per class its (representative, conjugates) and its subconjugacy mask
+    below; no Weyl group is kept (weyl_group builds one on each call).  A
     subgroup is the frozenset of element indices _all_subgroups found.
 
     below[H] is a mask over class positions with bit K set when K is
@@ -670,7 +671,7 @@ class _Lattice:
     (see the module docstring).  So each class lists the classes of its
     maximal subgroups, all earlier in class order; no count is read."""
 
-    __slots__ = ("classes", "index", "position", "orbits", "below", "weyl")
+    __slots__ = ("classes", "index", "position", "orbits", "below")
 
     def __init__(self, classes, index, orbits, below):
         self.classes = classes
@@ -678,7 +679,6 @@ class _Lattice:
         self.position = {c: i for i, c in enumerate(classes)}
         self.orbits = orbits
         self.below = below
-        self.weyl = [None] * len(classes)
 
     def counts(self) -> tuple:
         """The marks |W(H)| * c[H][K], a new table on every call, with
@@ -802,40 +802,46 @@ def _cosets(t: _Table, members, h: list):
     return reps, coset_of
 
 
-def weyl_group_with_section(g: Group, cls: SubgroupClass):
-    """The Weyl group N_g(H)/H acting on cosets, with a coset-rep section.
-
-    Returns (W, section) where W permutes the left cosets of H inside its
-    normalizer and section maps each element of W to the least element of
-    the coset of H that induces it.  W is generated by the images of the
-    elements _normalizer's span joined onto H, none of which lies in H.
-    Built once per class and kept on g's lattice.
-    """
-    lattice = _subgroup_classes(g)
-    pos = _position(g, cls)
-    if lattice.weyl[pos] is not None:
-        return lattice.weyl[pos]
+def _normalizer_span(g: Group, cls: SubgroupClass) -> tuple:
+    """(h, joined, members) for the representative H of cls: h lists H's
+    element indices, identity first, joined the elements _normalizer's
+    span joined onto H, in join order and none of them in H, and members
+    N(H)'s element indices, H's first.  The span runs once, stopped at
+    |N(H)|."""
     t = _table(g)
     h = cls.representative
     elems = sorted(t.indices(h.elements))
     hgens = t.indices(h.generators)
     ngens, members = _normalizer(t, hgens, elems, g.order // cls.class_size)
-    reps, coset_of = _cosets(t, sorted(members), elems)
+    return elems, ngens[len(hgens):], members
+
+
+def weyl_group(g: Group, cls: SubgroupClass) -> Group:
+    """N_g(H)/H as a permutation group on the left cosets of H in N_g(H),
+    generated by the images of the elements _normalizer's span joined
+    onto H.  Built on each call; no Weyl group is kept."""
+    _position(g, cls)
+    t = _table(g)
+    h, joined, members = _normalizer_span(g, cls)
+    reps, coset_of = _cosets(t, sorted(members), h)
 
     def image(x):
         # depends only on the coset xH, as every r normalizes H
         row = t.row(x)
         return tuple(coset_of[row[r]] for r in reps)
 
-    section = {image(r): t.perms[r] for r in reps}
-    lattice.weyl[pos] = (_group(len(reps), map(image, ngens[len(hgens):]),
-                                section), section)
-    return lattice.weyl[pos]
+    return _group(len(reps), map(image, joined), frozenset(map(image, reps)))
 
 
-def weyl_group(g: Group, cls: SubgroupClass) -> Group:
-    """N_g(H)/H as a permutation group on the cosets of H in N_g(H)."""
-    return weyl_group_with_section(g, cls)[0]
+def _is_cyclic(w: Group) -> bool:
+    """Whether w is cyclic, read off its generators: exactly when they
+    commute pairwise and the lcm of their orders is |w|.  Commuting
+    generators make w abelian, an abelian group's exponent is the lcm of
+    its generators' orders, and an abelian group is cyclic exactly when
+    its exponent is its order."""
+    gens = w.generators
+    return (all(pmul(a, b) == pmul(b, a) for a, b in combinations(gens, 2))
+            and lcm(*map(perm_order, gens)) == w.order)
 
 
 def double_cosets(g: Group, h: Group, k: Group) -> tuple:

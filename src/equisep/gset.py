@@ -15,8 +15,8 @@ the census in groupoid_calc.
 
 The G-set calculus is built from what group_core already makes: G/H is
 induction from a point, G x_H *, and Aut(X) is the product over classes
-H of W(H) wreath S_n, its translations read off the Weyl sections of
-weyl_group_with_section.
+H of W(H) wreath S_n, its translations read off the elements the span
+of N(H) joins onto H (group_core's _normalizer_span).
 """
 
 from collections import Counter
@@ -26,6 +26,7 @@ from .group_core import (
     Group,
     _cosets,
     _group,
+    _normalizer_span,
     _orbits,
     _table,
     class_of_subgroup,
@@ -33,7 +34,6 @@ from .group_core import (
     pconj,
     pinv,
     pmul,
-    weyl_group_with_section,
     orbit_of,
     closure,
     double_cosets,
@@ -236,11 +236,11 @@ def aut_group(x: GSet) -> Group:
     """The group of equivariant self-bijections, as permutations of points.
 
     The product over classes H of W(H) wreath S_n for n orbits of class
-    H: generated by the translations of one orbit by the section of
-    weyl_group_with_section(H)'s generators, together with swaps of
-    isomorphic orbits; the order is the product of |W(H)|^n * n!.  An
-    order over the bound resolve_max_order() is refused before any
-    generator is built.
+    H: generated by the translations of one orbit by the elements the
+    span of N(H) joins onto H, whose cosets generate W(H), together with
+    swaps of isomorphic orbits; the order is the product of
+    |W(H)|^n * n!.  An order over the bound resolve_max_order() is
+    refused before any generator is built.
     """
     g = x.group
     by_class: dict = {}
@@ -252,9 +252,9 @@ def aut_group(x: GSet) -> Group:
     if t.aut_order > bound:
         raise ResourceLimitError(f"automorphism group of order {t.aut_order} "
                                  f"exceeds the bound {bound} (layer gset.aut_group)")
-    gens = []
+    gens, perms = [], g.sorted_elements()
     for cls, _ in t.entries:  # in class order
-        w, section = weyl_group_with_section(g, cls)
+        joined = _normalizer_span(g, cls)[1]
         # One base point per orbit, each with stabilizer exactly H, the
         # class's representative: the stabilizer of a point H fixes is a
         # conjugate of H containing H, so equals it.
@@ -266,7 +266,7 @@ def aut_group(x: GSet) -> Group:
         # fix c, so the map is well defined.  A Weyl translation moves the
         # first base b to n b for n in N(H), a swap exchanges two orbits.
         words = {b: x.transversal(b) for b in bases}
-        moves = [[(bases[0], x.perm(section[s])[bases[0]])] for s in w.generators]
+        moves = [[(bases[0], x.perm(perms[n])[bases[0]])] for n in joined]
         moves += [[(b, c), (c, b)] for b, c in zip(bases, bases[1:])]
         for pairs in moves:
             perm = list(range(x.size))

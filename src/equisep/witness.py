@@ -19,7 +19,7 @@ for its own verdict, so a failing classification builds each report once.
 
 from ._record import _Record
 from .conditions import RingDescriptor, stage_report
-from .group_core import Group, perm_order, prime_factors, subgroup_conjugacy_classes
+from .group_core import Group, _is_cyclic, prime_factors, subgroup_conjugacy_classes
 from .groupoid_calc import GSetType
 
 
@@ -94,7 +94,7 @@ class WitnessProbe(_Record):
 
 
 def _describe_group(w: Group) -> str:
-    if any(perm_order(x) == w.order for x in w.elements):
+    if _is_cyclic(w):
         return f"C{w.order}"
     return f"of order {w.order}"
 

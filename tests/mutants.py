@@ -72,6 +72,29 @@ MUTANTS = (
     ("src/equisep/burnside.py", "str(v).rjust(width)", "str(v).ljust(width)",
      "the marks sit at the left of their cells, under the right-aligned "
      "names"),
+    ("src/equisep/group_core.py", "lcm(*map(perm_order, gens))",
+     "lcm(*map(perm_order, gens[1:]))",
+     "cyclicity leaves the first generator's order out of the lcm it "
+     "compares with the group's order"),
+    ("src/equisep/group_core.py",
+     "all(pmul(a, b) == pmul(b, a) for a, b in combinations(gens, 2))", "True",
+     "cyclicity skips the commutation check, so generators whose orders "
+     "have the group's order as lcm make it cyclic"),
+    ("src/equisep/group_core.py", "if prime_factors(index) == (index,):",
+     "if index > 1:",
+     "the lattice search skips the cyclics inside every join, not only "
+     "those of prime index, and so loses classes"),
+    ("src/equisep/group_core.py",
+     "passed.update(map(t.row(x).__getitem__, inside))",
+     "passed.update([t.row(x)[y] for y in passed])",
+     "a non-normalizing x passes x times every index passed so far, not "
+     "its coset xH, and so can pass elements of N(H)"),
+    ("src/equisep/groupoid_calc.py", "room += vector[i] * s",
+     "room += vector[i]",
+     "the census odometer gives back one point per emptied orbit, not its "
+     "size"),
+    ("src/equisep/cli.py", "ResourceLimitError: 3}", "ResourceLimitError: 2}",
+     "a refusal over a bound exits 2, the code of a malformed spec"),
 )
 
 

@@ -34,11 +34,12 @@ from equisep.group_core import (
     make_group,
     orbit_of,
     pconj,
+    perm_order,
     pinv,
     pmul,
     resolve_max_order,
     subgroup_conjugacy_classes,
-    weyl_group_with_section,
+    weyl_group,
 )
 from equisep.families import Family
 from equisep.gset import aut_group, coset_gset, disjoint_union
@@ -238,6 +239,11 @@ def brute_force_weyl_section(h, n) -> dict:
     return section
 
 
+def is_cyclic_by_scan(g: Group) -> bool:
+    """Whether some element of g has order |g|, by a scan of them all."""
+    return any(perm_order(x) == g.order for x in g.elements)
+
+
 def brute_force_derived_series(g: Group) -> list:
     """The orders of g, g', g'', ... down to the first term that repeats."""
     cur, orders = g.elements, [g.order]
@@ -387,7 +393,7 @@ def groups_built_from_elements(g: Group):
     yield direct_product(g, cyclic_group(2))
     for cls in subgroup_conjugacy_classes(g):
         h = cls.representative
-        w = weyl_group_with_section(g, cls)[0]
+        w = weyl_group(g, cls)
         yield from (g.subgroup(h.elements), w)
         if 2 * w.order ** 2 <= resolve_max_order():
             x = coset_gset(g, h)

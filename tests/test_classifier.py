@@ -101,6 +101,27 @@ def test_witness_builds_no_group(monkeypatch):
     assert (probe.record.x1.label(), probe.record.primes) == ("2*G/6a", (2, 3))
 
 
+def test_witness_names_weyl_groups_from_their_generators(monkeypatch):
+    """The witness step decides whether a failing stage's Weyl group is
+    cyclic from its generators: it takes at most one element order per
+    generator of those groups, not one per element."""
+    orders = []
+
+    def counted(a, order=group_core.perm_order):
+        orders.append(a)
+        return order(a)
+
+    monkeypatch.setattr(group_core, "perm_order", counted)
+    # and wherever the witness module reads it from
+    monkeypatch.setattr(witness, "perm_order", counted, raising=False)
+    probe = witness_nonstandard(make_group("C2xC500"), integers())
+    monkeypatch.undo()
+    failing = [rep.weyl for rep in probe.stage_reports
+               if rep.subgroup.order > 1 and not rep.passed]
+    assert failing and not probe.found
+    assert len(orders) <= sum(len(w.generators) for w in failing)
+
+
 def test_witness_path_loads_no_pullback():
     """witness_nonstandard, and a classify that reaches the witness, count
     the double cosets themselves: a child interpreter that runs both has

@@ -28,7 +28,7 @@ from equisep.group_core import (
     perfect_subgroup_classes,
     prime_factors,
     subgroup_conjugacy_classes,
-    weyl_group_with_section,
+    weyl_group,
 )
 from equisep.burnside import table_of_marks
 from equisep.gset import coset_gset
@@ -141,13 +141,13 @@ def test_normalizers_and_weyl_sections(spec):
             t, t.indices(h.generators), sorted(t.indices(h.elements)), g.order)
         assert {t.perms[x] for x in elems} == n
         assert closure([t.perms[x] for x in gens], g.degree) == n
-        # weyl_group_with_section skips this prefix, which acts trivially
+        # weyl_group skips this prefix, which acts trivially
         assert gens[:len(h.generators)] == t.indices(h.generators)
-        w, section = weyl_group_with_section(g, cls)
-        assert section == oracles.brute_force_weyl_section(h.elements, n)
-        assert w.elements == frozenset(section)
+        w = weyl_group(g, cls)
+        assert w.elements == frozenset(oracles.brute_force_weyl_section(h.elements, n))
         assert closure(w.generators, w.degree) == w.elements
         assert w.order == cls.weyl_order
+        assert group_core._is_cyclic(w) == oracles.is_cyclic_by_scan(w)
 
 
 @pytest.mark.parametrize("spec", [s for s in SPECS if make_group(s).order <= 48])

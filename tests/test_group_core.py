@@ -33,7 +33,6 @@ from equisep.group_core import (
     subgroup_conjugacy_classes,
     symmetric_group,
     weyl_group,
-    weyl_group_with_section,
 )
 
 from . import oracles
@@ -131,7 +130,6 @@ def test_class_of_another_group_refused():
     g = make_group("S3")
     calls = [
         lambda cls: weyl_group(g, cls),
-        lambda cls: weyl_group_with_section(g, cls),
         lambda cls: closure_family(g, [cls]),
         lambda cls: Family(g, frozenset([cls])),
         lambda cls: GSetType.from_counts(g, {cls: 1}),
@@ -253,6 +251,21 @@ def test_weyl_group_examples():
     assert oracles.find_isomorphism(w, s3) is not None
 
 
+@pytest.mark.parametrize("spec, cyclic", [
+    ("C1", True), ("C6", True), ("C2xC2", False), ("C2xC4", False),
+    ("C2xC3xC5", True), ("Q8", False), ("S3", False),
+    ("perm:3:(1 2 3);(1 2)", False),
+])
+def test_cyclicity_is_read_off_generators(spec, cyclic):
+    """_is_cyclic agrees with a scan of the elements' orders, on groups
+    whose generators fail it by an lcm of orders short of the group's
+    (C2xC2, C2xC4, Q8 and S3, which make_group generates by two
+    transpositions) or only by not commuting (S3 on a 3-cycle and a
+    transposition, whose orders have lcm 6)."""
+    g = make_group(spec)
+    assert group_core._is_cyclic(g) == oracles.is_cyclic_by_scan(g) == cyclic
+
+
 def test_weyl_order_matches_normalizer_quotient():
     g = make_group("A4")
     t = group_core._table(g)
@@ -264,16 +277,19 @@ def test_weyl_order_matches_normalizer_quotient():
 
 
 def test_weyl_section_induces_quotient():
+    """The elements the N(H) span joins onto H lie in N(H) and outside H,
+    and W(H) has one generator for each of them."""
     g = make_group("D4")
     t = group_core._table(g)
     for cls in subgroup_conjugacy_classes(g):
-        w, section = weyl_group_with_section(g, cls)
-        h = cls.representative
+        h, joined, members = group_core._normalizer_span(g, cls)
         _, n = group_core._normalizer(
-            t, t.indices(h.generators), sorted(t.indices(h.elements)), g.order)
-        for wp, rep in section.items():
-            assert t.index[rep] in n
-        assert len(section) == w.order
+            t, t.indices(cls.representative.generators), h, g.order)
+        assert set(members) == set(n) and members[:len(h)] == h
+        assert set(joined) <= set(n) - set(h)
+        w = weyl_group(g, cls)
+        assert len(w.generators) == len(joined)
+        assert w.order * len(h) == len(n)
 
 
 def test_double_cosets_s3_example():
@@ -505,18 +521,26 @@ def test_lattice_search_partitions_no_whole_group(monkeypatch):
 
 
 def test_normalizers_and_weyl_groups_span_no_second_group(monkeypatch):
-    """weyl_group_with_section keeps the generators of the one N(H) span
-    and never respans a subgroup from its elements."""
+    """weyl_group runs the one N(H) span once, keeps the generators it
+    joined, and never respans a subgroup from its elements."""
     g = make_group("S5")
     classes = subgroup_conjugacy_classes(g)
+    spans = []
 
     def refuse(*args):
         raise AssertionError("a subgroup was spanned from its elements")
 
+    def counted(g, cls, span=group_core._normalizer_span):
+        spans.append(span(g, cls))
+        return spans[-1]
+
     monkeypatch.setattr(group_core.Group, "subgroup", refuse)
+    monkeypatch.setattr(group_core, "_normalizer_span", counted)
     for cls in classes:
-        w, section = weyl_group_with_section(g, cls)
-        assert w.order == len(section) == cls.weyl_order
+        w = weyl_group(g, cls)
+        assert w.order == cls.weyl_order
+        assert len(w.generators) == len(spans[-1][1])
+    assert len(spans) == len(classes)
 
 
 def test_lattice_bound_counts_subgroups_found(monkeypatch):

@@ -503,7 +503,7 @@ class TestTruncatedGroupoid:
 
         monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
         monkeypatch.setattr(gs, "closure", no_closure)
-        monkeypatch.setattr(gs, "weyl_group_with_section", no_closure)
+        monkeypatch.setattr(gs, "_normalizer_span", no_closure)
         g = cyclic_group(4)
         census = {t.label(): t for t in truncated_gset_groupoid(g, empty_family(g), 12)}
         top = census["12*G/4a"]

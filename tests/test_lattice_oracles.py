@@ -87,8 +87,8 @@ def test_lattice_readers_build_no_gset_or_weyl_group(monkeypatch, capsys):
         raise AssertionError("built a G-set or a Weyl group")
 
     monkeypatch.setattr(gset, "coset_gset", boom)
-    monkeypatch.setattr(gset, "weyl_group_with_section", boom)
-    monkeypatch.setattr(group_core, "weyl_group_with_section", boom)
+    monkeypatch.setattr(gset, "_normalizer_span", boom)
+    monkeypatch.setattr(group_core, "_normalizer_span", boom)
     monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
     g = make_group("D4xS3")
     classes = subgroup_conjugacy_classes(g)
