@@ -9,7 +9,7 @@ check tied to the primes of that order that the ring inverts.
 """
 
 from ._record import _Record
-from .burnside import is_indecomposable_mod, sphere_ic
+from .burnside import is_indecomposable_mod
 from .group_core import Group, SubgroupClass, prime_factors, weyl_group
 
 
@@ -100,16 +100,14 @@ def check_ic(ring: RingDescriptor, weyl_order: int) -> CheckResult:
     if weyl_order == 1:
         return CheckResult(True, "trivial Weyl group, holds by convention",
                            convention=True)
-    if ring.kind == "sphere":
-        if sphere_ic(weyl_order):
-            return CheckResult(True, f"Weyl group of order {weyl_order} is a "
-                                     "nontrivial p-group")
-        return CheckResult(False, f"Weyl group of order {weyl_order} is not a "
-                                  "nontrivial p-group")
-    if ring.indecomposable_mod(weyl_order):
-        return CheckResult(True, f"{ring.name} stays indecomposable "
-                                 f"mod {weyl_order}")
-    return CheckResult(False, f"{ring.name} decomposes mod {weyl_order}")
+    ok = ring.indecomposable_mod(weyl_order)
+    if ring.kind == "sphere":  # a nontrivial p-group, as burnside.sphere_ic says
+        rule = (f"Weyl group of order {weyl_order} is {'a' if ok else 'not a'} "
+                "nontrivial p-group")
+    else:
+        verb = "stays indecomposable" if ok else "decomposes"
+        rule = f"{ring.name} {verb} mod {weyl_order}"
+    return CheckResult(ok, rule)
 
 
 def check_rc(ring: RingDescriptor, weyl_order: int) -> CheckResult:

@@ -16,7 +16,8 @@ the census in groupoid_calc.
 The G-set calculus is built from what group_core already makes: G/H is
 induction from a point, G x_H *, and Aut(X) is the product over classes
 H of W(H) wreath S_n, its translations read off the elements the span
-of N(H) joins onto H (group_core's _normalizer_span).
+of N(H) joins onto H (group_core's _normalizer_span).  Those translations
+and the swaps of same-class orbits are its generators, closed once.
 """
 
 from collections import Counter
@@ -236,9 +237,10 @@ def aut_group(x: GSet) -> Group:
     """The group of equivariant self-bijections, as permutations of points.
 
     The product over classes H of W(H) wreath S_n for n orbits of class
-    H: generated by the translations of one orbit by the elements the
-    span of N(H) joins onto H, whose cosets generate W(H), together with
-    swaps of isomorphic orbits; the order is the product of
+    H.  Its generators, class by class in class order, are the
+    translations of the class's first orbit by the elements the span of
+    N(H) joins onto H, whose cosets generate W(H), then the swaps of
+    neighbouring orbits of the class; the order is the product of
     |W(H)|^n * n!.  An order over the bound resolve_max_order() is
     refused before any generator is built.
     """
@@ -274,8 +276,7 @@ def aut_group(x: GSet) -> Group:
                 for p, word in words[b].items():
                     perm[p] = x.perm(word)[c]
             gens.append(tuple(perm))
-    els = closure(gens, x.size)
-    return _group(x.size, gens, els).subgroup(els)
+    return _group(x.size, gens, closure(gens, x.size))
 
 
 class FSplitting(_Record):

@@ -20,13 +20,7 @@ check that count against pullback_pi0 and the oracle.
 from itertools import product
 
 from ._record import _Record
-from .group_core import (
-    Group,
-    _table,
-    double_cosets,
-    perm_order,
-    pmul,
-)
+from .group_core import Group, _group, _table, double_cosets, perm_order, pmul
 
 
 class GroupoidComponent(_Record):
@@ -107,8 +101,11 @@ class GroupHom:
         return self.mapping[x]
 
     def image_group(self) -> Group:
-        els = frozenset(self.mapping.values())
-        return self.dst.subgroup(els)
+        """The image, generated by the images of src's generators in
+        order, the identity dropped."""
+        e = self.dst.identity
+        gens = [y for y in map(self.mapping.get, self.src.generators) if y != e]
+        return _group(self.dst.degree, gens, frozenset(self.mapping.values()))
 
     def __repr__(self):
         return f"GroupHom({self.src!r} -> {self.dst!r})"

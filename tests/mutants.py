@@ -7,8 +7,8 @@ CAP seconds.  To rerun one mutant, call ``run_tier1(MUTANTS[i], CAP)``.
 Each row of MUTANTS is one small edit: the file, relative to the
 repository root, the exact old text, which occurs once in it, the new
 text, and what the edit breaks.  For each mutant the tool copies src/,
-tests/, pyproject.toml and the demos/ and bench/ files that tier-1
-reads to a temporary directory, applies the one edit and runs tier-1
+tests/, demos/, bench/, pyproject.toml and README.md, whose counts
+tier-1 reads, to a temporary directory, applies the one edit and runs tier-1
 there with ``-x``, less tests/test_mutants.py, which checks the list
 against the unedited tree.  It prints whether the mutant was killed (a test failed,
 or the run passed the cap) or survived, with the first failing test and
@@ -95,6 +95,16 @@ MUTANTS = (
      "size"),
     ("src/equisep/cli.py", "ResourceLimitError: 3}", "ResourceLimitError: 2}",
      "a refusal over a bound exits 2, the code of a malformed spec"),
+    ("src/equisep/gset.py", "for n in joined]", "for n in joined[1:]]",
+     "Aut(X) leaves out the translation by the first element the N(H) span "
+     "joins onto H, so it misses part of W(H)"),
+    ("src/equisep/pullback.py", "map(self.mapping.get, self.src.generators)",
+     "map(self.mapping.get, self.src.generators[1:])",
+     "a homomorphism image leaves out the first source generator's image, "
+     "so the double cosets of a pullback are counted in too large a group"),
+    ("src/equisep/conditions.py", "{'a' if ok else 'not a'}", "{'a'}",
+     "the sphere's rule calls a failing stage's Weyl group a nontrivial "
+     "p-group"),
 )
 
 
@@ -118,7 +128,8 @@ def _copy(tree: pathlib.Path):
     ignore = shutil.ignore_patterns("__pycache__", ".*")
     for name in ("src", "tests", "demos", "bench"):
         shutil.copytree(ROOT / name, tree / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", tree)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, tree)
 
 
 def run_tier1(mutant, cap: float) -> tuple:

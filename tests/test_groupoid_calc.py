@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from equisep.group_core import (
+    closure,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -155,7 +156,10 @@ class TestGroupHom:
         assert len(all_homomorphisms(s3, c6)) == 2
         assert len(all_homomorphisms(s3, cyclic_group(3))) == 1
 
-    def test_image_generators_are_the_greedy_choice(self):
+    def test_image_generators_are_the_images_of_the_source_generators(self):
+        """The image is generated by the images of src's generators, in
+        src's order, the identity and repeats left out, and its elements
+        are the mapping's values."""
         pairs = [
             (symmetric_group(3), symmetric_group(3)),
             (cyclic_group(4), dihedral_group(4)),
@@ -165,9 +169,14 @@ class TestGroupHom:
         for src, dst in pairs:
             for hom in all_homomorphisms(src, dst):
                 image = hom.image_group()
-                assert image.generators == reduce_generators(
-                    image.elements, dst.degree
-                )
+                want = []
+                for s in src.generators:
+                    if hom(s) != dst.identity and hom(s) not in want:
+                        want.append(hom(s))
+                assert image.generators == tuple(want)
+                assert image.elements == frozenset(hom.mapping.values())
+                assert image.elements == closure(want, dst.degree)
+                assert image.is_subgroup_of(dst)
 
     def test_all_homs_are_distinct_and_valid(self):
         s3 = symmetric_group(3)

@@ -295,16 +295,52 @@ def test_aut_group_matches_brute_force():
         assert a.elements == frozenset(bijections)
 
 
+def _equivariant_map(x, pairs):
+    """The self-map of x that sends u b to u c for each pair (b, c) and
+    each element u, found by scanning the group, and fixes every other
+    point."""
+    perm = list(range(x.size))
+    for b, c in pairs:
+        for u in x.group.elements:
+            perm[x.perm(u)[b]] = x.perm(u)[c]
+    return tuple(perm)
+
+
 @pytest.mark.parametrize("spec", ["C4", "S3", "D4", "C2xC2xC2"])
 def test_aut_group_generators_are_the_greedy_choice(spec):
+    """aut_group's generators are, class by class in class order, one
+    translation of the class's first orbit per element that the greedy
+    span of N(H) joins onto H, then one swap per adjacent pair of the
+    class's orbits; the base point of an orbit is its least point whose
+    stabilizer is H itself.  Each is an equivariant bijection, and they
+    generate every one."""
     g = make_group(spec)
     classes = subgroup_conjugacy_classes(g)
+    perms = g.sorted_elements()
     rng = random.Random(1105)
     for _ in range(6):
         picks = rng.sample(classes, rng.randint(1, 3)) * rng.randint(1, 2)
         x = disjoint_union(*(coset_gset(g, c.representative) for c in picks))
+        want = []
+        for cls, n in orbit_type(x).entries:
+            h = cls.representative.elements
+            bases = [min(based) for based in (
+                [p for p in orbit if oracles.stabilizer_elements(x, p) == h]
+                for orbit in x.orbits()) if based]
+            assert len(bases) == n
+            first = bases[0]
+            want += [_equivariant_map(x, [(first, x.perm(perms[j])[first])])
+                     for j in group_core._normalizer_span(g, cls)[1]]
+            want += [_equivariant_map(x, [(b, c), (c, b)])
+                     for b, c in zip(bases, bases[1:])]
         a = aut_group(x)
-        assert a.generators == oracles.reduce_generators(a.elements, x.size)
+        assert a.generators == tuple(want)
+        for f in a.generators:
+            assert sorted(f) == list(range(x.size))
+            for s in g.generators:
+                image = x.perm(s)
+                assert all(f[image[p]] == image[f[p]] for p in range(x.size))
+        assert a.elements == frozenset(oracles.all_equivariant_bijections(x))
 
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "A4"])
@@ -389,25 +425,34 @@ def test_aut_group_order_formula():
 # SHA-256 over the automorphism groups (sorted elements and generators) of
 # the census types of size <= 8 with order within the default bound, and
 # the coset G-sets' generator images, of eight small groups: 588
-# automorphism groups.
+# automorphism groups; the generators are aut_group's translations and
+# swaps.  The second digest leaves the generators out, so it pins the
+# element sets alone.
 AUT_AND_COSET_DIGEST = (
-    "25aa84fb2c96c07e5785df5e8eefe4b09c5df3fc8203478f66943c1bc785ce09"
+    "ca18b799192e95da27a00191f89bc0a3308ca42001749281a5c2568d2c0503a3"
+)
+AUT_AND_COSET_ELEMENTS_DIGEST = (
+    "aa46cf22d339f9291989fc485b6e3b5af62b46fa123df1633edd9429fdbc8f38"
 )
 
 
 def test_aut_groups_and_coset_gsets_are_pinned(monkeypatch):
     monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
-    digest, built = hashlib.sha256(), 0
+    digest, elements, built = hashlib.sha256(), hashlib.sha256(), 0
     for spec in ["C2", "C4", "S3", "D4", "C2xC2", "Q8", "A4", "C6"]:
         g = make_group(spec)
         for t in truncated_gset_groupoid(g, empty_family(g), 8):
             if t.aut_order <= group_core.DEFAULT_MAX_ORDER:
                 a = aut_group(realize_type(t))
                 digest.update(repr((sorted(a.elements), a.generators)).encode())
+                elements.update(repr(sorted(a.elements)).encode())
                 built += 1
         for c in subgroup_conjugacy_classes(g):
-            digest.update(repr(coset_gset(g, c.representative).gen_images).encode())
+            images = repr(coset_gset(g, c.representative).gen_images).encode()
+            digest.update(images)
+            elements.update(images)
     assert built == 588
+    assert elements.hexdigest() == AUT_AND_COSET_ELEMENTS_DIGEST
     assert digest.hexdigest() == AUT_AND_COSET_DIGEST
 
 

@@ -1,14 +1,15 @@
 """The line counter of tests/loc.py on a fixture whose counts are known,
-its public-name count on a fixture and on the package, and its rows of
-the code lines each CLI call loads."""
+its public-name count on a fixture and on the package, its rows of the
+code lines each CLI call loads, and the README's counts against it."""
 
 import os
+import re
 import subprocess
 import sys
 
 import equisep
 
-from . import loc
+from . import loc, mutants
 
 FIXTURE = '''"""A module docstring
 over two lines."""
@@ -147,3 +148,19 @@ def test_a_closed_stdout_exits_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_the_readme_counts_match_the_tree():
+    """The README's counts of record fields and records, of public names
+    and of the edits of tests/mutants.py are those of the tree."""
+    text = (loc.PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    records = [r for path in sorted(loc.PACKAGE.glob("*.py"))
+               for r in loc.record_fields(path.read_text(encoding="utf-8"))]
+    fields = re.search(r"counts (\d+) fields over the (\d+) records", text)
+    assert fields, "the README gives no count of record fields"
+    assert tuple(map(int, fields.groups())) == (
+        sum(n for _, n in records), len(records))
+    names = re.search(r"(\d+) public names in `equisep.__all__`", text)
+    assert names and int(names[1]) == loc.public_names(loc.PACKAGE)
+    edits = re.search(r"All (\d+) edits\s+are killed", text)
+    assert edits and int(edits[1]) == len(mutants.MUTANTS)
