@@ -55,7 +55,6 @@ subconjugacy masks are built from them in one pass.  The public API
 keeps perm tuples and frozensets.
 """
 
-import os
 import re
 import sys
 from itertools import combinations, filterfalse
@@ -65,8 +64,8 @@ from ._record import _Record
 
 Perm = tuple
 
-DEFAULT_MAX_ORDER = 2000
-MAX_ORDER_ENV = "EQUISEP_MAX_ORDER"
+# Most elements, and most points, of any group a spec names.
+MAX_ORDER = 2000
 # Most subgroups _all_subgroups finds before refusing the lattice: groups
 # within the order bound can have hundreds of millions (C2 to the 10th).
 SUBGROUP_BOUND = 10_000
@@ -81,7 +80,7 @@ class GroupSpecError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A construction exceeds the configured order bound."""
+    """A construction exceeds a resource bound."""
 
 
 def identity_perm(degree: int) -> Perm:
@@ -401,9 +400,10 @@ def _spec_int(digits: str, what: str) -> int:
 
 
 def _named_atom(token: str):
-    """Parse one named-family token into (order, builder), building nothing."""
+    """Parse one named-family token into (order, degree, builder), building
+    nothing."""
     if token == "Q8":
-        return 8, quaternion_group
+        return 8, 8, quaternion_group
     m = _ATOM_RE.match(token)
     if not m:
         raise GroupSpecError(f"unrecognized group token {token!r}")
@@ -411,20 +411,20 @@ def _named_atom(token: str):
     if n < 1:
         raise GroupSpecError(f"{kind}<n> needs n >= 1")
     if kind == "C":
-        return n, lambda: cyclic_group(n)
+        return n, n, lambda: cyclic_group(n)
     if kind == "D":
         if n == 1:
-            return 2, lambda: cyclic_group(2)
+            return 2, 2, lambda: cyclic_group(2)
         if n == 2:
-            return 4, lambda: direct_product(cyclic_group(2), cyclic_group(2))
-        return 2 * n, lambda: dihedral_group(n)
+            return 4, 4, lambda: direct_product(cyclic_group(2), cyclic_group(2))
+        return 2 * n, n, lambda: dihedral_group(n)
     if n > _MAX_FACTORIAL_DEGREE:
         # n! is too long to compute or print and beyond any buildable order.
         raise ResourceLimitError(f"group {token} exceeds every order bound "
                                  "(layer group_core.make_group)")
     if kind == "S":
-        return factorial(n), lambda: symmetric_group(n)
-    return max(1, factorial(n) // 2), lambda: alternating_group(n)
+        return factorial(n), n, lambda: symmetric_group(n)
+    return max(1, factorial(n) // 2), n, lambda: alternating_group(n)
 
 
 def _parse_cycles(text: str, degree: int) -> Perm:
@@ -450,15 +450,6 @@ def _parse_cycles(text: str, degree: int) -> Perm:
     return tuple(images)
 
 
-def resolve_max_order() -> int:
-    """The order bound: EQUISEP_MAX_ORDER when it is set, else
-    DEFAULT_MAX_ORDER."""
-    env = os.environ.get(MAX_ORDER_ENV)
-    if env is not None:
-        return _spec_int(env, MAX_ORDER_ENV)
-    return DEFAULT_MAX_ORDER
-
-
 def _decimal(n: int) -> str:
     """n in decimal, or a lower bound on it when it has more digits than
     the interpreter converts to a string."""
@@ -474,9 +465,8 @@ def make_group(spec: str) -> Group:
     Grammar: C<n>, D<n> (order 2n), S<n>, A<n>, Q8, products of those
     joined with "x", or "perm:<degree>:<gen>;<gen>..." with generators in
     cycle notation on 1-based points, e.g. "perm:5:(1 2 3)(4 5);(1 2)".
-    A group of order over resolve_max_order() is refused.
+    A group of order or degree over MAX_ORDER is refused before it is built.
     """
-    bound = resolve_max_order()
     spec = spec.strip()
     if not spec:
         raise GroupSpecError("empty group spec")
@@ -487,27 +477,33 @@ def make_group(spec: str) -> Group:
         degree = _spec_int(parts[1], "degree")
         if degree < 1:
             raise GroupSpecError("perm spec needs degree >= 1")
-        if degree > bound:
+        if degree > MAX_ORDER:
             # checked before any degree-length permutation is allocated
             raise ResourceLimitError(f"perm degree {degree} exceeds the bound "
-                                     f"{bound} (layer group_core.make_group)")
+                                     f"{MAX_ORDER} (layer group_core.make_group)")
         gens = [
             _parse_cycles(chunk, degree)
             for chunk in parts[2].split(";")
             if chunk.strip()
         ]
-        return _group(degree, gens, closure(gens, degree, max_size=bound))
+        return _group(degree, gens, closure(gens, degree, max_size=MAX_ORDER))
     builders = []
-    expected = 1
+    expected, degree = 1, 0
     for token in spec.split("x"):
-        order, build = _named_atom(token.strip())
+        order, points, build = _named_atom(token.strip())
         expected *= order
-        if expected > bound:
+        if expected > MAX_ORDER:
             raise ResourceLimitError(
-                f"group of order {_decimal(expected)} exceeds the bound {bound} "
-                "(layer group_core.make_group)"
+                f"group of order {_decimal(expected)} exceeds the bound "
+                f"{MAX_ORDER} (layer group_core.make_group)"
             )
+        degree += points
         builders.append(build)
+    # Trivial factors add points but no order, and each product step
+    # copies every point of every element built so far.
+    if degree > MAX_ORDER:
+        raise ResourceLimitError(f"group degree {degree} exceeds the bound "
+                                 f"{MAX_ORDER} (layer group_core.make_group)")
     group = builders[0]()
     for build in builders[1:]:
         group = direct_product(group, build())

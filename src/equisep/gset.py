@@ -22,6 +22,7 @@ and the swaps of same-class orbits are its generators, closed once.
 
 from collections import Counter
 
+from . import group_core
 from ._record import _Record
 from .group_core import (
     Group,
@@ -38,7 +39,6 @@ from .group_core import (
     orbit_of,
     closure,
     double_cosets,
-    resolve_max_order,
     ResourceLimitError,
 )
 from .groupoid_calc import GSetType
@@ -241,7 +241,7 @@ def aut_group(x: GSet) -> Group:
     translations of the class's first orbit by the elements the span of
     N(H) joins onto H, whose cosets generate W(H), then the swaps of
     neighbouring orbits of the class; the order is the product of
-    |W(H)|^n * n!.  An order over the bound resolve_max_order() is
+    |W(H)|^n * n!.  An order over the bound group_core.MAX_ORDER is
     refused before any generator is built.
     """
     g = x.group
@@ -250,7 +250,7 @@ def aut_group(x: GSet) -> Group:
         by_class.setdefault(cls, []).append(orbit)
     counts = {cls: len(orbits) for cls, orbits in by_class.items()}
     t = GSetType.from_counts(g, counts)
-    bound = resolve_max_order()
+    bound = group_core.MAX_ORDER
     if t.aut_order > bound:
         raise ResourceLimitError(f"automorphism group of order {t.aut_order} "
                                  f"exceeds the bound {bound} (layer gset.aut_group)")

@@ -105,6 +105,12 @@ MUTANTS = (
     ("src/equisep/conditions.py", "{'a' if ok else 'not a'}", "{'a'}",
      "the sphere's rule calls a failing stage's Weyl group a nontrivial "
      "p-group"),
+    ("src/equisep/group_core.py", "if expected > MAX_ORDER:",
+     "if expected >= MAX_ORDER:",
+     "a named group whose order is exactly the bound is refused"),
+    ("src/equisep/gset.py", "if t.aut_order > bound:",
+     "if t.aut_order >= bound:",
+     "an automorphism group whose order is exactly the bound is refused"),
 )
 
 

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 import string
 from fractions import Fraction
 
+from equisep import group_core
 from equisep.group_core import (
-    MAX_ORDER_ENV,
     Group,
     ResourceLimitError,
     _subgroup_classes,
@@ -37,7 +36,6 @@ from equisep.group_core import (
     perm_order,
     pinv,
     pmul,
-    resolve_max_order,
     subgroup_conjugacy_classes,
     weyl_group,
 )
@@ -289,19 +287,15 @@ def members(family) -> frozenset:
 
 
 def bounded_group(spec: str, bound: int):
-    """make_group(spec) with EQUISEP_MAX_ORDER set to bound for the call,
+    """make_group(spec) with group_core.MAX_ORDER set to bound for the call,
     or None when the group is over that bound."""
-    saved = os.environ.get(MAX_ORDER_ENV)
-    os.environ[MAX_ORDER_ENV] = str(bound)
+    saved, group_core.MAX_ORDER = group_core.MAX_ORDER, bound
     try:
         return make_group(spec)
     except ResourceLimitError:
         return None
     finally:
-        if saved is None:
-            del os.environ[MAX_ORDER_ENV]
-        else:
-            os.environ[MAX_ORDER_ENV] = saved
+        group_core.MAX_ORDER = saved
 
 
 @functools.cache
@@ -395,7 +389,7 @@ def groups_built_from_elements(g: Group):
         h = cls.representative
         w = weyl_group(g, cls)
         yield from (g.subgroup(h.elements), w)
-        if 2 * w.order ** 2 <= resolve_max_order():
+        if 2 * w.order ** 2 <= group_core.MAX_ORDER:
             x = coset_gset(g, h)
             yield aut_group(disjoint_union(x, x))
 

@@ -23,7 +23,6 @@ MAX_CYCLES = 4  # golden.json covers the first two cycles
 
 def test_golden_outputs_replay(monkeypatch, capsys):
     pytest.importorskip("sympy")
-    monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
     monkeypatch.syspath_prepend(str(BENCH))
     from workloads import CYCLES, cycle
 

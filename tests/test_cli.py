@@ -18,10 +18,7 @@ from .reach import REFUSALS
 
 
 def run_cli(*args, env_extra=None):
-    env = os.environ.copy()
-    env.pop("EQUISEP_MAX_ORDER", None)
-    if env_extra:
-        env.update(env_extra)
+    env = dict(os.environ, **(env_extra or {}))
     return subprocess.run(
         [sys.executable, "-m", "equisep", *args],
         capture_output=True,
@@ -186,7 +183,6 @@ def _loaded_by(code):
     hides its import."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(equisep.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("EQUISEP_MAX_ORDER", None)
     probe = ("import sys\nbefore = set(sys.modules)\n" + code + "\n"
              "print('--loaded--', *sorted(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-S", "-c", probe],
@@ -372,7 +368,6 @@ def test_child_stdout_matches_in_process_main(capsys):
     hand over the whole of a large output (about 1 MB here)."""
     argv = ["marks", "--group", "S4xS4", "--format", "json"]
     env = os.environ.copy()
-    env.pop("EQUISEP_MAX_ORDER", None)
     env.pop("PYTHONUNBUFFERED", None)  # the child's stdout must buffer
     proc = subprocess.run([sys.executable, "-m", "equisep", *argv],
                           capture_output=True, env=env)
@@ -525,22 +520,6 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "value",
-        [" 5", "5 ", "+5", "1_0", "\u06630", "-1"],
-        ids=["space-before", "space-after", "sign", "underscore", "digit",
-             "negative"],
-    )
-    def test_max_order_env_takes_ascii_digits_only(self, value, monkeypatch,
-                                                   capsys):
-        """The bound from the environment is read as the command line's
-        decimal fields are; -1 is refused as input, not taken as a bound."""
-        monkeypatch.setenv("EQUISEP_MAX_ORDER", value)
-        assert cli.main(["subgroups", "--group", "C2"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: bad EQUISEP_MAX_ORDER {value!r}\n"
-
-    @pytest.mark.parametrize(
         "spec",
         ["C2000xC" + "9" * 4299, "C" + "9" * 4299 + "xC" + "9" * 4299],
         ids=["past-digit-limit", "within-digit-limit"],
@@ -606,16 +585,51 @@ class TestExitCodes:
 
         for name in ("closure", "identity_perm", "_parse_cycles"):
             monkeypatch.setattr(group_core, name, boom)
-        monkeypatch.setenv("EQUISEP_MAX_ORDER", "50")
-        with pytest.raises(group_core.ResourceLimitError, match="bound 50"):
-            group_core.make_group("perm:51:(1 2)")
-        monkeypatch.delenv("EQUISEP_MAX_ORDER")
         code = cli.main(["subgroups", "--group", "perm:300000000:(1 2)"])
         assert code == 3
         assert capsys.readouterr().err == (
             "error: perm degree 300000000 exceeds the bound 2000 "
             "(layer group_core.make_group)\n"
         )
+        monkeypatch.setattr(group_core, "MAX_ORDER", 50)
+        with pytest.raises(group_core.ResourceLimitError, match="bound 50"):
+            group_core.make_group("perm:51:(1 2)")
+
+    @pytest.mark.parametrize("atom, factors, degree", [
+        ("C1", 2001, 2001), ("S1", 2001, 2001), ("A1", 2001, 2001),
+        ("A2", 43_000, 86_000),
+    ], ids=["C1", "S1", "A1", "A2"])
+    def test_product_degree_over_bound_refused_before_building(
+        self, monkeypatch, capsys, atom, factors, degree
+    ):
+        """Trivial factors add points but no order, and building a product
+        copies every point of every element so far: a product of them is
+        refused by its degree before a factor is built."""
+        def boom(*args, **kwargs):
+            raise AssertionError("built before the bound check")
+
+        for name in ("direct_product", "cyclic_group", "symmetric_group",
+                     "alternating_group"):
+            monkeypatch.setattr(group_core, name, boom)
+        assert cli.main(["subgroups", "--group", "x".join([atom] * factors)]) == 3
+        assert capsys.readouterr() == ("", (
+            f"error: group degree {degree} exceeds the bound 2000 "
+            "(layer group_core.make_group)\n"))
+
+    def test_no_bound_is_read_from_the_environment(self, monkeypatch, capsys):
+        """The bounds are module constants: an EQUISEP_-prefixed variable
+        named after one does not raise it, so C20000 is refused before it
+        is built, not built until memory runs out."""
+        def boom(*args):
+            raise AssertionError("built a group that the order bound refuses")
+
+        for name in ("MAX_ORDER", "SUBGROUP_BOUND", "COUNT_CELL_BOUND"):
+            monkeypatch.setenv("EQUISEP_" + name, "20000")
+        monkeypatch.setattr(group_core, "cyclic_group", boom)
+        assert cli.main(["subgroups", "--group", "C20000"]) == 3
+        assert capsys.readouterr() == ("", (
+            "error: group of order 20000 exceeds the bound 2000 "
+            "(layer group_core.make_group)\n"))
 
     @pytest.mark.parametrize("spec, message", [
         ("S1001", "group S1001 exceeds every order bound "
@@ -623,32 +637,19 @@ class TestExitCodes:
         ("perm:10:(1 2 3 4 5 6 7 8 9 10);(1 2)",
          "group order exceeds the bound 2000 (layer group_core.closure)"),
     ], ids=["factorial-degree", "perm-closure"])
-    def test_order_refusals_name_their_layer(self, monkeypatch, capsys, spec, message):
-        monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
+    def test_order_refusals_name_their_layer(self, capsys, spec, message):
         assert cli.main(["subgroups", "--group", spec]) == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_env_override_tightens_bound(self):
-        ok = run_cli("subgroups", "--group", "C12")
-        assert ok.returncode == 0
-        denied = run_cli("subgroups", "--group", "C12",
-                         env_extra={"EQUISEP_MAX_ORDER": "10"})
-        assert denied.returncode == 3
-
 
 @pytest.mark.parametrize(
-    "argv, env, code", REFUSALS,
-    ids=[" ".join([*(f"{k}={v}" for k, v in env.items()), *argv])[:40] or "no-words"
-         for argv, env, _ in REFUSALS],
+    "argv, code", REFUSALS,
+    ids=[" ".join(argv)[:40] or "no-words" for argv, _ in REFUSALS],
 )
-def test_each_refusal_site_exits_with_one_line(argv, env, code, monkeypatch,
-                                               capsys):
+def test_each_refusal_site_exits_with_one_line(argv, code, capsys):
     """Each command line of the reach corpus's refusals, at least one per
     site where the CLI refuses its input, leaves with its exit code and
     one `error:` line, and prints nothing on stdout."""
-    monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     assert cli.main(list(argv)) == code
     out, err = capsys.readouterr()
     assert out == ""
@@ -761,7 +762,7 @@ def test_fuzzed_command_lines_exit_with_one_line(monkeypatch, capsys):
     """Seeded random command lines: each call returns 0, 2 or 3, raises
     nothing, writes nothing to stderr on success and one error line
     otherwise."""
-    monkeypatch.setenv("EQUISEP_MAX_ORDER", "60")
+    monkeypatch.setattr(group_core, "MAX_ORDER", 60)
     rng = random.Random(17)
     codes = set()
     for _ in range(300):

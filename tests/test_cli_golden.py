@@ -218,11 +218,6 @@ PULLBACK_GOLDEN = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _no_env_bound(monkeypatch):
-    monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
-
-
 @pytest.mark.parametrize("verb,group,fmt,coeff", sorted(GOLDEN, key=str))
 def test_cli_output_digest(capsys, verb, group, fmt, coeff):
     argv = [verb, "--group", group, "--format", fmt]

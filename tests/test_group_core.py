@@ -44,11 +44,6 @@ def subgroup_count(g):
     return sum(len(orbit) for orbit, _ in group_core._all_subgroups(g))
 
 
-@pytest.fixture(autouse=True)
-def _no_env_bound(monkeypatch):
-    monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
-
-
 def test_make_group_named_families():
     assert make_group("C6").order == 6
     assert make_group("S3").order == 6
@@ -78,6 +73,17 @@ def test_make_group_order_bound():
     assert oracles.bounded_group("perm:8:(1 2);(1 2 3 4 5 6 7 8)", 100) is None
 
 
+def test_make_group_bound_edges(monkeypatch):
+    """The bound admits an order or a degree equal to it, and refuses one
+    past it; C1 adds a point and no order."""
+    monkeypatch.setattr(group_core, "MAX_ORDER", 12)
+    assert make_group("C12").order == 12
+    assert make_group("C1xC11").degree == 12
+    for spec, what in (("C13", "order 13"), ("C1xC12", "degree 13")):
+        with pytest.raises(ResourceLimitError, match=f"{what} exceeds the bound 12"):
+            make_group(spec)
+
+
 @pytest.mark.parametrize("spec", ["S9", "S12", "C2000xC2", "A12xC2", "S100000"])
 def test_make_group_refuses_before_building(monkeypatch, spec):
     def refuse(*args):
@@ -87,14 +93,6 @@ def test_make_group_refuses_before_building(monkeypatch, spec):
         monkeypatch.setattr(group_core, name, refuse)
     with pytest.raises(ResourceLimitError):
         make_group(spec)
-
-
-def test_make_group_env_override(monkeypatch):
-    monkeypatch.setenv("EQUISEP_MAX_ORDER", "6000")
-    assert make_group("S7").order == 5040
-    monkeypatch.setenv("EQUISEP_MAX_ORDER", "10")
-    with pytest.raises(ResourceLimitError):
-        make_group("C12")
 
 
 @pytest.mark.parametrize(

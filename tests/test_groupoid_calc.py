@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from equisep import group_core
 from equisep.group_core import (
     closure,
     cyclic_group,
@@ -510,7 +511,6 @@ class TestTruncatedGroupoid:
         def no_closure(*args, **kwargs):
             raise AssertionError("aut_group built generators")
 
-        monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
         monkeypatch.setattr(gs, "closure", no_closure)
         monkeypatch.setattr(gs, "_normalizer_span", no_closure)
         g = cyclic_group(4)
@@ -522,11 +522,11 @@ class TestTruncatedGroupoid:
             match=r"order 479001600 exceeds the bound 2000 \(layer gset.aut_group\)",
         ):
             aut_group(realize_type(top))
-        monkeypatch.setenv("EQUISEP_MAX_ORDER", "23")
+        monkeypatch.setattr(group_core, "MAX_ORDER", 23)
         with pytest.raises(ResourceLimitError, match="order 24 exceeds the bound 23"):
             aut_group(realize_type(census["4*G/4a"]))
         monkeypatch.undo()
-        monkeypatch.setenv("EQUISEP_MAX_ORDER", "24")
+        monkeypatch.setattr(group_core, "MAX_ORDER", 24)
         assert aut_group(realize_type(census["4*G/4a"])).order == 24
 
     def test_census_refused_before_enumerating(self, monkeypatch):

@@ -436,13 +436,12 @@ AUT_AND_COSET_ELEMENTS_DIGEST = (
 )
 
 
-def test_aut_groups_and_coset_gsets_are_pinned(monkeypatch):
-    monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
+def test_aut_groups_and_coset_gsets_are_pinned():
     digest, elements, built = hashlib.sha256(), hashlib.sha256(), 0
     for spec in ["C2", "C4", "S3", "D4", "C2xC2", "Q8", "A4", "C6"]:
         g = make_group(spec)
         for t in truncated_gset_groupoid(g, empty_family(g), 8):
-            if t.aut_order <= group_core.DEFAULT_MAX_ORDER:
+            if t.aut_order <= group_core.MAX_ORDER:
                 a = aut_group(realize_type(t))
                 digest.update(repr((sorted(a.elements), a.generators)).encode())
                 elements.update(repr(sorted(a.elements)).encode())

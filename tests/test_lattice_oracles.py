@@ -89,7 +89,6 @@ def test_lattice_readers_build_no_gset_or_weyl_group(monkeypatch, capsys):
     monkeypatch.setattr(gset, "coset_gset", boom)
     monkeypatch.setattr(gset, "_normalizer_span", boom)
     monkeypatch.setattr(group_core, "_normalizer_span", boom)
-    monkeypatch.delenv("EQUISEP_MAX_ORDER", raising=False)
     g = make_group("D4xS3")
     classes = subgroup_conjugacy_classes(g)
     tom = table_of_marks(g)
