@@ -55,7 +55,6 @@ subconjugacy masks are built from them in one pass.  The public API
 keeps perm tuples and frozensets.
 """
 
-import re
 import sys
 from itertools import combinations, filterfalse
 from math import factorial, gcd, lcm
@@ -379,9 +378,7 @@ def direct_product(a: Group, b: Group) -> Group:
     return _group(da + db, gens, els)
 
 
-_ATOM_RE = re.compile(r"^([CDSA])([0-9]+)$")
 _MAX_FACTORIAL_DEGREE = 1000
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def _spec_int(digits: str, what: str) -> int:
@@ -404,10 +401,10 @@ def _named_atom(token: str):
     nothing."""
     if token == "Q8":
         return 8, 8, quaternion_group
-    m = _ATOM_RE.match(token)
-    if not m:
+    kind, digits = token[:1], token[1:]
+    if kind not in ("C", "D", "S", "A") or not (digits.isascii() and digits.isdigit()):
         raise GroupSpecError(f"unrecognized group token {token!r}")
-    kind, n = m.group(1), _spec_int(m.group(2), "group size")
+    n = _spec_int(digits, "group size")
     if n < 1:
         raise GroupSpecError(f"{kind}<n> needs n >= 1")
     if kind == "C":
@@ -429,15 +426,16 @@ def _named_atom(token: str):
 
 def _parse_cycles(text: str, degree: int) -> Perm:
     text = text.strip()
-    covered = _CYCLE_RE.sub("", text).strip()
-    if covered:
+    # "(a b)(c, d) (e f)": each piece before a ")" is an opening "(" and
+    # its points, after any white space; nothing follows the last ")".
+    *cycles, rest = [c.lstrip() for c in text.split(")")]
+    if rest or any(c[:1] != "(" or "(" in c[1:] for c in cycles):
         raise GroupSpecError(f"stray characters in cycles: {text!r}")
     images = list(range(degree))
     seen: set[int] = set()
-    for body in _CYCLE_RE.findall(text):
-        pts = [p for p in re.split(r"[,\s]+", body.strip()) if p]
+    for c in cycles:
         cyc = []
-        for p in pts:
+        for p in c[1:].replace(",", " ").split():
             k = _spec_int(p, "point")
             if not 1 <= k <= degree:
                 raise GroupSpecError(f"point {k} outside 1..{degree}")

@@ -43,6 +43,9 @@ _CENSUS = ["group_core", "burnside", "conditions", "families", "groupoid_calc",
            "classifier"]  # what a classify answered by the census loads
 CALLS = {
     "subgroups": (["subgroups", "--group", "S3", "--format", "text"], ["group_core"]),
+    # a perm: spec runs the cycle reader
+    "subgroups-perm": (["subgroups", "--group", "perm:5:(1 2 3 4 5);(1 2)"],
+                       ["group_core"]),
     "burnside": (["burnside", "--group", "S3"], ["group_core"]),
     "marks": (["marks", "--group", "S3"], ["group_core", "burnside"]),
     "marks-json": (["marks", "--group", "S3", "--format", "json"],

@@ -111,6 +111,9 @@ MUTANTS = (
     ("src/equisep/gset.py", "if t.aut_order > bound:",
      "if t.aut_order >= bound:",
      "an automorphism group whose order is exactly the bound is refused"),
+    ("src/equisep/group_core.py", ' or "(" in c[1:]', "",
+     "the cycle reader takes a nested ( for part of a point, so ((1 2)) is "
+     "a bad point, not stray characters"),
 )
 
 

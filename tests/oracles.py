@@ -8,7 +8,8 @@ containment counts scanned pair by pair over conjugation orbits for
 marks, subconjugacy and families, generator picks that close perm tuples
 after each pick, exhaustive map enumeration, union-find on materialized
 objects (brute_force_pullback, the pullback groupoid built object by
-object), and exact rational linear algebra.  Three helpers read the
+object), exact rational linear algebra, and spec tokens and cycles read
+by regular expressions.  Three helpers read the
 library instead, for the tests that hold it against the oracles:
 below_bit (a subconjugacy bit), members (a family's classes) and
 bounded_group (make_group under a smaller order bound).
@@ -18,13 +19,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 import string
 from fractions import Fraction
+from math import factorial
 
 from equisep import group_core
 from equisep.group_core import (
     Group,
+    GroupSpecError,
     ResourceLimitError,
+    _spec_int,
     _subgroup_classes,
     closure,
     cyclic_group,
@@ -409,6 +414,60 @@ def reduce_generators(elements, degree: int):
                 break
     assert have == target or target == {identity_perm(degree)}
     return tuple(gens)
+
+
+_ATOM_RE = re.compile(r"^([CDSA])([0-9]+)$")
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def regex_named_atom(token: str) -> tuple:
+    """(order, degree) of one named-family token, read by a regular
+    expression: the reference for group_core._named_atom."""
+    if token == "Q8":
+        return 8, 8
+    m = _ATOM_RE.match(token)
+    if not m:
+        raise GroupSpecError(f"unrecognized group token {token!r}")
+    kind, n = m.group(1), _spec_int(m.group(2), "group size")
+    if n < 1:
+        raise GroupSpecError(f"{kind}<n> needs n >= 1")
+    if kind == "C":
+        return n, n
+    if kind == "D":
+        if n == 1:
+            return 2, 2
+        if n == 2:
+            return 4, 4
+        return 2 * n, n
+    if n > group_core._MAX_FACTORIAL_DEGREE:
+        raise ResourceLimitError(f"group {token} exceeds every order bound "
+                                 "(layer group_core.make_group)")
+    if kind == "S":
+        return factorial(n), n
+    return max(1, factorial(n) // 2), n
+
+
+def regex_cycles(text: str, degree: int) -> tuple:
+    """The permutation of one generator in cycle notation, read by regular
+    expressions: the reference for group_core._parse_cycles."""
+    text = text.strip()
+    if _CYCLE_RE.sub("", text).strip():
+        raise GroupSpecError(f"stray characters in cycles: {text!r}")
+    images = list(range(degree))
+    seen: set[int] = set()
+    for body in _CYCLE_RE.findall(text):
+        cyc = []
+        for p in filter(None, re.split(r"[,\s]+", body.strip())):
+            k = _spec_int(p, "point")
+            if not 1 <= k <= degree:
+                raise GroupSpecError(f"point {k} outside 1..{degree}")
+            if k - 1 in seen:
+                raise GroupSpecError(f"point {k} repeated in generator")
+            seen.add(k - 1)
+            cyc.append(k - 1)
+        for i, p in enumerate(cyc):
+            images[p] = cyc[(i + 1) % len(cyc)]
+    return tuple(images)
 
 
 def random_perm_specs(rng, count: int, max_degree: int = 6):

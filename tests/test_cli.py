@@ -211,7 +211,7 @@ def test_submodule_reads_as_attribute_of_a_fresh_package(module):
 def test_verb_loads_only_its_modules(argv, library):
     """Each call of tests.loc's CALLS loads equisep, _record, cli and the
     library modules of its row, and no __future__; only a JSON call loads
-    json."""
+    json, and re, which json's decoder imports."""
     loaded = _loaded_by(f"from equisep.cli import main\nmain({argv!r})")
     ours = {m for m in loaded if m == "equisep" or m.startswith("equisep.")}
     assert ours == {"equisep", "equisep._record", "equisep.cli"} | {
@@ -219,8 +219,15 @@ def test_verb_loads_only_its_modules(argv, library):
     }
     assert "__future__" not in loaded
     assert ("json" in loaded) == ("json" in argv)
+    assert ("re" in loaded) == ("json" in argv)
     if argv[0] in ("subgroups", "burnside"):
         assert loaded.isdisjoint({"typing", "random"})
+
+
+def test_import_equisep_cli_loads_no_re():
+    """Spec strings are read with str methods, so the CLI's import path
+    loads neither re nor what re loads."""
+    assert _loaded_by("import equisep.cli").isdisjoint({"re", "enum", "functools"})
 
 
 # The package's public names.

@@ -4,6 +4,7 @@ import gc
 import importlib
 import inspect
 import pkgutil
+import random
 import re
 import weakref
 
@@ -149,6 +150,38 @@ def test_class_of_another_group_refused():
 def test_make_group_rejects_malformed(bad):
     with pytest.raises(GroupSpecError):
         make_group(bad)
+
+
+def _outcome(read, text):
+    """What read gives on text: its value, or its error's type and text."""
+    try:
+        return read(text)
+    except (GroupSpecError, ResourceLimitError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("read, reference, alphabet, edges", [
+    (lambda t: group_core._parse_cycles(t, 9), lambda t: oracles.regex_cycles(t, 9),
+     "() ,\t123x(9)٣;",
+     ["", " ", "()", "(1 2)", "((1 2))", "(1 2", ")", "(1 2))", "(1,2)\t(3 9)",
+      " (1, ,2) ", "(1)(1)", "(10)", "(1 2)x", "(٣)"]),
+    (lambda t: group_core._named_atom(t)[:2], oracles.regex_named_atom,
+     "CDSAQxc8 0123٣-+",
+     ["", "Q8", "Q", "C", "C0", "C12", " C2", "C2 ", "D1", "D2", "D3", "S3",
+      "A1", "A2", "S1001", "A1000", "C٣", "C+1", "c8", "CC2"]),
+], ids=["cycles", "atoms"])
+def test_spec_readers_match_the_regex_reference(read, reference, alphabet, edges):
+    """The str-method readers of cycles and named tokens give what the
+    regular expressions they replaced give, on fixed edge cases and 20,000
+    seeded random strings each: the same permutation or (order, degree),
+    or the same error type and text."""
+    rng = random.Random(9)
+    texts = edges + ["".join(rng.choices(alphabet, k=rng.randint(0, 10)))
+                     for _ in range(20_000)]
+    outcomes = [(_outcome(read, t), _outcome(reference, t)) for t in texts]
+    assert [t for t, (got, want) in zip(texts, outcomes) if got != want] == []
+    kinds = {got[0] if isinstance(got[0], type) else "value" for got, _ in outcomes}
+    assert {"value", GroupSpecError} <= kinds
 
 
 def test_subgroup_classes_c6():
